@@ -17,7 +17,6 @@ of j x j principal minors.  This package provides
 """
 
 from .bounds import (
-    DIRECT_RATIO_CAP,
     BoundReport,
     bound_report,
     dyadic_upper_bound,
@@ -46,6 +45,7 @@ from .esp import (
     esp_geometric_ratio,
     esp_ratio,
     esp_ratio_head_tail,
+    esp_ratios,
     esp_scale,
 )
 from .psd import (

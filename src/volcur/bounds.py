@@ -12,11 +12,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BoundInapplicableError, ValidationError
-from .esp import _esp_coeffs, esp_dyadic_convolution, esp_geometric_ratio, esp_ratio
+from .esp import esp_geometric_ratio, esp_ratio, esp_ratios
 from .spectra import PiecewiseDyadicSpectrum, Spectrum
 
 __all__ = [
-    "DIRECT_RATIO_CAP",
     "BoundReport",
     "simple_bound",
     "geometric_expected_error",
@@ -25,8 +24,6 @@ __all__ = [
     "figure_rows",
 ]
 
-DIRECT_RATIO_CAP = 100_000
-
 _CSV_HEADER = "n,k,exact_ratio,simple_bound,dyadic_bound,expected_error,optimal_error"
 
 
@@ -34,16 +31,15 @@ _CSV_HEADER = "n,k,exact_ratio,simple_bound,dyadic_bound,expected_error,optimal_
 class BoundReport:
     """Bounds and exact quantities for one (spectrum, k) pair.
 
-    exact_ratio, dyadic_bound, and expected_error are None when the
-    corresponding computation was not requested or is out of reach.
+    dyadic_bound is None when no majorant was given.
     """
 
     n: int
     k: int
-    exact_ratio: float | None
+    exact_ratio: float
     simple_bound: float
     dyadic_bound: float | None
-    expected_error: float | None
+    expected_error: float
     optimal_error: float
 
     csv_header = _CSV_HEADER
@@ -110,8 +106,7 @@ def dyadic_upper_bound(spec: Spectrum, k: int, base: float, lmax: int) -> float:
         raise ValidationError(f"k must satisfy 0 <= k < n, got k={k}, n={spec.n}")
     mu = PiecewiseDyadicSpectrum(lmax=lmax, base=base)
     _check_domination(spec, mu)
-    coeffs = esp_dyadic_convolution(mu, k + 1)
-    return float(coeffs[k + 1] / coeffs[k])
+    return esp_ratio(mu, k)
 
 
 def bound_report(
@@ -119,46 +114,26 @@ def bound_report(
     k: int,
     *,
     mu: PiecewiseDyadicSpectrum | None = None,
-    direct_cap: int = DIRECT_RATIO_CAP,
 ) -> BoundReport:
     """Aggregate exact ratio, bounds, and errors for one k.
 
-    The exact ratio is computed directly only for n <= direct_cap; a
-    piecewise-dyadic input uses its fast convolution path at any size.
     Pass mu to include the majorant bound for a plain spectrum.
     """
-    if isinstance(spec, PiecewiseDyadicSpectrum):
-        if not 0 <= k < spec.n:
-            raise ValidationError(f"k must satisfy 0 <= k < n, got k={k}")
-        coeffs = esp_dyadic_convolution(spec, k + 1)
-        exact = float(coeffs[k + 1] / coeffs[k])
-        tail = spec.tail_sum(k)
-        return BoundReport(
-            n=spec.n, k=k, exact_ratio=exact, simple_bound=tail,
-            dyadic_bound=None, expected_error=(k + 1) * exact,
-            optimal_error=tail)
-
     if not 0 <= k < spec.n:
         raise ValidationError(f"k must satisfy 0 <= k < n, got k={k}, n={spec.n}")
-    tail = spec.tail_sum(k)
-    exact: float | None
-    expected: float | None
-    if k >= spec.rank:
+    if isinstance(spec, PiecewiseDyadicSpectrum) or k < spec.rank:
+        exact = esp_ratio(spec, k)
+    else:
         # rank-deficient beyond k: the approximation is exact in expectation
         exact = 0.0
-        expected = 0.0
-    elif spec.n <= direct_cap:
-        exact = esp_ratio(spec, k)
-        expected = (k + 1) * exact
-    else:
-        exact = None
-        expected = None
     dyadic = None
-    if mu is not None:
+    if mu is not None and isinstance(spec, Spectrum):
         dyadic = dyadic_upper_bound(spec, k, mu.base, mu.lmax)
+    tail = spec.tail_sum(k)
     return BoundReport(
         n=spec.n, k=k, exact_ratio=exact, simple_bound=tail,
-        dyadic_bound=dyadic, expected_error=expected, optimal_error=tail)
+        dyadic_bound=dyadic, expected_error=(k + 1) * exact,
+        optimal_error=tail)
 
 
 def figure_rows(
@@ -166,8 +141,8 @@ def figure_rows(
 ) -> list[tuple[int, float, float, float]]:
     """Rows (k, ratio_lambda, ratio_mu, simple_bound) for plotting.
 
-    ratio_lambda comes from the direct recursion (vectorized, O(n * kmax)),
-    ratio_mu from the fast convolution path, and the bound column is the
+    ratio_lambda comes from the direct recursion (O(n * kmax)), ratio_mu
+    from the fast convolution path, and the bound column is the
     majorant's tail sum, the quantity the simple-bound inequality caps
     ratio_mu with, so the three columns are ordered at every k.
     """
@@ -180,12 +155,5 @@ def figure_rows(
     kmax = max(ks)
     if not 1 <= min(ks) <= kmax < lam.n:
         raise ValidationError("k range must satisfy 1 <= k < n")
-    lam1 = float(lam.values[0])
-    el = _esp_coeffs(lam.values / lam1, kmax + 1)
-    em = esp_dyadic_convolution(mu, kmax + 1).coeffs
-    rows = []
-    for k in ks:
-        ratio_lam = lam1 * float(el[k + 1] / el[k])
-        ratio_mu = float(em[k + 1] / em[k])
-        rows.append((k, ratio_lam, ratio_mu, mu.tail_sum(k)))
-    return rows
+    rl, rm = esp_ratios(lam, kmax), esp_ratios(mu, kmax)
+    return [(k, float(rl[k]), float(rm[k]), mu.tail_sum(k)) for k in ks]

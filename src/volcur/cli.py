@@ -18,7 +18,7 @@ from .errors import (
     ValidationError,
     VolcurError,
 )
-from .esp import esp_all, esp_dyadic_convolution
+from .esp import esp_all, esp_ratios
 from .psd import (
     PsdMatrix,
     cur_approximation,
@@ -125,56 +125,32 @@ def _emit(args, lines: list[str]) -> None:
         sys.stdout.write(text)
 
 
-def _ratio_pairs(spec, ks: list[int]) -> list[tuple[int, float]]:
-    """(k, e_{k+1}/e_k) over ks, on the structured path when available."""
-    kmax = max(ks)
-    if isinstance(spec, PiecewiseDyadicSpectrum):
-        if kmax >= spec.n:
-            raise ValidationError(f"k range must stay below n = {spec.n}")
-        coeffs = esp_dyadic_convolution(spec, kmax + 1).coeffs
-        return [(k, float(coeffs[k + 1] / coeffs[k])) for k in ks]
-    if kmax >= spec.n:
+def _ratio_pairs(args) -> list[tuple[int, float]]:
+    """(k, e_{k+1}/e_k) over the requested k range."""
+    spec = _resolve_spectrum(args)
+    ks = _parse_k_range(args.k)
+    if max(ks) >= spec.n:
         raise ValidationError(f"k range must stay below n = {spec.n}")
-    from .esp import _esp_coeffs
-
-    lam1 = float(spec.values[0]) if spec.n else 0.0
-    if lam1 <= 0.0:
-        raise ValidationError("spectrum is identically zero")
-    coeffs = _esp_coeffs(spec.values / lam1, kmax + 1)
-    out = []
-    for k in ks:
-        if coeffs[k] <= 0.0:
-            raise ValidationError(f"e_{k} = 0: spectrum rank is below {k}")
-        out.append((k, lam1 * float(coeffs[k + 1] / coeffs[k])))
-    return out
+    ratios = esp_ratios(spec, max(ks))
+    return [(k, float(ratios[k])) for k in ks]
 
 
 def cmd_esp(args) -> int:
-    spec = _resolve_spectrum(args)
-    ks = _parse_k_range(args.k)
-    m = max(ks)
-    if isinstance(spec, PiecewiseDyadicSpectrum):
-        vec = esp_dyadic_convolution(spec, m)
-    else:
-        vec = esp_all(spec, m)
-    lines = ["j,e_j"] + [f"{j},{_fmt(vec[j])}" for j in range(m + 1)]
+    vec = esp_all(_resolve_spectrum(args), max(_parse_k_range(args.k)))
+    lines = ["j,e_j"] + [f"{j},{_fmt(x)}" for j, x in enumerate(vec.coeffs)]
     _emit(args, lines)
     return 0
 
 
 def cmd_ratio(args) -> int:
-    spec = _resolve_spectrum(args)
-    ks = _parse_k_range(args.k)
-    lines = ["k,ratio"] + [f"{k},{_fmt(r)}" for k, r in _ratio_pairs(spec, ks)]
+    lines = ["k,ratio"] + [f"{k},{_fmt(r)}" for k, r in _ratio_pairs(args)]
     _emit(args, lines)
     return 0
 
 
 def cmd_expected_error(args) -> int:
-    spec = _resolve_spectrum(args)
-    ks = _parse_k_range(args.k)
     lines = ["k,expected_error"] + [
-        f"{k},{_fmt((k + 1) * r)}" for k, r in _ratio_pairs(spec, ks)]
+        f"{k},{_fmt((k + 1) * r)}" for k, r in _ratio_pairs(args)]
     _emit(args, lines)
     return 0
 

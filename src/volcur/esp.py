@@ -3,12 +3,20 @@
 Coefficient vectors are 0-indexed: coeffs[j] = e_j, with e_0 = 1 and
 e_j = 0 for j beyond the number of entries.  All recursions here add
 nonnegative terms only, so there is no cancellation; accuracy is limited
-by plain rounding.  To keep magnitudes representable, evaluation
-normalizes a spectrum by its largest entry and restores scale through
-exact powers (a ratio e_{k+1}/e_k picks up exactly one such factor).
+by plain rounding.
+
+Every ESP of the package is computed here, carried internally as a
+mantissa and an integer exponent, e_j = mantissa * 2^exponent, so values
+far outside double range keep full precision.  Plain spectra run one
+prefix recursion whose rows are rescaled by exact powers of two; dyadic
+spectra multiply per-level binomial coefficients, aligning exponents per
+order.  Ratios (esp_ratios) and the sampler's marginals (esp_marginals)
+are quotients of such values, so they are scale free; only esp_all, which
+returns plain doubles, can overflow or underflow.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,6 +28,8 @@ __all__ = [
     "EspVector",
     "esp_all",
     "esp_ratio",
+    "esp_ratios",
+    "esp_marginals",
     "esp_geometric_closed_form",
     "esp_geometric_ratio",
     "esp_convolve",
@@ -27,6 +37,8 @@ __all__ = [
     "esp_ratio_head_tail",
     "esp_dyadic_convolution",
 ]
+
+_CENTER, _SLACK = 512, 256         # prefix rows: last entry within 2^(512 +- 256)
 
 
 @dataclass(frozen=True, eq=False)
@@ -60,62 +72,145 @@ class EspVector:
         return float(self.coeffs[j])
 
 
-def _esp_coeffs(values: np.ndarray, m: int) -> np.ndarray:
-    """e_0..e_m of the given values by the one-pass recursion.
+def _prefix_rows(values: np.ndarray, m: int):
+    """Yield (row, exponent) for j = 0..min(m, n): row[i] * 2**exponent = e_j(values[:i]).
 
-    Row j is the prefix sequence e_j(v_1..v_i), obtained from row j-1 by a
-    cumulative sum; this is the classic O(n*m) update evaluated column-major,
-    with identical operation order and rounding.
+    Row j is the cumulative sum of row j-1 times values: the classic
+    O(n*m) update evaluated column-major.  A row whose last entry leaves
+    2^(512 +- 256) is rescaled by an exact power of two, so values round as
+    in the unscaled recursion wherever that one stays in double range.  The
+    window sits high: with values <= 1 a row grows by at most a factor n
+    per step but can shrink by any factor.
     """
     n = int(values.size)
-    out = np.zeros(m + 1)
-    out[0] = 1.0
-    if n == 0 or m == 0:
-        return out
-    prev = np.ones(n + 1)
-    for j in range(1, min(m, n) + 1):
+    row = np.full(n + 1, 2.0**_CENTER)
+    exponent = -_CENTER
+    yield row, exponent
+    for _ in range(min(m, n)):
+        prev = row
         row = np.empty(n + 1)
         row[0] = 0.0
         np.cumsum(values * prev[:-1], out=row[1:])
-        out[j] = row[-1]
-        prev = row
-    return out
+        shift = math.frexp(row[-1])[1] - _CENTER
+        if row[-1] and abs(shift) > _SLACK:
+            np.ldexp(row, -shift, out=row)
+            exponent += shift
+        yield row, exponent
 
 
-def esp_all(s: Spectrum, m: int) -> EspVector:
+def _esp_coeffs(values: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """e_0..e_m of the values as (mantissas, exponents), zeros beyond n."""
+    last = np.zeros(m + 1)
+    exps = np.zeros(m + 1, dtype=np.int64)
+    for j, (row, exponent) in enumerate(_prefix_rows(values, m)):
+        last[j], exps[j] = row[-1], exponent
+    mant, shift = np.frexp(last)
+    return mant, np.where(mant > 0.0, exps + shift, 0)
+
+
+def _level_coeffs(level: int, base: float, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """f of one dyadic level (2^level copies of base^level) to order m.
+
+    coeffs[j] = base^(level*j) * C(2^level, j) by the multiplicative
+    recurrence, each step split by frexp into (mantissas, exponents).
+    """
+    size = 2**level
+    ratio = base**level
+    mant = np.ones(min(m, size) + 1)
+    exps = np.zeros(mant.size, dtype=np.int64)
+    for j in range(mant.size - 1):
+        mant[j + 1], shift = math.frexp(mant[j] * ratio * (size - j) / (j + 1))
+        exps[j + 1] = exps[j] + shift
+    return mant, exps
+
+
+def _cauchy(a, b, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """Union rule f(concat(x, y)) = f(x) * f(y) on (mantissas, exponents).
+
+    Each order sums its terms relative to its largest one, so only terms
+    negligible next to that one can underflow.
+    """
+    (ma, ea), (mb, eb) = a, b
+    order = np.add.outer(np.arange(ma.size), np.arange(mb.size))
+    terms = np.outer(ma, mb)
+    keep = (order <= m) & (terms > 0.0)
+    order, terms, exps = order[keep], terms[keep], np.add.outer(ea, eb)[keep]
+    top = np.full(m + 1, np.iinfo(np.int64).min)
+    np.maximum.at(top, order, exps)
+    total = np.bincount(order, weights=np.ldexp(terms, exps - top[order]), minlength=m + 1)
+    mant, shift = np.frexp(total)
+    return mant, np.where(total > 0.0, top + shift, 0)
+
+
+def _scaled_coeffs(spec: Spectrum | PiecewiseDyadicSpectrum, m: int):
+    """(scale, mantissas, exponents) with e_j = scale^j * mantissas[j] * 2^exponents[j].
+
+    A plain spectrum is divided by its largest entry (the scale); a dyadic
+    one multiplies its levels, smallest values first.
+    """
+    if isinstance(spec, PiecewiseDyadicSpectrum):
+        acc = (np.ones(1), np.zeros(1, dtype=np.int64))
+        for level in range(spec.lmax - 1, -1, -1):
+            acc = _cauchy(acc, _level_coeffs(level, spec.base, m), m)
+        return 1.0, *acc
+    scale = float(spec.values[0]) if spec.n and spec.values[0] > 0.0 else 1.0
+    return scale, *_esp_coeffs(spec.values / scale, m)
+
+
+def _ratios(scale: float, mant: np.ndarray, exps: np.ndarray) -> np.ndarray:
+    """e_{k+1}/e_k for every k below the last order of scaled coefficients."""
+    zero = np.flatnonzero(mant[:-1] == 0.0)
+    if zero.size:
+        raise RankDeficiencyError(
+            f"e_{zero[0]} = 0: spectrum rank is below {zero[0]}")
+    return scale * np.ldexp(mant[1:] / mant[:-1], exps[1:] - exps[:-1])
+
+
+def esp_all(s: Spectrum | PiecewiseDyadicSpectrum, m: int) -> EspVector:
     """All values e_0 .. e_m of the spectrum (zeros beyond its length)."""
     if not isinstance(m, int) or m < 0:
         raise ValidationError("truncation order m must be a nonnegative integer")
-    if s.n == 0 or s.values[0] == 0.0:
-        coeffs = np.zeros(m + 1)
-        coeffs[0] = 1.0
-        return EspVector(coeffs)
-    lam1 = float(s.values[0])
-    normalized = _esp_coeffs(s.values / lam1, m)
-    # the recursion runs on values/lam1 <= 1; only the rescale can overflow
-    with np.errstate(over="ignore"):
-        coeffs = normalized * lam1 ** np.arange(m + 1, dtype=np.float64)
+    scale, mant, exps = _scaled_coeffs(s, m)
+    with np.errstate(over="ignore", invalid="ignore"):
+        coeffs = np.ldexp(mant, exps) * scale ** np.arange(m + 1, dtype=np.float64)
     if not np.all(np.isfinite(coeffs)):
         raise NumericalError(
             "ESP values overflow double precision at this scale; "
-            "use esp_ratio, which works on the normalized coefficients")
+            "use esp_ratios, which is scale free")
     return EspVector(coeffs)
 
 
-def esp_ratio(s: Spectrum, k: int) -> float:
-    """The ratio e_{k+1}/e_k, evaluated on the normalized spectrum."""
-    if not isinstance(k, int) or k < 0:
+def esp_ratios(spec: Spectrum | PiecewiseDyadicSpectrum, kmax: int) -> np.ndarray:
+    """The ratios e_{k+1}/e_k for k = 0..kmax, of a plain or dyadic spectrum.
+
+    The ratio is 0 at k equal to the rank; above it e_k = 0 and
+    RankDeficiencyError is raised.
+    """
+    if not isinstance(kmax, int) or kmax < 0:
         raise ValidationError("k must be a nonnegative integer")
-    if s.n == 0 or s.values[0] == 0.0:
-        if k == 0:
-            return 0.0
-        raise RankDeficiencyError(f"e_{k} = 0: spectrum rank is below {k}")
-    lam1 = float(s.values[0])
-    normalized = _esp_coeffs(s.values / lam1, k + 1)
-    if normalized[k] <= 0.0:
-        raise RankDeficiencyError(
-            f"e_{k} = 0: spectrum has only {s.rank} positive entries")
-    return lam1 * float(normalized[k + 1] / normalized[k])
+    return _ratios(*_scaled_coeffs(spec, kmax + 1))
+
+
+def esp_ratio(s: Spectrum | PiecewiseDyadicSpectrum, k: int) -> float:
+    """The ratio e_{k+1}/e_k (see esp_ratios)."""
+    return float(esp_ratios(s, k)[k])
+
+
+def esp_marginals(spec: Spectrum, k: int) -> np.ndarray:
+    """Inclusion probabilities for drawing k <= rank entries with weight prod(v).
+
+    out[r, i] = v_i e_{r-1}(v_1..v_{i-1}) / e_r(v_1..v_i) for 1 <= r <= k
+    and 1 <= i <= n, the chance that entry i joins when r of the first i
+    entries remain to be chosen; zero where e_r(v_1..v_i) = 0.
+    """
+    values = spec.values / spec.values[0]
+    rows, exps = zip(*_prefix_rows(values, k))
+    table = np.stack(rows)
+    num = np.ldexp(values * table[:-1, :-1], -np.diff(exps)[:, None])
+    den = table[1:, 1:]
+    out = np.zeros((k + 1, values.size + 1))
+    np.divide(num, den, out=out[1:, 1:], where=den > 0.0)
+    return out
 
 
 def esp_geometric_closed_form(q: float, n: int, k: int) -> float:
@@ -150,11 +245,7 @@ def esp_convolve(a: EspVector, b: EspVector, m: int) -> EspVector:
     """
     if not isinstance(m, int) or m < 0:
         raise ValidationError("truncation order m must be a nonnegative integer")
-    full = np.convolve(a.coeffs, b.coeffs)
-    out = np.zeros(m + 1)
-    t = min(m + 1, full.size)
-    out[:t] = full[:t]
-    return EspVector(out)
+    return EspVector(np.ldexp(*_cauchy(np.frexp(a.coeffs), np.frexp(b.coeffs), m)))
 
 
 def esp_scale(v: EspVector, s: float) -> EspVector:
@@ -168,50 +259,24 @@ def esp_scale(v: EspVector, s: float) -> EspVector:
 def esp_ratio_head_tail(split: HeadTailSplit, k: int) -> tuple[float, float]:
     """(gamma, ratio) for a head/tail split at k.
 
-    With u^h = f(head) and w = f(rho), the ratio e_{k+1}/e_k of the full
-    spectrum factors as gamma * pivot where
+    By the union rule, with u = f(head) and t = f(tail) = pivot^j f(rho)_j,
+    the ratio e_{k+1}/e_k of the full spectrum is gamma * pivot where
 
-        gamma = sum_i pivot^{k-i} w_{k+1-i} u^h_i
-              / sum_i pivot^{k-i} w_{k-i}   u^h_i ,   i = 0..k.
+        gamma = sum_i t_{k+1-i} u_i / (pivot * sum_i t_{k-i} u_i), i = 0..k.
 
-    All terms are nonnegative, and the denominator contains e_k(head) > 0,
-    so the quotient is well defined whenever the split is.  Evaluation
-    normalizes head and pivot by the leading entry; gamma is homogeneous of
-    degree zero, so the result is unchanged.
+    All terms are nonnegative and the denominator contains e_k(head) > 0,
+    so the quotient is well defined whenever the split is.  Both parts are
+    normalized by the leading entry, which leaves gamma unchanged.
     """
     if not isinstance(k, int) or k < 0:
         raise ValidationError("k must be a nonnegative integer")
     if k != split.k:
         raise ValidationError(f"split was made at k={split.k}, asked for k={k}")
     scale = float(split.head.values[0]) if k >= 1 else split.pivot
-    head_n = split.head.values / scale
-    pivot_n = split.pivot / scale
-    uh = _esp_coeffs(head_n, k)
-    w = _esp_coeffs(split.rho.values, k + 1)
-    powers = pivot_n ** np.arange(k, -1, -1, dtype=np.float64)
-    numerator = float(np.sum(powers * w[1 : k + 2][::-1] * uh))
-    denominator = float(np.sum(powers * w[: k + 1][::-1] * uh))
-    if denominator <= 0.0:
-        raise RankDeficiencyError("e_k = 0 for the split spectrum")
-    gamma = numerator / denominator
-    return gamma, gamma * split.pivot
-
-
-def _level_coeffs(level: int, base: float, m: int) -> np.ndarray:
-    """f of one dyadic level: 2^level copies of base^level, truncated at m.
-
-    coeffs[j] = base^(level*j) * C(2^level, j).  Built by the multiplicative
-    recurrence: the two factors individually leave double range at deep
-    levels while their product stays representable.
-    """
-    size = 2**level
-    jmax = min(m, size)
-    ratio = base**level
-    u = np.empty(jmax + 1)
-    u[0] = 1.0
-    for j in range(jmax):
-        u[j + 1] = u[j] * ratio * (size - j) / (j + 1)
-    return u
+    head = _esp_coeffs(split.head.values / scale, k)
+    tail = _esp_coeffs(split.tail.values / scale, k + 1)
+    ratio = float(_ratios(scale, *_cauchy(head, tail, k + 1))[k])
+    return ratio / split.pivot, ratio
 
 
 def esp_dyadic_convolution(spec: PiecewiseDyadicSpectrum, m: int) -> EspVector:
@@ -219,14 +284,7 @@ def esp_dyadic_convolution(spec: PiecewiseDyadicSpectrum, m: int) -> EspVector:
 
     Each constant level has a closed-form coefficient vector; the full
     spectrum is their union, so its coefficients are the truncated Cauchy
-    product of the levels: O(lmax * (m+1)^2) total, independent of n.
-    Levels are folded smallest-value first so partial results only grow.
+    product of the levels: O(lmax * (m+1)^2), independent of n.  esp_all
+    takes the same path for dyadic input.
     """
-    if not isinstance(m, int) or m < 0:
-        raise ValidationError("truncation order m must be a nonnegative integer")
-    acc = _level_coeffs(spec.lmax - 1, spec.base, m)
-    for level in range(spec.lmax - 2, -1, -1):
-        acc = np.convolve(acc, _level_coeffs(level, spec.base, m))[: m + 1]
-    out = np.zeros(m + 1)
-    out[: acc.size] = acc
-    return EspVector(out)
+    return esp_all(spec, m)

@@ -27,10 +27,11 @@ import numpy as np
 from .errors import (
     CapExceededError,
     DegenerateDistributionError,
+    NumericalError,
     SingularPivotError,
     ValidationError,
 )
-from .esp import esp_ratio
+from .esp import esp_marginals, esp_ratio
 from .psd import (
     EigenDecomposition,
     PIVOT_REL_TOL,
@@ -114,16 +115,6 @@ def enumerate_distribution(m: PsdMatrix, k: int) -> VolumeDistribution:
     )
 
 
-def _prefix_esp_table(values: np.ndarray, k: int) -> np.ndarray:
-    """table[j, i] = e_j(values[:i]) for j <= k."""
-    r = values.size
-    table = np.zeros((k + 1, r + 1))
-    table[0, :] = 1.0
-    for j in range(1, k + 1):
-        table[j, 1:] = np.cumsum(values * table[j - 1, :-1])
-    return table
-
-
 def _pick(weights: np.ndarray, rng: np.random.Generator) -> int:
     """Inverse-CDF categorical draw (deterministic given the stream)."""
     cdf = np.cumsum(weights)
@@ -132,20 +123,19 @@ def _pick(weights: np.ndarray, rng: np.random.Generator) -> int:
 
 
 def _select_eigenvector_subset(
-    values: np.ndarray, table: np.ndarray, k: int, rng: np.random.Generator
+    marginals: np.ndarray, k: int, rng: np.random.Generator
 ) -> list[int]:
     """Choose k eigenvector indices with probability prop. to their product.
 
-    Scanning i from the last eigenvalue down, index i-1 joins with the
-    marginal probability values[i-1] * e_{rem-1}(first i-1) / e_rem(first i).
+    Scanning i from the last eigenvalue down, index i-1 joins with
+    probability marginals[rem, i] (see esp_marginals).
     """
     chosen: list[int] = []
     rem = k
-    for i in range(values.size, 0, -1):
+    for i in range(marginals.shape[1] - 1, 0, -1):
         if rem == 0:
             break
-        marginal = values[i - 1] * table[rem - 1, i - 1] / table[rem, i]
-        if rng.random() < marginal:
+        if rng.random() < marginals[rem, i]:
             chosen.append(i - 1)
             rem -= 1
     return chosen
@@ -179,8 +169,9 @@ def sample_subsets(
     """Draw `draws` independent volume-sampled subsets of size k.
 
     Two phases per draw: pick k eigenvector indices weighted by eigenvalue
-    products (ESP-table marginals), then sample the projection determinantal
+    products (ESP marginals), then sample the projection determinantal
     process they span.  The mixture is exactly P(S) = det M[S,S] / c_k(M).
+    A draw without k distinct indices raises NumericalError.
     """
     if not isinstance(k, int) or k < 1:
         raise ValidationError("k must be a positive integer")
@@ -190,13 +181,16 @@ def sample_subsets(
         raise DegenerateDistributionError(
             f"cannot volume-sample {k} columns from a rank-{ed.rank} matrix")
     rng = np.random.Generator(np.random.Philox(seed))
-    values = ed.eigenvalues.values / ed.eigenvalues.values[0]
-    table = _prefix_esp_table(values, k)
+    marginals = esp_marginals(ed.eigenvalues, k)
     out = []
     for _ in range(draws):
-        eig_subset = _select_eigenvector_subset(values, table, k, rng)
+        eig_subset = _select_eigenvector_subset(marginals, k, rng)
         v = ed.vectors[:, eig_subset]
-        out.append(tuple(sorted(_sample_projection_dpp(v, rng))))
+        subset = tuple(sorted(_sample_projection_dpp(v, rng)))
+        if len(set(subset)) != k:
+            raise NumericalError(
+                f"a draw gave {len(set(subset))} distinct indices instead of {k}")
+        out.append(subset)
     return out
 
 

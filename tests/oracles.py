@@ -68,3 +68,11 @@ def random_psd(rng: np.random.Generator, n: int, rank: int,
     for _ in range(zero_rows):
         g[int(rng.integers(0, n))] = 0.0
     return scale * (g @ g.T)
+
+
+def inverse_square_psd(n: int = 300, seed: int = 300) -> np.ndarray:
+    """Seeded n x n PSD matrix with eigenvalues i^-2, i = 1..n (full rank)."""
+    rng = np.random.default_rng(seed)
+    q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    m = (q * np.arange(1, n + 1, dtype=np.float64) ** -2.0) @ q.T
+    return (m + m.T) / 2.0

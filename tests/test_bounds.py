@@ -121,18 +121,13 @@ class TestBoundReport:
         assert rep.exact_ratio == 0.0
         assert rep.expected_error == 0.0
 
-    def test_large_plain_spectrum_omits_exact(self):
+    def test_large_plain_spectrum_gets_exact_ratio(self):
         lam = generate_power_law(2.0, 2 ** 17 - 1)
         rep = bound_report(lam, 3, mu=PiecewiseDyadicSpectrum(lmax=17, base=0.25))
-        assert rep.exact_ratio is None
-        assert rep.expected_error is None
-        assert rep.dyadic_bound is not None
+        assert rep.exact_ratio == esp_ratio(lam, 3)
+        assert rep.expected_error == 4 * rep.exact_ratio
+        assert rep.exact_ratio <= rep.dyadic_bound * (1.0 + 1e-12)
         assert rep.dyadic_bound <= rep.simple_bound * (1.0 + 1e-12)
-
-    def test_direct_cap_override(self):
-        lam = generate_power_law(2.0, 64)
-        rep = bound_report(lam, 2, direct_cap=10)
-        assert rep.exact_ratio is None
 
     def test_dyadic_input_fast_path(self):
         d = PiecewiseDyadicSpectrum(lmax=20, base=0.25)

@@ -4,9 +4,12 @@ import sys
 import numpy as np
 import pytest
 
+import volcur.sampling
+from oracles import inverse_square_psd
 from volcur import (
     PiecewiseDyadicSpectrum,
     esp_all,
+    esp_geometric_ratio,
     esp_ratio,
     expected_error_exact,
     generate_geometric,
@@ -97,6 +100,15 @@ class TestRatioCommand:
             assert float(v_s) == pytest.approx(esp_ratio(lam, int(k_s)), rel=1e-10)
 
 
+    def test_flat_spectrum_does_not_overflow(self, capsys):
+        code, out, _ = run_cli(
+            ["ratio", "--spectrum", "pow:p=0.01,n=100000", "--k", "120..121"], capsys)
+        assert code == 0
+        values = [float(row.split(",")[1]) for row in out.strip().splitlines()[1:]]
+        assert all(np.isfinite(v) and v > 0.0 for v in values)
+        assert values[1] < values[0]
+
+
 class TestExpectedErrorCommand:
     def test_matches_library(self, capsys):
         code, out, _ = run_cli(
@@ -107,6 +119,15 @@ class TestExpectedErrorCommand:
             k_s, v_s = row.split(",")
             assert float(v_s) == pytest.approx(
                 expected_error_exact(lam, int(k_s)), rel=1e-14)
+
+
+    def test_deep_geometric_k(self, capsys):
+        # e_60 of (1, 1/2, ..., 2^-199) is about 1e-532
+        code, out, err = run_cli(
+            ["expected-error", "--spectrum", "geom:q=0.5,n=200", "--k", "60"], capsys)
+        assert code == 0 and err == ""
+        k_s, v_s = out.strip().splitlines()[1].split(",")
+        assert float(v_s) == pytest.approx(61 * esp_geometric_ratio(0.5, 200, 60), rel=1e-12)
 
 
 class TestBoundsCommand:
@@ -256,6 +277,23 @@ class TestSampleCommand:
             ["sample", "--input", identity5_file, "--k", "2", "--draws", "0"],
             capsys)
         assert code == 1
+
+
+    def test_deep_spectrum_prints_full_subsets(self, tmp_path, capsys):
+        path = tmp_path / "deep.txt"
+        np.savetxt(path, inverse_square_psd(), fmt="%.17g")
+        code, out, err = run_cli(
+            ["sample", "--input", str(path), "--k", "150", "--seed", "3"], capsys)
+        assert code == 0 and err == ""
+        assert len(set(out.strip().split(","))) == 150
+
+    def test_draw_without_k_distinct_indices_exits_2(
+            self, identity5_file, capsys, monkeypatch):
+        monkeypatch.setattr(volcur.sampling, "esp_marginals",
+                            lambda spec, k: np.zeros((k + 1, spec.n + 1)))
+        code, out, err = run_cli(
+            ["sample", "--input", identity5_file, "--k", "2"], capsys)
+        assert code == 2 and out == "" and "distinct" in err
 
 
 class TestVerifyCommand:

@@ -15,7 +15,9 @@ from volcur import (
     esp_geometric_ratio,
     esp_ratio,
     esp_ratio_head_tail,
+    esp_ratios,
     esp_scale,
+    generate_geometric,
     make_spectrum,
     split_head_tail,
 )
@@ -111,6 +113,29 @@ class TestEspRatio:
         assert esp_ratio(s, 2) == 0.0
         with pytest.raises(RankDeficiencyError):
             esp_ratio(s, 3)
+
+    def test_matches_geometric_closed_form_at_every_k(self):
+        # e_k(q^i) drops below 1e-308 from k = 47 (q = 0.5) and k = 121 (q = 0.9)
+        for q in (0.5, 0.9):
+            for n in (200, 2000):
+                s = generate_geometric(q, n)
+                # q^i underflows to zero from i = 1075 at q = 0.5, n = 2000
+                kmax = min(n - 1, s.rank)
+                ratios = esp_ratios(s, kmax)
+                for k in range(kmax + 1):
+                    assert rel_err(ratios[k], esp_geometric_ratio(q, n, k)) < 1e-12
+                for k in (47, 121, kmax // 2, kmax):
+                    assert esp_ratio(s, k) == ratios[k]
+                if kmax < n - 1:
+                    with pytest.raises(RankDeficiencyError):
+                        esp_ratio(s, kmax + 1)
+
+    def test_flat_spectrum_does_not_overflow(self):
+        # e_k of 10^5 equal values exceeds 1e308 from k = 89
+        n = 100_000
+        s = make_spectrum(np.ones(n))
+        for k in (100, 150):
+            assert rel_err(esp_ratio(s, k), (n - k) / (k + 1)) < 1e-12
 
     @given(spectrum_lists, st.integers(min_value=0, max_value=9))
     @settings(max_examples=200)
@@ -258,16 +283,21 @@ class TestDyadicConvolution:
         assert np.array_equal(v.coeffs, [1.0, 1.0, 0.0])
 
     def test_matches_direct_recursion(self):
-        for lmax in range(1, 13):
-            for base in (0.25, 0.5, 0.7):
-                d = PiecewiseDyadicSpectrum(lmax=lmax, base=base)
-                m = min(20, d.n)
-                fast = esp_dyadic_convolution(d, m)
-                slow = esp_all(d.materialized, m)
-                for j in range(m + 1):
-                    if max(abs(fast.coeffs[j]), abs(slow.coeffs[j])) < 1e-250:
-                        continue
-                    assert rel_err(fast.coeffs[j], slow.coeffs[j]) < 1e-10
+        cases = [(lmax, base, min(20, 2**lmax - 1))
+                 for lmax in range(1, 13) for base in (0.25, 0.5, 0.7)]
+        # e_256 is about 1e-838 here: values underflow, ratios must not
+        cases.append((12, 0.25, 257))
+        for lmax, base, m in cases:
+            d = PiecewiseDyadicSpectrum(lmax=lmax, base=base)
+            fast = esp_dyadic_convolution(d, m)
+            slow = esp_all(d.materialized, m)
+            for j in range(m + 1):
+                if max(abs(fast.coeffs[j]), abs(slow.coeffs[j])) < 1e-250:
+                    continue
+                assert rel_err(fast.coeffs[j], slow.coeffs[j]) < 1e-10
+            fast_r = esp_ratios(d, m - 1)
+            slow_r = esp_ratios(d.materialized, m - 1)
+            assert np.all(np.abs(fast_r - slow_r) < 1e-10 * slow_r)
 
     def test_deep_instance_is_finite_and_positive(self):
         d = PiecewiseDyadicSpectrum(lmax=20, base=0.25)

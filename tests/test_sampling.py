@@ -4,10 +4,13 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from oracles import expected_error_enumeration, random_psd
+from oracles import expected_error_enumeration, inverse_square_psd, random_psd
+import volcur.sampling
 from volcur import (
     CapExceededError,
     DegenerateDistributionError,
+    EigenDecomposition,
+    NumericalError,
     PsdMatrix,
     ValidationError,
     eigendecompose,
@@ -154,6 +157,36 @@ class TestSampler:
         tv = 0.5 * sum(
             abs(counts[s] / draws - p) for s, p in zip(dist.subsets, dist.probabilities))
         assert tv < 0.02
+
+    def test_deep_spectrum_draws_k_distinct_indices(self):
+        # e_150 of i^-2 is about 1e-485: the marginals used to be 0/0
+        ed = eigendecompose(PsdMatrix(inverse_square_psd()))
+        assert ed.rank == 300
+        for s in sample_subsets(ed, 150, 2, seed=1):
+            assert len(set(s)) == 150
+
+    def test_spread_spectrum_inclusion_frequencies(self):
+        # one eigenvalue 1 and eleven 1e-70: index 0 is in almost every
+        # subset, and each other index in C(10,4)/C(11,5) = 5/11 of them
+        ed = EigenDecomposition(
+            vectors=np.eye(12), eigenvalues=make_spectrum([1.0] + [1e-70] * 11),
+            rank=12)
+        draws = 2000
+        counts = np.zeros(12)
+        for s in sample_subsets(ed, 6, draws, seed=17):
+            assert len(set(s)) == 6
+            counts[list(s)] += 1
+        assert counts[0] == draws
+        p = 5.0 / 11.0
+        stderr = math.sqrt(p * (1.0 - p) / draws)
+        assert np.all(np.abs(counts[1:] / draws - p) < 4.0 * stderr)
+
+    def test_draw_without_k_distinct_indices_raises(self, monkeypatch):
+        ed = eigendecompose(PsdMatrix(np.eye(4)))
+        monkeypatch.setattr(volcur.sampling, "esp_marginals",
+                            lambda spec, k: np.zeros((k + 1, spec.n + 1)))
+        with pytest.raises(NumericalError):
+            sample_subsets(ed, 2, 1, seed=0)
 
     def test_uniformity_chi_square(self):
         stats = pytest.importorskip("scipy.stats")
