@@ -8,8 +8,8 @@ of j x j principal minors.  This package provides
 * spectra:   eigenvalue-sequence type, generators, head/tail splits;
 * esp:       elementary symmetric polynomial calculus (recursion, closed
              forms, convolution/scaling rules, fast dyadic path);
-* psd:       PSD matrix type, eigendecomposition, partitioning, Schur
-             complements, CUR assembly, matrix/kernel ingestion;
+* psd:       PSD matrix type, eigendecomposition, pivoted Cholesky, CUR
+             assembly and error, matrix/kernel ingestion;
 * sampling:  exact volume sampler, exhaustive distribution, expected-error
              formula with its brute-force oracle, Monte Carlo estimate;
 * bounds:    tail-sum and dyadic-majorant bounds on e_{k+1}/e_k;
@@ -49,23 +49,18 @@ from .esp import (
     esp_scale,
 )
 from .psd import (
-    BlockPartition,
     EigenDecomposition,
     PsdMatrix,
-    cholesky_determinant,
     cur_approximation,
     cur_error_nuclear,
     eigendecompose,
     gram_matrix,
     invariant_sums,
     load_matrix,
-    nuclear_norm,
     optimal_error,
-    partition,
     pivoted_cholesky,
     read_array,
     rbf_kernel_matrix,
-    schur_complement,
 )
 from .sampling import (
     ENUMERATION_CAP,

@@ -64,12 +64,15 @@ def _parse_k_range(text: str) -> list[int]:
         if ".." in text:
             lo_s, hi_s = text.split("..", 1)
             lo, hi = int(lo_s), int(hi_s)
-            if lo > hi:
-                raise ValidationError(f"empty k range {text!r}")
-            return list(range(lo, hi + 1))
-        return [int(text)]
+        else:
+            lo = hi = int(text)
     except ValueError as exc:
         raise ValidationError(f"malformed k range {text!r}") from exc
+    if lo < 0:
+        raise ValidationError(f"k must be nonnegative, got {text!r}")
+    if lo > hi:
+        raise ValidationError(f"empty k range {text!r}")
+    return list(range(lo, hi + 1))
 
 
 def _resolve_seed(args) -> int:

@@ -36,7 +36,9 @@ class RankDeficiencyError(NumericalError):
 
 
 class SingularPivotError(NumericalError):
-    """A pivot block is numerically singular (condition estimate > 1e14)."""
+    """A pivot block is numerically singular: its pivoted Cholesky meets a
+    pivot at or below PIVOT_REL_TOL (1e-14) times the block's largest
+    diagonal entry."""
 
 
 class DegenerateDistributionError(NumericalError):

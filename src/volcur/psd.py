@@ -3,11 +3,13 @@
 A subset S of columns/rows induces the blocks A = M[S,S], B = M[~S,S],
 C = M[~S,~S]; the CUR (skeleton) approximation keeps A and B exactly and
 replaces C by B A^{-1} B^T, so the error matrix is the Schur complement
-C - B A^{-1} B^T, which is PSD; its nuclear norm is its trace.
+C - B A^{-1} B^T, which is PSD; its nuclear norm is its trace.  Both come
+from one factor: with A = L L^T and W = L^{-1} B^T, B A^{-1} B^T = W^T W and
+the error trace is trace(C) - |W|_F^2.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable
 
@@ -24,17 +26,12 @@ from .spectra import Spectrum
 __all__ = [
     "PsdMatrix",
     "EigenDecomposition",
-    "BlockPartition",
     "eigendecompose",
     "optimal_error",
     "invariant_sums",
-    "partition",
     "pivoted_cholesky",
-    "cholesky_determinant",
-    "schur_complement",
     "cur_approximation",
     "cur_error_nuclear",
-    "nuclear_norm",
     "gram_matrix",
     "rbf_kernel_matrix",
     "read_array",
@@ -45,7 +42,6 @@ PSD_TOL = 1e-10          # relative floor on the smallest eigenvalue
 SYM_TOL = 1e-10          # relative asymmetry accepted before symmetrizing
 RANK_TOL = 1e-12         # relative eigenvalue cutoff defining rank
 PIVOT_REL_TOL = 1e-14    # Cholesky pivot breakdown, relative to scale
-COND_LIMIT = 1e14        # pivot-ratio condition estimate limit
 ORTHO_TOL = 1e-10
 
 
@@ -59,6 +55,7 @@ class PsdMatrix:
     """
 
     entries: np.ndarray
+    lambda_max: float = field(init=False)
 
     def __post_init__(self) -> None:
         arr = np.array(self.entries, dtype=np.float64)
@@ -81,8 +78,6 @@ class PsdMatrix:
         arr.flags.writeable = False
         object.__setattr__(self, "entries", arr)
         object.__setattr__(self, "lambda_max", lam_max)
-
-    lambda_max: float = 0.0
 
     @property
     def n(self) -> int:
@@ -152,20 +147,6 @@ def invariant_sums(m: PsdMatrix, up_to: int) -> np.ndarray:
     return np.asarray(esp_all(ed.eigenvalues, up_to).coeffs)
 
 
-@dataclass(frozen=True, eq=False)
-class BlockPartition:
-    """Blocks of a symmetric matrix under a sorted index subset S."""
-
-    subset: tuple[int, ...]
-    a: np.ndarray  # M[S, S]
-    b: np.ndarray  # M[~S, S]
-    c: np.ndarray  # M[~S, ~S]
-
-    @property
-    def k(self) -> int:
-        return len(self.subset)
-
-
 def _checked_subset(subset: Iterable[int], n: int) -> tuple[int, ...]:
     s = tuple(sorted(int(i) for i in subset))
     if len(s) == 0:
@@ -175,16 +156,6 @@ def _checked_subset(subset: Iterable[int], n: int) -> tuple[int, ...]:
     if s[0] < 0 or s[-1] >= n:
         raise ValidationError(f"subset indices must lie in [0, {n - 1}]")
     return s
-
-
-def partition(m: PsdMatrix, subset: Iterable[int]) -> BlockPartition:
-    """Extract the blocks A, B, C for a (0-based) index subset."""
-    s = _checked_subset(subset, m.n)
-    comp = [i for i in range(m.n) if i not in set(s)]
-    a = m.entries[np.ix_(s, s)].copy()
-    b = m.entries[np.ix_(comp, s)].copy()
-    c = m.entries[np.ix_(comp, comp)].copy()
-    return BlockPartition(subset=s, a=a, b=b, c=c)
 
 
 def pivoted_cholesky(
@@ -224,84 +195,35 @@ def pivoted_cholesky(
     return np.tril(a)[:, :rank], perm, pivots[:rank], rank
 
 
-def cholesky_determinant(matrix: np.ndarray, pivot_floor: float | None = None) -> float:
-    """Determinant of a PSD matrix; pivot breakdown is reported as 0."""
-    _, _, pivots, rank = pivoted_cholesky(matrix, pivot_floor)
-    if rank < matrix.shape[0]:
-        return 0.0
-    return float(np.prod(pivots))
+def _whitened(m: PsdMatrix, subset: Iterable[int]) -> tuple[np.ndarray, np.ndarray]:
+    """Complement indices and W = L^{-1} B^T, where A = L L^T.
 
-
-def _solve_lower(lower: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    x = np.empty_like(rhs)
-    for i in range(lower.shape[0]):
-        x[i] = (rhs[i] - lower[i, :i] @ x[:i]) / lower[i, i]
-    return x
-
-
-def _solve_upper(upper: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    n = upper.shape[0]
-    x = np.empty_like(rhs)
-    for i in range(n - 1, -1, -1):
-        x[i] = (rhs[i] - upper[i, i + 1 :] @ x[i + 1 :]) / upper[i, i]
-    return x
-
-
-def _solve_block(part: BlockPartition) -> np.ndarray:
-    """X with A X = B^T, via the pivoted Cholesky factor of A."""
-    k = part.k
-    lower, perm, pivots, rank = pivoted_cholesky(part.a)
-    if rank < k:
+    A full subset gives an empty W without factoring A.
+    """
+    s = np.array(_checked_subset(subset, m.n))
+    comp = np.setdiff1d(np.arange(m.n), s)
+    if comp.size == 0:
+        return comp, np.zeros((s.size, 0))
+    lower, perm, _, rank = pivoted_cholesky(m.entries[np.ix_(s, s)])
+    if rank < s.size:
         raise SingularPivotError(
-            f"pivot block is singular at step {rank + 1} of {k}")
-    if pivots[0] > COND_LIMIT * pivots[-1]:
-        raise SingularPivotError(
-            f"pivot block condition estimate {pivots[0] / pivots[-1]:.3g} "
-            f"exceeds {COND_LIMIT:g}")
-    rhs = part.b.T[perm, :]
-    y = _solve_upper(lower.T, _solve_lower(lower, rhs))
-    x = np.empty_like(y)
-    x[perm, :] = y
-    return x
-
-
-def schur_complement(part: BlockPartition) -> np.ndarray:
-    """C - B A^{-1} B^T, symmetrized; PSD whenever the source matrix is."""
-    if part.c.shape[0] == 0:
-        return np.zeros((0, 0))
-    x = _solve_block(part)
-    s = part.c - part.b @ x
-    return (s + s.T) / 2.0
+            f"pivot block is singular at step {rank + 1} of {s.size}")
+    return comp, np.linalg.solve(lower, m.entries[np.ix_(s[perm], comp)])
 
 
 def cur_approximation(m: PsdMatrix, subset: Iterable[int]) -> PsdMatrix:
     """Skeleton approximation keeping the rows/columns in subset exactly."""
-    part = partition(m, subset)
-    if part.k == m.n:
-        return PsdMatrix(m.entries.copy())
-    x = _solve_block(part)
-    d = part.b @ x
-    d = (d + d.T) / 2.0
-    comp = [i for i in range(m.n) if i not in set(part.subset)]
-    out = np.empty((m.n, m.n))
-    out[np.ix_(part.subset, part.subset)] = part.a
-    out[np.ix_(comp, part.subset)] = part.b
-    out[np.ix_(part.subset, comp)] = part.b.T
-    out[np.ix_(comp, comp)] = d
+    comp, w = _whitened(m, subset)
+    out = m.entries.copy()
+    out[np.ix_(comp, comp)] = w.T @ w
     return PsdMatrix(out)
 
 
 def cur_error_nuclear(m: PsdMatrix, subset: Iterable[int]) -> float:
     """Nuclear norm of the skeleton error: trace of the Schur complement."""
-    part = partition(m, subset)
-    s = schur_complement(part)
+    comp, w = _whitened(m, subset)
     # the error matrix is PSD; roundoff may leave a tiny negative trace
-    return max(float(np.trace(s)), 0.0)
-
-
-def nuclear_norm(m: PsdMatrix) -> float:
-    """Nuclear norm of a PSD matrix: its trace."""
-    return m.trace
+    return max(float(np.sum(m.entries.diagonal()[comp]) - np.sum(w * w)), 0.0)
 
 
 def gram_matrix(data: np.ndarray) -> PsdMatrix:

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 from itertools import combinations
 
 import numpy as np
@@ -38,9 +37,7 @@ from .psd import (
     PsdMatrix,
     cur_error_nuclear,
     eigendecompose,
-    partition,
     pivoted_cholesky,
-    schur_complement,
 )
 from .spectra import Spectrum
 
@@ -67,10 +64,6 @@ class VolumeDistribution:
     weights: np.ndarray        # det M[S,S] per subset
     normalizer: float          # sum of weights = c_k(M)
     probabilities: np.ndarray
-
-    @cached_property
-    def as_dict(self) -> dict[tuple[int, ...], float]:
-        return dict(zip(self.subsets, self.probabilities.tolist()))
 
 
 def _check_k(k: int, n: int) -> None:
@@ -210,9 +203,9 @@ def expected_error_bruteforce(m: PsdMatrix, k: int) -> float:
     """Expected CUR error by full enumeration: sum of p(S) * error(S).
 
     The independent oracle for expected_error_exact.  Zero-weight subsets
-    (singular A) are skipped; so are subsets whose Schur solve reports a
-    singular pivot, which can only happen within a hair of the weight
-    floor, where the probability mass is negligible.
+    (singular A) are skipped; so are subsets whose cur_error_nuclear
+    reports a singular pivot, which can only happen within a hair of the
+    weight floor, where the probability mass is negligible.
     """
     dist = enumerate_distribution(m, k)
     total = 0.0
@@ -220,7 +213,7 @@ def expected_error_bruteforce(m: PsdMatrix, k: int) -> float:
         if p == 0.0:
             continue
         try:
-            err = max(float(np.trace(schur_complement(partition(m, s)))), 0.0)
+            err = cur_error_nuclear(m, s)
         except SingularPivotError:
             continue
         total += p * err

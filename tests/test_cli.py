@@ -394,9 +394,14 @@ class TestErrorPaths:
         assert code == 1
 
     def test_malformed_k_range(self, capsys):
-        code, _, _ = run_cli(["esp", "--spectrum", "geom:q=0.5,n=3", "--k", "a..b"],
-                             capsys)
-        assert code == 1
+        for argv in (
+            ["esp", "--spectrum", "geom:q=0.5,n=3", "--k", "a..b"],
+            ["ratio", "--spectrum", "geom:q=0.5,n=10", "--k=-1..2"],
+            ["expected-error", "--spectrum", "geom:q=0.5,n=10", "--k=-1..1"],
+        ):
+            code, out, _ = run_cli(argv, capsys)
+            assert code == 1, argv
+            assert out == "", argv
 
     def test_failed_run_writes_no_output_file(self, tmp_path, capsys):
         out_path = tmp_path / "never.csv"

@@ -11,19 +11,15 @@ from volcur import (
     PsdMatrix,
     SingularPivotError,
     ValidationError,
-    cholesky_determinant,
     cur_approximation,
     cur_error_nuclear,
     eigendecompose,
     gram_matrix,
     invariant_sums,
     load_matrix,
-    nuclear_norm,
     optimal_error,
-    partition,
     pivoted_cholesky,
     rbf_kernel_matrix,
-    schur_complement,
 )
 
 
@@ -63,6 +59,10 @@ class TestPsdMatrix:
         g = np.array([[1.0, 1.0], [1.0, 1.0]]) + np.diag([0.0, -1e-12])
         m = PsdMatrix(g)
         assert m.n == 2
+
+    def test_lambda_max_is_not_a_constructor_argument(self):
+        with pytest.raises(TypeError):
+            PsdMatrix(np.eye(2), lambda_max=99.0)
 
 
 class TestEigendecompose:
@@ -112,28 +112,20 @@ class TestInvariantSums:
 
 
 class TestPartitionAndSchur:
-    def test_block_layout(self):
-        m = PsdMatrix(np.diag([1.0, 2.0, 3.0]) + np.ones((3, 3)))
-        part = partition(m, (0, 2))
-        assert np.array_equal(part.a, m.entries[np.ix_([0, 2], [0, 2])])
-        assert np.array_equal(part.b, m.entries[np.ix_([1], [0, 2])])
-        assert np.array_equal(part.c, m.entries[np.ix_([1], [1])])
+    """Blocks A, B, C of a subset and the Schur complement C - B A^-1 B^T,
+    seen through cur_error_nuclear and cur_approximation."""
 
     def test_subset_validation(self):
         m = PsdMatrix(np.eye(3))
-        with pytest.raises(ValidationError):
-            partition(m, (0, 0))
-        with pytest.raises(ValidationError):
-            partition(m, (0, 3))
-        with pytest.raises(ValidationError):
-            partition(m, ())
+        for f in (cur_error_nuclear, cur_approximation):
+            for bad in ((0, 0), (0, 3), (-1,), ()):
+                with pytest.raises(ValidationError):
+                    f(m, bad)
 
     def test_schur_hand_example(self):
         # [[4,2],[2,2]] on {0}: 2 - 2*(1/4)*2 = 1
         m = PsdMatrix(np.array([[4.0, 2.0], [2.0, 2.0]]))
-        s = schur_complement(partition(m, (0,)))
-        assert s.shape == (1, 1)
-        assert s[0, 0] == pytest.approx(1.0)
+        assert cur_error_nuclear(m, (0,)) == pytest.approx(1.0)
 
     def test_schur_is_psd(self):
         rng = np.random.default_rng(5)
@@ -142,20 +134,24 @@ class TestPartitionAndSchur:
             m = PsdMatrix(random_psd(rng, n, n))
             k = int(rng.integers(1, n))
             subset = tuple(sorted(rng.choice(n, size=k, replace=False).tolist()))
-            s = schur_complement(partition(m, subset))
-            assert np.linalg.eigvalsh(s)[0] > -1e-9 * m.lambda_max
+            err = m.entries - cur_approximation(m, subset).entries
+            assert np.linalg.eigvalsh(err)[0] > -1e-9 * m.lambda_max
 
     def test_singular_block_raises(self):
         # first column of the factor repeated: A for {0,1} is singular
         g = np.array([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
         m = PsdMatrix(g @ g.T)
-        with pytest.raises(SingularPivotError):
-            schur_complement(partition(m, (0, 1)))
+        for f in (cur_error_nuclear, cur_approximation):
+            with pytest.raises(SingularPivotError):
+                f(m, (0, 1))
 
-    def test_full_subset_gives_empty_schur(self):
-        m = PsdMatrix(np.eye(2) * 2.0)
-        s = schur_complement(partition(m, (0, 1)))
-        assert s.shape == (0, 0)
+    def test_pivot_floor_boundary(self):
+        # the floor is PIVOT_REL_TOL = 1e-14 times the block's largest diagonal
+        singular = PsdMatrix(np.diag([1.0, 1e-15, 1.0]))
+        with pytest.raises(SingularPivotError):
+            cur_error_nuclear(singular, (0, 1))
+        regular = PsdMatrix(np.diag([1.0, 2e-14, 1.0]))
+        assert cur_error_nuclear(regular, (0, 1)) == 1.0
 
 
 class TestPivotedCholesky:
@@ -180,18 +176,22 @@ class TestPivotedCholesky:
 
     def test_determinant_product(self):
         m = np.array([[4.0, 2.0], [2.0, 3.0]])
-        assert cholesky_determinant(m) == pytest.approx(8.0)
+        _, _, pivots, _ = pivoted_cholesky(m)
+        assert float(np.prod(pivots)) == pytest.approx(8.0)
 
     def test_determinant_zero_for_rank_deficient(self):
         g = np.array([[1.0], [2.0]])
-        assert cholesky_determinant(g @ g.T) == 0.0
+        _, _, _, rank = pivoted_cholesky(g @ g.T)
+        assert rank == 1
 
     def test_determinant_matches_lu(self):
         rng = np.random.default_rng(19)
         for trial in range(20):
             n = int(rng.integers(1, 8))
             m = random_psd(rng, n, n)
-            assert rel_err(cholesky_determinant(m), float(np.linalg.det(m))) < 1e-8
+            _, _, pivots, rank = pivoted_cholesky(m)
+            assert rank == n
+            assert rel_err(float(np.prod(pivots)), float(np.linalg.det(m))) < 1e-8
 
 
 class TestCur:
@@ -238,13 +238,6 @@ class TestCur:
             oracle = nuclear_norm_svd(m.entries - cur_pinv(m.entries, subset))
             assert rel_err(mine, oracle) < 1e-9 or abs(mine - oracle) < 1e-9 * m.lambda_max
 
-    def test_error_equals_schur_trace(self):
-        rng = np.random.default_rng(13)
-        m = PsdMatrix(random_psd(rng, 6, 6))
-        subset = (1, 4)
-        s = schur_complement(partition(m, subset))
-        assert cur_error_nuclear(m, subset) == pytest.approx(float(np.trace(s)))
-
     def test_full_subset_is_exact(self):
         rng = np.random.default_rng(14)
         m = PsdMatrix(random_psd(rng, 5, 5))
@@ -280,8 +273,7 @@ class TestNorms:
     def test_nuclear_equals_trace(self):
         rng = np.random.default_rng(17)
         m = PsdMatrix(random_psd(rng, 6, 4))
-        assert nuclear_norm(m) == pytest.approx(m.trace)
-        assert rel_err(nuclear_norm(m), nuclear_norm_svd(m.entries)) < 1e-10
+        assert rel_err(m.trace, nuclear_norm_svd(m.entries)) < 1e-10
 
     def test_optimal_error_is_tail_sum(self):
         ed = eigendecompose(PsdMatrix(np.diag([3.0, 2.0, 1.0])))

@@ -73,9 +73,9 @@ class TestEnumerateDistribution:
         g = np.array([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
         m = PsdMatrix(g @ g.T)
         dist = enumerate_distribution(m, 2)
-        as_dict = dist.as_dict
-        assert as_dict[(0, 1)] == 0.0
-        assert as_dict[(0, 2)] > 0.0
+        probs = dict(zip(dist.subsets, dist.probabilities))
+        assert probs[(0, 1)] == 0.0
+        assert probs[(0, 2)] > 0.0
 
     def test_degenerate_when_k_exceeds_rank(self):
         g = np.ones((3, 1))
