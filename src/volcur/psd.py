@@ -208,7 +208,21 @@ def _whitened(m: PsdMatrix, subset: Iterable[int]) -> tuple[np.ndarray, np.ndarr
     if rank < s.size:
         raise SingularPivotError(
             f"pivot block is singular at step {rank + 1} of {s.size}")
-    return comp, np.linalg.solve(lower, m.entries[np.ix_(s[perm], comp)])
+    return comp, _whiten(m, s, comp, lower, perm)
+
+
+def _whiten(
+    m: PsdMatrix, s: np.ndarray, comp: np.ndarray,
+    lower: np.ndarray, perm: np.ndarray,
+) -> np.ndarray:
+    """W = L^{-1} M[S[perm], comp] for a full-rank factor of A = M[S,S]."""
+    return np.linalg.solve(lower, m.entries[np.ix_(s[perm], comp)])
+
+
+def _residual_trace(m: PsdMatrix, comp: np.ndarray, w: np.ndarray) -> float:
+    """trace(C) - |W|_F^2: the nuclear norm of the skeleton error."""
+    # the error matrix is PSD; roundoff may leave a tiny negative trace
+    return max(float(np.sum(m.entries.diagonal()[comp]) - np.sum(w * w)), 0.0)
 
 
 def cur_approximation(m: PsdMatrix, subset: Iterable[int]) -> PsdMatrix:
@@ -221,9 +235,7 @@ def cur_approximation(m: PsdMatrix, subset: Iterable[int]) -> PsdMatrix:
 
 def cur_error_nuclear(m: PsdMatrix, subset: Iterable[int]) -> float:
     """Nuclear norm of the skeleton error: trace of the Schur complement."""
-    comp, w = _whitened(m, subset)
-    # the error matrix is PSD; roundoff may leave a tiny negative trace
-    return max(float(np.sum(m.entries.diagonal()[comp]) - np.sum(w * w)), 0.0)
+    return _residual_trace(m, *_whitened(m, subset))
 
 
 def gram_matrix(data: np.ndarray) -> PsdMatrix:

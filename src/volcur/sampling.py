@@ -10,6 +10,9 @@ where c_j is the sum of j x j principal minors (equivalently e_j of the
 eigenvalues).  This module provides that formula, a brute-force
 enumeration oracle for it, an exact sampler, and a Monte Carlo estimate.
 
+Given the eigendecomposition, one draw costs O(n k^2): O(n) to choose the
+k eigenvectors, then k rank-one updates of length n per projection DPP.
+
 Randomness: a counter-based Philox generator keyed by the seed.  Parallel
 callers split streams with Philox(seed).jumped(i) for substream i; every
 categorical draw uses explicit inverse-CDF lookup, so identical seeds give
@@ -18,6 +21,7 @@ bit-identical subsets.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -27,7 +31,6 @@ from .errors import (
     CapExceededError,
     DegenerateDistributionError,
     NumericalError,
-    SingularPivotError,
     ValidationError,
 )
 from .esp import esp_marginals, esp_ratio
@@ -35,6 +38,8 @@ from .psd import (
     EigenDecomposition,
     PIVOT_REL_TOL,
     PsdMatrix,
+    _residual_trace,
+    _whiten,
     cur_error_nuclear,
     eigendecompose,
     pivoted_cholesky,
@@ -66,11 +71,67 @@ class VolumeDistribution:
     probabilities: np.ndarray
 
 
-def _check_k(k: int, n: int) -> None:
-    if not isinstance(k, int) or k < 1:
-        raise ValidationError("k must be a positive integer")
+def _positive_int(value: int, name: str) -> int:
+    """value as a Python int (numpy integers too); ValidationError unless >= 1."""
+    try:
+        value = operator.index(value)
+    except TypeError:
+        raise ValidationError(f"{name} must be a positive integer") from None
+    if value < 1:
+        raise ValidationError(f"{name} must be a positive integer")
+    return value
+
+
+def _check_k(k: int, n: int) -> int:
+    k = _positive_int(k, "k")
     if k > n:
         raise ValidationError(f"k = {k} exceeds the matrix size n = {n}")
+    return k
+
+
+def _enumerate(
+    m: PsdMatrix, k: int, with_errors: bool
+) -> tuple[VolumeDistribution, np.ndarray]:
+    """The volume distribution, and the CUR error of each subset if asked.
+
+    One pivoted Cholesky per subset gives both: its pivots multiply to the
+    weight det M[S,S], and its factor whitens M[S,~S] for the error.  A
+    subset whose weight is zero gets error zero (it is never drawn).
+    """
+    k = _check_k(k, m.n)
+    count = math.comb(m.n, k)
+    if count > ENUMERATION_CAP:
+        raise CapExceededError(
+            f"C({m.n},{k}) = {count} subsets exceeds the enumeration cap "
+            f"{ENUMERATION_CAP}; use sample_subset instead")
+    floor = PIVOT_REL_TOL * m.lambda_max
+    everything = np.arange(m.n)
+    subsets = []
+    weights = np.zeros(count)
+    errors = np.zeros(count if with_errors else 0)
+    for idx, s in enumerate(combinations(range(m.n), k)):
+        subsets.append(s)
+        lower, perm, pivots, rank = pivoted_cholesky(
+            m.entries[np.ix_(s, s)], pivot_floor=floor)
+        if rank < k:
+            continue
+        weights[idx] = float(np.prod(pivots))
+        if with_errors:
+            rows = np.array(s)
+            comp = np.setdiff1d(everything, rows)
+            errors[idx] = _residual_trace(m, comp, _whiten(m, rows, comp, lower, perm))
+    normalizer = float(weights.sum())
+    if normalizer <= 0.0:
+        raise DegenerateDistributionError(
+            f"every {k}-subset has zero volume: matrix rank is below {k}")
+    dist = VolumeDistribution(
+        k=k,
+        subsets=tuple(subsets),
+        weights=weights,
+        normalizer=normalizer,
+        probabilities=weights / normalizer,
+    )
+    return dist, errors
 
 
 def enumerate_distribution(m: PsdMatrix, k: int) -> VolumeDistribution:
@@ -80,38 +141,19 @@ def enumerate_distribution(m: PsdMatrix, k: int) -> VolumeDistribution:
     a pivot below PIVOT_REL_TOL * lambda_max counts the minor as singular
     (weight zero).  Refuses more than ENUMERATION_CAP subsets.
     """
-    _check_k(k, m.n)
-    count = math.comb(m.n, k)
-    if count > ENUMERATION_CAP:
-        raise CapExceededError(
-            f"C({m.n},{k}) = {count} subsets exceeds the enumeration cap "
-            f"{ENUMERATION_CAP}; use sample_subset instead")
-    floor = PIVOT_REL_TOL * m.lambda_max
-    subsets = []
-    weights = np.empty(count)
-    entries = m.entries
-    for idx, s in enumerate(combinations(range(m.n), k)):
-        block = entries[np.ix_(s, s)]
-        _, _, pivots, rank = pivoted_cholesky(block, pivot_floor=floor)
-        weights[idx] = float(np.prod(pivots)) if rank == k else 0.0
-        subsets.append(s)
-    normalizer = float(weights.sum())
-    if normalizer <= 0.0:
-        raise DegenerateDistributionError(
-            f"every {k}-subset has zero volume: matrix rank is below {k}")
-    return VolumeDistribution(
-        k=k,
-        subsets=tuple(subsets),
-        weights=weights,
-        normalizer=normalizer,
-        probabilities=weights / normalizer,
-    )
+    return _enumerate(m, k, with_errors=False)[0]
 
 
 def _pick(weights: np.ndarray, rng: np.random.Generator) -> int:
-    """Inverse-CDF categorical draw (deterministic given the stream)."""
+    """Inverse-CDF categorical draw (deterministic given the stream).
+
+    Raises NumericalError unless the weights have a positive finite sum.
+    """
     cdf = np.cumsum(weights)
-    u = rng.random() * cdf[-1]
+    total = float(cdf[-1])
+    if not (math.isfinite(total) and total > 0.0):
+        raise NumericalError(f"cannot draw an index from weights summing to {total}")
+    u = rng.random() * total
     return min(int(np.searchsorted(cdf, u, side="right")), weights.size - 1)
 
 
@@ -137,22 +179,26 @@ def _select_eigenvector_subset(
 def _sample_projection_dpp(v: np.ndarray, rng: np.random.Generator) -> list[int]:
     """Exact sample of |columns| indices from the projection DPP of V V^T.
 
-    At each step a row is drawn proportional to its squared norm, then the
-    chosen row is eliminated from the column space (its row becomes zero in
-    every remaining column) and the basis is re-orthonormalized.
+    Randomly pivoted Cholesky of K = V V^T (V with orthonormal columns):
+    with C the factor columns built so far, d = diag(K - C C^T), initially
+    the squared row norms of V.  Each step draws a row i proportional to d,
+    appends the column c = (K[:, i] - C C[i]^T) / sqrt(d[i]) to C and
+    subtracts c*c from d, which zeroes d[i].  d is the row mass of V's
+    basis re-orthonormalized after eliminating the rows chosen so far, so
+    this is the chain rule of the projection DPP.  A step costs O(n k).
     """
-    work = v.copy()
+    n, k = v.shape
+    d = np.einsum("ij,ij->i", v, v)
+    factor = np.empty((n, k))
     chosen: list[int] = []
-    for _ in range(v.shape[1]):
-        row_mass = np.einsum("ij,ij->i", work, work)
-        i = _pick(row_mass, rng)
+    for t in range(k):
+        i = _pick(d, rng)
         chosen.append(i)
-        j = int(np.argmax(np.abs(work[i, :])))
-        pivot_col = work[:, j] / work[i, j]
-        work = work - np.outer(pivot_col, work[i, :])
-        work = np.delete(work, j, axis=1)
-        if work.shape[1]:
-            work, _ = np.linalg.qr(work)
+        c = (v @ v[i] - factor[:, :t] @ factor[i, :t]) / math.sqrt(d[i])
+        factor[:, t] = c
+        d -= c * c
+        d[i] = 0.0
+        np.maximum(d, 0.0, out=d)
     return chosen
 
 
@@ -166,10 +212,8 @@ def sample_subsets(
     process they span.  The mixture is exactly P(S) = det M[S,S] / c_k(M).
     A draw without k distinct indices raises NumericalError.
     """
-    if not isinstance(k, int) or k < 1:
-        raise ValidationError("k must be a positive integer")
-    if draws < 1:
-        raise ValidationError("draws must be a positive integer")
+    k = _positive_int(k, "k")
+    draws = _positive_int(draws, "draws")
     if k > ed.rank:
         raise DegenerateDistributionError(
             f"cannot volume-sample {k} columns from a rank-{ed.rank} matrix")
@@ -194,28 +238,20 @@ def sample_subset(ed: EigenDecomposition, k: int, seed: int) -> tuple[int, ...]:
 
 def expected_error_exact(spec: Spectrum, k: int) -> float:
     """Exact expected nuclear error under volume sampling: (k+1) e_{k+1}/e_k."""
-    if not isinstance(k, int) or k < 1:
-        raise ValidationError("k must be a positive integer")
+    k = _positive_int(k, "k")
     return (k + 1) * esp_ratio(spec, k)
 
 
 def expected_error_bruteforce(m: PsdMatrix, k: int) -> float:
     """Expected CUR error by full enumeration: sum of p(S) * error(S).
 
-    The independent oracle for expected_error_exact.  Zero-weight subsets
-    (singular A) are skipped; so are subsets whose cur_error_nuclear
-    reports a singular pivot, which can only happen within a hair of the
-    weight floor, where the probability mass is negligible.
+    The independent oracle for expected_error_exact.  Each subset's error
+    comes from the same factor as its weight; zero-weight subsets (singular
+    A under the weight floor) add nothing.
     """
-    dist = enumerate_distribution(m, k)
+    dist, errors = _enumerate(m, k, with_errors=True)
     total = 0.0
-    for s, p in zip(dist.subsets, dist.probabilities):
-        if p == 0.0:
-            continue
-        try:
-            err = cur_error_nuclear(m, s)
-        except SingularPivotError:
-            continue
+    for p, err in zip(dist.probabilities, errors):
         total += p * err
     return total
 

@@ -2,7 +2,8 @@
 
 Everything here avoids the library's fast paths on purpose: ESP values by
 subset enumeration, invariant sums by principal-minor determinants (LU),
-nuclear norms by SVD, and CUR matrices by the pseudoinverse formula.
+nuclear norms by SVD, CUR matrices by the pseudoinverse formula, and
+projection-DPP draws by re-orthonormalizing the basis with a QR per step.
 """
 from __future__ import annotations
 
@@ -59,6 +60,29 @@ def expected_error_enumeration(m: np.ndarray, k: int) -> float:
         errors.append(nuclear_norm_svd(m - cur_pinv(m, s)))
     weights = np.array(weights)
     return float(np.dot(weights / weights.sum(), np.array(errors)))
+
+
+def qr_projection_dpp(v: np.ndarray, rng: np.random.Generator) -> list[int]:
+    """Projection-DPP draw of V V^T with one QR per step.
+
+    Each step draws a row proportional to its squared norm (inverse CDF,
+    one rng.random() per step, as the library does), eliminates that row
+    from the column space and re-orthonormalizes the remaining columns.
+    """
+    work = v.copy()
+    chosen: list[int] = []
+    for _ in range(v.shape[1]):
+        cdf = np.cumsum(np.einsum("ij,ij->i", work, work))
+        u = rng.random() * cdf[-1]
+        i = min(int(np.searchsorted(cdf, u, side="right")), cdf.size - 1)
+        chosen.append(i)
+        j = int(np.argmax(np.abs(work[i, :])))
+        pivot_col = work[:, j] / work[i, j]
+        work = work - np.outer(pivot_col, work[i, :])
+        work = np.delete(work, j, axis=1)
+        if work.shape[1]:
+            work, _ = np.linalg.qr(work)
+    return chosen
 
 
 def random_psd(rng: np.random.Generator, n: int, rank: int,

@@ -4,8 +4,10 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from oracles import expected_error_enumeration, inverse_square_psd, random_psd
+from oracles import (
+    expected_error_enumeration, inverse_square_psd, qr_projection_dpp, random_psd)
 import volcur.sampling
+from volcur.esp import esp_marginals
 from volcur import (
     CapExceededError,
     DegenerateDistributionError,
@@ -188,6 +190,33 @@ class TestSampler:
         with pytest.raises(NumericalError):
             sample_subsets(ed, 2, 1, seed=0)
 
+    @pytest.mark.parametrize("k, draws", [(1, 30), (8, 30), (40, 3)])
+    def test_matches_qr_oracle_on_the_same_stream(self, k, draws):
+        ed = eigendecompose(PsdMatrix(random_psd(np.random.default_rng(40), 40, 40)))
+        assert sample_subsets(ed, k, draws, seed=k) == _oracle_draws(ed, k, draws, k)
+
+    def test_matches_qr_oracle_on_deep_spectrum(self):
+        ed = eigendecompose(PsdMatrix(inverse_square_psd()))
+        assert sample_subsets(ed, 150, 2, seed=3) == _oracle_draws(ed, 150, 2, 3)
+
+    def test_numpy_integer_k_and_draws(self):
+        ed = eigendecompose(PsdMatrix(random_psd(np.random.default_rng(41), 6, 6)))
+        assert (sample_subsets(ed, np.int64(2), np.int64(5), seed=2)
+                == sample_subsets(ed, 2, 5, seed=2))
+
+    def test_non_integer_k_and_draws_rejected(self):
+        ed = eigendecompose(PsdMatrix(np.eye(4)))
+        with pytest.raises(ValidationError):
+            sample_subsets(ed, 2.5, 1, seed=0)
+        with pytest.raises(ValidationError):
+            sample_subsets(ed, 2, 2.5, seed=0)
+
+    @pytest.mark.parametrize("weights", [[0.0, 0.0, 0.0], [1.0, np.nan, 1.0]])
+    def test_pick_rejects_weights_without_positive_finite_sum(self, weights):
+        rng = np.random.Generator(np.random.Philox(0))
+        with pytest.raises(NumericalError):
+            volcur.sampling._pick(np.array(weights), rng)
+
     def test_uniformity_chi_square(self):
         stats = pytest.importorskip("scipy.stats")
         ed = eigendecompose(PsdMatrix(np.eye(4)))
@@ -198,6 +227,17 @@ class TestSampler:
             counts[s] += 1
         result = stats.chisquare([counts[s] for s in cells])
         assert result.pvalue > 1e-3
+
+
+def _oracle_draws(ed, k, draws, seed):
+    """sample_subsets with its projection-DPP phase replaced by the QR oracle."""
+    rng = np.random.Generator(np.random.Philox(seed))
+    marginals = esp_marginals(ed.eigenvalues, k)
+    out = []
+    for _ in range(draws):
+        eig = volcur.sampling._select_eigenvector_subset(marginals, k, rng)
+        out.append(tuple(sorted(qr_projection_dpp(ed.vectors[:, eig], rng))))
+    return out
 
 
 class TestExpectedError:
@@ -240,6 +280,17 @@ class TestExpectedError:
                 exact = expected_error_exact(eigendecompose(m).eigenvalues, k)
                 oracle = expected_error_enumeration(m.entries, k)
                 assert rel_err(exact, oracle) < 1e-8
+
+    def test_numpy_integer_k(self):
+        spec = make_spectrum([3.0, 2.0, 1.0])
+        m = PsdMatrix(np.diag([3.0, 2.0, 1.0]))
+        assert expected_error_exact(spec, np.int64(2)) == expected_error_exact(spec, 2)
+        assert (expected_error_bruteforce(m, np.int64(2))
+                == expected_error_bruteforce(m, 2))
+        with pytest.raises(ValidationError):
+            expected_error_exact(spec, 2.5)
+        with pytest.raises(ValidationError):
+            enumerate_distribution(m, 2.5)
 
     def test_bruteforce_respects_cap(self):
         m = PsdMatrix(np.eye(40))
