@@ -57,7 +57,7 @@ for s in subsets:
 s = subsets[0]
 approx = cur_approximation(m, s)
 kept = list(s)
-gap = np.abs(approx.entries[kept, :] - m.entries[kept, :]).max()
+gap = np.abs(approx[kept, :] - m.entries[kept, :]).max()
 print(f"\nlargest deviation on kept rows: {gap:.2e}")
-print(f"residual trace: {np.trace(m.entries - approx.entries):.4f} "
+print(f"residual trace: {np.trace(m.entries - approx):.4f} "
       f"(equals the nuclear error {cur_error_nuclear(m, s):.4f})")

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BoundInapplicableError, ValidationError
+from .errors import BoundInapplicableError, ValidationError, checked_int
 from .esp import esp_geometric_ratio, esp_ratio, esp_ratios
 from .spectra import PiecewiseDyadicSpectrum, Spectrum
 
@@ -70,8 +70,7 @@ def geometric_expected_error(q: float, n: int, k: int) -> float:
     Equals (k+1) q (q^k - q^n) / (1 - q^{k+1}); the factor q carries the
     rescaling from the (1, q, ..., q^{n-1}) ratio convention.
     """
-    if not isinstance(k, int) or k < 1:
-        raise ValidationError("k must be a positive integer")
+    k = checked_int(k, "k", 1)
     return (k + 1) * q * esp_geometric_ratio(q, n, k)
 
 

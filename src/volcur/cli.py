@@ -11,6 +11,8 @@ import os
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from .bounds import bound_report, figure_rows
 from .errors import (
     CapExceededError,
@@ -187,10 +189,6 @@ def cmd_approx(args) -> int:
     error = cur_error_nuclear(m, subset)
     expected = expected_error_exact(ed.eigenvalues, k) if k < ed.rank else 0.0
     optimal = optimal_error(ed.eigenvalues, k)
-    matrix_lines = [
-        " ".join(_fmt(x) for x in row) for row in approx.entries]
-    if args.out is not None:
-        Path(args.out).write_text("\n".join(matrix_lines) + "\n")
     summary = [
         "subset," + ",".join(str(i + 1) for i in subset),
         f"error_nuclear,{_fmt(error)}",
@@ -199,8 +197,7 @@ def cmd_approx(args) -> int:
     ]
     delim = "\t" if args.format == "tsv" else ","
     sys.stdout.write("\n".join(s.replace(",", delim) for s in summary) + "\n")
-    if args.out is None:
-        sys.stdout.write("\n".join(matrix_lines) + "\n")
+    np.savetxt(sys.stdout if args.out is None else args.out, approx, fmt="%.17g")
     return 0
 
 

@@ -4,6 +4,7 @@ Three top-level families map onto the CLI exit codes: ValidationError (1,
 bad inputs), NumericalError (2, computation cannot proceed or failed), and
 CapExceededError (3, a work cap would be blown).
 """
+import operator
 
 
 class VolcurError(Exception):
@@ -48,3 +49,16 @@ class DegenerateDistributionError(NumericalError):
 
 class EigensolverError(NumericalError):
     """The eigensolver failed to converge."""
+
+
+def checked_int(value, name: str, minimum: int) -> int:
+    """value as a Python int (numpy integers too); ValidationError unless it
+    is at least minimum, which is 0 ("nonnegative") or 1 ("positive")."""
+    try:
+        value = operator.index(value)
+    except TypeError:
+        value = None
+    if value is None or value < minimum:
+        kind = "positive" if minimum else "nonnegative"
+        raise ValidationError(f"{name} must be a {kind} integer")
+    return value

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NumericalError, RankDeficiencyError, ValidationError
+from .errors import NumericalError, RankDeficiencyError, ValidationError, checked_int
 from .spectra import HeadTailSplit, PiecewiseDyadicSpectrum, Spectrum
 
 __all__ = [
@@ -168,8 +168,7 @@ def _ratios(scale: float, mant: np.ndarray, exps: np.ndarray) -> np.ndarray:
 
 def esp_all(s: Spectrum | PiecewiseDyadicSpectrum, m: int) -> EspVector:
     """All values e_0 .. e_m of the spectrum (zeros beyond its length)."""
-    if not isinstance(m, int) or m < 0:
-        raise ValidationError("truncation order m must be a nonnegative integer")
+    m = checked_int(m, "truncation order m", 0)
     scale, mant, exps = _scaled_coeffs(s, m)
     with np.errstate(over="ignore", invalid="ignore"):
         coeffs = np.ldexp(mant, exps) * scale ** np.arange(m + 1, dtype=np.float64)
@@ -186,8 +185,7 @@ def esp_ratios(spec: Spectrum | PiecewiseDyadicSpectrum, kmax: int) -> np.ndarra
     The ratio is 0 at k equal to the rank; above it e_k = 0 and
     RankDeficiencyError is raised.
     """
-    if not isinstance(kmax, int) or kmax < 0:
-        raise ValidationError("k must be a nonnegative integer")
+    kmax = checked_int(kmax, "k", 0)
     return _ratios(*_scaled_coeffs(spec, kmax + 1))
 
 
@@ -243,8 +241,7 @@ def esp_convolve(a: EspVector, b: EspVector, m: int) -> EspVector:
 
     This realizes the union rule f(concat(x, y)) = f(x) * f(y).
     """
-    if not isinstance(m, int) or m < 0:
-        raise ValidationError("truncation order m must be a nonnegative integer")
+    m = checked_int(m, "truncation order m", 0)
     return EspVector(np.ldexp(*_cauchy(np.frexp(a.coeffs), np.frexp(b.coeffs), m)))
 
 
@@ -268,8 +265,7 @@ def esp_ratio_head_tail(split: HeadTailSplit, k: int) -> tuple[float, float]:
     so the quotient is well defined whenever the split is.  Both parts are
     normalized by the leading entry, which leaves gamma unchanged.
     """
-    if not isinstance(k, int) or k < 0:
-        raise ValidationError("k must be a nonnegative integer")
+    k = checked_int(k, "k", 0)
     if k != split.k:
         raise ValidationError(f"split was made at k={split.k}, asked for k={k}")
     scale = float(split.head.values[0]) if k >= 1 else split.pivot

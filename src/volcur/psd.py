@@ -1,5 +1,8 @@
 """Symmetric positive semidefinite matrices and their CUR skeletons.
 
+A PsdMatrix is eigendecomposed once, on construction: the one eigensolve
+serves the PSD check, the sampler and the expected-error formula.
+
 A subset S of columns/rows induces the blocks A = M[S,S], B = M[~S,S],
 C = M[~S,~S]; the CUR (skeleton) approximation keeps A and B exactly and
 replaces C by B A^{-1} B^T, so the error matrix is the Schur complement
@@ -46,49 +49,6 @@ ORTHO_TOL = 1e-10
 
 
 @dataclass(frozen=True, eq=False)
-class PsdMatrix:
-    """A symmetric PSD matrix, validated on construction.
-
-    Construction symmetrizes inputs whose asymmetry is within SYM_TOL of
-    the overall scale and rejects anything worse; it rejects matrices whose
-    smallest eigenvalue is below -PSD_TOL * lambda_max (no projection).
-    """
-
-    entries: np.ndarray
-    lambda_max: float = field(init=False)
-
-    def __post_init__(self) -> None:
-        arr = np.array(self.entries, dtype=np.float64)
-        if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or arr.shape[0] == 0:
-            raise ValidationError("matrix must be square and nonempty")
-        if not np.all(np.isfinite(arr)):
-            raise ValidationError("matrix entries must be finite")
-        scale = float(np.max(np.abs(arr)))
-        asymmetry = float(np.max(np.abs(arr - arr.T)))
-        if asymmetry > SYM_TOL * max(scale, 1e-300):
-            raise ValidationError(
-                f"matrix is not symmetric (max asymmetry {asymmetry:.3g})")
-        arr = (arr + arr.T) / 2.0
-        eigenvalues = np.linalg.eigvalsh(arr)
-        lam_max = max(float(eigenvalues[-1]), 0.0)
-        if float(eigenvalues[0]) < -PSD_TOL * lam_max:
-            raise ValidationError(
-                f"matrix is not PSD: smallest eigenvalue {eigenvalues[0]:.3g} "
-                f"below -{PSD_TOL:g} * lambda_max")
-        arr.flags.writeable = False
-        object.__setattr__(self, "entries", arr)
-        object.__setattr__(self, "lambda_max", lam_max)
-
-    @property
-    def n(self) -> int:
-        return int(self.entries.shape[0])
-
-    @property
-    def trace(self) -> float:
-        return float(np.trace(self.entries))
-
-
-@dataclass(frozen=True, eq=False)
 class EigenDecomposition:
     """Orthonormal eigenvectors and positive eigenvalues of a PsdMatrix.
 
@@ -114,18 +74,65 @@ class EigenDecomposition:
         object.__setattr__(self, "rank", r)
 
 
+@dataclass(frozen=True, eq=False)
+class PsdMatrix:
+    """A symmetric PSD matrix, validated and eigendecomposed on construction.
+
+    Construction symmetrizes inputs whose asymmetry is within SYM_TOL of
+    the overall scale and rejects anything worse; it rejects matrices whose
+    smallest eigenvalue is below -PSD_TOL * lambda_max (no projection).
+    The one eigensolve that check needs is kept as `eigen`, the rank-r
+    decomposition that eigendecompose returns.
+    """
+
+    entries: np.ndarray
+    lambda_max: float = field(init=False)
+    eigen: EigenDecomposition = field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        arr = np.array(self.entries, dtype=np.float64)
+        if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or arr.shape[0] == 0:
+            raise ValidationError("matrix must be square and nonempty")
+        if not np.all(np.isfinite(arr)):
+            raise ValidationError("matrix entries must be finite")
+        scale = float(np.max(np.abs(arr)))
+        asymmetry = float(np.max(np.abs(arr - arr.T)))
+        if asymmetry > SYM_TOL * max(scale, 1e-300):
+            raise ValidationError(
+                f"matrix is not symmetric (max asymmetry {asymmetry:.3g})")
+        arr = (arr + arr.T) / 2.0
+        try:
+            w, v = np.linalg.eigh(arr)
+        except np.linalg.LinAlgError as exc:
+            raise EigensolverError(f"eigensolver did not converge: {exc}") from exc
+        lam_max = max(float(w[-1]), 0.0)
+        if float(w[0]) < -PSD_TOL * lam_max:
+            raise ValidationError(
+                f"matrix is not PSD: smallest eigenvalue {w[0]:.3g} "
+                f"below -{PSD_TOL:g} * lambda_max")
+        w, v = w[::-1], v[:, ::-1]
+        r = int(np.count_nonzero(w > RANK_TOL * lam_max)) if lam_max > 0.0 else 0
+        arr.flags.writeable = False
+        object.__setattr__(self, "entries", arr)
+        object.__setattr__(self, "lambda_max", lam_max)
+        object.__setattr__(self, "eigen", EigenDecomposition(
+            vectors=v[:, :r], eigenvalues=Spectrum(w[:r]), rank=r))
+
+    @property
+    def n(self) -> int:
+        return int(self.entries.shape[0])
+
+    @property
+    def trace(self) -> float:
+        return float(np.trace(self.entries))
+
+
 def eigendecompose(m: PsdMatrix) -> EigenDecomposition:
-    """Eigendecomposition with eigenvalues sorted nonincreasing."""
-    try:
-        w, v = np.linalg.eigh(m.entries)
-    except np.linalg.LinAlgError as exc:
-        raise EigensolverError(f"eigensolver did not converge: {exc}") from exc
-    w = w[::-1].copy()
-    v = v[:, ::-1].copy()
-    lam_max = max(float(w[0]), 0.0)
-    r = int(np.count_nonzero(w > RANK_TOL * lam_max)) if lam_max > 0.0 else 0
-    return EigenDecomposition(
-        vectors=v[:, :r], eigenvalues=Spectrum(w[:r]), rank=r)
+    """Eigendecomposition with eigenvalues sorted nonincreasing.
+
+    Computed once, when m was constructed; this returns that result.
+    """
+    return m.eigen
 
 
 def optimal_error(spec: Spectrum, k: int) -> float:
@@ -225,12 +232,16 @@ def _residual_trace(m: PsdMatrix, comp: np.ndarray, w: np.ndarray) -> float:
     return max(float(np.sum(m.entries.diagonal()[comp]) - np.sum(w * w)), 0.0)
 
 
-def cur_approximation(m: PsdMatrix, subset: Iterable[int]) -> PsdMatrix:
-    """Skeleton approximation keeping the rows/columns in subset exactly."""
+def cur_approximation(m: PsdMatrix, subset: Iterable[int]) -> np.ndarray:
+    """Skeleton approximation keeping the rows/columns in subset exactly.
+
+    A read-only array, not a PsdMatrix: it is PSD by construction.
+    """
     comp, w = _whitened(m, subset)
     out = m.entries.copy()
     out[np.ix_(comp, comp)] = w.T @ w
-    return PsdMatrix(out)
+    out.flags.writeable = False
+    return out
 
 
 def cur_error_nuclear(m: PsdMatrix, subset: Iterable[int]) -> float:
@@ -243,8 +254,7 @@ def gram_matrix(data: np.ndarray) -> PsdMatrix:
     x = np.asarray(data, dtype=np.float64)
     if x.ndim != 2:
         raise ValidationError("data array must be 2-D")
-    g = x.T @ x
-    return PsdMatrix((g + g.T) / 2.0)
+    return PsdMatrix(x.T @ x)
 
 
 def rbf_kernel_matrix(data: np.ndarray, sigma: float) -> PsdMatrix:
@@ -257,32 +267,25 @@ def rbf_kernel_matrix(data: np.ndarray, sigma: float) -> PsdMatrix:
     sq = np.sum(x * x, axis=1)
     d2 = sq[:, None] + sq[None, :] - 2.0 * (x @ x.T)
     np.clip(d2, 0.0, None, out=d2)
-    k = np.exp(-d2 / (2.0 * sigma * sigma))
-    return PsdMatrix((k + k.T) / 2.0)
+    return PsdMatrix(np.exp(-d2 / (2.0 * sigma * sigma)))
 
 
 def read_array(path: str | Path) -> np.ndarray:
-    """Read a 2-D array: one row per line, whitespace- or comma-separated."""
+    """Read a 2-D array: one row per line, whitespace- or comma-separated.
+
+    Blank lines are skipped; there is no comment syntax.
+    """
     try:
         text = Path(path).read_text()
     except OSError as exc:
         raise ValidationError(f"cannot read matrix file {path}: {exc}") from exc
-    rows: list[list[float]] = []
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        stripped = line.strip()
-        if not stripped:
-            continue
-        try:
-            rows.append([float(t) for t in stripped.replace(",", " ").split()])
-        except ValueError as exc:
-            raise ValidationError(
-                f"malformed matrix file {path} at line {lineno}: {exc}") from exc
-    if not rows:
+    if not text.strip():
         raise ValidationError(f"matrix file {path} is empty")
-    widths = {len(r) for r in rows}
-    if len(widths) != 1:
-        raise ValidationError(f"matrix file {path} has ragged rows")
-    return np.array(rows, dtype=np.float64)
+    try:
+        # a list of lines, not a StringIO: that peaks at more memory
+        return np.loadtxt(text.replace(",", " ").splitlines(), ndmin=2, comments=None)
+    except ValueError as exc:
+        raise ValidationError(f"malformed matrix file {path}: {exc}") from exc
 
 
 def load_matrix(path: str | Path) -> PsdMatrix:

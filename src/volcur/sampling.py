@@ -21,7 +21,6 @@ bit-identical subsets.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -32,6 +31,7 @@ from .errors import (
     DegenerateDistributionError,
     NumericalError,
     ValidationError,
+    checked_int,
 )
 from .esp import esp_marginals, esp_ratio
 from .psd import (
@@ -71,19 +71,8 @@ class VolumeDistribution:
     probabilities: np.ndarray
 
 
-def _positive_int(value: int, name: str) -> int:
-    """value as a Python int (numpy integers too); ValidationError unless >= 1."""
-    try:
-        value = operator.index(value)
-    except TypeError:
-        raise ValidationError(f"{name} must be a positive integer") from None
-    if value < 1:
-        raise ValidationError(f"{name} must be a positive integer")
-    return value
-
-
 def _check_k(k: int, n: int) -> int:
-    k = _positive_int(k, "k")
+    k = checked_int(k, "k", 1)
     if k > n:
         raise ValidationError(f"k = {k} exceeds the matrix size n = {n}")
     return k
@@ -212,8 +201,8 @@ def sample_subsets(
     process they span.  The mixture is exactly P(S) = det M[S,S] / c_k(M).
     A draw without k distinct indices raises NumericalError.
     """
-    k = _positive_int(k, "k")
-    draws = _positive_int(draws, "draws")
+    k = checked_int(k, "k", 1)
+    draws = checked_int(draws, "draws", 1)
     if k > ed.rank:
         raise DegenerateDistributionError(
             f"cannot volume-sample {k} columns from a rank-{ed.rank} matrix")
@@ -238,7 +227,7 @@ def sample_subset(ed: EigenDecomposition, k: int, seed: int) -> tuple[int, ...]:
 
 def expected_error_exact(spec: Spectrum, k: int) -> float:
     """Exact expected nuclear error under volume sampling: (k+1) e_{k+1}/e_k."""
-    k = _positive_int(k, "k")
+    k = checked_int(k, "k", 1)
     return (k + 1) * esp_ratio(spec, k)
 
 

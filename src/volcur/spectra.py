@@ -13,7 +13,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .errors import DegenerateTailError, ValidationError
+from .errors import DegenerateTailError, ValidationError, checked_int
 
 __all__ = [
     "Spectrum",
@@ -104,8 +104,7 @@ class PiecewiseDyadicSpectrum:
     base: float
 
     def __post_init__(self) -> None:
-        if not isinstance(self.lmax, int) or self.lmax < 1:
-            raise ValidationError("lmax must be a positive integer")
+        object.__setattr__(self, "lmax", checked_int(self.lmax, "lmax", 1))
         if not 0.0 < self.base < 1.0:
             raise ValidationError("base must lie strictly between 0 and 1")
 
@@ -149,8 +148,7 @@ def generate_geometric(q: float, n: int) -> Spectrum:
     """Geometric spectrum (1, q, q^2, ..., q^{n-1})."""
     if not 0.0 < q < 1.0:
         raise ValidationError("q must lie strictly between 0 and 1")
-    if not isinstance(n, int) or n < 1:
-        raise ValidationError("n must be a positive integer")
+    n = checked_int(n, "n", 1)
     return Spectrum(q ** np.arange(n, dtype=np.float64))
 
 
@@ -158,8 +156,7 @@ def generate_power_law(p: float, n: int) -> Spectrum:
     """Power-law spectrum (1, 1/2^p, 1/3^p, ..., 1/n^p)."""
     if p <= 0.0:
         raise ValidationError("p must be positive")
-    if not isinstance(n, int) or n < 1:
-        raise ValidationError("n must be a positive integer")
+    n = checked_int(n, "n", 1)
     return Spectrum(np.arange(1, n + 1, dtype=np.float64) ** (-float(p)))
 
 

@@ -63,12 +63,18 @@ class TestGeometricExpectedError:
         val = geometric_expected_error(1e-3, 10, 2)
         assert rel_err(val, 3e-9) < 5e-3
 
+    def test_numpy_integers(self):
+        assert (geometric_expected_error(0.5, np.int64(6), np.int64(2))
+                == geometric_expected_error(0.5, 6, 2))
+
     def test_k_equals_n_gives_zero(self):
         assert geometric_expected_error(0.5, 4, 4) == 0.0
 
     def test_validation(self):
         with pytest.raises(ValidationError):
             geometric_expected_error(0.5, 4, 0)
+        with pytest.raises(ValidationError, match="^k must be a positive integer$"):
+            geometric_expected_error(0.5, 4, 2.0)
         with pytest.raises(ValidationError):
             geometric_expected_error(1.0, 4, 1)
 

@@ -1,3 +1,4 @@
+import io
 import subprocess
 import sys
 
@@ -5,9 +6,11 @@ import numpy as np
 import pytest
 
 import volcur.sampling
-from oracles import inverse_square_psd
+from oracles import inverse_square_psd, random_psd
 from volcur import (
+    EigensolverError,
     PiecewiseDyadicSpectrum,
+    PsdMatrix,
     esp_all,
     esp_geometric_ratio,
     esp_ratio,
@@ -410,6 +413,73 @@ class TestErrorPaths:
              "--out", str(out_path)], capsys)
         assert code == 1
         assert not out_path.exists()
+
+
+class TestOneEigensolve:
+    """Each matrix command decomposes its matrix with exactly one eigh."""
+
+    @pytest.fixture()
+    def solves(self, monkeypatch):
+        counts = {"eigh": 0, "eigvalsh": 0}
+        for name in counts:
+            def counted(*args, _name=name, _solve=getattr(np.linalg, name), **kwargs):
+                counts[_name] += 1
+                return _solve(*args, **kwargs)
+            monkeypatch.setattr(np.linalg, name, counted)
+        return counts
+
+    @pytest.fixture()
+    def inputs(self, tmp_path):
+        rng = np.random.default_rng(51)
+        matrix, data = tmp_path / "m.txt", tmp_path / "x.txt"
+        np.savetxt(matrix, random_psd(rng, 8, 8), fmt="%.17g")
+        np.savetxt(data, rng.standard_normal((10, 3)), fmt="%.17g")
+        return str(matrix), str(data)
+
+    @pytest.mark.parametrize("argv", [
+        ["sample", "matrix", "--k", "3", "--draws", "4"],
+        ["approx", "matrix", "--k", "3"],
+        ["verify", "matrix", "--k", "1..3"],
+        ["approx", "data", "--gram", "--k", "2"],
+        ["approx", "data", "--kernel", "rbf", "--sigma", "1.0", "--k", "3"],
+    ])
+    def test_one_eigh_per_command(self, argv, inputs, solves, capsys):
+        path = inputs[0] if argv[1] == "matrix" else inputs[1]
+        code, out, err = run_cli([argv[0], "--input", path, *argv[2:]], capsys)
+        assert code == 0, err
+        assert out
+        assert solves == {"eigh": 1, "eigvalsh": 0}
+
+    def test_eigensolver_failure_is_typed(self, psd_file, monkeypatch, capsys):
+        def fail(*args, **kwargs):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+        monkeypatch.setattr(np.linalg, "eigh", fail)
+        with pytest.raises(EigensolverError):
+            PsdMatrix(np.eye(2))
+        code, out, err = run_cli(["sample", "--input", psd_file, "--k", "1"], capsys)
+        assert code == 2
+        assert out == ""
+        assert "did not converge" in err
+
+
+class TestMatrixOutput:
+    """approx writes its matrix with np.savetxt; %.17g must match format()."""
+
+    def test_savetxt_matches_format(self, tmp_path):
+        rng = np.random.default_rng(52)
+        bits = rng.integers(0, 2**64, size=4000, dtype=np.uint64).view(np.float64)
+        edges = [-0.0, 5e-324, 2.2250738585072014e-308, 1.7976931348623157e308, 0.1, 1e16]
+        values = np.concatenate([bits[np.isfinite(bits)][:3000],
+                                 rng.standard_normal(994), edges])
+        rows = values.reshape(100, 40)
+        want = "".join(" ".join(format(float(x), ".17g") for x in row) + "\n"
+                       for row in rows)
+        path = tmp_path / "m.txt"
+        np.savetxt(path, rows, fmt="%.17g")
+        assert path.read_bytes() == want.encode("ascii")
+        stream = io.StringIO()
+        np.savetxt(stream, rows, fmt="%.17g")
+        assert stream.getvalue() == want
 
 
 class TestModuleEntryPoint:

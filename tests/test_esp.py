@@ -276,6 +276,43 @@ class TestHeadTailRatio:
             esp_ratio_head_tail(split, 2)
 
 
+class TestNumpyIntegers:
+    """Orders and k accept numpy integers, and still reject non-integers."""
+
+    spec = make_spectrum([3.0, 2.0, 1.0])
+
+    def test_esp_all(self):
+        assert np.array_equal(esp_all(self.spec, np.int64(2)).coeffs,
+                              esp_all(self.spec, 2).coeffs)
+        d = PiecewiseDyadicSpectrum(lmax=3, base=0.5)
+        assert np.array_equal(esp_dyadic_convolution(d, np.int64(4)).coeffs,
+                              esp_dyadic_convolution(d, 4).coeffs)
+
+    def test_esp_ratio_and_ratios(self):
+        assert esp_ratio(self.spec, np.int64(1)) == esp_ratio(self.spec, 1)
+        assert np.array_equal(esp_ratios(self.spec, np.int64(2)), esp_ratios(self.spec, 2))
+
+    def test_esp_convolve(self):
+        f = esp_all(self.spec, 3)
+        assert np.array_equal(esp_convolve(f, f, np.int64(3)).coeffs,
+                              esp_convolve(f, f, 3).coeffs)
+
+    def test_esp_ratio_head_tail(self):
+        split = split_head_tail(self.spec, 1)
+        assert esp_ratio_head_tail(split, np.int64(1)) == esp_ratio_head_tail(split, 1)
+
+    def test_non_integers_keep_their_messages(self):
+        f = esp_all(self.spec, 3)
+        with pytest.raises(ValidationError, match="^truncation order m must be a nonnegative integer$"):
+            esp_all(self.spec, 2.0)
+        with pytest.raises(ValidationError, match="^truncation order m must be a nonnegative integer$"):
+            esp_convolve(f, f, np.int64(-1))
+        with pytest.raises(ValidationError, match="^k must be a nonnegative integer$"):
+            esp_ratio(self.spec, 1.5)
+        with pytest.raises(ValidationError, match="^k must be a nonnegative integer$"):
+            esp_ratio_head_tail(split_head_tail(self.spec, 1), 1.0)
+
+
 class TestDyadicConvolution:
     def test_single_level(self):
         d = PiecewiseDyadicSpectrum(lmax=1, base=0.5)

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -20,6 +22,7 @@ from volcur import (
     optimal_error,
     pivoted_cholesky,
     rbf_kernel_matrix,
+    read_array,
 )
 
 
@@ -85,6 +88,18 @@ class TestEigendecompose:
         assert ed.rank == 3
         assert ed.vectors.shape == (7, 3)
 
+    def test_computed_once_at_construction(self, monkeypatch):
+        m = PsdMatrix(random_psd(np.random.default_rng(2), 5, 5))
+
+        def no_solve(*args, **kwargs):
+            raise AssertionError("eigensolver called after construction")
+        monkeypatch.setattr(np.linalg, "eigh", no_solve)
+        monkeypatch.setattr(np.linalg, "eigvalsh", no_solve)
+        assert eigendecompose(m) is m.eigen
+        assert m.lambda_max == m.eigen.eigenvalues.values[0]
+        invariant_sums(m, 5)
+        cur_approximation(m, (0, 2))
+
     def test_zero_matrix_has_rank_zero(self):
         ed = eigendecompose(PsdMatrix(np.zeros((3, 3))))
         assert ed.rank == 0
@@ -134,7 +149,7 @@ class TestPartitionAndSchur:
             m = PsdMatrix(random_psd(rng, n, n))
             k = int(rng.integers(1, n))
             subset = tuple(sorted(rng.choice(n, size=k, replace=False).tolist()))
-            err = m.entries - cur_approximation(m, subset).entries
+            err = m.entries - cur_approximation(m, subset)
             assert np.linalg.eigvalsh(err)[0] > -1e-9 * m.lambda_max
 
     def test_singular_block_raises(self):
@@ -199,7 +214,7 @@ class TestCur:
         # [[2,1],[1,2]] on {0}: kept row/col exact, corner 1/2
         m = PsdMatrix(np.array([[2.0, 1.0], [1.0, 2.0]]))
         approx = cur_approximation(m, (0,))
-        assert np.allclose(approx.entries, [[2.0, 1.0], [1.0, 0.5]], rtol=1e-14)
+        assert np.allclose(approx, [[2.0, 1.0], [1.0, 0.5]], rtol=1e-14)
         assert cur_error_nuclear(m, (0,)) == pytest.approx(1.5)
 
     def test_interpolates_selected_rows_and_columns(self):
@@ -209,7 +224,7 @@ class TestCur:
             m = PsdMatrix(random_psd(rng, n, n))
             k = int(rng.integers(1, n + 1))
             subset = tuple(sorted(rng.choice(n, size=k, replace=False).tolist()))
-            approx = cur_approximation(m, subset).entries
+            approx = cur_approximation(m, subset)
             s = list(subset)
             assert np.allclose(approx[s, :], m.entries[s, :],
                                atol=1e-12 * m.lambda_max)
@@ -223,7 +238,7 @@ class TestCur:
             m = PsdMatrix(random_psd(rng, n, n))
             k = int(rng.integers(1, n))
             subset = tuple(sorted(rng.choice(n, size=k, replace=False).tolist()))
-            mine = cur_approximation(m, subset).entries
+            mine = cur_approximation(m, subset)
             oracle = cur_pinv(m.entries, subset)
             assert np.allclose(mine, oracle, atol=1e-9 * m.lambda_max)
 
@@ -238,11 +253,18 @@ class TestCur:
             oracle = nuclear_norm_svd(m.entries - cur_pinv(m.entries, subset))
             assert rel_err(mine, oracle) < 1e-9 or abs(mine - oracle) < 1e-9 * m.lambda_max
 
+    def test_returns_read_only_array(self):
+        m = PsdMatrix(np.array([[2.0, 1.0], [1.0, 2.0]]))
+        approx = cur_approximation(m, (0,))
+        assert type(approx) is np.ndarray
+        assert not approx.flags.writeable
+        assert np.array_equal(approx, approx.T)
+
     def test_full_subset_is_exact(self):
         rng = np.random.default_rng(14)
         m = PsdMatrix(random_psd(rng, 5, 5))
         approx = cur_approximation(m, tuple(range(5)))
-        assert np.array_equal(approx.entries, m.entries)
+        assert np.array_equal(approx, m.entries)
         assert cur_error_nuclear(m, tuple(range(5))) == 0.0
 
     def test_rank_k_subset_of_rank_k_matrix_is_exact(self):
@@ -316,3 +338,55 @@ class TestConstructorsAndIo:
         p.write_text("1 2 3\n4 5 6\n")
         with pytest.raises(ValidationError):
             load_matrix(p)
+
+
+class TestReadArray:
+    @pytest.mark.parametrize("text", [
+        "2 1\n\n\n1 2\n",
+        "2 1\r\n1 2\r\n",
+        "2, 1,\n1, 2,\n",
+        "2\t1\n1\t2",
+        "  2 1  \n   \n1 2\n\n",
+    ])
+    def test_accepted_layouts(self, tmp_path, text):
+        p = tmp_path / "m.txt"
+        p.write_bytes(text.encode())
+        assert np.array_equal(read_array(p), [[2.0, 1.0], [1.0, 2.0]])
+
+    def test_single_row_and_value_are_2d(self, tmp_path):
+        p = tmp_path / "m.txt"
+        p.write_text("1 2 3\n")
+        assert read_array(p).shape == (1, 3)
+        p.write_text("5\n")
+        assert read_array(p).shape == (1, 1)
+
+    @pytest.mark.parametrize("text, detail", [
+        ("", "is empty"),
+        (" \n\t\n\n", "is empty"),
+        ("1 2\n3\n", "number of columns changed"),
+        ("1 # 2\n3 4 5\n", "'#'"),
+        ("# header\n1 2\n", "'#'"),
+        ("1 x\n3 4\n", "'x'"),
+        ("1_000 2\n3 4\n", "'1_000'"),
+        ("\u0661 2\n3 4\n", "could not convert string"),
+    ])
+    def test_rejected_without_warning(self, tmp_path, text, detail):
+        p = tmp_path / "bad.txt"
+        p.write_text(text, encoding="utf-8")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValidationError) as info:
+                read_array(p)
+        assert str(p) in str(info.value)
+        assert detail in str(info.value)
+
+    def test_bit_identical_to_python_float(self, tmp_path):
+        # the layout the CLI benchmark writes: n = 1000, %.17g, spaces
+        g = np.random.default_rng(20).standard_normal((1000, 1000))
+        p = tmp_path / "spd1000.txt"
+        np.savetxt(p, g @ g.T, fmt="%.17g")
+        want = np.array([[float(t) for t in line.split()]
+                         for line in p.read_text().splitlines()])
+        got = read_array(p)
+        assert got.shape == want.shape
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))

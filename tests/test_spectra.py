@@ -100,6 +100,20 @@ class TestGenerators:
         assert s.n == 7
         assert np.allclose(s.materialized.values, expected, rtol=0, atol=0)
 
+    def test_numpy_integer_lengths(self):
+        assert np.array_equal(generate_geometric(0.5, np.int64(4)).values,
+                              generate_geometric(0.5, 4).values)
+        assert np.array_equal(generate_power_law(2.0, np.int64(4)).values,
+                              generate_power_law(2.0, 4).values)
+        d = generate_dyadic(np.int64(3), 0.25)
+        assert type(d.lmax) is int and d.n == 7
+        for make in (lambda: generate_geometric(0.5, 4.0),
+                     lambda: generate_power_law(2.0, 4.0)):
+            with pytest.raises(ValidationError, match="^n must be a positive integer$"):
+                make()
+        with pytest.raises(ValidationError, match="^lmax must be a positive integer$"):
+            generate_dyadic(3.0, 0.25)
+
     def test_dyadic_length_is_power_of_two_minus_one(self):
         for lmax in range(1, 8):
             assert generate_dyadic(lmax, 0.5).n == 2 ** lmax - 1
