@@ -20,6 +20,7 @@ of j x j principal minors.  This package provides
 from .bounds import (
     BoundReport,
     bound_report,
+    bound_reports,
     dyadic_upper_bound,
     figure_rows,
     geometric_expected_error,

@@ -21,6 +21,7 @@ __all__ = [
     "geometric_expected_error",
     "dyadic_upper_bound",
     "bound_report",
+    "bound_reports",
     "figure_rows",
 ]
 
@@ -75,23 +76,25 @@ def geometric_expected_error(q: float, n: int, k: int) -> float:
 
 
 def _check_domination(spec: Spectrum, mu: PiecewiseDyadicSpectrum) -> None:
+    """Raise unless spec_i <= mu_i at every position i.
+
+    spec is nonincreasing and mu is constant on each level, so the first
+    violation, if any, sits at the first entry of a level: one comparison
+    per level, without materializing mu.
+    """
     values = spec.values
-    mu_values = mu.materialized.values
-    if spec.n > mu.n:
-        beyond = values[mu.n :]
-        bad = np.nonzero(beyond > 0.0)[0]
-        if bad.size:
-            i = mu.n + int(bad[0]) + 1
-            raise BoundInapplicableError(
-                f"majorant has only {mu.n} entries but the spectrum is "
-                f"positive at position {i}")
-        values = values[: mu.n]
-    bad = np.nonzero(values > mu_values[: values.size])[0]
-    if bad.size:
-        i = int(bad[0]) + 1
+    if spec.n > mu.n and values[mu.n] > 0.0:
         raise BoundInapplicableError(
-            f"domination fails at position {i}: spectrum value "
-            f"{values[bad[0]]:.17g} exceeds majorant value {mu_values[bad[0]]:.17g}")
+            f"majorant has only {mu.n} entries but the spectrum is "
+            f"positive at position {mu.n + 1}")
+    starts = [2**level - 1 for level in range(mu.lmax) if 2**level <= spec.n]
+    tops = mu.base ** np.arange(mu.lmax).astype(np.float64)   # as in mu.materialized
+    bad = np.nonzero(values[starts] > tops[: len(starts)])[0]
+    if bad.size:
+        i = starts[bad[0]]
+        raise BoundInapplicableError(
+            f"domination fails at position {i + 1}: spectrum value "
+            f"{values[i]:.17g} exceeds majorant value {tops[bad[0]]:.17g}")
 
 
 def dyadic_upper_bound(spec: Spectrum, k: int, base: float, lmax: int) -> float:
@@ -108,31 +111,51 @@ def dyadic_upper_bound(spec: Spectrum, k: int, base: float, lmax: int) -> float:
     return esp_ratio(mu, k)
 
 
+def bound_reports(
+    spec: Spectrum | PiecewiseDyadicSpectrum,
+    ks: list[int],
+    *,
+    mu: PiecewiseDyadicSpectrum | None = None,
+) -> list[BoundReport]:
+    """Exact ratio, bounds, and errors for each k in ks.
+
+    One ESP table up to max(ks) serves every k, and so does one table of
+    the majorant mu, checked for domination once; pass mu to include the
+    majorant bound for a plain spectrum.  A k at or above the rank of a
+    plain spectrum reports a zero ratio: the approximation is then exact
+    in expectation.
+    """
+    for k in ks:
+        if not 0 <= k < spec.n:
+            raise ValidationError(f"k must satisfy 0 <= k < n, got k={k}, n={spec.n}")
+    kmax = max(ks, default=0)
+    rank = spec.rank if isinstance(spec, Spectrum) else spec.n
+    exact = np.zeros(kmax + 1)
+    if rank:
+        top = min(kmax, rank - 1)
+        exact[: top + 1] = esp_ratios(spec, top)
+    dyadic = None
+    if mu is not None and isinstance(spec, Spectrum):
+        _check_domination(spec, mu)
+        dyadic = esp_ratios(mu, kmax)
+    reports = []
+    for k in ks:
+        tail = spec.tail_sum(k)
+        reports.append(BoundReport(
+            n=spec.n, k=k, exact_ratio=float(exact[k]), simple_bound=tail,
+            dyadic_bound=None if dyadic is None else float(dyadic[k]),
+            expected_error=(k + 1) * float(exact[k]), optimal_error=tail))
+    return reports
+
+
 def bound_report(
     spec: Spectrum | PiecewiseDyadicSpectrum,
     k: int,
     *,
     mu: PiecewiseDyadicSpectrum | None = None,
 ) -> BoundReport:
-    """Aggregate exact ratio, bounds, and errors for one k.
-
-    Pass mu to include the majorant bound for a plain spectrum.
-    """
-    if not 0 <= k < spec.n:
-        raise ValidationError(f"k must satisfy 0 <= k < n, got k={k}, n={spec.n}")
-    if isinstance(spec, PiecewiseDyadicSpectrum) or k < spec.rank:
-        exact = esp_ratio(spec, k)
-    else:
-        # rank-deficient beyond k: the approximation is exact in expectation
-        exact = 0.0
-    dyadic = None
-    if mu is not None and isinstance(spec, Spectrum):
-        dyadic = dyadic_upper_bound(spec, k, mu.base, mu.lmax)
-    tail = spec.tail_sum(k)
-    return BoundReport(
-        n=spec.n, k=k, exact_ratio=exact, simple_bound=tail,
-        dyadic_bound=dyadic, expected_error=(k + 1) * exact,
-        optimal_error=tail)
+    """Exact ratio, bounds, and errors for one k: bound_reports at ks = [k]."""
+    return bound_reports(spec, [k], mu=mu)[0]
 
 
 def figure_rows(

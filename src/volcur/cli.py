@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .bounds import bound_report, figure_rows
+from .bounds import bound_reports, figure_rows
 from .errors import (
     CapExceededError,
     NumericalError,
@@ -170,7 +170,7 @@ def cmd_bounds(args) -> int:
             raise ValidationError("--mu must be a dyadic generator spec")
         if isinstance(spec, PiecewiseDyadicSpectrum):
             spec = spec.materialized
-    reports = [bound_report(spec, k, mu=mu) for k in ks]
+    reports = bound_reports(spec, ks, mu=mu)
     lines = [reports[0].csv_header] + [r.csv_row() for r in reports]
     _emit(args, lines)
     return 0

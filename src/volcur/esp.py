@@ -8,10 +8,15 @@ by plain rounding.
 Every ESP of the package is computed here, carried internally as a
 mantissa and an integer exponent, e_j = mantissa * 2^exponent, so values
 far outside double range keep full precision.  Plain spectra run one
-prefix recursion whose rows are rescaled by exact powers of two; dyadic
-spectra multiply per-level binomial coefficients, aligning exponents per
-order.  Ratios (esp_ratios) and the sampler's marginals (esp_marginals)
-are quotients of such values, so they are scale free; only esp_all, which
+prefix recursion (_prefix_rows) whose rows are rescaled by exact powers
+of two; dyadic spectra multiply per-level binomial coefficients, aligning
+exponents per order.  The prefix sums are a blocked scan over a
+(depth, lanes) layout, not one serial cumsum per row, which dominated
+commands on spectra of a million entries; the scan's rounding error grows
+with depth + lanes instead of n.
+
+Ratios (esp_ratios) and the sampler's marginals (esp_marginals) are
+quotients of such values, so they are scale free; only esp_all, which
 returns plain doubles, can overflow or underflow.
 """
 from __future__ import annotations
@@ -38,7 +43,8 @@ __all__ = [
     "esp_dyadic_convolution",
 ]
 
-_CENTER, _SLACK = 512, 256         # prefix rows: last entry within 2^(512 +- 256)
+_CENTER, _SLACK = 512, 256         # prefix rows: total within 2^(512 +- 256)
+_LANES = 4096                      # prefix rows: lanes of the blocked scan, by timing
 
 
 @dataclass(frozen=True, eq=False)
@@ -72,40 +78,73 @@ class EspVector:
         return float(self.coeffs[j])
 
 
-def _prefix_rows(values: np.ndarray, m: int):
-    """Yield (row, exponent) for j = 0..min(m, n): row[i] * 2**exponent = e_j(values[:i]).
+def _prefix_rows(values: np.ndarray, scale: float, m: int):
+    """Yield (block, exponent) for j = 0..min(m, n): the prefix row e_j(x[:i]), x = values / scale.
 
-    Row j is the cumulative sum of row j-1 times values: the classic
-    O(n*m) update evaluated column-major.  A row whose last entry leaves
-    2^(512 +- 256) is rescaled by an exact power of two, so values round as
-    in the unscaled recursion wherever that one stays in double range.  The
-    window sits high: with values <= 1 a row grows by at most a factor n
-    per step but can shrink by any factor.
+    The row is kept blocked: x is laid out once, zero-padded, as a
+    C-contiguous (depth, lanes) array with x[b*depth + t] at [t, b], and
+    block[t, b] * 2**exponent = e_j(x[:b*depth + t + 1]).  Padding leaves
+    the row at its total, so block[-1, -1] holds e_j(x).  Row j is the
+    prefix sum of x times row j-1 shifted by one: take the products, the
+    per-lane totals, their exclusive prefix sum as each lane's carry, then
+    scan down the depth axis with one vector add of length lanes per step.
+    numpy's cumsum adds one entry at a time; the scan adds lanes of them,
+    and its rounding error grows with depth + lanes instead of n.  With
+    n <= _LANES the depth is 1 and each row is that cumsum, bit for bit.
+
+    A row whose total leaves 2^(512 +- 256) is rescaled by an exact power
+    of two, so values round as in the unscaled recursion wherever that one
+    stays in double range.  The window sits high: with x <= 1 a row grows
+    by at most a factor n per step but can shrink by any factor.  Two
+    buffers alternate, so a block is only valid until the next one is
+    requested.
     """
     n = int(values.size)
-    row = np.full(n + 1, 2.0**_CENTER)
+    depth = max(-(-n // _LANES), 1)
+    lanes = max(-(-n // depth), 1)
+    x = np.zeros((depth, lanes))
+    full, rest = divmod(n, depth)
+    np.divide(values[: full * depth].reshape(full, depth), scale, out=x.T[:full])
+    if rest:
+        np.divide(values[full * depth :], scale, out=x.T[full, :rest])
+    rows = np.full((depth, lanes), 2.0**_CENTER), np.empty((depth, lanes))
+    steps = [list(zip(r[:-1], r[1:])) for r in rows]   # (row t-1, row t) views
+    carry = np.zeros(lanes)
     exponent = -_CENTER
-    yield row, exponent
-    for _ in range(min(m, n)):
-        prev = row
-        row = np.empty(n + 1)
-        row[0] = 0.0
-        np.cumsum(values * prev[:-1], out=row[1:])
-        shift = math.frexp(row[-1])[1] - _CENTER
-        if row[-1] and abs(shift) > _SLACK:
+    yield rows[0], exponent
+    first = 2.0**_CENTER               # e_{j-1} of the empty prefix
+    for j in range(1, min(m, n) + 1):
+        prev, row = rows[(j - 1) % 2], rows[j % 2]
+        np.multiply(x[1:], prev[:-1], out=row[1:])
+        np.multiply(x[0, 1:], prev[-1, :-1], out=row[0, 1:])
+        row[0, 0] = x[0, 0] * first
+        first = 0.0
+        np.cumsum(row.sum(axis=0)[:-1], out=carry[1:])
+        row[0] += carry
+        for above, below in steps[j % 2]:
+            np.add(below, above, out=below)
+        total = row[-1, -1]
+        shift = math.frexp(total)[1] - _CENTER
+        if total and abs(shift) > _SLACK:
             np.ldexp(row, -shift, out=row)
             exponent += shift
         yield row, exponent
 
 
-def _esp_coeffs(values: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
-    """e_0..e_m of the values as (mantissas, exponents), zeros beyond n."""
+def _totals(rows, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """The totals of _prefix_rows as (mantissas, exponents), zeros beyond n."""
     last = np.zeros(m + 1)
     exps = np.zeros(m + 1, dtype=np.int64)
-    for j, (row, exponent) in enumerate(_prefix_rows(values, m)):
-        last[j], exps[j] = row[-1], exponent
+    for j, (block, exponent) in enumerate(rows):
+        last[j], exps[j] = block[-1, -1], exponent
     mant, shift = np.frexp(last)
     return mant, np.where(mant > 0.0, exps + shift, 0)
+
+
+def _esp_coeffs(values: np.ndarray, m: int) -> tuple[float, np.ndarray, np.ndarray]:
+    """_scaled_coeffs of plain values: the scale is the leading value (1 when not positive)."""
+    scale = float(values[0]) if values.size and values[0] > 0.0 else 1.0
+    return scale, *_totals(_prefix_rows(values, scale, m), m)
 
 
 def _level_coeffs(level: int, base: float, m: int) -> tuple[np.ndarray, np.ndarray]:
@@ -153,8 +192,7 @@ def _scaled_coeffs(spec: Spectrum | PiecewiseDyadicSpectrum, m: int):
         for level in range(spec.lmax - 1, -1, -1):
             acc = _cauchy(acc, _level_coeffs(level, spec.base, m), m)
         return 1.0, *acc
-    scale = float(spec.values[0]) if spec.n and spec.values[0] > 0.0 else 1.0
-    return scale, *_esp_coeffs(spec.values / scale, m)
+    return _esp_coeffs(spec.values, m)
 
 
 def _ratios(scale: float, mant: np.ndarray, exps: np.ndarray) -> np.ndarray:
@@ -201,9 +239,14 @@ def esp_marginals(spec: Spectrum, k: int) -> np.ndarray:
     and 1 <= i <= n, the chance that entry i joins when r of the first i
     entries remain to be chosen; zero where e_r(v_1..v_i) = 0.
     """
-    values = spec.values / spec.values[0]
-    rows, exps = zip(*_prefix_rows(values, k))
-    table = np.stack(rows)
+    scale = float(spec.values[0])
+    values = spec.values / scale
+    table = np.zeros((min(k, values.size) + 1, values.size + 1))
+    table[0, 0] = 2.0**_CENTER         # e_0 of the empty prefix, scaled as row 0
+    exps = np.zeros(table.shape[0], dtype=np.int64)
+    for j, (block, exponent) in enumerate(_prefix_rows(spec.values, scale, k)):
+        table[j, 1:] = block.T.reshape(-1)[: values.size]
+        exps[j] = exponent
     num = np.ldexp(values * table[:-1, :-1], -np.diff(exps)[:, None])
     den = table[1:, 1:]
     out = np.zeros((k + 1, values.size + 1))
@@ -269,8 +312,8 @@ def esp_ratio_head_tail(split: HeadTailSplit, k: int) -> tuple[float, float]:
     if k != split.k:
         raise ValidationError(f"split was made at k={split.k}, asked for k={k}")
     scale = float(split.head.values[0]) if k >= 1 else split.pivot
-    head = _esp_coeffs(split.head.values / scale, k)
-    tail = _esp_coeffs(split.tail.values / scale, k + 1)
+    head = _totals(_prefix_rows(split.head.values, scale, k), k)
+    tail = _totals(_prefix_rows(split.tail.values, scale, k + 1), k + 1)
     ratio = float(_ratios(scale, *_cauchy(head, tail, k + 1))[k])
     return ratio / split.pivot, ratio
 

@@ -273,7 +273,8 @@ def rbf_kernel_matrix(data: np.ndarray, sigma: float) -> PsdMatrix:
 def read_array(path: str | Path) -> np.ndarray:
     """Read a 2-D array: one row per line, whitespace- or comma-separated.
 
-    Blank lines are skipped; there is no comment syntax.
+    Blank lines are skipped; there is no comment syntax.  A malformed file
+    is reported at its first bad token or ragged row, by 1-based line.
     """
     try:
         text = Path(path).read_text()
@@ -281,11 +282,41 @@ def read_array(path: str | Path) -> np.ndarray:
         raise ValidationError(f"cannot read matrix file {path}: {exc}") from exc
     if not text.strip():
         raise ValidationError(f"matrix file {path} is empty")
+    # a list of lines, not a StringIO: that peaks at more memory
+    lines = text.replace(",", " ").splitlines()
     try:
-        # a list of lines, not a StringIO: that peaks at more memory
-        return np.loadtxt(text.replace(",", " ").splitlines(), ndmin=2, comments=None)
+        return np.loadtxt(lines, ndmin=2, comments=None)
     except ValueError as exc:
-        raise ValidationError(f"malformed matrix file {path}: {exc}") from exc
+        where = _first_fault(lines) or exc
+        raise ValidationError(f"malformed matrix file {path}: {where}") from exc
+
+
+def _first_fault(lines: list[str]) -> str | None:
+    """Where numpy's reader fails on lines, named by the file's line.
+
+    numpy counts rows after skipping blank lines, so its locations are not
+    the file's; its tokenizer splits on the same whitespace as str.split.
+    """
+    width = None
+    for number, line in enumerate(lines, 1):
+        tokens = line.split()
+        if not tokens:
+            continue
+        try:
+            np.loadtxt([line], comments=None)
+        except ValueError:
+            for column, token in enumerate(tokens, 1):
+                try:
+                    np.loadtxt([token], comments=None)
+                except ValueError:
+                    return (f"line {number}, column {column}: "
+                            f"could not convert string {token!r} to float64")
+        if width is None:
+            width = len(tokens)
+        elif len(tokens) != width:
+            return (f"line {number}: the number of columns changed "
+                    f"from {width} to {len(tokens)}")
+    return None
 
 
 def load_matrix(path: str | Path) -> PsdMatrix:

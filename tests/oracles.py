@@ -2,8 +2,9 @@
 
 Everything here avoids the library's fast paths on purpose: ESP values by
 subset enumeration, invariant sums by principal-minor determinants (LU),
-nuclear norms by SVD, CUR matrices by the pseudoinverse formula, and
-projection-DPP draws by re-orthonormalizing the basis with a QR per step.
+nuclear norms by SVD, CUR matrices by the pseudoinverse formula,
+projection-DPP draws by re-orthonormalizing the basis with a QR per step,
+and ESP prefix rows by one serial cumsum per row, in double or long double.
 """
 from __future__ import annotations
 
@@ -21,6 +22,65 @@ def esp_brute(values, j: int) -> float:
     if j > len(values):
         return 0.0
     return math.fsum(math.prod(c) for c in combinations(values, j))
+
+
+def sequential_prefix_rows(values: np.ndarray, m: int):
+    """Yield (row, exponent) for j = 0..min(m, n): row[i] * 2**exponent = e_j(values[:i]).
+
+    The serial recursion the library's blocked scan replaced: row j is the
+    cumsum of values times row j-1, with the same power-of-two rescale of
+    a row whose last entry leaves 2^(512 +- 256).
+    """
+    n = int(values.size)
+    row = np.full(n + 1, 2.0**512)
+    exponent = -512
+    yield row, exponent
+    for _ in range(min(m, n)):
+        prev = row
+        row = np.empty(n + 1)
+        row[0] = 0.0
+        np.cumsum(values * prev[:-1], out=row[1:])
+        shift = math.frexp(row[-1])[1] - 512
+        if row[-1] and abs(shift) > 256:
+            np.ldexp(row, -shift, out=row)
+            exponent += shift
+        yield row, exponent
+
+
+def sequential_ratios(values: np.ndarray, kmax: int) -> np.ndarray:
+    """e_{k+1}/e_k for k = 0..kmax from sequential_prefix_rows."""
+    last, exps = zip(*((row[-1], e) for row, e in sequential_prefix_rows(values, kmax + 1)))
+    last, exps = np.array(last), np.array(exps)
+    return np.ldexp(last[1:] / last[:-1], exps[1:] - exps[:-1])
+
+
+def sequential_marginals(values: np.ndarray, k: int) -> np.ndarray:
+    """esp_marginals of a nonincreasing spectrum, over sequential_prefix_rows."""
+    values = values / values[0]
+    rows, exps = zip(*sequential_prefix_rows(values, k))
+    table = np.stack(rows)
+    num = np.ldexp(values * table[:-1, :-1], -np.diff(exps)[:, None])
+    den = table[1:, 1:]
+    out = np.zeros((k + 1, values.size + 1))
+    np.divide(num, den, out=out[1:, 1:], where=den > 0.0)
+    return out
+
+
+def longdouble_ratios(values: np.ndarray, kmax: int) -> np.ndarray:
+    """e_{k+1}/e_k for k = 0..kmax by the serial recursion in long double.
+
+    No rescaling: only for spectra whose ESPs stay in long double range.
+    """
+    x = np.asarray(values, dtype=np.longdouble)
+    row = np.ones(x.size + 1, dtype=np.longdouble)
+    last = [row[-1]]
+    for _ in range(kmax + 1):
+        nxt = np.zeros_like(row)
+        np.cumsum(x * row[:-1], out=nxt[1:])
+        row = nxt
+        last.append(row[-1])
+    last = np.array(last)
+    return last[1:] / last[:-1]
 
 
 def minor_sums_brute(m: np.ndarray, up_to: int) -> np.ndarray:

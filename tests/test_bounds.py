@@ -102,6 +102,17 @@ class TestDyadicUpperBound:
         with pytest.raises(BoundInapplicableError, match="position 1"):
             dyadic_upper_bound(lam, 1, 0.25, 3)
 
+    @pytest.mark.parametrize("values, where", [
+        ([1.0, 0.5, 0.5, 0.3, 0.2, 0.2, 0.2],
+         "position 4: spectrum value 0.29999999999999999 exceeds majorant value 0.25"),
+        ([1.0, 0.5, 0.5, 0.25, 0.25, 0.25, 0.25, 1e-3],
+         "only 7 entries but the spectrum is positive at position 8"),
+    ])
+    def test_names_the_first_violation(self, values, where):
+        with pytest.raises(BoundInapplicableError) as info:
+            dyadic_upper_bound(make_spectrum(values), 1, 0.5, 3)
+        assert where in str(info.value)
+
     def test_rejects_spectrum_longer_than_majorant(self):
         lam = make_spectrum([1.0] * 4)
         with pytest.raises(BoundInapplicableError):

@@ -1,10 +1,12 @@
 import io
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import volcur.esp
 import volcur.sampling
 from oracles import inverse_square_psd, random_psd
 from volcur import (
@@ -460,6 +462,55 @@ class TestOneEigensolve:
         assert code == 2
         assert out == ""
         assert "did not converge" in err
+
+
+class TestOneEspTable:
+    """Each spectral command builds exactly one plain-spectrum ESP table."""
+
+    @pytest.fixture()
+    def tables(self, monkeypatch):
+        calls = []
+        prefix_rows = volcur.esp._prefix_rows
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return prefix_rows(*args, **kwargs)
+        monkeypatch.setattr(volcur.esp, "_prefix_rows", counted)
+        return calls
+
+    @pytest.mark.parametrize("argv", [
+        ["ratio", "--spectrum", "pow:p=1,n=500", "--k", "1..32"],
+        ["expected-error", "--spectrum", "pow:p=1,n=500", "--k", "1..32"],
+        ["figure", "--spectrum", "pow:p=2,n=1023",
+         "--mu", "dyadic:lmax=10,base=0.25", "--k", "1..32"],
+        ["bounds", "--spectrum", "pow:p=1,n=500", "--k", "1..32"],
+        ["bounds", "--spectrum", "pow:p=2,n=1023",
+         "--mu", "dyadic:lmax=10,base=0.25", "--k", "1..32"],
+    ])
+    def test_one_table_per_command(self, argv, tables, capsys):
+        code, out, err = run_cli(argv, capsys)
+        assert code == 0, err
+        assert len(out.splitlines()) == 33
+        assert len(tables) == 1
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+class TestReadmeExamples:
+    """The README's command examples print exactly what the README shows."""
+
+    @pytest.mark.parametrize("command", [
+        "expected-error --spectrum geom:q=0.5,n=32 --k 1..3",
+        "figure --spectrum pow:p=2,n=1023 --mu dyadic:lmax=10,base=0.25 --k 1..3",
+    ])
+    def test_output_matches_readme(self, command, capsys):
+        lines = README.read_text().splitlines()
+        start = lines.index(f"$ volcur {command}") + 1
+        shown = "\n".join(lines[start:lines.index("", start)]) + "\n"
+        code, out, err = run_cli(command.split(), capsys)
+        assert code == 0, err
+        assert out == shown
 
 
 class TestMatrixOutput:

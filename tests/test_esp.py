@@ -3,7 +3,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import esp_brute
+from oracles import (
+    esp_brute,
+    longdouble_ratios,
+    sequential_marginals,
+    sequential_prefix_rows,
+    sequential_ratios,
+)
 from volcur import (
     PiecewiseDyadicSpectrum,
     RankDeficiencyError,
@@ -18,9 +24,11 @@ from volcur import (
     esp_ratios,
     esp_scale,
     generate_geometric,
+    generate_power_law,
     make_spectrum,
     split_head_tail,
 )
+from volcur.esp import _LANES, _prefix_rows, esp_marginals
 
 spectrum_lists = st.lists(
     st.floats(min_value=1e-3, max_value=1e3, allow_nan=False), min_size=1, max_size=10)
@@ -115,11 +123,12 @@ class TestEspRatio:
             esp_ratio(s, 3)
 
     def test_matches_geometric_closed_form_at_every_k(self):
-        # e_k(q^i) drops below 1e-308 from k = 47 (q = 0.5) and k = 121 (q = 0.9)
+        # e_k(q^i) drops below 1e-308 from k = 47 (q = 0.5) and k = 121 (q = 0.9);
+        # n = 10000 runs the prefix rows as a scan over several blocks
         for q in (0.5, 0.9):
-            for n in (200, 2000):
+            for n in (200, 2000, 10_000):
                 s = generate_geometric(q, n)
-                # q^i underflows to zero from i = 1075 at q = 0.5, n = 2000
+                # q^i underflows to zero from i = 1075 at q = 0.5, n >= 2000
                 kmax = min(n - 1, s.rank)
                 ratios = esp_ratios(s, kmax)
                 for k in range(kmax + 1):
@@ -172,6 +181,86 @@ class TestEspRatio:
         lhs = esp_ratio(make_spectrum(a + b), k)
         rhs = esp_ratio(make_spectrum(a), k) + esp_ratio(make_spectrum(b), k)
         assert lhs >= rhs * (1.0 - 1e-10)
+
+
+def flat(block: np.ndarray, n: int) -> np.ndarray:
+    """Entries 1..n of a prefix row from its (depth, lanes) block."""
+    return block.T.reshape(-1)[:n]
+
+
+class TestBlockedScan:
+    """_prefix_rows against the serial recursion it replaced."""
+
+    @staticmethod
+    def spectra(n: int):
+        rng = np.random.default_rng(n)
+        yield np.sort(rng.random(n))[::-1]
+        # exact zeros at the end: rank below n
+        yield np.concatenate([np.sort(rng.random(n - n // 3))[::-1], np.zeros(n // 3)])
+
+    @pytest.mark.parametrize("n", [1, 2, 37, 1000, _LANES - 1, _LANES])
+    def test_bit_identical_up_to_lanes(self, n):
+        for values in self.spectra(n):
+            scale = float(values[0])
+            pairs = zip(_prefix_rows(values, scale, 40),
+                        sequential_prefix_rows(values / scale, 40))
+            for (block, exponent), (row, want) in pairs:
+                assert block.shape == (1, n)
+                assert exponent == want
+                assert np.array_equal(flat(block, n), row[1:])
+                assert block[-1, -1] == row[-1]
+
+    def test_bit_identical_through_rescales(self):
+        # row j shrinks by about 2^-j: a rescale every 256 / j rows or so
+        values = generate_geometric(0.5, 2000).values
+        rescaled = 0
+        pairs = zip(_prefix_rows(values, 1.0, 1100), sequential_prefix_rows(values, 1100))
+        for (block, exponent), (row, want) in pairs:
+            rescaled += exponent != -512
+            assert exponent == want
+            assert np.array_equal(flat(block, values.size), row[1:])
+        assert rescaled > 1000
+
+    @pytest.mark.parametrize("n", [_LANES - 1, _LANES, _LANES + 1, 3 * _LANES + 7])
+    def test_padding(self, n):
+        values = np.sort(np.random.default_rng(n).random(n))[::-1]
+        scale = float(values[0])
+        depth = -(-n // _LANES)
+        pairs = zip(_prefix_rows(values, scale, 30),
+                    sequential_prefix_rows(values / scale, 30))
+        for (block, exponent), (row, want) in pairs:
+            assert block.shape == (depth, -(-n // depth))
+            assert exponent == want
+            # padding holds the total
+            assert np.all(block.T.reshape(-1)[n - 1:] == block[-1, -1])
+            np.testing.assert_allclose(flat(block, n), row[1:], rtol=2e-14, atol=0.0)
+            if depth == 1:
+                assert np.array_equal(flat(block, n), row[1:])
+
+    @pytest.mark.parametrize("n, k", [(40, 12), (_LANES, 20), (3 * _LANES + 7, 20)])
+    def test_marginals_match_sequential(self, n, k):
+        values = np.sort(np.random.default_rng(n).random(n))[::-1]
+        got = esp_marginals(make_spectrum(values), k)
+        want = sequential_marginals(values, k)
+        if n <= _LANES:
+            assert np.array_equal(got, want)
+        else:
+            np.testing.assert_allclose(got, want, rtol=1e-13, atol=0.0)
+
+    @pytest.mark.skipif(np.finfo(np.longdouble).eps == np.finfo(np.float64).eps,
+                        reason="long double is no wider than double here")
+    @pytest.mark.parametrize("p, n, kmax", [(2.0, 10**6, 64), (1.0, 10**5, 32)])
+    def test_at_least_as_accurate_as_sequential(self, p, n, kmax):
+        # measured: 6.9e-15 vs 1.4e-13 (p = 2) and 2.9e-15 vs 2.9e-14 (p = 1)
+        s = generate_power_law(p, n)
+        want = longdouble_ratios(s.values, kmax)
+
+        def worst(ratios):
+            return float(np.max(np.abs(ratios - want) / want))
+
+        blocked = worst(esp_ratios(s, kmax))
+        assert blocked <= worst(sequential_ratios(s.values, kmax))
+        assert blocked < 2e-14
 
 
 class TestGeometricClosedForm:

@@ -380,6 +380,21 @@ class TestReadArray:
         assert str(p) in str(info.value)
         assert detail in str(info.value)
 
+    @pytest.mark.parametrize("text, where", [
+        ("1 2\n\n3 x", "line 3, column 2: could not convert string 'x'"),
+        ("1 2\n\n3", "line 3: the number of columns changed from 2 to 1"),
+        ("1, 2\n\n\n3, 4,\n\n5 6 7\n", "line 6: the number of columns changed from 2 to 3"),
+        ("\n1 2\n3 4 5 x\n", "line 3, column 4: could not convert string 'x'"),
+    ])
+    def test_error_names_the_file_line(self, tmp_path, text, where):
+        p = tmp_path / "bad.txt"
+        p.write_text(text)
+        with pytest.raises(ValidationError) as info:
+            read_array(p)
+        detail = str(info.value).split(str(p))[1]
+        assert where in detail
+        assert "row" not in detail and "usecols" not in detail
+
     def test_bit_identical_to_python_float(self, tmp_path):
         # the layout the CLI benchmark writes: n = 1000, %.17g, spaces
         g = np.random.default_rng(20).standard_normal((1000, 1000))
