@@ -13,7 +13,8 @@ of two; dyadic spectra multiply per-level binomial coefficients, aligning
 exponents per order.  The prefix sums are a blocked scan over a
 (depth, lanes) layout, not one serial cumsum per row, which dominated
 commands on spectra of a million entries; the scan's rounding error grows
-with depth + lanes instead of n.
+with depth + lanes instead of n.  Each row overwrites the last in one
+buffer, so a recursion holds the spectrum plus two n-entry arrays.
 
 Ratios (esp_ratios) and the sampler's marginals (esp_marginals) are
 quotients of such values, so they are scale free; only esp_all, which
@@ -45,6 +46,7 @@ __all__ = [
 
 _CENTER, _SLACK = 512, 256         # prefix rows: total within 2^(512 +- 256)
 _LANES = 4096                      # prefix rows: lanes of the blocked scan, by timing
+_SLAB = 16                         # prefix rows: depth rows per in-place multiply, by timing
 
 
 @dataclass(frozen=True, eq=False)
@@ -92,11 +94,15 @@ def _prefix_rows(values: np.ndarray, scale: float, m: int):
     and its rounding error grows with depth + lanes instead of n.  With
     n <= _LANES the depth is 1 and each row is that cumsum, bit for bit.
 
+    One buffer holds the row: save its last depth row, then overwrite it
+    bottom-up in slabs of _SLAB depth rows, as numpy copies an input that
+    overlaps its output and one call would copy the whole row.
+
     A row whose total leaves 2^(512 +- 256) is rescaled by an exact power
     of two, so values round as in the unscaled recursion wherever that one
     stays in double range.  The window sits high: with x <= 1 a row grows
-    by at most a factor n per step but can shrink by any factor.  Two
-    buffers alternate, so a block is only valid until the next one is
+    by at most a factor n per step but can shrink by any factor.  The
+    buffer is reused, so a block is only valid until the next one is
     requested.
     """
     n = int(values.size)
@@ -107,21 +113,23 @@ def _prefix_rows(values: np.ndarray, scale: float, m: int):
     np.divide(values[: full * depth].reshape(full, depth), scale, out=x.T[:full])
     if rest:
         np.divide(values[full * depth :], scale, out=x.T[full, :rest])
-    rows = np.full((depth, lanes), 2.0**_CENTER), np.empty((depth, lanes))
-    steps = [list(zip(r[:-1], r[1:])) for r in rows]   # (row t-1, row t) views
+    row = np.full((depth, lanes), 2.0**_CENTER)
+    steps = list(zip(row[:-1], row[1:]))     # (row t-1, row t) views
+    slabs = [(max(hi - _SLAB, 1), hi) for hi in range(depth, 1, -_SLAB)]
     carry = np.zeros(lanes)
     exponent = -_CENTER
-    yield rows[0], exponent
+    yield row, exponent
     first = 2.0**_CENTER               # e_{j-1} of the empty prefix
-    for j in range(1, min(m, n) + 1):
-        prev, row = rows[(j - 1) % 2], rows[j % 2]
-        np.multiply(x[1:], prev[:-1], out=row[1:])
-        np.multiply(x[0, 1:], prev[-1, :-1], out=row[0, 1:])
+    for _ in range(min(m, n)):
+        last = row[-1, :-1].copy()
+        for lo, hi in slabs:
+            np.multiply(x[lo:hi], row[lo - 1 : hi - 1], out=row[lo:hi])
+        np.multiply(x[0, 1:], last, out=row[0, 1:])
         row[0, 0] = x[0, 0] * first
         first = 0.0
         np.cumsum(row.sum(axis=0)[:-1], out=carry[1:])
         row[0] += carry
-        for above, below in steps[j % 2]:
+        for above, below in steps:
             np.add(below, above, out=below)
         total = row[-1, -1]
         shift = math.frexp(total)[1] - _CENTER

@@ -12,9 +12,10 @@ the error trace is trace(C) - |W|_F^2.
 """
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -61,14 +62,19 @@ class EigenDecomposition:
     rank: int
 
     def __post_init__(self) -> None:
-        q = np.array(self.vectors, dtype=np.float64)
+        q = np.asarray(self.vectors, dtype=np.float64)
         if q.ndim != 2:
             raise ValidationError("eigenvector matrix must be 2-D")
         r = int(self.rank)
         if q.shape[1] != r or self.eigenvalues.n != r:
             raise ValidationError("rank, eigenvalues, and vectors disagree")
-        if r and np.max(np.abs(q.T @ q - np.eye(r))) > ORTHO_TOL:
-            raise ValidationError("eigenvectors are not orthonormal")
+        if r:
+            gram = q.T @ q
+            gram.flat[:: r + 1] -= 1.0
+            if np.max(np.abs(gram, out=gram)) > ORTHO_TOL:
+                raise ValidationError("eigenvectors are not orthonormal")
+            del gram                   # freed before the copy
+        q = np.array(q, order="C")
         q.flags.writeable = False
         object.__setattr__(self, "vectors", q)
         object.__setattr__(self, "rank", r)
@@ -82,7 +88,8 @@ class PsdMatrix:
     the overall scale and rejects anything worse; it rejects matrices whose
     smallest eigenvalue is below -PSD_TOL * lambda_max (no projection).
     The one eigensolve that check needs is kept as `eigen`, the rank-r
-    decomposition that eigendecompose returns.
+    decomposition that eigendecompose returns.  The symmetry check and the
+    symmetrization share one new buffer, which becomes `entries`.
     """
 
     entries: np.ndarray
@@ -90,17 +97,18 @@ class PsdMatrix:
     eigen: EigenDecomposition = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        arr = np.array(self.entries, dtype=np.float64)
-        if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or arr.shape[0] == 0:
+        a = np.asarray(self.entries, dtype=np.float64)
+        if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] == 0:
             raise ValidationError("matrix must be square and nonempty")
-        if not np.all(np.isfinite(arr)):
+        if not np.all(np.isfinite(a)):
             raise ValidationError("matrix entries must be finite")
-        scale = float(np.max(np.abs(arr)))
-        asymmetry = float(np.max(np.abs(arr - arr.T)))
+        scale = max(float(np.max(a)), -float(np.min(a)))
+        arr = np.subtract(a, a.T)
+        asymmetry = float(np.max(np.abs(arr, out=arr)))
         if asymmetry > SYM_TOL * max(scale, 1e-300):
             raise ValidationError(
                 f"matrix is not symmetric (max asymmetry {asymmetry:.3g})")
-        arr = (arr + arr.T) / 2.0
+        np.divide(np.add(a, a.T, out=arr), 2.0, out=arr)
         try:
             w, v = np.linalg.eigh(arr)
         except np.linalg.LinAlgError as exc:
@@ -110,13 +118,14 @@ class PsdMatrix:
             raise ValidationError(
                 f"matrix is not PSD: smallest eigenvalue {w[0]:.3g} "
                 f"below -{PSD_TOL:g} * lambda_max")
-        w, v = w[::-1], v[:, ::-1]
+        w = w[::-1]
         r = int(np.count_nonzero(w > RANK_TOL * lam_max)) if lam_max > 0.0 else 0
+        v = v[:, ::-1][:, :r].copy()   # contiguous; frees eigh's n x n vectors
         arr.flags.writeable = False
         object.__setattr__(self, "entries", arr)
         object.__setattr__(self, "lambda_max", lam_max)
         object.__setattr__(self, "eigen", EigenDecomposition(
-            vectors=v[:, :r], eigenvalues=Spectrum(w[:r]), rank=r))
+            vectors=v, eigenvalues=Spectrum(w[:r]), rank=r))
 
     @property
     def n(self) -> int:
@@ -265,9 +274,11 @@ def rbf_kernel_matrix(data: np.ndarray, sigma: float) -> PsdMatrix:
     if x.ndim != 2:
         raise ValidationError("data array must be 2-D")
     sq = np.sum(x * x, axis=1)
-    d2 = sq[:, None] + sq[None, :] - 2.0 * (x @ x.T)
-    np.clip(d2, 0.0, None, out=d2)
-    return PsdMatrix(np.exp(-d2 / (2.0 * sigma * sigma)))
+    k = x @ x.T
+    k *= 2.0
+    np.clip(np.subtract(np.add.outer(sq, sq), k, out=k), 0.0, None, out=k)
+    np.divide(np.negative(k, out=k), 2.0 * sigma * sigma, out=k)
+    return PsdMatrix(np.exp(k, out=k))
 
 
 def read_array(path: str | Path) -> np.ndarray:
@@ -275,23 +286,31 @@ def read_array(path: str | Path) -> np.ndarray:
 
     Blank lines are skipped; there is no comment syntax.  A malformed file
     is reported at its first bad token or ragged row, by 1-based line.
+    Streamed into numpy's reader, the parse holds the array, not the text.
     """
     try:
-        text = Path(path).read_text()
-    except OSError as exc:
+        with open(path) as file:
+            lines = _lines(file)
+            head = next((line for line in lines if line.strip()), None)
+            if head is None:
+                raise ValidationError(f"matrix file {path} is empty")
+            try:
+                return np.loadtxt(itertools.chain([head], lines), ndmin=2, comments=None)
+            except ValueError as exc:
+                with open(path) as again:
+                    where = _first_fault(_lines(again)) or exc
+                raise ValidationError(f"malformed matrix file {path}: {where}") from exc
+    except (OSError, UnicodeError) as exc:
         raise ValidationError(f"cannot read matrix file {path}: {exc}") from exc
-    if not text.strip():
-        raise ValidationError(f"matrix file {path} is empty")
-    # a list of lines, not a StringIO: that peaks at more memory
-    lines = text.replace(",", " ").splitlines()
-    try:
-        return np.loadtxt(lines, ndmin=2, comments=None)
-    except ValueError as exc:
-        where = _first_fault(lines) or exc
-        raise ValidationError(f"malformed matrix file {path}: {where}") from exc
 
 
-def _first_fault(lines: list[str]) -> str | None:
+def _lines(file: Iterable[str]) -> Iterator[str]:
+    """A text file's lines, commas made spaces, split as str.splitlines splits its text."""
+    for line in file:
+        yield from line.replace(",", " ").splitlines()
+
+
+def _first_fault(lines: Iterable[str]) -> str | None:
     """Where numpy's reader fails on lines, named by the file's line.
 
     numpy counts rows after skipping blank lines, so its locations are not

@@ -44,7 +44,7 @@ class Spectrum:
             raise ValidationError("spectrum entries must be finite")
         if arr.size and arr[-1] < 0.0:
             raise ValidationError("spectrum entries must be nonnegative")
-        if arr.size and np.any(np.diff(arr) > 0.0):
+        if np.any(arr[1:] > arr[:-1]):
             raise ValidationError("spectrum must be nonincreasing")
         arr.flags.writeable = False
         object.__setattr__(self, "values", arr)
@@ -149,7 +149,8 @@ def generate_geometric(q: float, n: int) -> Spectrum:
     if not 0.0 < q < 1.0:
         raise ValidationError("q must lie strictly between 0 and 1")
     n = checked_int(n, "n", 1)
-    return Spectrum(q ** np.arange(n, dtype=np.float64))
+    values = np.arange(n, dtype=np.float64)
+    return Spectrum(np.power(q, values, out=values))
 
 
 def generate_power_law(p: float, n: int) -> Spectrum:
@@ -157,7 +158,9 @@ def generate_power_law(p: float, n: int) -> Spectrum:
     if p <= 0.0:
         raise ValidationError("p must be positive")
     n = checked_int(n, "n", 1)
-    return Spectrum(np.arange(1, n + 1, dtype=np.float64) ** (-float(p)))
+    values = np.arange(1, n + 1, dtype=np.float64)
+    values **= -float(p)
+    return Spectrum(values)
 
 
 def generate_dyadic(lmax: int, base: float) -> PiecewiseDyadicSpectrum:

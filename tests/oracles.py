@@ -4,7 +4,8 @@ Everything here avoids the library's fast paths on purpose: ESP values by
 subset enumeration, invariant sums by principal-minor determinants (LU),
 nuclear norms by SVD, CUR matrices by the pseudoinverse formula,
 projection-DPP draws by re-orthonormalizing the basis with a QR per step,
-and ESP prefix rows by one serial cumsum per row, in double or long double.
+ESP prefix rows by one serial cumsum per row, in double or long double,
+and the Gaussian kernel as one expression of fresh temporaries.
 """
 from __future__ import annotations
 
@@ -160,3 +161,14 @@ def inverse_square_psd(n: int = 300, seed: int = 300) -> np.ndarray:
     q, _ = np.linalg.qr(rng.standard_normal((n, n)))
     m = (q * np.arange(1, n + 1, dtype=np.float64) ** -2.0) @ q.T
     return (m + m.T) / 2.0
+
+
+def rbf_kernel_expression(x: np.ndarray, sigma: float) -> np.ndarray:
+    """exp(-|x_i - x_j|^2 / (2 sigma^2)) as one numpy expression, unsymmetrized.
+
+    The same operations in the same order as the library's in-place kernel.
+    """
+    sq = np.sum(x * x, axis=1)
+    d2 = sq[:, None] + sq[None, :] - 2.0 * (x @ x.T)
+    np.clip(d2, 0.0, None, out=d2)
+    return np.exp(-d2 / (2.0 * sigma * sigma))

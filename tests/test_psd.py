@@ -8,6 +8,7 @@ from oracles import (
     minor_sums_brute,
     nuclear_norm_svd,
     random_psd,
+    rbf_kernel_expression,
 )
 from volcur import (
     PsdMatrix,
@@ -317,6 +318,13 @@ class TestConstructorsAndIo:
         assert np.allclose(np.diag(m.entries), 1.0)
         assert np.linalg.eigvalsh(m.entries)[0] > -1e-10
 
+    def test_rbf_bit_identical_to_one_expression(self):
+        x = np.random.default_rng(19).standard_normal((60, 4)) * 2.0
+        for sigma in (0.3, 1.3, 7.0):
+            want = PsdMatrix(rbf_kernel_expression(x, sigma)).entries
+            got = rbf_kernel_matrix(x, sigma).entries
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
     def test_rbf_rejects_bad_sigma(self):
         with pytest.raises(ValidationError):
             rbf_kernel_matrix(np.ones((2, 2)), 0.0)
@@ -347,11 +355,33 @@ class TestReadArray:
         "2, 1,\n1, 2,\n",
         "2\t1\n1\t2",
         "  2 1  \n   \n1 2\n\n",
+        "2,1\n \n\n1 ,2",
+        ",2 , 1,\n\t\n1,,2 ,\n",
     ])
     def test_accepted_layouts(self, tmp_path, text):
         p = tmp_path / "m.txt"
         p.write_bytes(text.encode())
         assert np.array_equal(read_array(p), [[2.0, 1.0], [1.0, 2.0]])
+
+    # str.splitlines ends a line at each of these; iterating over a text
+    # file ends lines only at newlines, after reading "\r" and "\r\n" as one
+    @pytest.mark.parametrize("sep", [
+        "\v", "\f", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029", "\r", "\r\n",
+    ])
+    def test_lines_end_where_splitlines_ends_them(self, tmp_path, sep):
+        p = tmp_path / "m.txt"
+        p.write_bytes(f"2, 1{sep}{sep}1 2\n".encode())
+        assert np.array_equal(read_array(p), [[2.0, 1.0], [1.0, 2.0]])
+        p.write_bytes(f"1 2{sep}{sep}3 4\n5 6{sep}7 x\n".encode())
+        with pytest.raises(ValidationError) as info:
+            read_array(p)
+        assert "line 5, column 2: could not convert string 'x'" in str(info.value)
+
+    def test_undecodable_file_is_a_validation_error(self, tmp_path):
+        p = tmp_path / "m.txt"
+        p.write_bytes(b"1 2\n\xff\xfe 3\n")
+        with pytest.raises(ValidationError):
+            read_array(p)
 
     def test_single_row_and_value_are_2d(self, tmp_path):
         p = tmp_path / "m.txt"
@@ -363,6 +393,7 @@ class TestReadArray:
     @pytest.mark.parametrize("text, detail", [
         ("", "is empty"),
         (" \n\t\n\n", "is empty"),
+        ("\v\r\n\f\u2028 \x85\r", "is empty"),
         ("1 2\n3\n", "number of columns changed"),
         ("1 # 2\n3 4 5\n", "'#'"),
         ("# header\n1 2\n", "'#'"),
@@ -395,13 +426,9 @@ class TestReadArray:
         assert where in detail
         assert "row" not in detail and "usecols" not in detail
 
-    def test_bit_identical_to_python_float(self, tmp_path):
-        # the layout the CLI benchmark writes: n = 1000, %.17g, spaces
-        g = np.random.default_rng(20).standard_normal((1000, 1000))
-        p = tmp_path / "spd1000.txt"
-        np.savetxt(p, g @ g.T, fmt="%.17g")
+    def test_bit_identical_to_python_float(self, spd1000):
         want = np.array([[float(t) for t in line.split()]
-                         for line in p.read_text().splitlines()])
-        got = read_array(p)
+                         for line in spd1000.read_text().splitlines()])
+        got = read_array(spd1000)
         assert got.shape == want.shape
         assert np.array_equal(got.view(np.uint64), want.view(np.uint64))

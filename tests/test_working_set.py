@@ -1,0 +1,60 @@
+"""Working-set budgets of the large-input paths, as traced peaks.
+
+tracemalloc sees numpy's array buffers, so its peak is what a call holds
+at once, in units of its input: n-entry arrays for a spectrum, n x n
+arrays for a matrix.  The peaks repeat exactly from run to run.  LAPACK's
+own workspace inside eigh is not traced.
+"""
+import tracemalloc
+
+import numpy as np
+
+from oracles import random_psd
+from volcur import (
+    PsdMatrix,
+    esp_ratios,
+    generate_power_law,
+    parse_generator_spec,
+    rbf_kernel_matrix,
+    read_array,
+)
+
+
+def traced_peak(fn) -> int:
+    """Peak bytes held by what fn allocates, its result included."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_esp_ratios_holds_two_arrays_beside_the_spectrum():
+    # the scaled values and one row buffer
+    spec = parse_generator_spec("pow:p=2,n=1000000")
+    assert traced_peak(lambda: esp_ratios(spec, 64)) <= 2.2 * spec.values.nbytes
+
+
+def test_generated_spectrum_holds_two_arrays():
+    # the generated values and the Spectrum's own copy
+    n = 2**20 - 1
+    assert traced_peak(lambda: generate_power_law(2.0, n)) <= 2.2 * 8 * n
+
+
+def test_read_array_holds_the_array_not_the_text(spd1000):
+    assert traced_peak(lambda: read_array(spd1000)) <= 1.3 * 8 * 1000**2
+
+
+def test_psd_matrix_holds_three_matrices_above_its_input():
+    # the symmetrized entries, the eigenvectors, and one n x n scratch
+    n = 500
+    a = random_psd(np.random.default_rng(5), n, n)
+    assert traced_peak(lambda: PsdMatrix(a)) <= 3.1 * a.nbytes
+
+
+def test_rbf_kernel_matrix_holds_four_matrices():
+    # the kernel, then PsdMatrix's three above it
+    n = 500
+    x = np.random.default_rng(6).standard_normal((n, 5))
+    assert traced_peak(lambda: rbf_kernel_matrix(x, 1.3)) <= 4.1 * 8 * n * n
