@@ -9,8 +9,8 @@ of j x j principal minors.  This package provides
 * esp:       elementary symmetric polynomial calculus (recursion, closed
              forms, convolution/scaling rules, fast dyadic path);
 * psd:       PSD matrix type (eigendecomposed once, on construction),
-             pivoted Cholesky, CUR assembly (a read-only array) and error,
-             matrix/kernel ingestion;
+             CUR assembly (a read-only array) and error, matrix/kernel
+             ingestion;
 * sampling:  exact volume sampler, exhaustive distribution, expected-error
              formula with its brute-force oracle, Monte Carlo estimate;
 * bounds:    tail-sum and dyadic-majorant bounds on e_{k+1}/e_k;
@@ -60,7 +60,6 @@ from .psd import (
     invariant_sums,
     load_matrix,
     optimal_error,
-    pivoted_cholesky,
     read_array,
     rbf_kernel_matrix,
 )

@@ -104,19 +104,13 @@ def _materialize(spec: Spectrum | PiecewiseDyadicSpectrum) -> Spectrum:
 def _resolve_matrix(args) -> PsdMatrix:
     if args.input is None:
         raise ValidationError("this command requires --input <matrix file>")
-    if getattr(args, "spectrum", None) is not None:
-        raise ValidationError("this command takes a matrix, not --spectrum")
-    kernel = getattr(args, "kernel", None)
-    gram = getattr(args, "gram", False)
-    if kernel is not None and gram:
+    if args.kernel is not None and args.gram:
         raise ValidationError("--gram and --kernel are mutually exclusive")
-    if kernel is not None:
-        if kernel != "rbf":
-            raise ValidationError(f"unknown kernel {kernel!r}; only rbf is supported")
+    if args.kernel is not None:
         if args.sigma is None:
             raise ValidationError("--kernel rbf requires --sigma")
         return rbf_kernel_matrix(read_array(args.input), args.sigma)
-    if gram:
+    if args.gram:
         return gram_matrix(read_array(args.input))
     return load_matrix(args.input)
 
@@ -246,7 +240,7 @@ def cmd_verify(args) -> int:
             f"k={k} bruteforce={_fmt(brute)} exact={_fmt(exact)} "
             f"rel_err={err_rel:.3e} normalizer_rel_err={norm_rel:.3e}")
     lines.append("verify: PASS" if ok else "verify: FAIL")
-    sys.stdout.write("\n".join(lines) + "\n")
+    _emit(args, lines)
     return 0 if ok else 2
 
 

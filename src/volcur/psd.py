@@ -7,15 +7,19 @@ A subset S of columns/rows induces the blocks A = M[S,S], B = M[~S,S],
 C = M[~S,~S]; the CUR (skeleton) approximation keeps A and B exactly and
 replaces C by B A^{-1} B^T, so the error matrix is the Schur complement
 C - B A^{-1} B^T, which is PSD; its nuclear norm is its trace.  Both come
-from one factor: with A = L L^T and W = L^{-1} B^T, B A^{-1} B^T = W^T W and
-the error trace is trace(C) - |W|_F^2.
+from one greedy pivoted Cholesky of M over the rows in S: its factor F has
+F F^T = M[:,S] A^{-1} M[S,:], so with W = F[~S], B A^{-1} B^T = W W^T, and
+its residual diagonal diag(M - F F^T), zero on S, sums to the error trace
+trace(C) - |W|_F^2.  The volume sampler runs the same left-looking kernel
+with a random pivot.
 """
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -33,7 +37,6 @@ __all__ = [
     "eigendecompose",
     "optimal_error",
     "invariant_sums",
-    "pivoted_cholesky",
     "cur_approximation",
     "cur_error_nuclear",
     "gram_matrix",
@@ -174,71 +177,77 @@ def _checked_subset(subset: Iterable[int], n: int) -> tuple[int, ...]:
     return s
 
 
-def pivoted_cholesky(
-    matrix: np.ndarray, pivot_floor: float | None = None
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
-    """Diagonally pivoted Cholesky of a symmetric PSD matrix.
+def _partial_cholesky(
+    d: np.ndarray,
+    column: Callable[[int], np.ndarray],
+    pick: Callable[[np.ndarray], int | None],
+    k: int,
+) -> tuple[list[int], list[float], np.ndarray]:
+    """Left-looking pivoted Cholesky of a PSD matrix K, at most k steps.
 
-    Returns (L, perm, pivots, rank) with M[perm][:, perm] = L L^T on the
-    leading rank columns.  Factorization stops once the largest remaining
-    diagonal falls to pivot_floor (default: PIVOT_REL_TOL times the largest
-    initial diagonal); pivots holds the successive diagonal values.
+    d is diag(K) on entry and the residual diagonal diag(K - F F^T) on
+    return; column(i) gives K[:, i].  Each step takes the row i = pick(d)
+    (None stops), records the pivot d[i], appends the factor column
+    c = (K[:, i] - F F[i]^T) / sqrt(d[i]) to F and subtracts c*c from d,
+    which zeroes d[i]; d is clamped at zero.  Returns (rows, pivots, F).
+    The pick rule makes it the projection-DPP sampler (random, K = V V^T)
+    or the classical greedy factor (argmax d).  Chen, Epperly, Tropp and
+    Webber, "Randomly pivoted Cholesky" (2022).
     """
-    a = np.array(matrix, dtype=np.float64)
-    n = a.shape[0]
-    perm = np.arange(n)
-    pivots = np.zeros(n)
-    if pivot_floor is None:
-        pivot_floor = PIVOT_REL_TOL * max(float(np.max(np.diagonal(a), initial=0.0)), 0.0)
-    rank = n
-    for j in range(n):
-        d = np.diagonal(a)
-        p = j + int(np.argmax(d[j:]))
-        if d[p] <= pivot_floor:
-            rank = j
+    factor = np.empty((d.size, k))
+    rows: list[int] = []
+    pivots: list[float] = []
+    for t in range(k):
+        i = pick(d)
+        if i is None:
             break
-        if p != j:
-            a[[j, p], :] = a[[p, j], :]
-            a[:, [j, p]] = a[:, [p, j]]
-            perm[[j, p]] = perm[[p, j]]
-        piv = a[j, j]
-        pivots[j] = piv
-        root = np.sqrt(piv)
-        a[j, j] = root
-        a[j + 1 :, j] /= root
-        a[j + 1 :, j + 1 :] -= np.outer(a[j + 1 :, j], a[j + 1 :, j])
-        a[j, j + 1 :] = 0.0
-    return np.tril(a)[:, :rank], perm, pivots[:rank], rank
+        rows.append(i)
+        pivots.append(float(d[i]))
+        c = (column(i) - factor[:, :t] @ factor[i, :t]) / math.sqrt(d[i])
+        factor[:, t] = c
+        d -= c * c
+        d[i] = 0.0
+        np.maximum(d, 0.0, out=d)
+    return rows, pivots, factor[:, : len(rows)]
 
 
-def _whitened(m: PsdMatrix, subset: Iterable[int]) -> tuple[np.ndarray, np.ndarray]:
-    """Complement indices and W = L^{-1} B^T, where A = L L^T.
+def _subset_factor(
+    m: PsdMatrix, s: Sequence[int], floor: float
+) -> tuple[list[float], np.ndarray, np.ndarray]:
+    """Greedy pivoted Cholesky of M over the rows in s.
 
-    A full subset gives an empty W without factoring A.
+    Each step pivots on the largest residual diagonal in s and stops once
+    it is at most floor.  Returns (pivots, d, F) with F F^T = M[:, S]
+    A^{-1} M[S, :] for A = M[S,S] when all |s| pivots clear the floor,
+    and d = diag(M - F F^T), zero on S.  The rows of the symmetric
+    entries serve as its columns.
     """
-    s = np.array(_checked_subset(subset, m.n))
-    comp = np.setdiff1d(np.arange(m.n), s)
-    if comp.size == 0:
-        return comp, np.zeros((s.size, 0))
-    lower, perm, _, rank = pivoted_cholesky(m.entries[np.ix_(s, s)])
-    if rank < s.size:
+    def pick(d: np.ndarray) -> int | None:
+        i = s[int(np.argmax(d.take(s)))]
+        return i if d[i] > floor else None
+
+    d = m.entries.diagonal().copy()
+    _, pivots, factor = _partial_cholesky(d, m.entries.__getitem__, pick, len(s))
+    return pivots, d, factor
+
+
+def _skeleton(
+    m: PsdMatrix, subset: Iterable[int]
+) -> tuple[tuple[int, ...], np.ndarray, np.ndarray]:
+    """S, the residual diagonal d and the factor F of M on a nonsingular S.
+
+    The floor is PIVOT_REL_TOL times the largest diagonal of M[S,S].  A
+    full subset gives d = 0 and an empty F without factoring.
+    """
+    s = _checked_subset(subset, m.n)
+    if len(s) == m.n:
+        return s, np.zeros(m.n), np.zeros((m.n, 0))
+    floor = PIVOT_REL_TOL * max(float(np.max(m.entries.diagonal().take(s))), 0.0)
+    pivots, d, factor = _subset_factor(m, s, floor)
+    if len(pivots) < len(s):
         raise SingularPivotError(
-            f"pivot block is singular at step {rank + 1} of {s.size}")
-    return comp, _whiten(m, s, comp, lower, perm)
-
-
-def _whiten(
-    m: PsdMatrix, s: np.ndarray, comp: np.ndarray,
-    lower: np.ndarray, perm: np.ndarray,
-) -> np.ndarray:
-    """W = L^{-1} M[S[perm], comp] for a full-rank factor of A = M[S,S]."""
-    return np.linalg.solve(lower, m.entries[np.ix_(s[perm], comp)])
-
-
-def _residual_trace(m: PsdMatrix, comp: np.ndarray, w: np.ndarray) -> float:
-    """trace(C) - |W|_F^2: the nuclear norm of the skeleton error."""
-    # the error matrix is PSD; roundoff may leave a tiny negative trace
-    return max(float(np.sum(m.entries.diagonal()[comp]) - np.sum(w * w)), 0.0)
+            f"pivot block is singular at step {len(pivots) + 1} of {len(s)}")
+    return s, d, factor
 
 
 def cur_approximation(m: PsdMatrix, subset: Iterable[int]) -> np.ndarray:
@@ -246,16 +255,18 @@ def cur_approximation(m: PsdMatrix, subset: Iterable[int]) -> np.ndarray:
 
     A read-only array, not a PsdMatrix: it is PSD by construction.
     """
-    comp, w = _whitened(m, subset)
+    s, _, factor = _skeleton(m, subset)
+    comp = np.setdiff1d(np.arange(m.n), s)
     out = m.entries.copy()
-    out[np.ix_(comp, comp)] = w.T @ w
+    w = factor[comp]
+    out[np.ix_(comp, comp)] = w @ w.T
     out.flags.writeable = False
     return out
 
 
 def cur_error_nuclear(m: PsdMatrix, subset: Iterable[int]) -> float:
     """Nuclear norm of the skeleton error: trace of the Schur complement."""
-    return _residual_trace(m, *_whitened(m, subset))
+    return float(np.sum(_skeleton(m, subset)[1]))
 
 
 def gram_matrix(data: np.ndarray) -> PsdMatrix:

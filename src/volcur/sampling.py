@@ -38,11 +38,10 @@ from .psd import (
     EigenDecomposition,
     PIVOT_REL_TOL,
     PsdMatrix,
-    _residual_trace,
-    _whiten,
+    _partial_cholesky,
+    _subset_factor,
     cur_error_nuclear,
     eigendecompose,
-    pivoted_cholesky,
 )
 from .spectra import Spectrum
 
@@ -83,9 +82,10 @@ def _enumerate(
 ) -> tuple[VolumeDistribution, np.ndarray]:
     """The volume distribution, and the CUR error of each subset if asked.
 
-    One pivoted Cholesky per subset gives both: its pivots multiply to the
-    weight det M[S,S], and its factor whitens M[S,~S] for the error.  A
-    subset whose weight is zero gets error zero (it is never drawn).
+    One greedy pivoted Cholesky of M over each subset gives both: its
+    pivots multiply to the weight det M[S,S], and its residual diagonal
+    sums to the error.  A pivot at or below PIVOT_REL_TOL * lambda_max
+    gives the subset weight zero and error zero (it is never drawn).
     """
     k = _check_k(k, m.n)
     count = math.comb(m.n, k)
@@ -94,28 +94,23 @@ def _enumerate(
             f"C({m.n},{k}) = {count} subsets exceeds the enumeration cap "
             f"{ENUMERATION_CAP}; use sample_subset instead")
     floor = PIVOT_REL_TOL * m.lambda_max
-    everything = np.arange(m.n)
-    subsets = []
+    subsets = tuple(combinations(range(m.n), k))
     weights = np.zeros(count)
     errors = np.zeros(count if with_errors else 0)
-    for idx, s in enumerate(combinations(range(m.n), k)):
-        subsets.append(s)
-        lower, perm, pivots, rank = pivoted_cholesky(
-            m.entries[np.ix_(s, s)], pivot_floor=floor)
-        if rank < k:
+    for idx, s in enumerate(subsets):
+        pivots, d, _ = _subset_factor(m, s, floor)
+        if len(pivots) < k:
             continue
-        weights[idx] = float(np.prod(pivots))
+        weights[idx] = math.prod(pivots)
         if with_errors:
-            rows = np.array(s)
-            comp = np.setdiff1d(everything, rows)
-            errors[idx] = _residual_trace(m, comp, _whiten(m, rows, comp, lower, perm))
+            errors[idx] = float(np.sum(d))
     normalizer = float(weights.sum())
     if normalizer <= 0.0:
         raise DegenerateDistributionError(
             f"every {k}-subset has zero volume: matrix rank is below {k}")
     dist = VolumeDistribution(
         k=k,
-        subsets=tuple(subsets),
+        subsets=subsets,
         weights=weights,
         normalizer=normalizer,
         probabilities=weights / normalizer,
@@ -126,9 +121,10 @@ def _enumerate(
 def enumerate_distribution(m: PsdMatrix, k: int) -> VolumeDistribution:
     """All size-k subsets with their volume-sampling probabilities.
 
-    Subset weights are principal-minor determinants via pivoted Cholesky;
-    a pivot below PIVOT_REL_TOL * lambda_max counts the minor as singular
-    (weight zero).  Refuses more than ENUMERATION_CAP subsets.
+    Subset weights are principal-minor determinants, the products of the
+    pivots of a greedy pivoted Cholesky; a pivot at or below
+    PIVOT_REL_TOL * lambda_max counts the minor as singular (weight zero).
+    Refuses more than ENUMERATION_CAP subsets.
     """
     return _enumerate(m, k, with_errors=False)[0]
 
@@ -168,27 +164,16 @@ def _select_eigenvector_subset(
 def _sample_projection_dpp(v: np.ndarray, rng: np.random.Generator) -> list[int]:
     """Exact sample of |columns| indices from the projection DPP of V V^T.
 
-    Randomly pivoted Cholesky of K = V V^T (V with orthonormal columns):
-    with C the factor columns built so far, d = diag(K - C C^T), initially
-    the squared row norms of V.  Each step draws a row i proportional to d,
-    appends the column c = (K[:, i] - C C[i]^T) / sqrt(d[i]) to C and
-    subtracts c*c from d, which zeroes d[i].  d is the row mass of V's
-    basis re-orthonormalized after eliminating the rows chosen so far, so
-    this is the chain rule of the projection DPP.  A step costs O(n k).
+    Randomly pivoted Cholesky of K = V V^T (V with orthonormal columns),
+    psd._partial_cholesky with columns V V[i]^T and the pick _pick(d):
+    the residual diagonal d starts as the squared row norms of V, and each
+    step draws a row i proportional to d.  d is the row mass of V's basis
+    re-orthonormalized after eliminating the rows chosen so far, so this
+    is the chain rule of the projection DPP.  A step costs O(n k).
     """
-    n, k = v.shape
     d = np.einsum("ij,ij->i", v, v)
-    factor = np.empty((n, k))
-    chosen: list[int] = []
-    for t in range(k):
-        i = _pick(d, rng)
-        chosen.append(i)
-        c = (v @ v[i] - factor[:, :t] @ factor[i, :t]) / math.sqrt(d[i])
-        factor[:, t] = c
-        d -= c * c
-        d[i] = 0.0
-        np.maximum(d, 0.0, out=d)
-    return chosen
+    return _partial_cholesky(
+        d, lambda i: v @ v[i], lambda d: _pick(d, rng), v.shape[1])[0]
 
 
 def sample_subsets(
@@ -239,10 +224,7 @@ def expected_error_bruteforce(m: PsdMatrix, k: int) -> float:
     A under the weight floor) add nothing.
     """
     dist, errors = _enumerate(m, k, with_errors=True)
-    total = 0.0
-    for p, err in zip(dist.probabilities, errors):
-        total += p * err
-    return total
+    return math.fsum(dist.probabilities * errors)
 
 
 def empirical_error(

@@ -196,7 +196,7 @@ def load_spectrum(path: str | Path) -> Spectrum:
     """Read a spectrum from text: one value per line or comma-separated."""
     try:
         text = Path(path).read_text()
-    except OSError as exc:
+    except (OSError, UnicodeError) as exc:
         raise ValidationError(f"cannot read spectrum file {path}: {exc}") from exc
     tokens = text.replace(",", " ").split()
     if not tokens:

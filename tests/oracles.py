@@ -2,7 +2,8 @@
 
 Everything here avoids the library's fast paths on purpose: ESP values by
 subset enumeration, invariant sums by principal-minor determinants (LU),
-nuclear norms by SVD, CUR matrices by the pseudoinverse formula,
+nuclear norms by SVD, CUR matrices by the pseudoinverse formula and
+by triangular solves,
 projection-DPP draws by re-orthonormalizing the basis with a QR per step,
 ESP prefix rows by one serial cumsum per row, in double or long double,
 and the Gaussian kernel as one expression of fresh temporaries.
@@ -106,6 +107,20 @@ def cur_pinv(m: np.ndarray, subset) -> np.ndarray:
     cols = m[:, s]
     a = m[np.ix_(s, s)]
     return cols @ np.linalg.pinv(a) @ cols.T
+
+
+def cur_solve(m: np.ndarray, subset) -> tuple[float, np.ndarray]:
+    """CUR error and approximation by triangular solves: the referee.
+
+    With A = L L^T (LAPACK Cholesky) and W = L^{-1} B^T, the complement
+    block is W^T W and the error is trace(C) - |W|_F^2.
+    """
+    s = sorted(subset)
+    comp = sorted(set(range(m.shape[0])) - set(s))
+    w = np.linalg.solve(np.linalg.cholesky(m[np.ix_(s, s)]), m[np.ix_(s, comp)])
+    out = m.copy()
+    out[np.ix_(comp, comp)] = w.T @ w
+    return float(np.trace(m[np.ix_(comp, comp)]) - np.sum(w * w)), out
 
 
 def expected_error_enumeration(m: np.ndarray, k: int) -> float:

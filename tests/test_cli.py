@@ -343,6 +343,15 @@ class TestVerifyCommand:
         code, _, _ = run_cli(["verify", "--input", str(p), "--k", "2"], capsys)
         assert code == 1
 
+    def test_out_file_holds_report(self, identity5_file, tmp_path, capsys):
+        report = tmp_path / "v.out"
+        code, out, _ = run_cli(["verify", "--input", identity5_file, "--k", "2",
+                                "--out", str(report)], capsys)
+        assert code == 0 and out == ""
+        lines = report.read_text().splitlines()
+        assert lines[0].startswith("k=2 bruteforce=")
+        assert lines[-1] == "verify: PASS"
+
     def test_k_at_rank_passes_with_zero_errors(self, tmp_path, capsys):
         p = tmp_path / "r2.txt"
         # rank 2, n = 3
@@ -397,6 +406,24 @@ class TestErrorPaths:
     def test_unknown_flag_is_usage_error(self, capsys):
         code, _, _ = run_cli(["esp", "--nope", "1", "--k", "1"], capsys)
         assert code == 1
+
+    def test_undecodable_spectrum_file(self, tmp_path, capsys):
+        p = tmp_path / "s.txt"
+        p.write_bytes(b"1.0\n\xff\n")
+        code, out, err = run_cli(["esp", "--input", str(p), "--k", "1"], capsys)
+        assert code == 1 and out == ""
+        assert "error: cannot read spectrum file" in err
+
+    @pytest.mark.parametrize("extra, message", [
+        (["--kernel", "poly", "--sigma", "1"], "invalid choice: 'poly'"),
+        (["--spectrum", "geom:q=0.5,n=2"], "unrecognized arguments: --spectrum"),
+    ])
+    def test_matrix_command_usage_errors(self, psd_file, extra, message, capsys):
+        for command in ("approx", "sample", "verify"):
+            code, out, err = run_cli(
+                [command, "--input", psd_file, "--k", "1"] + extra, capsys)
+            assert code == 1 and out == "", command
+            assert message in err, command
 
     def test_malformed_k_range(self, capsys):
         for argv in (

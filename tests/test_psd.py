@@ -5,6 +5,7 @@ import pytest
 
 from oracles import (
     cur_pinv,
+    cur_solve,
     minor_sums_brute,
     nuclear_norm_svd,
     random_psd,
@@ -21,10 +22,10 @@ from volcur import (
     invariant_sums,
     load_matrix,
     optimal_error,
-    pivoted_cholesky,
     rbf_kernel_matrix,
     read_array,
 )
+from volcur.psd import PIVOT_REL_TOL, _partial_cholesky, _subset_factor
 
 
 def rel_err(a: float, b: float) -> float:
@@ -170,44 +171,103 @@ class TestPartitionAndSchur:
         assert cur_error_nuclear(regular, (0, 1)) == 1.0
 
 
+def greedy_factor(m: np.ndarray):
+    """The greedy subset factor over all rows of m, at the CUR floor.
+
+    Returns (pivots, F); F F^T is m up to a residual at or below the floor.
+    """
+    floor = PIVOT_REL_TOL * max(float(m.diagonal().max()), 0.0)
+    pivots, _, factor = _subset_factor(PsdMatrix(m), np.arange(m.shape[0]), floor)
+    return np.array(pivots), factor
+
+
 class TestPivotedCholesky:
-    def test_reconstructs_permuted_matrix(self):
+    """The kernel psd._partial_cholesky, mostly through the greedy subset factor."""
+
+    def test_reconstructs_matrix(self):
         rng = np.random.default_rng(6)
         for trial in range(30):
             n = int(rng.integers(1, 9))
             r = int(rng.integers(1, n + 1))
             m = random_psd(rng, n, r)
-            low, perm, pivots, rank = pivoted_cholesky(m)
-            rebuilt = low @ low.T
-            assert np.allclose(rebuilt, m[np.ix_(perm, perm)],
+            pivots, factor = greedy_factor(m)
+            assert np.allclose(factor @ factor.T, m,
                                atol=1e-10 * max(m.diagonal().max(), 1e-300))
-            assert rank == np.linalg.matrix_rank(m, tol=1e-8 * abs(m).max())
+            assert pivots.size == np.linalg.matrix_rank(m, tol=1e-8 * abs(m).max())
 
     def test_pivots_nonincreasing(self):
         rng = np.random.default_rng(8)
         m = random_psd(rng, 8, 8)
-        _, _, pivots, rank = pivoted_cholesky(m)
-        assert rank == 8
+        pivots, _ = greedy_factor(m)
+        assert pivots.size == 8
         assert np.all(np.diff(pivots) <= 1e-12 * pivots[0])
 
     def test_determinant_product(self):
-        m = np.array([[4.0, 2.0], [2.0, 3.0]])
-        _, _, pivots, _ = pivoted_cholesky(m)
+        pivots, _ = greedy_factor(np.array([[4.0, 2.0], [2.0, 3.0]]))
         assert float(np.prod(pivots)) == pytest.approx(8.0)
 
     def test_determinant_zero_for_rank_deficient(self):
         g = np.array([[1.0], [2.0]])
-        _, _, _, rank = pivoted_cholesky(g @ g.T)
-        assert rank == 1
+        pivots, _ = greedy_factor(g @ g.T)
+        assert pivots.size == 1
 
     def test_determinant_matches_lu(self):
         rng = np.random.default_rng(19)
         for trial in range(20):
             n = int(rng.integers(1, 8))
             m = random_psd(rng, n, n)
-            _, _, pivots, rank = pivoted_cholesky(m)
-            assert rank == n
+            pivots, _ = greedy_factor(m)
+            assert pivots.size == n
             assert rel_err(float(np.prod(pivots)), float(np.linalg.det(m))) < 1e-8
+
+    def test_residual_diagonal_and_stop(self):
+        # d leaves as diag(K - F F^T), zero on the chosen rows; None stops
+        m = random_psd(np.random.default_rng(20), 6, 6)
+        d = m.diagonal().copy()
+        order = iter([4, 1, None, 0])
+        rows, pivots, factor = _partial_cholesky(
+            d, lambda i: m[:, i], lambda d: next(order), 6)
+        assert rows == [4, 1]
+        assert factor.shape == (6, 2)
+        assert pivots[0] == m[4, 4]
+        assert rel_err(pivots[0] * pivots[1], float(np.linalg.det(m[np.ix_([4, 1], [4, 1])]))) < 1e-12
+        assert np.array_equal(d[[4, 1]], [0.0, 0.0])
+        assert np.allclose(d, np.diag(m - factor @ factor.T), atol=1e-12 * m.max())
+
+
+class TestCurReferee:
+    """cur_error_nuclear and cur_approximation against the triangular-solve referee."""
+
+    @pytest.mark.parametrize("full_rank", [True, False])
+    def test_agrees_with_solve_referee(self, full_rank):
+        rng = np.random.default_rng(21 if full_rank else 22)
+        for trial in range(40):
+            n = int(rng.integers(2, 13))
+            r = n if full_rank else int(rng.integers(1, n))
+            m = PsdMatrix(random_psd(rng, n, r))
+            k = int(rng.integers(1, min(r, n - 1) + 1))
+            subset = tuple(sorted(rng.choice(n, size=k, replace=False).tolist()))
+            try:
+                err, approx = cur_solve(m.entries, subset)
+            except np.linalg.LinAlgError:
+                continue                  # a singular draw; covered elsewhere
+            mine = cur_error_nuclear(m, subset)
+            # a vanishing error is roundoff on the scale of the matrix
+            scale = abs(err) if full_rank else max(abs(err), m.lambda_max)
+            assert abs(mine - err) <= 1e-12 * scale
+            got = cur_approximation(m, subset)
+            assert np.max(np.abs(got - approx)) <= 1e-12 * m.lambda_max
+            s = list(subset)
+            assert np.array_equal(got[s, :], m.entries[s, :])
+            assert np.array_equal(got[:, s], m.entries[:, s])
+
+    def test_singular_matrix_full_subset_does_not_raise(self):
+        g = np.array([[1.0], [2.0], [3.0]])
+        m = PsdMatrix(g @ g.T)
+        assert cur_error_nuclear(m, (0, 1, 2)) == 0.0
+        assert np.array_equal(cur_approximation(m, (0, 1, 2)), m.entries)
+        with pytest.raises(SingularPivotError, match="singular at step 2 of 2"):
+            cur_error_nuclear(m, (0, 1))
 
 
 class TestCur:

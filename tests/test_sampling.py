@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from oracles import (
-    expected_error_enumeration, inverse_square_psd, qr_projection_dpp, random_psd)
+    cur_solve, expected_error_enumeration, inverse_square_psd, qr_projection_dpp,
+    random_psd)
 import volcur.sampling
 from volcur.esp import esp_marginals
 from volcur import (
@@ -59,6 +60,25 @@ class TestEnumerateDistribution:
         for s, w in zip(dist.subsets, dist.weights):
             det = float(np.linalg.det(m.entries[np.ix_(s, s)]))
             assert rel_err(w, det) < 1e-8
+
+    def test_weights_and_errors_match_referees(self):
+        # every subset: weight against LU, error against the solve referee
+        rng = np.random.default_rng(24)
+        for trial in range(12):
+            n = int(rng.integers(2, 8))
+            r = n if trial % 2 else int(rng.integers(1, n + 1))
+            m = PsdMatrix(random_psd(rng, n, r))
+            for k in range(1, min(r, n - 1) + 1):
+                dist, errors = volcur.sampling._enumerate(m, k, with_errors=True)
+                for s, w, err in zip(dist.subsets, dist.weights, errors):
+                    det = float(np.linalg.det(m.entries[np.ix_(s, s)]))
+                    if w == 0.0:
+                        assert err == 0.0
+                        assert abs(det) < 1e-12 * m.lambda_max ** k
+                        continue
+                    assert rel_err(w, det) < 1e-8
+                    ref, _ = cur_solve(m.entries, s)
+                    assert abs(err - ref) <= 1e-12 * max(abs(ref), m.lambda_max)
 
     def test_normalizer_equals_invariant_sum(self):
         rng = np.random.default_rng(23)
