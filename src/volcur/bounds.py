@@ -60,9 +60,7 @@ def simple_bound(spec: Spectrum, k: int) -> float:
 
     Coincides with the optimal rank-k nuclear error of the spectrum.
     """
-    if not 0 <= k < spec.n:
-        raise ValidationError(f"k must satisfy 0 <= k < n, got k={k}, n={spec.n}")
-    return spec.tail_sum(k)
+    return spec.tail_sum(checked_int(k, "k", 0, spec.n - 1))
 
 
 def geometric_expected_error(q: float, n: int, k: int) -> float:
@@ -104,8 +102,7 @@ def dyadic_upper_bound(spec: Spectrum, k: int, base: float, lmax: int) -> float:
     then returns the dyadic spectrum's own ratio, which dominates the
     spectrum's ratio by entrywise monotonicity.
     """
-    if not 0 <= k < spec.n:
-        raise ValidationError(f"k must satisfy 0 <= k < n, got k={k}, n={spec.n}")
+    k = checked_int(k, "k", 0, spec.n - 1)
     mu = PiecewiseDyadicSpectrum(lmax=lmax, base=base)
     _check_domination(spec, mu)
     return esp_ratio(mu, k)
@@ -121,13 +118,14 @@ def bound_reports(
 
     One ESP table up to max(ks) serves every k, and so does one table of
     the majorant mu, checked for domination once; pass mu to include the
-    majorant bound for a plain spectrum.  A k at or above the rank of a
-    plain spectrum reports a zero ratio: the approximation is then exact
-    in expectation.
+    majorant bound.  A dyadic spec is materialized when mu is given, so
+    that domination is checked entry by entry and every column comes from
+    the same values.  A k at or above the rank of a plain spectrum reports
+    a zero ratio: the approximation is then exact in expectation.
     """
-    for k in ks:
-        if not 0 <= k < spec.n:
-            raise ValidationError(f"k must satisfy 0 <= k < n, got k={k}, n={spec.n}")
+    ks = [checked_int(k, "k", 0, spec.n - 1) for k in ks]
+    if mu is not None and isinstance(spec, PiecewiseDyadicSpectrum):
+        spec = spec.materialized
     kmax = max(ks, default=0)
     rank = spec.rank if isinstance(spec, Spectrum) else spec.n
     exact = np.zeros(kmax + 1)
@@ -135,7 +133,7 @@ def bound_reports(
         top = min(kmax, rank - 1)
         exact[: top + 1] = esp_ratios(spec, top)
     dyadic = None
-    if mu is not None and isinstance(spec, Spectrum):
+    if mu is not None:
         _check_domination(spec, mu)
         dyadic = esp_ratios(mu, kmax)
     reports = []
@@ -174,8 +172,7 @@ def figure_rows(
         raise ValidationError(
             f"spectrum lengths differ: {lam.n} vs {mu.n}")
     _check_domination(lam, mu)
+    ks = [checked_int(k, "k", 1, lam.n - 1) for k in ks]
     kmax = max(ks)
-    if not 1 <= min(ks) <= kmax < lam.n:
-        raise ValidationError("k range must satisfy 1 <= k < n")
     rl, rm = esp_ratios(lam, kmax), esp_ratios(mu, kmax)
     return [(k, float(rl[k]), float(rm[k]), mu.tail_sum(k)) for k in ks]

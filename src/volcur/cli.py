@@ -19,6 +19,7 @@ from .errors import (
     NumericalError,
     ValidationError,
     VolcurError,
+    checked_int,
 )
 from .esp import esp_all, esp_ratios
 from .psd import (
@@ -35,7 +36,6 @@ from .psd import (
 )
 from .sampling import (
     enumerate_distribution,
-    expected_error_bruteforce,
     expected_error_exact,
     sample_subset,
     sample_subsets,
@@ -101,6 +101,13 @@ def _materialize(spec: Spectrum | PiecewiseDyadicSpectrum) -> Spectrum:
     return spec.materialized if isinstance(spec, PiecewiseDyadicSpectrum) else spec
 
 
+def _dyadic_mu(text: str) -> PiecewiseDyadicSpectrum:
+    mu = parse_generator_spec(text)
+    if not isinstance(mu, PiecewiseDyadicSpectrum):
+        raise ValidationError("--mu must be a dyadic generator spec")
+    return mu
+
+
 def _resolve_matrix(args) -> PsdMatrix:
     if args.input is None:
         raise ValidationError("this command requires --input <matrix file>")
@@ -128,9 +135,7 @@ def _ratio_pairs(args) -> list[tuple[int, float]]:
     """(k, e_{k+1}/e_k) over the requested k range."""
     spec = _resolve_spectrum(args)
     ks = _parse_k_range(args.k)
-    if max(ks) >= spec.n:
-        raise ValidationError(f"k range must stay below n = {spec.n}")
-    ratios = esp_ratios(spec, max(ks))
+    ratios = esp_ratios(spec, checked_int(max(ks), "k", 0, spec.n - 1))
     return [(k, float(ratios[k])) for k in ks]
 
 
@@ -157,13 +162,7 @@ def cmd_expected_error(args) -> int:
 def cmd_bounds(args) -> int:
     spec = _resolve_spectrum(args)
     ks = _parse_k_range(args.k)
-    mu = None
-    if args.mu is not None:
-        mu = parse_generator_spec(args.mu)
-        if not isinstance(mu, PiecewiseDyadicSpectrum):
-            raise ValidationError("--mu must be a dyadic generator spec")
-        if isinstance(spec, PiecewiseDyadicSpectrum):
-            spec = spec.materialized
+    mu = None if args.mu is None else _dyadic_mu(args.mu)
     reports = bound_reports(spec, ks, mu=mu)
     lines = [reports[0].csv_header] + [r.csv_row() for r in reports]
     _emit(args, lines)
@@ -221,11 +220,9 @@ def cmd_verify(args) -> int:
     ok = True
     lines = []
     for k in ks:
-        if k >= m.n or k > ed.rank:
-            raise ValidationError(
-                f"k = {k} is out of range for this matrix (n={m.n}, rank={ed.rank})")
+        k = checked_int(k, "k", 1, min(m.n - 1, ed.rank))
         dist = enumerate_distribution(m, k)
-        brute = expected_error_bruteforce(m, k)
+        brute = dist.expected_error
         exact = expected_error_exact(ed.eigenvalues, k)
         scale = max(abs(brute), abs(exact))
         if scale < 1e-12 * m.lambda_max * m.n:
@@ -248,9 +245,7 @@ def cmd_figure(args) -> int:
     if args.spectrum is None or args.mu is None:
         raise ValidationError("figure requires --spectrum (lambda) and --mu (dyadic)")
     lam = _materialize(parse_generator_spec(args.spectrum))
-    mu = parse_generator_spec(args.mu)
-    if not isinstance(mu, PiecewiseDyadicSpectrum):
-        raise ValidationError("--mu must be a dyadic generator spec")
+    mu = _dyadic_mu(args.mu)
     ks = _parse_k_range(args.k)
     rows = figure_rows(lam, mu, ks)
     lines = ["k,ratio_lambda,ratio_mu,simple_bound"] + [

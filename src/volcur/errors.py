@@ -51,9 +51,13 @@ class EigensolverError(NumericalError):
     """The eigensolver failed to converge."""
 
 
-def checked_int(value, name: str, minimum: int) -> int:
-    """value as a Python int (numpy integers too); ValidationError unless it
-    is at least minimum, which is 0 ("nonnegative") or 1 ("positive")."""
+def checked_int(value, name: str, minimum: int, maximum: int | None = None) -> int:
+    """value as a Python int (numpy integers too), the one integer check.
+
+    ValidationError unless value is an integer (2.5 and "3" are not) of at
+    least minimum, which is 0 ("nonnegative") or 1 ("positive"), and, when
+    maximum is given, at most maximum; that error names the bound and value.
+    """
     try:
         value = operator.index(value)
     except TypeError:
@@ -61,4 +65,6 @@ def checked_int(value, name: str, minimum: int) -> int:
     if value is None or value < minimum:
         kind = "positive" if minimum else "nonnegative"
         raise ValidationError(f"{name} must be a {kind} integer")
+    if maximum is not None and value > maximum:
+        raise ValidationError(f"{name} must be at most {maximum}, got {value}")
     return value

@@ -247,7 +247,8 @@ def esp_marginals(spec: Spectrum, k: int) -> np.ndarray:
     and 1 <= i <= n, the chance that entry i joins when r of the first i
     entries remain to be chosen; zero where e_r(v_1..v_i) = 0.
     """
-    scale = float(spec.values[0])
+    k = checked_int(k, "k", 1, spec.n)
+    scale = float(spec.values[0]) or 1.0      # an all-zero spectrum has all-zero marginals
     values = spec.values / scale
     table = np.zeros((min(k, values.size) + 1, values.size + 1))
     table[0, 0] = 2.0**_CENTER         # e_0 of the empty prefix, scaled as row 0
@@ -266,8 +267,7 @@ def esp_geometric_closed_form(q: float, n: int, k: int) -> float:
     """Closed form for e_k(1, q, ..., q^{n-1}); zero when k > n."""
     if not 0.0 < q < 1.0:
         raise ValidationError("q must lie strictly between 0 and 1")
-    if n < 1 or k < 0:
-        raise ValidationError("need n >= 1 and k >= 0")
+    n, k = checked_int(n, "n", 1), checked_int(k, "k", 0)
     if k > n:
         return 0.0
     i = np.arange(1, k + 1, dtype=np.float64)
@@ -282,8 +282,8 @@ def esp_geometric_ratio(q: float, n: int, k: int) -> float:
     """
     if not 0.0 < q < 1.0:
         raise ValidationError("q must lie strictly between 0 and 1")
-    if not 0 <= k <= n:
-        raise ValidationError(f"k must satisfy 0 <= k <= n, got k={k}, n={n}")
+    n = checked_int(n, "n", 1)
+    k = checked_int(k, "k", 0, n)
     return (q**k - q**n) / (1.0 - q ** (k + 1))
 
 

@@ -23,11 +23,7 @@ from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .errors import (
-    EigensolverError,
-    SingularPivotError,
-    ValidationError,
-)
+from .errors import EigensolverError, SingularPivotError, ValidationError, checked_int
 from .esp import esp_all
 from .spectra import Spectrum
 
@@ -58,6 +54,10 @@ class EigenDecomposition:
 
     Only the rank r leading pairs are kept; eigenvalues at or below
     RANK_TOL * lambda_max are treated as zero and their columns dropped.
+    The constructor checks that rank, the eigenvalues and the columns of
+    vectors agree and that the columns are orthonormal to ORTHO_TOL, then
+    keeps a read-only C-ordered copy.  PsdMatrix builds its own through
+    _of_eigh, which owns eigh's kept columns with neither check nor copy.
     """
 
     vectors: np.ndarray
@@ -81,6 +81,14 @@ class EigenDecomposition:
         q.flags.writeable = False
         object.__setattr__(self, "vectors", q)
         object.__setattr__(self, "rank", r)
+
+    @classmethod
+    def _of_eigh(cls, vectors: np.ndarray, eigenvalues: Spectrum) -> EigenDecomposition:
+        """Take ownership of eigh's kept columns: orthonormal by construction."""
+        vectors.flags.writeable = False
+        ed = object.__new__(cls)
+        vars(ed).update(vectors=vectors, eigenvalues=eigenvalues, rank=eigenvalues.n)
+        return ed
 
 
 @dataclass(frozen=True, eq=False)
@@ -127,8 +135,7 @@ class PsdMatrix:
         arr.flags.writeable = False
         object.__setattr__(self, "entries", arr)
         object.__setattr__(self, "lambda_max", lam_max)
-        object.__setattr__(self, "eigen", EigenDecomposition(
-            vectors=v, eigenvalues=Spectrum(w[:r]), rank=r))
+        object.__setattr__(self, "eigen", EigenDecomposition._of_eigh(v, Spectrum(w[:r])))
 
     @property
     def n(self) -> int:
@@ -149,8 +156,6 @@ def eigendecompose(m: PsdMatrix) -> EigenDecomposition:
 
 def optimal_error(spec: Spectrum, k: int) -> float:
     """Nuclear-norm error of the best rank-k approximation: the tail sum."""
-    if k < 0:
-        raise ValidationError("k must be nonnegative")
     return spec.tail_sum(k)
 
 
@@ -160,20 +165,16 @@ def invariant_sums(m: PsdMatrix, up_to: int) -> np.ndarray:
     Computed as elementary symmetric polynomials of the eigenvalues; the
     exhaustive minor enumeration is kept in the test suite as the oracle.
     """
-    if not 0 <= up_to <= m.n:
-        raise ValidationError(f"need 0 <= up_to <= n, got {up_to}")
-    ed = eigendecompose(m)
-    return np.asarray(esp_all(ed.eigenvalues, up_to).coeffs)
+    up_to = checked_int(up_to, "up_to", 0, m.n)
+    return np.asarray(esp_all(eigendecompose(m).eigenvalues, up_to).coeffs)
 
 
 def _checked_subset(subset: Iterable[int], n: int) -> tuple[int, ...]:
-    s = tuple(sorted(int(i) for i in subset))
+    s = tuple(sorted(checked_int(i, "subset index", 0, n - 1) for i in subset))
     if len(s) == 0:
         raise ValidationError("subset must be nonempty")
     if len(set(s)) != len(s):
         raise ValidationError("subset indices must be distinct")
-    if s[0] < 0 or s[-1] >= n:
-        raise ValidationError(f"subset indices must lie in [0, {n - 1}]")
     return s
 
 

@@ -30,7 +30,6 @@ from .errors import (
     CapExceededError,
     DegenerateDistributionError,
     NumericalError,
-    ValidationError,
     checked_int,
 )
 from .esp import esp_marginals, esp_ratio
@@ -68,26 +67,24 @@ class VolumeDistribution:
     weights: np.ndarray        # det M[S,S] per subset
     normalizer: float          # sum of weights = c_k(M)
     probabilities: np.ndarray
+    errors: np.ndarray         # CUR nuclear error per subset, 0 at weight 0
+
+    @property
+    def expected_error(self) -> float:
+        """Sum of p(S) * error(S): the brute-force expected CUR error."""
+        return math.fsum(self.probabilities * self.errors)
 
 
-def _check_k(k: int, n: int) -> int:
-    k = checked_int(k, "k", 1)
-    if k > n:
-        raise ValidationError(f"k = {k} exceeds the matrix size n = {n}")
-    return k
-
-
-def _enumerate(
-    m: PsdMatrix, k: int, with_errors: bool
-) -> tuple[VolumeDistribution, np.ndarray]:
-    """The volume distribution, and the CUR error of each subset if asked.
+def enumerate_distribution(m: PsdMatrix, k: int) -> VolumeDistribution:
+    """All size-k subsets with their volume-sampling probabilities and errors.
 
     One greedy pivoted Cholesky of M over each subset gives both: its
     pivots multiply to the weight det M[S,S], and its residual diagonal
-    sums to the error.  A pivot at or below PIVOT_REL_TOL * lambda_max
-    gives the subset weight zero and error zero (it is never drawn).
+    sums to the CUR error.  A pivot at or below PIVOT_REL_TOL * lambda_max
+    counts the minor as singular: weight zero and error zero (it is never
+    drawn).  Refuses more than ENUMERATION_CAP subsets.
     """
-    k = _check_k(k, m.n)
+    k = checked_int(k, "k", 1, m.n)
     count = math.comb(m.n, k)
     if count > ENUMERATION_CAP:
         raise CapExceededError(
@@ -96,37 +93,25 @@ def _enumerate(
     floor = PIVOT_REL_TOL * m.lambda_max
     subsets = tuple(combinations(range(m.n), k))
     weights = np.zeros(count)
-    errors = np.zeros(count if with_errors else 0)
+    errors = np.zeros(count)
     for idx, s in enumerate(subsets):
         pivots, d, _ = _subset_factor(m, s, floor)
         if len(pivots) < k:
             continue
         weights[idx] = math.prod(pivots)
-        if with_errors:
-            errors[idx] = float(np.sum(d))
+        errors[idx] = float(np.sum(d))
     normalizer = float(weights.sum())
     if normalizer <= 0.0:
         raise DegenerateDistributionError(
             f"every {k}-subset has zero volume: matrix rank is below {k}")
-    dist = VolumeDistribution(
+    return VolumeDistribution(
         k=k,
         subsets=subsets,
         weights=weights,
         normalizer=normalizer,
         probabilities=weights / normalizer,
+        errors=errors,
     )
-    return dist, errors
-
-
-def enumerate_distribution(m: PsdMatrix, k: int) -> VolumeDistribution:
-    """All size-k subsets with their volume-sampling probabilities.
-
-    Subset weights are principal-minor determinants, the products of the
-    pivots of a greedy pivoted Cholesky; a pivot at or below
-    PIVOT_REL_TOL * lambda_max counts the minor as singular (weight zero).
-    Refuses more than ENUMERATION_CAP subsets.
-    """
-    return _enumerate(m, k, with_errors=False)[0]
 
 
 def _pick(weights: np.ndarray, rng: np.random.Generator) -> int:
@@ -188,6 +173,7 @@ def sample_subsets(
     """
     k = checked_int(k, "k", 1)
     draws = checked_int(draws, "draws", 1)
+    seed = checked_int(seed, "seed", 0)
     if k > ed.rank:
         raise DegenerateDistributionError(
             f"cannot volume-sample {k} columns from a rank-{ed.rank} matrix")
@@ -223,8 +209,7 @@ def expected_error_bruteforce(m: PsdMatrix, k: int) -> float:
     comes from the same factor as its weight; zero-weight subsets (singular
     A under the weight floor) add nothing.
     """
-    dist, errors = _enumerate(m, k, with_errors=True)
-    return math.fsum(dist.probabilities * errors)
+    return enumerate_distribution(m, k).expected_error
 
 
 def empirical_error(

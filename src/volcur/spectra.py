@@ -60,9 +60,7 @@ class Spectrum:
 
     def tail_sum(self, k: int) -> float:
         """Sum of entries after the first k (zero when k >= n)."""
-        if k < 0:
-            raise ValidationError("k must be nonnegative")
-        return float(self.values[k:].sum())
+        return float(self.values[checked_int(k, "k", 0):].sum())
 
     def __len__(self) -> int:
         return self.n
@@ -120,8 +118,7 @@ class PiecewiseDyadicSpectrum:
 
     def tail_sum(self, k: int) -> float:
         """Sum of entries after the first k, by level arithmetic."""
-        if k < 0:
-            raise ValidationError("k must be nonnegative")
+        k = checked_int(k, "k", 0)
         total = 0.0
         for level in range(self.lmax):
             lo, hi = 2**level, 2 ** (level + 1) - 1
@@ -137,11 +134,7 @@ def make_spectrum(values: Iterable[float]) -> Spectrum:
                      dtype=np.float64).ravel()
     if arr.size == 0:
         raise ValidationError("spectrum must contain at least one value")
-    if not np.all(np.isfinite(arr)):
-        raise ValidationError("spectrum entries must be finite")
-    if np.any(arr < 0.0):
-        raise ValidationError("spectrum entries must be nonnegative")
-    return Spectrum(np.sort(arr)[::-1].copy())
+    return Spectrum(np.sort(arr)[::-1])
 
 
 def generate_geometric(q: float, n: int) -> Spectrum:
@@ -174,14 +167,13 @@ def split_head_tail(s: Spectrum, k: int) -> HeadTailSplit:
     The pivot is the (k+1)-st value and must be positive, since the tail is
     renormalized as rho = tail / pivot.
     """
-    if not 0 <= k < s.n:
-        raise ValidationError(f"k must satisfy 0 <= k < n, got k={k}, n={s.n}")
+    k = checked_int(k, "k", 0, s.n - 1)
     pivot = float(s.values[k])
     if pivot <= 0.0:
         raise DegenerateTailError(
             f"tail starting at position {k + 1} is all zero; split undefined")
-    head = Spectrum(s.values[:k].copy())
-    tail = Spectrum(s.values[k:].copy())
+    head = Spectrum(s.values[:k])
+    tail = Spectrum(s.values[k:])
     rho = Spectrum(tail.values / pivot)
     return HeadTailSplit(head=head, tail=tail, pivot=pivot, rho=rho, k=k)
 
@@ -189,7 +181,7 @@ def split_head_tail(s: Spectrum, k: int) -> HeadTailSplit:
 def concat(a: Spectrum, b: Spectrum) -> Spectrum:
     """Multiset union of two spectra, re-sorted."""
     merged = np.concatenate([a.values, b.values])
-    return Spectrum(np.sort(merged)[::-1].copy())
+    return Spectrum(np.sort(merged)[::-1])
 
 
 def load_spectrum(path: str | Path) -> Spectrum:

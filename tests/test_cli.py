@@ -1,4 +1,5 @@
 import io
+import math
 import subprocess
 import sys
 from pathlib import Path
@@ -13,6 +14,7 @@ from volcur import (
     EigensolverError,
     PiecewiseDyadicSpectrum,
     PsdMatrix,
+    bound_reports,
     esp_all,
     esp_geometric_ratio,
     esp_ratio,
@@ -155,6 +157,16 @@ class TestBoundsCommand:
         row = out.strip().splitlines()[1].split(",")
         exact, dyadic = float(row[2]), float(row[4])
         assert exact <= dyadic * (1.0 + 1e-12)
+
+    def test_dyadic_spectrum_row_matches_library(self, capsys):
+        code, out, _ = run_cli(
+            ["bounds", "--spectrum", "dyadic:lmax=3,base=0.25", "--k", "1",
+             "--mu", "dyadic:lmax=3,base=0.5"], capsys)
+        assert code == 0
+        [report] = bound_reports(PiecewiseDyadicSpectrum(3, 0.25), [1],
+                                 mu=PiecewiseDyadicSpectrum(3, 0.5))
+        assert report.dyadic_bound is not None
+        assert out.strip().splitlines()[1] == report.csv_row()
 
     def test_tsv_format(self, capsys):
         code, out, _ = run_cli(
@@ -328,6 +340,17 @@ class TestVerifyCommand:
                                capsys)
         assert code == 0
         assert len(out.strip().splitlines()) == 4
+
+    def test_one_enumeration_per_k(self, tmp_path, capsys, monkeypatch):
+        path = tmp_path / "m8.txt"
+        np.savetxt(path, random_psd(np.random.default_rng(9), 8, 8), fmt="%.17g")
+        calls = []
+        factor = volcur.sampling._subset_factor
+        monkeypatch.setattr(volcur.sampling, "_subset_factor",
+                            lambda *args: calls.append(1) or factor(*args))
+        code, out, _ = run_cli(["verify", "--input", str(path), "--k", "1..4"], capsys)
+        assert code == 0 and out.endswith("verify: PASS\n")
+        assert len(calls) == sum(math.comb(8, k) for k in range(1, 5))
 
     def test_size_cap(self, tmp_path, capsys):
         p = tmp_path / "big.txt"

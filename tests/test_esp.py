@@ -237,6 +237,9 @@ class TestBlockedScan:
             if depth == 1:
                 assert np.array_equal(flat(block, n), row[1:])
 
+    def test_marginals_of_a_zero_spectrum_are_zero(self):
+        assert not np.any(esp_marginals(make_spectrum([0.0, 0.0]), 2))
+
     @pytest.mark.parametrize("n, k", [(40, 12), (_LANES, 20), (3 * _LANES + 7, 20)])
     def test_marginals_match_sequential(self, n, k):
         values = np.sort(np.random.default_rng(n).random(n))[::-1]

@@ -69,8 +69,8 @@ class TestEnumerateDistribution:
             r = n if trial % 2 else int(rng.integers(1, n + 1))
             m = PsdMatrix(random_psd(rng, n, r))
             for k in range(1, min(r, n - 1) + 1):
-                dist, errors = volcur.sampling._enumerate(m, k, with_errors=True)
-                for s, w, err in zip(dist.subsets, dist.weights, errors):
+                dist = enumerate_distribution(m, k)
+                for s, w, err in zip(dist.subsets, dist.weights, dist.errors):
                     det = float(np.linalg.det(m.entries[np.ix_(s, s)]))
                     if w == 0.0:
                         assert err == 0.0
