@@ -1,7 +1,8 @@
 """Symmetric positive semidefinite matrices and their CUR skeletons.
 
 A PsdMatrix is eigendecomposed once, on construction: the one eigensolve
-serves the PSD check, the sampler and the expected-error formula.
+serves the PSD check, the sampler and the expected-error formula.  It owns
+one n x n buffer from parse (or formation) through eigensolve.
 
 A subset S of columns/rows induces the blocks A = M[S,S], B = M[~S,S],
 C = M[~S,~S]; the CUR (skeleton) approximation keeps A and B exactly and
@@ -25,7 +26,7 @@ import numpy as np
 
 from .errors import EigensolverError, SingularPivotError, ValidationError, checked_int
 from .esp import esp_all
-from .spectra import Spectrum
+from .spectra import Spectrum, _Owned
 
 __all__ = [
     "PsdMatrix",
@@ -46,6 +47,7 @@ SYM_TOL = 1e-10          # relative asymmetry accepted before symmetrizing
 RANK_TOL = 1e-12         # relative eigenvalue cutoff defining rank
 PIVOT_REL_TOL = 1e-14    # Cholesky pivot breakdown, relative to scale
 ORTHO_TOL = 1e-10
+_BLOCK = 128             # side of the block pairs symmetrized in place
 
 
 @dataclass(frozen=True, eq=False)
@@ -99,8 +101,11 @@ class PsdMatrix:
     the overall scale and rejects anything worse; it rejects matrices whose
     smallest eigenvalue is below -PSD_TOL * lambda_max (no projection).
     The one eigensolve that check needs is kept as `eigen`, the rank-r
-    decomposition that eigendecompose returns.  The symmetry check and the
-    symmetrization share one new buffer, which becomes `entries`.
+    decomposition that eigendecompose returns.  The caller's array is
+    copied once, and never written or kept; the library hands its own
+    arrays over as _Owned.  The checks and (a + a^T) / 2 then run in place
+    on that buffer, one (i <= j) block pair at a time, and it becomes the
+    read-only `entries` that eigh reads.
     """
 
     entries: np.ndarray
@@ -108,20 +113,25 @@ class PsdMatrix:
     eigen: EigenDecomposition = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        a = np.asarray(self.entries, dtype=np.float64)
+        a = self.entries
+        a = a.array if isinstance(a, _Owned) else np.array(a, dtype=np.float64, order="C")
         if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] == 0:
             raise ValidationError("matrix must be square and nonempty")
-        if not np.all(np.isfinite(a)):
+        top, bottom = float(np.max(a)), float(np.min(a))   # not finite if an entry is not
+        if not (math.isfinite(top) and math.isfinite(bottom)):
             raise ValidationError("matrix entries must be finite")
-        scale = max(float(np.max(a)), -float(np.min(a)))
-        arr = np.subtract(a, a.T)
-        asymmetry = float(np.max(np.abs(arr, out=arr)))
-        if asymmetry > SYM_TOL * max(scale, 1e-300):
+        asymmetry = 0.0
+        for i, j in itertools.combinations_with_replacement(range(0, a.shape[0], _BLOCK), 2):
+            x, y = a[i : i + _BLOCK, j : j + _BLOCK], a[j : j + _BLOCK, i : i + _BLOCK]
+            d = np.subtract(x, y.T)
+            asymmetry = max(asymmetry, float(np.max(np.abs(d, out=d))))
+            x[...] = np.divide(np.add(x, y.T, out=d), 2.0, out=d)
+            y[...] = d.T
+        if asymmetry > SYM_TOL * max(top, -bottom, 1e-300):
             raise ValidationError(
                 f"matrix is not symmetric (max asymmetry {asymmetry:.3g})")
-        np.divide(np.add(a, a.T, out=arr), 2.0, out=arr)
         try:
-            w, v = np.linalg.eigh(arr)
+            w, v = np.linalg.eigh(a)
         except np.linalg.LinAlgError as exc:
             raise EigensolverError(f"eigensolver did not converge: {exc}") from exc
         lam_max = max(float(w[-1]), 0.0)
@@ -132,10 +142,10 @@ class PsdMatrix:
         w = w[::-1]
         r = int(np.count_nonzero(w > RANK_TOL * lam_max)) if lam_max > 0.0 else 0
         v = v[:, ::-1][:, :r].copy()   # contiguous; frees eigh's n x n vectors
-        arr.flags.writeable = False
-        object.__setattr__(self, "entries", arr)
+        a.flags.writeable = False
+        object.__setattr__(self, "entries", a)
         object.__setattr__(self, "lambda_max", lam_max)
-        object.__setattr__(self, "eigen", EigenDecomposition._of_eigh(v, Spectrum(w[:r])))
+        object.__setattr__(self, "eigen", EigenDecomposition._of_eigh(v, Spectrum(_Owned(w[:r]))))
 
     @property
     def n(self) -> int:
@@ -275,7 +285,7 @@ def gram_matrix(data: np.ndarray) -> PsdMatrix:
     x = np.asarray(data, dtype=np.float64)
     if x.ndim != 2:
         raise ValidationError("data array must be 2-D")
-    return PsdMatrix(x.T @ x)
+    return PsdMatrix(_Owned(x.T @ x))
 
 
 def rbf_kernel_matrix(data: np.ndarray, sigma: float) -> PsdMatrix:
@@ -290,7 +300,7 @@ def rbf_kernel_matrix(data: np.ndarray, sigma: float) -> PsdMatrix:
     k *= 2.0
     np.clip(np.subtract(np.add.outer(sq, sq), k, out=k), 0.0, None, out=k)
     np.divide(np.negative(k, out=k), 2.0 * sigma * sigma, out=k)
-    return PsdMatrix(np.exp(k, out=k))
+    return PsdMatrix(_Owned(np.exp(k, out=k)))
 
 
 def read_array(path: str | Path) -> np.ndarray:
@@ -352,4 +362,4 @@ def _first_fault(lines: Iterable[str]) -> str | None:
 
 def load_matrix(path: str | Path) -> PsdMatrix:
     """Read a symmetric PSD matrix from a text file."""
-    return PsdMatrix(read_array(path))
+    return PsdMatrix(_Owned(read_array(path)))

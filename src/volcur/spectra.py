@@ -1,7 +1,7 @@
 """Spectra: nonincreasing, nonnegative eigenvalue sequences.
 
-A Spectrum is stored dense in double precision; indices beyond its length
-are implicitly zero.  Generators compute entries by direct formula (no
+A Spectrum is stored dense in double precision, read-only; tail sums past
+its length are zero.  Generators compute entries by direct formula (no
 repeated multiplication), so values do not drift at large n.
 """
 from __future__ import annotations
@@ -9,7 +9,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 import numpy as np
 
@@ -30,14 +30,24 @@ __all__ = [
 ]
 
 
+class _Owned(NamedTuple):
+    """An array the library built and hands to a constructor that keeps it:
+    validated in place, not copied.  Nothing else may touch it afterwards."""
+
+    array: np.ndarray
+
+
 @dataclass(frozen=True, eq=False)
 class Spectrum:
-    """A sorted (nonincreasing) sequence of nonnegative reals."""
+    """A sorted (nonincreasing) sequence of nonnegative reals, read-only.
+
+    Its input is copied, unless the library hands over its own as _Owned."""
 
     values: np.ndarray
 
     def __post_init__(self) -> None:
-        arr = np.array(self.values, dtype=np.float64)
+        arr = self.values
+        arr = arr.array if isinstance(arr, _Owned) else np.array(arr, dtype=np.float64)
         if arr.ndim != 1:
             raise ValidationError("spectrum must be one-dimensional")
         if arr.size and not np.all(np.isfinite(arr)):
@@ -62,15 +72,6 @@ class Spectrum:
         """Sum of entries after the first k (zero when k >= n)."""
         return float(self.values[checked_int(k, "k", 0):].sum())
 
-    def __len__(self) -> int:
-        return self.n
-
-    def __getitem__(self, i: int) -> float:
-        # implicit zero padding beyond n
-        if i < 0:
-            raise IndexError("negative spectrum index")
-        return float(self.values[i]) if i < self.n else 0.0
-
     def __repr__(self) -> str:
         shown = ", ".join(f"{v:g}" for v in self.values[:6])
         more = ", ..." if self.n > 6 else ""
@@ -80,12 +81,11 @@ class Spectrum:
 @dataclass(frozen=True, eq=False)
 class HeadTailSplit:
     """A spectrum split after position k: head (k largest values), tail
-    (the rest), the pivot lambda_{k+1}, and rho = tail / pivot (rho[0] = 1)."""
+    (the rest) and the pivot lambda_{k+1}, the tail's leading value."""
 
     head: Spectrum
     tail: Spectrum
     pivot: float
-    rho: Spectrum
     k: int
 
 
@@ -114,7 +114,7 @@ class PiecewiseDyadicSpectrum:
     def materialized(self) -> Spectrum:
         levels = np.arange(self.lmax)
         values = np.repeat(self.base ** levels.astype(np.float64), 2**levels)
-        return Spectrum(values)
+        return Spectrum(_Owned(values))
 
     def tail_sum(self, k: int) -> float:
         """Sum of entries after the first k, by level arithmetic."""
@@ -134,7 +134,7 @@ def make_spectrum(values: Iterable[float]) -> Spectrum:
                      dtype=np.float64).ravel()
     if arr.size == 0:
         raise ValidationError("spectrum must contain at least one value")
-    return Spectrum(np.sort(arr)[::-1])
+    return Spectrum(_Owned(np.sort(arr)[::-1]))
 
 
 def generate_geometric(q: float, n: int) -> Spectrum:
@@ -143,7 +143,7 @@ def generate_geometric(q: float, n: int) -> Spectrum:
         raise ValidationError("q must lie strictly between 0 and 1")
     n = checked_int(n, "n", 1)
     values = np.arange(n, dtype=np.float64)
-    return Spectrum(np.power(q, values, out=values))
+    return Spectrum(_Owned(np.power(q, values, out=values)))
 
 
 def generate_power_law(p: float, n: int) -> Spectrum:
@@ -153,7 +153,7 @@ def generate_power_law(p: float, n: int) -> Spectrum:
     n = checked_int(n, "n", 1)
     values = np.arange(1, n + 1, dtype=np.float64)
     values **= -float(p)
-    return Spectrum(values)
+    return Spectrum(_Owned(values))
 
 
 def generate_dyadic(lmax: int, base: float) -> PiecewiseDyadicSpectrum:
@@ -164,24 +164,23 @@ def generate_dyadic(lmax: int, base: float) -> PiecewiseDyadicSpectrum:
 def split_head_tail(s: Spectrum, k: int) -> HeadTailSplit:
     """Split s after its k largest entries.
 
-    The pivot is the (k+1)-st value and must be positive, since the tail is
-    renormalized as rho = tail / pivot.
+    The pivot is the (k+1)-st value and must be positive, since the ESP
+    calculus renormalizes the tail by it.  Head and tail are views of s.
     """
     k = checked_int(k, "k", 0, s.n - 1)
     pivot = float(s.values[k])
     if pivot <= 0.0:
         raise DegenerateTailError(
             f"tail starting at position {k + 1} is all zero; split undefined")
-    head = Spectrum(s.values[:k])
-    tail = Spectrum(s.values[k:])
-    rho = Spectrum(tail.values / pivot)
-    return HeadTailSplit(head=head, tail=tail, pivot=pivot, rho=rho, k=k)
+    head = Spectrum(_Owned(s.values[:k]))
+    tail = Spectrum(_Owned(s.values[k:]))
+    return HeadTailSplit(head=head, tail=tail, pivot=pivot, k=k)
 
 
 def concat(a: Spectrum, b: Spectrum) -> Spectrum:
     """Multiset union of two spectra, re-sorted."""
     merged = np.concatenate([a.values, b.values])
-    return Spectrum(np.sort(merged)[::-1])
+    return Spectrum(_Owned(np.sort(merged)[::-1]))
 
 
 def load_spectrum(path: str | Path) -> Spectrum:

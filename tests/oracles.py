@@ -6,7 +6,8 @@ nuclear norms by SVD, CUR matrices by the pseudoinverse formula and
 by triangular solves,
 projection-DPP draws by re-orthonormalizing the basis with a QR per step,
 ESP prefix rows by one serial cumsum per row, in double or long double,
-and the Gaussian kernel as one expression of fresh temporaries.
+the Gaussian kernel as one expression of fresh temporaries, and two
+matrix families whose spectra and expected errors have closed forms.
 """
 from __future__ import annotations
 
@@ -187,3 +188,33 @@ def rbf_kernel_expression(x: np.ndarray, sigma: float) -> np.ndarray:
     d2 = sq[:, None] + sq[None, :] - 2.0 * (x @ x.T)
     np.clip(d2, 0.0, None, out=d2)
     return np.exp(-d2 / (2.0 * sigma * sigma))
+
+
+def brownian_covariance(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """min(i, j) for i, j = 1..n and its eigenvalues, nonincreasing.
+
+    lambda_j = 1 / (4 sin^2((2j - 1) pi / (2 (2n + 1)))), j = 1..n: the
+    inverse of min(i, j) is the second-difference matrix with a free end.
+    """
+    i = np.arange(1, n + 1, dtype=np.float64)
+    angles = (2.0 * i - 1.0) * np.pi / (2.0 * (2 * n + 1))
+    return np.minimum.outer(i, i), 1.0 / (4.0 * np.sin(angles) ** 2)
+
+
+def identity_plus_ones(n: int, a: float, b: float) -> tuple[np.ndarray, np.ndarray]:
+    """a I + b 1 1^T and its eigenvalues (a + n b, a, ..., a), for a, b > 0."""
+    m = np.full((n, n), b)
+    m.flat[:: n + 1] += a
+    return m, np.r_[a + n * b, np.full(n - 1, a)]
+
+
+def identity_plus_ones_expected_error(n: int, a: float, b: float) -> np.ndarray:
+    """(k+1) e_{k+1} / e_k of (a + n b, a, ..., a) for k = 1..n-1, by binomials.
+
+    With c = a + n b, e_k = C(n-1, k) a^k + c C(n-1, k-1) a^(k-1), so
+    e_{k+1} / e_k = a (n-k)/k ((n-k-1) a/(k+1) + c) / ((n-k) a/k + c).
+    """
+    k = np.arange(1, n, dtype=np.float64)
+    c = a + n * b
+    ratio = a * (n - k) / k * ((n - k - 1) * a / (k + 1) + c) / ((n - k) * a / k + c)
+    return (k + 1) * ratio

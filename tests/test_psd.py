@@ -69,6 +69,50 @@ class TestPsdMatrix:
         with pytest.raises(TypeError):
             PsdMatrix(np.eye(2), lambda_max=99.0)
 
+    @pytest.mark.parametrize("n", [2, 127, 128, 300])
+    def test_blocked_symmetrization_matches_whole_array(self, n):
+        # the block pairs give (a + a^T) / 2 and max |a - a^T| bit for bit
+        a = random_psd(np.random.default_rng(n), n, n) + np.eye(n)
+        a += 1e-12 * np.random.default_rng(n + 1).standard_normal((n, n))
+        want = (a + a.T) / 2.0
+        assert PsdMatrix(a).entries.tobytes() == want.tobytes()
+        a[n - 1, 0] += 1.0
+        with pytest.raises(ValidationError, match=f"{np.max(np.abs(a - a.T)):.3g}"):
+            PsdMatrix(a)
+
+
+def caller_arrays():
+    """Inputs whose caller must get them back unchanged, keyed by case."""
+    n = 200
+    base = random_psd(np.random.default_rng(40), n, 2 * n)
+    scale = float(np.max(np.abs(base)))
+    near = base.copy()
+    near[3, 150] += 1e-12 * scale           # within SYM_TOL: symmetrized
+    frozen = base.copy()
+    frozen.flags.writeable = False
+    far = base.copy()
+    far[3, 150] += 1e-3 * scale             # rejected as asymmetric
+    return {"near_symmetric": near, "read_only": frozen,
+            "float32": base.astype(np.float32), "rejected_asymmetric": far}
+
+
+@pytest.mark.parametrize("case", sorted(caller_arrays()))
+@pytest.mark.parametrize("build", [PsdMatrix, gram_matrix, lambda x: rbf_kernel_matrix(x, 30.0)],
+                         ids=["PsdMatrix", "gram_matrix", "rbf_kernel_matrix"])
+def test_caller_array_is_neither_written_nor_kept(case, build):
+    a = caller_arrays()[case]
+    before, writeable = a.tobytes(), a.flags.writeable
+    try:
+        m = build(a)
+    except ValidationError:
+        assert case == "rejected_asymmetric" and build is PsdMatrix
+    else:
+        assert case != "rejected_asymmetric" or build is not PsdMatrix
+        for kept in (m.entries, m.eigen.vectors, m.eigen.eigenvalues.values):
+            assert not np.shares_memory(kept, a)
+    assert a.tobytes() == before
+    assert a.flags.writeable == writeable
+
 
 class TestEigendecompose:
     def test_diagonal(self):

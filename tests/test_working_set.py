@@ -14,6 +14,7 @@ from volcur import (
     PsdMatrix,
     esp_ratios,
     generate_power_law,
+    load_matrix,
     parse_generator_spec,
     rbf_kernel_matrix,
     read_array,
@@ -36,10 +37,10 @@ def test_esp_ratios_holds_two_arrays_beside_the_spectrum():
     assert traced_peak(lambda: esp_ratios(spec, 64)) <= 2.2 * spec.values.nbytes
 
 
-def test_generated_spectrum_holds_two_arrays():
-    # the generated values and the Spectrum's own copy
+def test_generated_spectrum_holds_its_values():
+    # the generated values, kept as the Spectrum's, and one boolean check
     n = 2**20 - 1
-    assert traced_peak(lambda: generate_power_law(2.0, n)) <= 2.2 * 8 * n
+    assert traced_peak(lambda: generate_power_law(2.0, n)) <= 1.2 * 8 * n
 
 
 def test_read_array_holds_the_array_not_the_text(spd1000):
@@ -47,14 +48,23 @@ def test_read_array_holds_the_array_not_the_text(spd1000):
 
 
 def test_psd_matrix_holds_three_matrices_above_its_input():
-    # the symmetrized entries, the eigenvectors, and one n x n scratch
+    # its copy of the input (the entries), eigh's eigenvectors and the kept ones
     n = 500
     a = random_psd(np.random.default_rng(5), n, n)
     assert traced_peak(lambda: PsdMatrix(a)) <= 3.1 * a.nbytes
 
 
-def test_rbf_kernel_matrix_holds_four_matrices():
-    # the kernel, then PsdMatrix's three above it
+def test_rbf_kernel_matrix_holds_three_matrices():
+    # the kernel, which becomes the entries, then eigh's eigenvectors and the kept ones
     n = 500
     x = np.random.default_rng(6).standard_normal((n, 5))
-    assert traced_peak(lambda: rbf_kernel_matrix(x, 1.3)) <= 4.1 * 8 * n * n
+    assert traced_peak(lambda: rbf_kernel_matrix(x, 1.3)) <= 3.1 * 8 * n * n
+
+
+def test_load_matrix_keeps_the_parsed_array(spd1000):
+    # the parsed array becomes the entries: one n x n below parse-then-copy
+    size = 8 * 1000**2
+    owning = traced_peak(lambda: load_matrix(spd1000))
+    copying = traced_peak(lambda: PsdMatrix(read_array(spd1000)))
+    assert owning <= 3.1 * size
+    assert owning <= copying - 0.95 * size
