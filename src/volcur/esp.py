@@ -8,13 +8,11 @@ by plain rounding.
 Every ESP of the package is computed here, carried internally as a
 mantissa and an integer exponent, e_j = mantissa * 2^exponent, so values
 far outside double range keep full precision.  Plain spectra run one
-prefix recursion (_prefix_rows) whose rows are rescaled by exact powers
-of two; dyadic spectra multiply per-level binomial coefficients, aligning
-exponents per order.  The prefix sums are a blocked scan over a
-(depth, lanes) layout, not one serial cumsum per row, which dominated
-commands on spectra of a million entries; the scan's rounding error grows
-with depth + lanes instead of n.  Each row overwrites the last in one
-buffer, so a recursion holds the spectrum plus two n-entry arrays.
+prefix recursion (_prefix_rows), rescaled by exact powers of two; dyadic
+spectra multiply per-level binomial coefficients, aligning exponents per
+order.  The recursion is a blocked scan that runs every order over one
+chunk of 16 x 4096 entries before the next, so whatever n it holds the
+spectrum plus three chunk-sized arrays (1.7 MB traced at n = 10^6).
 
 Ratios (esp_ratios) and the sampler's marginals (esp_marginals) are
 quotients of such values, so they are scale free; only esp_all, which
@@ -44,9 +42,9 @@ __all__ = [
     "esp_dyadic_convolution",
 ]
 
-_CENTER, _SLACK = 512, 256         # prefix rows: total within 2^(512 +- 256)
+_CENTER, _SLACK = 512, 256         # prefix rows: running total within 2^(512 +- 256)
 _LANES = 4096                      # prefix rows: lanes of the blocked scan, by timing
-_SLAB = 16                         # prefix rows: depth rows per in-place multiply, by timing
+_CHUNK = 16 * _LANES               # prefix rows: entries per chunk, cache-sized by timing
 
 
 @dataclass(frozen=True, eq=False)
@@ -81,69 +79,71 @@ class EspVector:
 
 
 def _prefix_rows(values: np.ndarray, scale: float, m: int):
-    """Yield (block, exponent) for j = 0..min(m, n): the prefix row e_j(x[:i]), x = values / scale.
+    """Yield (j, lo, block, exponent): prefix row e_j of x = values / scale over one chunk.
 
-    The row is kept blocked: x is laid out once, zero-padded, as a
-    C-contiguous (depth, lanes) array with x[b*depth + t] at [t, b], and
-    block[t, b] * 2**exponent = e_j(x[:b*depth + t + 1]).  Padding leaves
-    the row at its total, so block[-1, -1] holds e_j(x).  Row j is the
+    All orders j = 0..min(m, n) run over the chunk of at most _CHUNK
+    entries starting at lo before the next chunk.  The chunk is laid out,
+    zero-padded, as a C-contiguous (depth, lanes) array with x[lo + b*depth
+    + t] at [t, b], and block[t, b] * 2**exponent = e_j(x[:lo + b*depth +
+    t + 1]); padding holds the running total block[-1, -1].  Row j is the
     prefix sum of x times row j-1 shifted by one: take the products, the
-    per-lane totals, their exclusive prefix sum as each lane's carry, then
-    scan down the depth axis with one vector add of length lanes per step.
-    numpy's cumsum adds one entry at a time; the scan adds lanes of them,
-    and its rounding error grows with depth + lanes instead of n.  With
-    n <= _LANES the depth is 1 and each row is that cumsum, bit for bit.
+    per-lane totals, their exclusive prefix sum plus the order's carry (e_j
+    of the prefix before the chunk, which also leads the products of order
+    j+1) as the lanes' carries, then scan down the depth axis with one
+    vector add of length lanes per step.  Rounding error grows with depth +
+    lanes + chunks, not with n as in a serial cumsum; with n <= _LANES each
+    row is that cumsum bit for bit, and with n <= _CHUNK the one chunk is
+    the whole row.  Rows alternate between two chunk buffers, so a block is
+    only valid until the next one is requested.
 
-    One buffer holds the row: save its last depth row, then overwrite it
-    bottom-up in slabs of _SLAB depth rows, as numpy copies an input that
-    overlaps its output and one call would copy the whole row.
-
-    A row whose total leaves 2^(512 +- 256) is rescaled by an exact power
-    of two, so values round as in the unscaled recursion wherever that one
-    stays in double range.  The window sits high: with x <= 1 a row grows
-    by at most a factor n per step but can shrink by any factor.  The
-    buffer is reused, so a block is only valid until the next one is
-    requested.
+    A row whose running total leaves 2^(512 +- 256) is rescaled by an exact
+    power of two, so values round as in the unscaled recursion wherever
+    that one stays in double range.  The window sits high: with x <= 1 a
+    row grows by at most a factor n per step but can shrink by any factor.
+    Each chunk decides its own, so an order's exponent can change by chunk.
     """
     n = int(values.size)
-    depth = max(-(-n // _LANES), 1)
-    lanes = max(-(-n // depth), 1)
-    x = np.zeros((depth, lanes))
-    full, rest = divmod(n, depth)
-    np.divide(values[: full * depth].reshape(full, depth), scale, out=x.T[:full])
-    if rest:
-        np.divide(values[full * depth :], scale, out=x.T[full, :rest])
-    row = np.full((depth, lanes), 2.0**_CENTER)
-    steps = list(zip(row[:-1], row[1:]))     # (row t-1, row t) views
-    slabs = [(max(hi - _SLAB, 1), hi) for hi in range(depth, 1, -_SLAB)]
-    carry = np.zeros(lanes)
-    exponent = -_CENTER
-    yield row, exponent
-    first = 2.0**_CENTER               # e_{j-1} of the empty prefix
-    for _ in range(min(m, n)):
-        last = row[-1, :-1].copy()
-        for lo, hi in slabs:
-            np.multiply(x[lo:hi], row[lo - 1 : hi - 1], out=row[lo:hi])
-        np.multiply(x[0, 1:], last, out=row[0, 1:])
-        row[0, 0] = x[0, 0] * first
-        first = 0.0
-        np.cumsum(row.sum(axis=0)[:-1], out=carry[1:])
-        row[0] += carry
-        for above, below in steps:
-            np.add(below, above, out=below)
-        total = row[-1, -1]
-        shift = math.frexp(total)[1] - _CENTER
-        if total and abs(shift) > _SLACK:
-            np.ldexp(row, -shift, out=row)
-            exponent += shift
-        yield row, exponent
+    carry = [2.0**_CENTER] + [0.0] * min(m, n)   # e_j of the prefix before the chunk,
+    exps = [-_CENTER] * len(carry)               # as carry[j] * 2**exps[j]
+    for lo in range(0, max(n, 1), _CHUNK):
+        chunk = values[lo : lo + _CHUNK]
+        depth = max(-(-chunk.size // _LANES), 1)
+        lanes = max(-(-chunk.size // depth), 1)
+        if not lo:                     # the first chunk is the largest
+            bufs = np.empty((3, depth * lanes))
+        x, *rows = (buf[: depth * lanes].reshape(depth, lanes) for buf in bufs)
+        steps = [list(zip(row[:-1], row[1:])) for row in rows]   # (row t-1, row t) views
+        full, rest = divmod(chunk.size, depth)
+        x.T[full:] = 0.0
+        np.divide(chunk[: full * depth].reshape(full, depth), scale, out=x.T[:full])
+        if rest:
+            np.divide(chunk[full * depth :], scale, out=x.T[full, :rest])
+        out, exponent = rows[0], -_CENTER
+        out.fill(2.0**_CENTER)
+        yield 0, lo, out, exponent
+        for j in range(1, len(carry)):
+            row, out = out, rows[j % 2]
+            np.multiply(x[1:], row[:-1], out=out[1:])
+            np.multiply(x[0, 1:], row[-1, :-1], out=out[0, 1:])
+            out[0, 0] = x[0, 0] * math.ldexp(carry[j - 1], exps[j - 1] - exponent)
+            carry[j - 1], exps[j - 1] = float(row[-1, -1]), exponent
+            out[0, 1:] += np.cumsum(out.sum(axis=0)[:-1])
+            out[0] += math.ldexp(carry[j], exps[j] - exponent)
+            for above, below in steps[j % 2]:
+                np.add(below, above, out=below)
+            shift = math.frexp(out[-1, -1])[1] - _CENTER
+            if out[-1, -1] and abs(shift) > _SLACK:
+                np.ldexp(out, -shift, out=out)
+                exponent += shift
+            yield j, lo, out, exponent
+        carry[-1], exps[-1] = float(out[-1, -1]), exponent
 
 
 def _totals(rows, m: int) -> tuple[np.ndarray, np.ndarray]:
     """The totals of _prefix_rows as (mantissas, exponents), zeros beyond n."""
     last = np.zeros(m + 1)
     exps = np.zeros(m + 1, dtype=np.int64)
-    for j, (block, exponent) in enumerate(rows):
+    for j, _, block, exponent in rows:
         last[j], exps[j] = block[-1, -1], exponent
     mant, shift = np.frexp(last)
     return mant, np.where(mant > 0.0, exps + shift, 0)
@@ -249,18 +249,24 @@ def esp_marginals(spec: Spectrum, k: int) -> np.ndarray:
     """
     k = checked_int(k, "k", 1, spec.n)
     scale = float(spec.values[0]) or 1.0      # an all-zero spectrum has all-zero marginals
-    values = spec.values / scale
-    table = np.zeros((min(k, values.size) + 1, values.size + 1))
+    table = np.zeros((k + 1, spec.n + 1))     # the ESP table, then the marginals in place
     table[0, 0] = 2.0**_CENTER         # e_0 of the empty prefix, scaled as row 0
-    exps = np.zeros(table.shape[0], dtype=np.int64)
-    for j, (block, exponent) in enumerate(_prefix_rows(spec.values, scale, k)):
-        table[j, 1:] = block.T.reshape(-1)[: values.size]
+    exps = np.zeros(k + 1, dtype=np.int64)
+    for j, lo, block, exponent in _prefix_rows(spec.values, scale, k):
+        if exponent != exps[j]:        # earlier chunks of the order to this one's exponent
+            np.ldexp(table[j, 1 : lo + 1], exps[j] - exponent, out=table[j, 1 : lo + 1])
+        table[j, lo + 1 : lo + 1 + _CHUNK] = block.T.reshape(-1)[: spec.n - lo]
         exps[j] = exponent
-    num = np.ldexp(values * table[:-1, :-1], -np.diff(exps)[:, None])
-    den = table[1:, 1:]
-    out = np.zeros((k + 1, values.size + 1))
-    np.divide(num, den, out=out[1:, 1:], where=den > 0.0)
-    return out
+    del block                          # the last view of the scan's buffers: free them
+    # right to left and top down, so each step reads entries not yet overwritten
+    for lo in reversed(range(0, spec.n, _CHUNK)):
+        x = spec.values[lo : lo + _CHUNK] / scale
+        for r in range(k, 0, -1):
+            num = np.ldexp(x * table[r - 1, lo : lo + x.size], exps[r - 1] - exps[r])
+            den = table[r, lo + 1 : lo + 1 + x.size]
+            np.divide(num, den, out=den, where=den > 0.0)
+    table[0] = 0.0
+    return table
 
 
 def esp_geometric_closed_form(q: float, n: int, k: int) -> float:
@@ -327,11 +333,5 @@ def esp_ratio_head_tail(split: HeadTailSplit, k: int) -> tuple[float, float]:
 
 
 def esp_dyadic_convolution(spec: PiecewiseDyadicSpectrum, m: int) -> EspVector:
-    """e_0..e_m of a dyadic spectrum by per-level binomial convolution.
-
-    Each constant level has a closed-form coefficient vector; the full
-    spectrum is their union, so its coefficients are the truncated Cauchy
-    product of the levels: O(lmax * (m+1)^2), independent of n.  esp_all
-    takes the same path for dyadic input.
-    """
+    """e_0..e_m of a dyadic spectrum by esp_all's per-level binomial product, O(lmax m^2)."""
     return esp_all(spec, m)

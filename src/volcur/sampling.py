@@ -13,10 +13,10 @@ enumeration oracle for it, an exact sampler, and a Monte Carlo estimate.
 Given the eigendecomposition, one draw costs O(n k^2): O(n) to choose the
 k eigenvectors, then k rank-one updates of length n per projection DPP.
 
-Randomness: a counter-based Philox generator keyed by the seed.  Parallel
-callers split streams with Philox(seed).jumped(i) for substream i; every
-categorical draw uses explicit inverse-CDF lookup, so identical seeds give
-bit-identical subsets.
+Randomness: sample_subsets takes an integer seed and draws every subset,
+in order, from one counter-based Philox(seed) stream; there is no
+substream argument.  Every categorical draw uses explicit inverse-CDF
+lookup, so identical seeds give bit-identical subsets.
 """
 from __future__ import annotations
 

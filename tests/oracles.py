@@ -69,20 +69,25 @@ def sequential_marginals(values: np.ndarray, k: int) -> np.ndarray:
     return out
 
 
-def longdouble_ratios(values: np.ndarray, kmax: int) -> np.ndarray:
-    """e_{k+1}/e_k for k = 0..kmax by the serial recursion in long double.
+def longdouble_prefix_rows(values: np.ndarray, m: int):
+    """Yield row for j = 0..min(m, n): row[i] = e_j(values[:i]), in long double.
 
-    No rescaling: only for spectra whose ESPs stay in long double range.
+    The serial recursion without rescaling: only for spectra whose ESPs
+    stay in long double range.
     """
     x = np.asarray(values, dtype=np.longdouble)
     row = np.ones(x.size + 1, dtype=np.longdouble)
-    last = [row[-1]]
-    for _ in range(kmax + 1):
+    yield row
+    for _ in range(min(m, x.size)):
         nxt = np.zeros_like(row)
         np.cumsum(x * row[:-1], out=nxt[1:])
         row = nxt
-        last.append(row[-1])
-    last = np.array(last)
+        yield row
+
+
+def longdouble_ratios(values: np.ndarray, kmax: int) -> np.ndarray:
+    """e_{k+1}/e_k for k = 0..kmax from longdouble_prefix_rows."""
+    last = np.array([row[-1] for row in longdouble_prefix_rows(values, kmax + 1)])
     return last[1:] / last[:-1]
 
 

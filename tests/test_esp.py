@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from oracles import (
     esp_brute,
+    longdouble_prefix_rows,
     longdouble_ratios,
     sequential_marginals,
     sequential_prefix_rows,
@@ -28,7 +29,7 @@ from volcur import (
     make_spectrum,
     split_head_tail,
 )
-from volcur.esp import _LANES, _prefix_rows, esp_marginals
+from volcur.esp import _CHUNK, _LANES, _prefix_rows, esp_marginals
 
 spectrum_lists = st.lists(
     st.floats(min_value=1e-3, max_value=1e3, allow_nan=False), min_size=1, max_size=10)
@@ -183,9 +184,39 @@ class TestEspRatio:
         assert lhs >= rhs * (1.0 - 1e-10)
 
 
-def flat(block: np.ndarray, n: int) -> np.ndarray:
-    """Entries 1..n of a prefix row from its (depth, lanes) block."""
-    return block.T.reshape(-1)[:n]
+def scan(values: np.ndarray, scale: float, m: int) -> list:
+    """_prefix_rows gathered per order: one (row, exponent) per chunk.
+
+    row[i] * 2**exponent = e_j(x[:lo + i + 1]) for the chunk starting at lo.
+    Checks each chunk's (depth, lanes) block and that its padding holds the
+    chunk's running total.
+    """
+    orders = {}
+    for j, lo, block, exponent in _prefix_rows(values, scale, m):
+        chunks = orders.setdefault(j, [])
+        assert lo == _CHUNK * len(chunks)
+        size = min(values.size - lo, _CHUNK)
+        depth = -(-size // _LANES)
+        assert block.shape == (depth, -(-size // depth))
+        entries = block.T.reshape(-1)
+        assert np.all(entries[size - 1:] == block[-1, -1])
+        chunks.append((entries[:size].copy(), exponent))
+    assert len(orders) == min(m, values.size) + 1
+    return list(orders.values())
+
+
+def joined(chunks: list) -> tuple[np.ndarray, int]:
+    """One order's chunks as one row at the last chunk's exponent."""
+    last = chunks[-1][1]
+    return np.concatenate([np.ldexp(row, e - last) for row, e in chunks]), last
+
+
+def chunk_exponents(values: np.ndarray, m: int) -> dict:
+    """The exponents each order takes over the chunks, without keeping rows."""
+    exps = {}
+    for j, _, _, exponent in _prefix_rows(values, float(values[0]), m):
+        exps.setdefault(j, set()).add(exponent)
+    return exps
 
 
 class TestBlockedScan:
@@ -202,45 +233,46 @@ class TestBlockedScan:
     def test_bit_identical_up_to_lanes(self, n):
         for values in self.spectra(n):
             scale = float(values[0])
-            pairs = zip(_prefix_rows(values, scale, 40),
-                        sequential_prefix_rows(values / scale, 40))
-            for (block, exponent), (row, want) in pairs:
-                assert block.shape == (1, n)
+            pairs = zip(scan(values, scale, 40), sequential_prefix_rows(values / scale, 40))
+            for chunks, (row, want) in pairs:
+                [(got, exponent)] = chunks          # one chunk, of depth 1
                 assert exponent == want
-                assert np.array_equal(flat(block, n), row[1:])
-                assert block[-1, -1] == row[-1]
+                assert np.array_equal(got, row[1:])
 
     def test_bit_identical_through_rescales(self):
         # row j shrinks by about 2^-j: a rescale every 256 / j rows or so
         values = generate_geometric(0.5, 2000).values
         rescaled = 0
-        pairs = zip(_prefix_rows(values, 1.0, 1100), sequential_prefix_rows(values, 1100))
-        for (block, exponent), (row, want) in pairs:
+        pairs = zip(scan(values, 1.0, 1100), sequential_prefix_rows(values, 1100))
+        for [(got, exponent)], (row, want) in pairs:
             rescaled += exponent != -512
             assert exponent == want
-            assert np.array_equal(flat(block, values.size), row[1:])
+            assert np.array_equal(got, row[1:])
         assert rescaled > 1000
 
-    @pytest.mark.parametrize("n", [_LANES - 1, _LANES, _LANES + 1, 3 * _LANES + 7])
+    @pytest.mark.parametrize("n", [_LANES - 1, _LANES, _LANES + 1, 3 * _LANES + 7,
+                                   _CHUNK - 1, _CHUNK, _CHUNK + 1, 3 * _CHUNK + 7])
     def test_padding(self, n):
+        # the values' referee is the long-double recursion: the double one
+        # drifts by up to 3.3e-14 at 3 chunks + 7 (7.0e-15 for the scan)
         values = np.sort(np.random.default_rng(n).random(n))[::-1]
         scale = float(values[0])
-        depth = -(-n // _LANES)
-        pairs = zip(_prefix_rows(values, scale, 30),
-                    sequential_prefix_rows(values / scale, 30))
-        for (block, exponent), (row, want) in pairs:
-            assert block.shape == (depth, -(-n // depth))
+        pairs = zip(scan(values, scale, 30), sequential_prefix_rows(values / scale, 30),
+                    longdouble_prefix_rows(values / scale, 30))
+        for chunks, (row, want), exact in pairs:
+            assert len(chunks) == -(-n // _CHUNK)
+            got, exponent = joined(chunks)
             assert exponent == want
-            # padding holds the total
-            assert np.all(block.T.reshape(-1)[n - 1:] == block[-1, -1])
-            np.testing.assert_allclose(flat(block, n), row[1:], rtol=2e-14, atol=0.0)
-            if depth == 1:
-                assert np.array_equal(flat(block, n), row[1:])
+            np.testing.assert_allclose(np.ldexp(got, exponent), exact[1:].astype(np.float64),
+                                       rtol=2e-14, atol=0.0)
+            if n <= _LANES:
+                assert np.array_equal(got, row[1:])
 
     def test_marginals_of_a_zero_spectrum_are_zero(self):
         assert not np.any(esp_marginals(make_spectrum([0.0, 0.0]), 2))
 
-    @pytest.mark.parametrize("n, k", [(40, 12), (_LANES, 20), (3 * _LANES + 7, 20)])
+    @pytest.mark.parametrize("n, k", [(40, 12), (_LANES, 20), (3 * _LANES + 7, 20),
+                                      (_CHUNK, 20), (3 * _CHUNK + 7, 20)])
     def test_marginals_match_sequential(self, n, k):
         values = np.sort(np.random.default_rng(n).random(n))[::-1]
         got = esp_marginals(make_spectrum(values), k)
@@ -254,7 +286,7 @@ class TestBlockedScan:
                         reason="long double is no wider than double here")
     @pytest.mark.parametrize("p, n, kmax", [(2.0, 10**6, 64), (1.0, 10**5, 32)])
     def test_at_least_as_accurate_as_sequential(self, p, n, kmax):
-        # measured: 6.9e-15 vs 1.4e-13 (p = 2) and 2.9e-15 vs 2.9e-14 (p = 1)
+        # measured: 9.1e-15 vs 1.4e-13 (p = 2) and 4.9e-15 vs 2.9e-14 (p = 1)
         s = generate_power_law(p, n)
         want = longdouble_ratios(s.values, kmax)
 
@@ -264,6 +296,39 @@ class TestBlockedScan:
         blocked = worst(esp_ratios(s, kmax))
         assert blocked <= worst(sequential_ratios(s.values, kmax))
         assert blocked < 2e-14
+
+    @pytest.mark.skipif(np.finfo(np.longdouble).eps == np.finfo(np.float64).eps,
+                        reason="long double is no wider than double here")
+    def test_deep_spectrum_rescales_inside_later_chunks(self):
+        # lambda_i = 1/i over 4 chunks; the bound was set before the first run
+        s = generate_power_law(1.0, 200_000)
+        moved = [j for j, exps in chunk_exponents(s.values, 200).items() if len(exps) > 1]
+        assert len(moved) > 50
+        want = longdouble_ratios(s.values, 199)
+
+        def worst(ratios):
+            return float(np.max(np.abs(ratios - want) / want))
+
+        blocked = worst(esp_ratios(s, 199))
+        assert blocked <= worst(sequential_ratios(s.values, 199))
+        assert blocked < 3e-14
+
+    def test_flat_spectrum_across_chunks(self):
+        # e_j of n ones is C(n, j): ratio (n - k) / (k + 1), marginal r / i
+        # for i >= r; the bounds were set before the first run
+        n, k = 3 * _CHUNK + 7, 20
+        values = np.ones(n)
+        moved = [j for j, exps in chunk_exponents(values, k).items() if len(exps) > 1]
+        assert moved
+        kmax = np.arange(200)
+        np.testing.assert_allclose(esp_ratios(make_spectrum(values), 199),
+                                   (n - kmax) / (kmax + 1), rtol=3e-14, atol=0.0)
+        got = esp_marginals(make_spectrum(values), k)
+        i = np.arange(n + 1)
+        assert not np.any(got[0])
+        for r in range(1, k + 1):
+            want = np.where(i >= r, r / np.maximum(i, 1), 0.0)
+            np.testing.assert_allclose(got[r], want, rtol=1e-13, atol=0.0)
 
 
 class TestGeometricClosedForm:

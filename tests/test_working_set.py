@@ -2,12 +2,14 @@
 
 tracemalloc sees numpy's array buffers, so its peak is what a call holds
 at once, in units of its input: n-entry arrays for a spectrum, n x n
-arrays for a matrix.  The peaks repeat exactly from run to run.  LAPACK's
-own workspace inside eigh is not traced.
+arrays for a matrix.  The ESP scan works over fixed-size chunks, so its
+budgets are constants in bytes, checked at two sizes.  The peaks repeat
+exactly from run to run.  LAPACK's own workspace inside eigh is not traced.
 """
 import tracemalloc
 
 import numpy as np
+import pytest
 
 from oracles import random_psd
 from volcur import (
@@ -19,6 +21,7 @@ from volcur import (
     rbf_kernel_matrix,
     read_array,
 )
+from volcur.esp import esp_marginals
 
 
 def traced_peak(fn) -> int:
@@ -31,10 +34,19 @@ def traced_peak(fn) -> int:
         tracemalloc.stop()
 
 
-def test_esp_ratios_holds_two_arrays_beside_the_spectrum():
-    # the scaled values and one row buffer
-    spec = parse_generator_spec("pow:p=2,n=1000000")
-    assert traced_peak(lambda: esp_ratios(spec, 64)) <= 2.2 * spec.values.nbytes
+@pytest.mark.parametrize("n", [10**6, 4 * 10**6])
+def test_esp_ratios_holds_three_chunks_whatever_n(n):
+    # the scaled chunk and two row buffers of 16 x 4096 entries: 1.69 MB traced
+    spec = parse_generator_spec(f"pow:p=2,n={n}")
+    assert traced_peak(lambda: esp_ratios(spec, 64)) <= 2.5e6
+
+
+@pytest.mark.parametrize("n, k", [(200_000, 20), (800_000, 5)])
+def test_esp_marginals_holds_its_table_and_a_few_chunks(n, k):
+    # the (k + 1, n + 1) table, which becomes the result, plus 2.11 MB traced
+    spec = generate_power_law(2.0, n)
+    table = 8 * (k + 1) * (n + 1)
+    assert traced_peak(lambda: esp_marginals(spec, k)) <= table + 2.5e6
 
 
 def test_generated_spectrum_holds_its_values():
