@@ -13,18 +13,17 @@ of j x j principal minors.  This package provides
              ingestion;
 * sampling:  exact volume sampler, exhaustive distribution, expected-error
              formula with its brute-force oracle, Monte Carlo estimate;
-* bounds:    tail-sum and dyadic-majorant bounds on e_{k+1}/e_k;
-* cli:       the `volcur` command (CSV/TSV output).
+* bounds:    report rows: the exact ratio e_{k+1}/e_k beside its tail-sum
+             and dyadic-majorant bounds, and figure data;
+* cli:       the `volcur` command, the one module that formats output
+             (CSV/TSV).
 """
 
 from .bounds import (
     BoundReport,
     bound_report,
     bound_reports,
-    dyadic_upper_bound,
     figure_rows,
-    geometric_expected_error,
-    simple_bound,
 )
 from .errors import (
     BoundInapplicableError,
@@ -70,14 +69,12 @@ from .sampling import (
     enumerate_distribution,
     expected_error_bruteforce,
     expected_error_exact,
-    sample_subset,
     sample_subsets,
 )
 from .spectra import (
     HeadTailSplit,
     PiecewiseDyadicSpectrum,
     Spectrum,
-    concat,
     generate_dyadic,
     generate_geometric,
     generate_power_law,

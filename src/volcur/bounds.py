@@ -1,9 +1,10 @@
 """Upper bounds on the ESP ratio e_{k+1}/e_k and report aggregation.
 
-Two bounds are provided: the simple tail-sum bound (tight for rapidly
-decreasing spectra) and a majorant bound for slowly decreasing spectra,
-obtained by replacing the spectrum with a dominating piecewise-dyadic one
-whose ratio is computable in O(lmax * (k+1)^2) regardless of n.
+bound_reports gives both bounds beside the exact ratio: the simple
+tail-sum bound (tight for rapidly decreasing spectra, and equal to the
+optimal rank-k error) and, when a majorant mu is passed, a bound for
+slowly decreasing spectra: the ratio of a dominating piecewise-dyadic
+spectrum, computable in O(lmax * (k+1)^2) regardless of n.
 """
 from __future__ import annotations
 
@@ -12,20 +13,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BoundInapplicableError, ValidationError, checked_int
-from .esp import esp_geometric_ratio, esp_ratio, esp_ratios
+from .esp import esp_ratios
 from .spectra import PiecewiseDyadicSpectrum, Spectrum
 
 __all__ = [
     "BoundReport",
-    "simple_bound",
-    "geometric_expected_error",
-    "dyadic_upper_bound",
     "bound_report",
     "bound_reports",
     "figure_rows",
 ]
-
-_CSV_HEADER = "n,k,exact_ratio,simple_bound,dyadic_bound,expected_error,optimal_error"
 
 
 @dataclass(frozen=True, eq=False)
@@ -42,35 +38,6 @@ class BoundReport:
     dyadic_bound: float | None
     expected_error: float
     optimal_error: float
-
-    csv_header = _CSV_HEADER
-
-    def csv_row(self) -> str:
-        def fmt(x: float | None) -> str:
-            return "" if x is None else format(x, ".17g")
-
-        return ",".join(
-            [str(self.n), str(self.k), fmt(self.exact_ratio),
-             fmt(self.simple_bound), fmt(self.dyadic_bound),
-             fmt(self.expected_error), fmt(self.optimal_error)])
-
-
-def simple_bound(spec: Spectrum, k: int) -> float:
-    """Tail sum lambda_{k+1} + ... + lambda_n, an upper bound on e_{k+1}/e_k.
-
-    Coincides with the optimal rank-k nuclear error of the spectrum.
-    """
-    return spec.tail_sum(checked_int(k, "k", 0, spec.n - 1))
-
-
-def geometric_expected_error(q: float, n: int, k: int) -> float:
-    """Expected CUR error for the geometric spectrum (q, q^2, ..., q^n).
-
-    Equals (k+1) q (q^k - q^n) / (1 - q^{k+1}); the factor q carries the
-    rescaling from the (1, q, ..., q^{n-1}) ratio convention.
-    """
-    k = checked_int(k, "k", 1)
-    return (k + 1) * q * esp_geometric_ratio(q, n, k)
 
 
 def _check_domination(spec: Spectrum, mu: PiecewiseDyadicSpectrum) -> None:
@@ -93,19 +60,6 @@ def _check_domination(spec: Spectrum, mu: PiecewiseDyadicSpectrum) -> None:
         raise BoundInapplicableError(
             f"domination fails at position {i + 1}: spectrum value "
             f"{values[i]:.17g} exceeds majorant value {tops[bad[0]]:.17g}")
-
-
-def dyadic_upper_bound(spec: Spectrum, k: int, base: float, lmax: int) -> float:
-    """Majorant bound on e_{k+1}/e_k via a dominating dyadic spectrum.
-
-    Verifies mu_i >= spec_i entrywise (error names the first violation),
-    then returns the dyadic spectrum's own ratio, which dominates the
-    spectrum's ratio by entrywise monotonicity.
-    """
-    k = checked_int(k, "k", 0, spec.n - 1)
-    mu = PiecewiseDyadicSpectrum(lmax=lmax, base=base)
-    _check_domination(spec, mu)
-    return esp_ratio(mu, k)
 
 
 def bound_reports(

@@ -34,12 +34,7 @@ from .psd import (
     rbf_kernel_matrix,
     read_array,
 )
-from .sampling import (
-    enumerate_distribution,
-    expected_error_exact,
-    sample_subset,
-    sample_subsets,
-)
+from .sampling import enumerate_distribution, expected_error_exact, sample_subsets
 from .spectra import (
     PiecewiseDyadicSpectrum,
     Spectrum,
@@ -163,8 +158,11 @@ def cmd_bounds(args) -> int:
     spec = _resolve_spectrum(args)
     ks = _parse_k_range(args.k)
     mu = None if args.mu is None else _dyadic_mu(args.mu)
-    reports = bound_reports(spec, ks, mu=mu)
-    lines = [reports[0].csv_header] + [r.csv_row() for r in reports]
+    lines = ["n,k,exact_ratio,simple_bound,dyadic_bound,expected_error,optimal_error"]
+    for r in bound_reports(spec, ks, mu=mu):
+        dyadic = "" if r.dyadic_bound is None else _fmt(r.dyadic_bound)
+        lines.append(f"{r.n},{r.k},{_fmt(r.exact_ratio)},{_fmt(r.simple_bound)},{dyadic},"
+                     f"{_fmt(r.expected_error)},{_fmt(r.optimal_error)}")
     _emit(args, lines)
     return 0
 
@@ -177,7 +175,7 @@ def cmd_approx(args) -> int:
     k = ks[0]
     seed = _resolve_seed(args)
     ed = eigendecompose(m)
-    subset = sample_subset(ed, k, seed)
+    subset = sample_subsets(ed, k, 1, seed)[0]
     approx = cur_approximation(m, subset)
     error = cur_error_nuclear(m, subset)
     expected = expected_error_exact(ed.eigenvalues, k) if k < ed.rank else 0.0

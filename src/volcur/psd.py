@@ -56,23 +56,22 @@ class EigenDecomposition:
 
     Only the rank r leading pairs are kept; eigenvalues at or below
     RANK_TOL * lambda_max are treated as zero and their columns dropped.
-    The constructor checks that rank, the eigenvalues and the columns of
-    vectors agree and that the columns are orthonormal to ORTHO_TOL, then
+    The constructor checks that there are as many columns of vectors as
+    eigenvalues and that the columns are orthonormal to ORTHO_TOL, then
     keeps a read-only C-ordered copy.  PsdMatrix builds its own through
     _of_eigh, which owns eigh's kept columns with neither check nor copy.
     """
 
     vectors: np.ndarray
     eigenvalues: Spectrum
-    rank: int
 
     def __post_init__(self) -> None:
         q = np.asarray(self.vectors, dtype=np.float64)
         if q.ndim != 2:
             raise ValidationError("eigenvector matrix must be 2-D")
-        r = int(self.rank)
-        if q.shape[1] != r or self.eigenvalues.n != r:
-            raise ValidationError("rank, eigenvalues, and vectors disagree")
+        r = self.eigenvalues.n
+        if q.shape[1] != r:
+            raise ValidationError(f"{q.shape[1]} eigenvector columns for {r} eigenvalues")
         if r:
             gram = q.T @ q
             gram.flat[:: r + 1] -= 1.0
@@ -82,14 +81,18 @@ class EigenDecomposition:
         q = np.array(q, order="C")
         q.flags.writeable = False
         object.__setattr__(self, "vectors", q)
-        object.__setattr__(self, "rank", r)
+
+    @property
+    def rank(self) -> int:
+        """The number of kept pairs."""
+        return self.eigenvalues.n
 
     @classmethod
     def _of_eigh(cls, vectors: np.ndarray, eigenvalues: Spectrum) -> EigenDecomposition:
         """Take ownership of eigh's kept columns: orthonormal by construction."""
         vectors.flags.writeable = False
         ed = object.__new__(cls)
-        vars(ed).update(vectors=vectors, eigenvalues=eigenvalues, rank=eigenvalues.n)
+        vars(ed).update(vectors=vectors, eigenvalues=eigenvalues)
         return ed
 
 
@@ -290,7 +293,7 @@ def gram_matrix(data: np.ndarray) -> PsdMatrix:
 
 def rbf_kernel_matrix(data: np.ndarray, sigma: float) -> PsdMatrix:
     """Gaussian kernel exp(-|x_i - x_j|^2 / (2 sigma^2)) over sample rows."""
-    if sigma <= 0.0:
+    if not sigma > 0.0:
         raise ValidationError("sigma must be positive")
     x = np.asarray(data, dtype=np.float64)
     if x.ndim != 2:

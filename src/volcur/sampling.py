@@ -48,7 +48,6 @@ __all__ = [
     "ENUMERATION_CAP",
     "VolumeDistribution",
     "enumerate_distribution",
-    "sample_subset",
     "sample_subsets",
     "expected_error_exact",
     "expected_error_bruteforce",
@@ -89,7 +88,7 @@ def enumerate_distribution(m: PsdMatrix, k: int) -> VolumeDistribution:
     if count > ENUMERATION_CAP:
         raise CapExceededError(
             f"C({m.n},{k}) = {count} subsets exceeds the enumeration cap "
-            f"{ENUMERATION_CAP}; use sample_subset instead")
+            f"{ENUMERATION_CAP}; use sample_subsets instead")
     floor = PIVOT_REL_TOL * m.lambda_max
     subsets = tuple(combinations(range(m.n), k))
     weights = np.zeros(count)
@@ -189,11 +188,6 @@ def sample_subsets(
                 f"a draw gave {len(set(subset))} distinct indices instead of {k}")
         out.append(subset)
     return out
-
-
-def sample_subset(ed: EigenDecomposition, k: int, seed: int) -> tuple[int, ...]:
-    """One volume-sampled subset of size k (deterministic in the seed)."""
-    return sample_subsets(ed, k, 1, seed)[0]
 
 
 def expected_error_exact(spec: Spectrum, k: int) -> float:

@@ -24,7 +24,6 @@ __all__ = [
     "generate_power_law",
     "generate_dyadic",
     "split_head_tail",
-    "concat",
     "load_spectrum",
     "parse_generator_spec",
 ]
@@ -148,7 +147,7 @@ def generate_geometric(q: float, n: int) -> Spectrum:
 
 def generate_power_law(p: float, n: int) -> Spectrum:
     """Power-law spectrum (1, 1/2^p, 1/3^p, ..., 1/n^p)."""
-    if p <= 0.0:
+    if not p > 0.0:
         raise ValidationError("p must be positive")
     n = checked_int(n, "n", 1)
     values = np.arange(1, n + 1, dtype=np.float64)
@@ -175,12 +174,6 @@ def split_head_tail(s: Spectrum, k: int) -> HeadTailSplit:
     head = Spectrum(_Owned(s.values[:k]))
     tail = Spectrum(_Owned(s.values[k:]))
     return HeadTailSplit(head=head, tail=tail, pivot=pivot, k=k)
-
-
-def concat(a: Spectrum, b: Spectrum) -> Spectrum:
-    """Multiset union of two spectra, re-sorted."""
-    merged = np.concatenate([a.values, b.values])
-    return Spectrum(_Owned(np.sort(merged)[::-1]))
 
 
 def load_spectrum(path: str | Path) -> Spectrum:

@@ -3,19 +3,17 @@ import pytest
 
 from volcur import (
     BoundInapplicableError,
-    BoundReport,
     PiecewiseDyadicSpectrum,
     ValidationError,
     bound_report,
-    dyadic_upper_bound,
+    esp_geometric_ratio,
     esp_ratio,
     expected_error_exact,
     figure_rows,
     generate_geometric,
     generate_power_law,
-    geometric_expected_error,
     make_spectrum,
-    simple_bound,
+    optimal_error,
 )
 
 
@@ -23,9 +21,16 @@ def rel_err(a: float, b: float) -> float:
     return abs(a - b) / max(abs(a), abs(b), 1e-300)
 
 
+def dyadic_bound(spec, k: int, base: float, lmax: int) -> float:
+    """The majorant column of bound_report under a dyadic mu."""
+    return bound_report(spec, k, mu=PiecewiseDyadicSpectrum(lmax=lmax, base=base)).dyadic_bound
+
+
 class TestSimpleBound:
+    """The tail sum optimal_error(s, k) bounds e_{k+1}/e_k."""
+
     def test_hand_case(self):
-        assert simple_bound(make_spectrum([2.0, 1.0]), 1) == pytest.approx(1.0)
+        assert optimal_error(make_spectrum([2.0, 1.0]), 1) == pytest.approx(1.0)
 
     def test_dominates_ratio_randomized(self):
         rng = np.random.default_rng(41)
@@ -33,53 +38,63 @@ class TestSimpleBound:
             n = int(rng.integers(1, 14))
             s = make_spectrum(np.exp(rng.normal(0.0, 2.0, n)))
             k = int(rng.integers(0, n))
-            assert esp_ratio(s, k) <= simple_bound(s, k) * (1.0 + 1e-12)
+            assert esp_ratio(s, k) <= optimal_error(s, k) * (1.0 + 1e-12)
 
     def test_tight_for_single_tail_entry(self):
         s = make_spectrum([5.0])
-        assert esp_ratio(s, 0) == pytest.approx(simple_bound(s, 0))
+        assert esp_ratio(s, 0) == pytest.approx(optimal_error(s, 0))
 
     def test_k_validation(self):
         with pytest.raises(ValidationError):
-            simple_bound(make_spectrum([1.0]), 1)
+            optimal_error(make_spectrum([1.0]), -1)
+        with pytest.raises(ValidationError, match="^k must be at most 0, got 1$"):
+            bound_report(make_spectrum([1.0]), 1)
 
 
 class TestGeometricExpectedError:
+    """(k+1) q esp_geometric_ratio(q, n, k) is the expected error on (q, ..., q^n)."""
+
+    @staticmethod
+    def expected(q: float, n: int, k: int) -> float:
+        return (k + 1) * q * esp_geometric_ratio(q, n, k)
+
     def test_hand_case(self):
         # q = 1/2, n = 2, k = 1: expected error is exactly 1/3
-        assert geometric_expected_error(0.5, 2, 1) == pytest.approx(1.0 / 3.0)
+        assert self.expected(0.5, 2, 1) == pytest.approx(1.0 / 3.0)
 
     def test_matches_materialized_spectrum(self):
         for q in (0.2, 0.6, 0.95):
             for n in (2, 5, 17):
                 spec = make_spectrum(q ** np.arange(1, n + 1))
                 for k in range(1, n):
-                    closed = geometric_expected_error(q, n, k)
+                    closed = self.expected(q, n, k)
                     direct = expected_error_exact(spec, k)
                     assert rel_err(closed, direct) < 1e-12
 
     def test_small_q_asymptotics(self):
         # leading term (k+1) q^{k+1}
-        val = geometric_expected_error(1e-3, 10, 2)
+        val = self.expected(1e-3, 10, 2)
         assert rel_err(val, 3e-9) < 5e-3
 
     def test_numpy_integers(self):
-        assert (geometric_expected_error(0.5, np.int64(6), np.int64(2))
-                == geometric_expected_error(0.5, 6, 2))
+        assert (esp_geometric_ratio(0.5, np.int64(6), np.int64(2))
+                == esp_geometric_ratio(0.5, 6, 2))
 
     def test_k_equals_n_gives_zero(self):
-        assert geometric_expected_error(0.5, 4, 4) == 0.0
+        assert esp_geometric_ratio(0.5, 4, 4) == 0.0
 
     def test_validation(self):
+        with pytest.raises(ValidationError, match="^k must be at most 4, got 5$"):
+            esp_geometric_ratio(0.5, 4, 5)
+        with pytest.raises(ValidationError, match="^k must be a nonnegative integer$"):
+            esp_geometric_ratio(0.5, 4, 2.0)
         with pytest.raises(ValidationError):
-            geometric_expected_error(0.5, 4, 0)
-        with pytest.raises(ValidationError, match="^k must be a positive integer$"):
-            geometric_expected_error(0.5, 4, 2.0)
-        with pytest.raises(ValidationError):
-            geometric_expected_error(1.0, 4, 1)
+            esp_geometric_ratio(1.0, 4, 1)
 
 
 class TestDyadicUpperBound:
+    """bound_report's majorant column, with mu a dominating dyadic spectrum."""
+
     def test_dominates_inverse_square_ratio(self):
         for lmax in (4, 8, 10):
             n = 2 ** lmax - 1
@@ -87,20 +102,20 @@ class TestDyadicUpperBound:
             for k in (1, 2, 5, 10):
                 if k >= n:
                     continue
-                bound = dyadic_upper_bound(lam, k, 0.25, lmax)
+                bound = dyadic_bound(lam, k, 0.25, lmax)
                 assert esp_ratio(lam, k) <= bound * (1.0 + 1e-10)
 
     def test_equality_on_the_majorant_itself(self):
         d = PiecewiseDyadicSpectrum(lmax=8, base=0.25)
         lam = d.materialized
         for k in (1, 3, 7):
-            bound = dyadic_upper_bound(lam, k, 0.25, 8)
+            bound = dyadic_bound(lam, k, 0.25, 8)
             assert rel_err(bound, esp_ratio(lam, k)) < 1e-10
 
     def test_rejects_non_dominated_spectrum(self):
         lam = make_spectrum([2.0] + [0.1] * 6)
         with pytest.raises(BoundInapplicableError, match="position 1"):
-            dyadic_upper_bound(lam, 1, 0.25, 3)
+            dyadic_bound(lam, 1, 0.25, 3)
 
     @pytest.mark.parametrize("values, where", [
         ([1.0, 0.5, 0.5, 0.3, 0.2, 0.2, 0.2],
@@ -110,17 +125,17 @@ class TestDyadicUpperBound:
     ])
     def test_names_the_first_violation(self, values, where):
         with pytest.raises(BoundInapplicableError) as info:
-            dyadic_upper_bound(make_spectrum(values), 1, 0.5, 3)
+            dyadic_bound(make_spectrum(values), 1, 0.5, 3)
         assert where in str(info.value)
 
     def test_rejects_spectrum_longer_than_majorant(self):
         lam = make_spectrum([1.0] * 4)
         with pytest.raises(BoundInapplicableError):
-            dyadic_upper_bound(lam, 1, 0.25, 2)
+            dyadic_bound(lam, 1, 0.25, 2)
 
     def test_trailing_zeros_beyond_majorant_are_fine(self):
         lam = make_spectrum([1.0, 0.1, 0.1, 0.0, 0.0])
-        assert dyadic_upper_bound(lam, 1, 0.25, 2) > 0.0
+        assert dyadic_bound(lam, 1, 0.25, 2) > 0.0
 
 
 class TestBoundReport:
@@ -154,13 +169,6 @@ class TestBoundReport:
         assert rep.simple_bound == pytest.approx(d.tail_sum(8))
         assert rep.optimal_error == rep.simple_bound
         assert rep.exact_ratio <= rep.simple_bound
-
-    def test_csv_row_format(self):
-        rep = BoundReport(n=3, k=1, exact_ratio=0.5, simple_bound=1.0,
-                          dyadic_bound=None, expected_error=1.0, optimal_error=1.0)
-        row = rep.csv_row()
-        assert row == "3,1,0.5,1,,1,1"
-        assert BoundReport.csv_header.startswith("n,k,exact_ratio")
 
 
 class TestFigureRows:

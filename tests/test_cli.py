@@ -1,5 +1,6 @@
 import io
 import math
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -166,7 +167,25 @@ class TestBoundsCommand:
         [report] = bound_reports(PiecewiseDyadicSpectrum(3, 0.25), [1],
                                  mu=PiecewiseDyadicSpectrum(3, 0.5))
         assert report.dyadic_bound is not None
-        assert out.strip().splitlines()[1] == report.csv_row()
+        cells = [report.exact_ratio, report.simple_bound, report.dyadic_bound,
+                 report.expected_error, report.optimal_error]
+        assert out.splitlines()[1] == ",".join(
+            ["7", "1"] + [format(x, ".17g") for x in cells])
+
+    @pytest.mark.parametrize("mu, dyadic", [([], ""), (["--mu", "dyadic:lmax=2,base=0.5"], "0.625")],
+                             ids=["no_mu", "mu"])
+    @pytest.mark.parametrize("fmt", ["csv", "tsv"])
+    def test_row_format(self, tmp_path, mu, dyadic, fmt, capsys):
+        # lambda = (1/2, 1/2, 1/2): e_2/e_1 = 0.75/1.5 and tail sum 1 at k = 1;
+        # mu = (1, 1/2, 1/2) gives e_2/e_1 = 1.25/2; no mu leaves the cell blank
+        p = tmp_path / "s.txt"
+        p.write_text("0.5\n0.5\n0.5\n")
+        code, out, err = run_cli(
+            ["bounds", "--input", str(p), "--k", "1", "--format", fmt, *mu], capsys)
+        assert code == 0 and err == ""
+        want = ("n,k,exact_ratio,simple_bound,dyadic_bound,expected_error,optimal_error\n"
+                f"3,1,0.5,1,{dyadic},1,1\n")
+        assert out == (want if fmt == "csv" else want.replace(",", "\t"))
 
     def test_tsv_format(self, capsys):
         code, out, _ = run_cli(
@@ -440,6 +459,7 @@ class TestErrorPaths:
     @pytest.mark.parametrize("extra, message", [
         (["--kernel", "poly", "--sigma", "1"], "invalid choice: 'poly'"),
         (["--spectrum", "geom:q=0.5,n=2"], "unrecognized arguments: --spectrum"),
+        (["--kernel", "rbf", "--sigma", "nan"], "error: sigma must be positive"),
     ])
     def test_matrix_command_usage_errors(self, psd_file, extra, message, capsys):
         for command in ("approx", "sample", "verify"):
@@ -547,8 +567,17 @@ class TestOneEspTable:
 README = Path(__file__).resolve().parents[1] / "README.md"
 
 
+PYTHON_BLOCKS = re.findall(r"^```python\n(.*?)^```$", README.read_text(), re.M | re.S)
+
+
 class TestReadmeExamples:
-    """The README's command examples print exactly what the README shows."""
+    """The README's command examples print exactly what the README shows,
+    and its python blocks run, so none can call a name the package lost."""
+
+    @pytest.mark.parametrize("block", PYTHON_BLOCKS,
+                             ids=[f"block{i}" for i in range(1, len(PYTHON_BLOCKS) + 1)])
+    def test_python_block_runs(self, block):
+        exec(compile(block, "README.md", "exec"), {})
 
     @pytest.mark.parametrize("command", [
         "expected-error --spectrum geom:q=0.5,n=32 --k 1..3",

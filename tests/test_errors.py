@@ -8,18 +8,15 @@ from volcur import (
     PsdMatrix,
     ValidationError,
     bound_reports,
-    dyadic_upper_bound,
     enumerate_distribution,
     esp_geometric_closed_form,
     esp_geometric_ratio,
     expected_error_bruteforce,
     figure_rows,
-    geometric_expected_error,
     invariant_sums,
     make_spectrum,
     optimal_error,
     sample_subsets,
-    simple_bound,
     split_head_tail,
 )
 from volcur.errors import checked_int
@@ -51,6 +48,7 @@ class TestCheckedInt:
 
 SPEC = make_spectrum([4.0, 2.0, 1.0, 0.5])           # n = 4
 DYADIC = PiecewiseDyadicSpectrum(lmax=3, base=0.5)    # n = 7
+UNDER_DYADIC = make_spectrum(SPEC.values / 4.0)      # n = 4, dominated by DYADIC
 MATRIX = PsdMatrix(np.diag([4.0, 2.0, 1.0]))          # n = 3
 
 # name -> (call of the one integer argument under test, first value past
@@ -66,10 +64,11 @@ BOUNDARY = {
     "esp_marginals": (lambda k: esp_marginals(SPEC, k), 5),
     "optimal_error": (lambda k: optimal_error(SPEC, k), -1),
     "invariant_sums": (lambda j: invariant_sums(MATRIX, j), 4),
-    "simple_bound": (lambda k: simple_bound(SPEC, k), 4),
-    "geometric_expected_error n": (lambda n: geometric_expected_error(0.5, n, 2), 1),
-    "geometric_expected_error k": (lambda k: geometric_expected_error(0.5, 10, k), 11),
-    "dyadic_upper_bound": (lambda k: dyadic_upper_bound(SPEC, k, 0.5, 3), 4),
+    # the simple, geometric and dyadic bounds, each through the call that gives it
+    "simple_bound": (lambda k: bound_reports(SPEC, [k])[0].simple_bound, 4),
+    "geometric_expected_error n": (lambda n: esp_geometric_ratio(0.5, n, 2), 1),
+    "geometric_expected_error k": (lambda k: esp_geometric_ratio(0.5, 10, k), 11),
+    "dyadic_upper_bound": (lambda k: bound_reports(UNDER_DYADIC, [k], mu=DYADIC), 4),
     "bound_reports": (lambda k: bound_reports(SPEC, [1, k]), 4),
     "figure_rows": (lambda k: figure_rows(DYADIC.materialized, DYADIC, [1, k]), 7),
     "enumerate_distribution": (lambda k: enumerate_distribution(MATRIX, k), 4),
@@ -94,24 +93,22 @@ class TestEigenDecompositionConstructor:
 
     def test_accepts_orthonormal_columns_and_copies_them(self):
         q, _ = np.linalg.qr(np.random.default_rng(8).standard_normal((5, 2)))
-        ed = EigenDecomposition(vectors=q, eigenvalues=make_spectrum([2.0, 1.0]), rank=2)
+        ed = EigenDecomposition(vectors=q, eigenvalues=make_spectrum([2.0, 1.0]))
         assert np.array_equal(ed.vectors, q) and ed.vectors is not q
         assert not ed.vectors.flags.writeable
+        assert ed.rank == 2
 
     def test_rejects_non_orthonormal_vectors(self):
         v = np.array([[1.0, 1.0], [0.0, 1.0], [0.0, 0.0]])
         with pytest.raises(ValidationError, match="^eigenvectors are not orthonormal$"):
-            EigenDecomposition(vectors=v, eigenvalues=make_spectrum([2.0, 1.0]), rank=2)
+            EigenDecomposition(vectors=v, eigenvalues=make_spectrum([2.0, 1.0]))
 
-    @pytest.mark.parametrize("columns, values, rank", [
-        (2, [2.0, 1.0], 3),
-        (3, [2.0, 1.0], 2),
-        (2, [2.0, 1.0, 0.5], 2),
-    ])
-    def test_rejects_rank_and_shape_mismatch(self, columns, values, rank):
+    @pytest.mark.parametrize("columns, values", [(3, [2.0, 1.0]), (2, [2.0, 1.0, 0.5])])
+    def test_rejects_shape_mismatch(self, columns, values):
         v = np.eye(4)[:, :columns]
-        with pytest.raises(ValidationError, match="^rank, eigenvalues, and vectors disagree$"):
-            EigenDecomposition(vectors=v, eigenvalues=make_spectrum(values), rank=rank)
+        with pytest.raises(ValidationError,
+                           match=f"^{columns} eigenvector columns for {len(values)} eigenvalues$"):
+            EigenDecomposition(vectors=v, eigenvalues=make_spectrum(values))
 
     def test_psd_matrix_path_keeps_eighs_columns_read_only(self):
         ed = PsdMatrix(np.diag([3.0, 1.0, 0.0])).eigen

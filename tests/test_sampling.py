@@ -23,7 +23,6 @@ from volcur import (
     expected_error_exact,
     invariant_sums,
     make_spectrum,
-    sample_subset,
     sample_subsets,
 )
 
@@ -140,11 +139,6 @@ class TestSampler:
             assert len(s) == 2
             assert all(0 <= i < 6 for i in s)
 
-    def test_single_draw_helper(self):
-        rng = np.random.default_rng(27)
-        ed = eigendecompose(PsdMatrix(random_psd(rng, 5, 5)))
-        assert sample_subset(ed, 2, seed=9) == sample_subsets(ed, 2, 1, seed=9)[0]
-
     def test_never_emits_zero_weight_subsets(self):
         # rows 0 and 1 are identical, so {0,1} has zero volume
         g = np.array([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0], [0.5, 2.0]])
@@ -191,8 +185,7 @@ class TestSampler:
         # one eigenvalue 1 and eleven 1e-70: index 0 is in almost every
         # subset, and each other index in C(10,4)/C(11,5) = 5/11 of them
         ed = EigenDecomposition(
-            vectors=np.eye(12), eigenvalues=make_spectrum([1.0] + [1e-70] * 11),
-            rank=12)
+            vectors=np.eye(12), eigenvalues=make_spectrum([1.0] + [1e-70] * 11))
         draws = 2000
         counts = np.zeros(12)
         for s in sample_subsets(ed, 6, draws, seed=17):

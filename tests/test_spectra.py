@@ -8,7 +8,6 @@ from volcur import (
     PiecewiseDyadicSpectrum,
     Spectrum,
     ValidationError,
-    concat,
     generate_dyadic,
     generate_geometric,
     generate_power_law,
@@ -174,15 +173,10 @@ class TestSplitConcat:
         if k >= s.n:
             return
         split = split_head_tail(s, k)
-        back = concat(split.head, split.tail)
-        assert np.array_equal(back.values, s.values)
+        back = np.concatenate([split.head.values, split.tail.values])
+        assert np.array_equal(back, s.values)
         assert split.head.n == k
         assert split.tail.n == s.n - k
-
-    def test_concat_merges_sorted(self):
-        a = make_spectrum([3.0, 1.0])
-        b = make_spectrum([2.0])
-        assert np.array_equal(concat(a, b).values, [3.0, 2.0, 1.0])
 
 
 class TestParsing:
@@ -214,6 +208,16 @@ class TestParsing:
         d = parse_generator_spec("dyadic:lmax=3,base=0.25")
         assert isinstance(d, PiecewiseDyadicSpectrum)
         assert d.n == 7
+
+    @pytest.mark.parametrize("text, message", [
+        ("pow:p=0,n=3", "p must be positive"),
+        ("pow:p=nan,n=3", "p must be positive"),
+        ("geom:q=nan,n=3", "q must lie strictly between 0 and 1"),
+        ("dyadic:lmax=3,base=nan", "base must lie strictly between 0 and 1"),
+    ])
+    def test_parse_names_the_bad_parameter(self, text, message):
+        with pytest.raises(ValidationError, match=f"^{message}$"):
+            parse_generator_spec(text)
 
     def test_parse_rejects_unknown_family(self):
         with pytest.raises(ValidationError):
