@@ -44,6 +44,7 @@ from .esp import (
     esp_dyadic_convolution,
     esp_geometric_closed_form,
     esp_geometric_ratio,
+    esp_marginals,
     esp_ratio,
     esp_ratio_head_tail,
     esp_ratios,

@@ -40,26 +40,30 @@ class BoundReport:
     optimal_error: float
 
 
-def _check_domination(spec: Spectrum, mu: PiecewiseDyadicSpectrum) -> None:
+def _check_domination(spec: Spectrum | PiecewiseDyadicSpectrum,
+                      mu: PiecewiseDyadicSpectrum) -> None:
     """Raise unless spec_i <= mu_i at every position i.
 
     spec is nonincreasing and mu is constant on each level, so the first
-    violation, if any, sits at the first entry of a level: one comparison
-    per level, without materializing mu.
+    violation, if any, is at a level head (0-based position 2^l - 1), and
+    level mu.lmax's head is the first entry past mu: one comparison per
+    level.  A dyadic spec's heads are its level_values, as it materializes them.
     """
-    values = spec.values
-    if spec.n > mu.n and values[mu.n] > 0.0:
+    if isinstance(spec, PiecewiseDyadicSpectrum):
+        heads = spec.level_values[: mu.lmax + 1]
+    else:
+        heads = spec.values[2 ** np.arange(min(spec.n.bit_length(), mu.lmax + 1)) - 1]
+    if heads.size > mu.lmax and heads[mu.lmax] > 0.0:
         raise BoundInapplicableError(
             f"majorant has only {mu.n} entries but the spectrum is "
             f"positive at position {mu.n + 1}")
-    starts = [2**level - 1 for level in range(mu.lmax) if 2**level <= spec.n]
-    tops = mu.base ** np.arange(mu.lmax).astype(np.float64)   # as in mu.materialized
-    bad = np.nonzero(values[starts] > tops[: len(starts)])[0]
+    tops = mu.level_values
+    bad = np.flatnonzero(heads[: mu.lmax] > tops[: heads.size])
     if bad.size:
-        i = starts[bad[0]]
+        level = int(bad[0])
         raise BoundInapplicableError(
-            f"domination fails at position {i + 1}: spectrum value "
-            f"{values[i]:.17g} exceeds majorant value {tops[bad[0]]:.17g}")
+            f"domination fails at position {2**level}: spectrum value "
+            f"{heads[level]:.17g} exceeds majorant value {tops[level]:.17g}")
 
 
 def bound_reports(
@@ -72,14 +76,12 @@ def bound_reports(
 
     One ESP table up to max(ks) serves every k, and so does one table of
     the majorant mu, checked for domination once; pass mu to include the
-    majorant bound.  A dyadic spec is materialized when mu is given, so
-    that domination is checked entry by entry and every column comes from
-    the same values.  A k at or above the rank of a plain spectrum reports
-    a zero ratio: the approximation is then exact in expectation.
+    majorant bound.  A dyadic spec stays symbolic, with or without mu: its
+    ratios come from the per-level product and its tail sums from level
+    arithmetic.  A k at or above the rank of a plain spectrum reports a
+    zero ratio: the approximation is then exact in expectation.
     """
     ks = [checked_int(k, "k", 0, spec.n - 1) for k in ks]
-    if mu is not None and isinstance(spec, PiecewiseDyadicSpectrum):
-        spec = spec.materialized
     kmax = max(ks, default=0)
     rank = spec.rank if isinstance(spec, Spectrum) else spec.n
     exact = np.zeros(kmax + 1)
@@ -111,12 +113,12 @@ def bound_report(
 
 
 def figure_rows(
-    lam: Spectrum, mu: PiecewiseDyadicSpectrum, ks: list[int]
+    lam: Spectrum | PiecewiseDyadicSpectrum, mu: PiecewiseDyadicSpectrum, ks: list[int]
 ) -> list[tuple[int, float, float, float]]:
     """Rows (k, ratio_lambda, ratio_mu, simple_bound) for plotting.
 
-    ratio_lambda comes from the direct recursion (O(n * kmax)), ratio_mu
-    from the fast convolution path, and the bound column is the
+    lam is plain or dyadic; ratio_lambda is its exact ratio as bound_reports
+    computes it, and ratio_mu the majorant's.  The bound column is the
     majorant's tail sum, the quantity the simple-bound inequality caps
     ratio_mu with, so the three columns are ordered at every k.
     """

@@ -92,10 +92,6 @@ def _resolve_spectrum(args) -> Spectrum | PiecewiseDyadicSpectrum:
     return load_spectrum(args.input)
 
 
-def _materialize(spec: Spectrum | PiecewiseDyadicSpectrum) -> Spectrum:
-    return spec.materialized if isinstance(spec, PiecewiseDyadicSpectrum) else spec
-
-
 def _dyadic_mu(text: str) -> PiecewiseDyadicSpectrum:
     mu = parse_generator_spec(text)
     if not isinstance(mu, PiecewiseDyadicSpectrum):
@@ -240,9 +236,9 @@ def cmd_verify(args) -> int:
 
 
 def cmd_figure(args) -> int:
-    if args.spectrum is None or args.mu is None:
-        raise ValidationError("figure requires --spectrum (lambda) and --mu (dyadic)")
-    lam = _materialize(parse_generator_spec(args.spectrum))
+    if args.mu is None:
+        raise ValidationError("figure requires --mu (dyadic)")
+    lam = _resolve_spectrum(args)
     mu = _dyadic_mu(args.mu)
     ks = _parse_k_range(args.k)
     rows = figure_rows(lam, mu, ks)

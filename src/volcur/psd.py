@@ -154,10 +154,6 @@ class PsdMatrix:
     def n(self) -> int:
         return int(self.entries.shape[0])
 
-    @property
-    def trace(self) -> float:
-        return float(np.trace(self.entries))
-
 
 def eigendecompose(m: PsdMatrix) -> EigenDecomposition:
     """Eigendecomposition with eigenvalues sorted nonincreasing.

@@ -109,11 +109,14 @@ class PiecewiseDyadicSpectrum:
     def n(self) -> int:
         return 2**self.lmax - 1
 
+    @property
+    def level_values(self) -> np.ndarray:
+        """base^l for each level l = 0..lmax-1: the values .materialized repeats."""
+        return self.base ** np.arange(self.lmax).astype(np.float64)
+
     @cached_property
     def materialized(self) -> Spectrum:
-        levels = np.arange(self.lmax)
-        values = np.repeat(self.base ** levels.astype(np.float64), 2**levels)
-        return Spectrum(_Owned(values))
+        return Spectrum(_Owned(np.repeat(self.level_values, 2 ** np.arange(self.lmax))))
 
     def tail_sum(self, k: int) -> float:
         """Sum of entries after the first k, by level arithmetic."""
@@ -186,9 +189,10 @@ def load_spectrum(path: str | Path) -> Spectrum:
     if not tokens:
         raise ValidationError(f"spectrum file {path} is empty")
     try:
-        values = [float(t) for t in tokens]
-    except ValueError as exc:
-        raise ValidationError(f"malformed spectrum file {path}: {exc}") from exc
+        values = np.loadtxt(tokens, ndmin=1, comments=None)   # numpy's reader, as for matrices
+    except ValueError as exc:   # its location counts tokens, not lines: name the token alone
+        raise ValidationError(
+            f"malformed spectrum file {path}: {str(exc).partition(' at row ')[0]}") from exc
     return make_spectrum(values)
 
 

@@ -423,6 +423,15 @@ class TestFigureCommand:
              "dyadic:lmax=8,base=0.25", "--k", "1..4"], capsys)
         assert code == 1 and "error:" in err
 
+    def test_reads_an_input_file(self, tmp_path, capsys):
+        # figure resolves its spectrum as every spectral command does
+        p = tmp_path / "s.txt"
+        p.write_text("".join(f"{1.0 / i**2!r}\n" for i in range(1, 1024)))
+        tail = ["--mu", "dyadic:lmax=10,base=0.25", "--k", "1..3"]
+        code, out, err = run_cli(["figure", "--input", str(p), *tail], capsys)
+        assert code == 0, err
+        assert out == run_cli(["figure", "--spectrum", "pow:p=2,n=1023", *tail], capsys)[1]
+
     def test_byte_identical_reruns(self, tmp_path, capsys):
         args = ["figure", "--spectrum", "pow:p=2,n=1023", "--mu",
                 "dyadic:lmax=10,base=0.25", "--k", "1..32"]
@@ -535,7 +544,8 @@ class TestOneEigensolve:
 
 
 class TestOneEspTable:
-    """Each spectral command builds exactly one plain-spectrum ESP table."""
+    """Each spectral command builds exactly one plain-spectrum ESP table,
+    and none for a dyadic spectrum, majorant or not."""
 
     @pytest.fixture()
     def tables(self, monkeypatch):
@@ -556,12 +566,54 @@ class TestOneEspTable:
         ["bounds", "--spectrum", "pow:p=1,n=500", "--k", "1..32"],
         ["bounds", "--spectrum", "pow:p=2,n=1023",
          "--mu", "dyadic:lmax=10,base=0.25", "--k", "1..32"],
+        ["bounds", "--spectrum", "dyadic:lmax=12,base=0.25",
+         "--mu", "dyadic:lmax=12,base=0.5", "--k", "1..32"],
     ])
     def test_one_table_per_command(self, argv, tables, capsys):
         code, out, err = run_cli(argv, capsys)
         assert code == 0, err
         assert len(out.splitlines()) == 33
-        assert len(tables) == 1
+        assert len(tables) == (0 if argv[2].startswith("dyadic:") else 1)
+
+
+def columns(argv, capsys, *names):
+    """The named columns of a spectral command's CSV output, as strings."""
+    code, out, err = run_cli(argv, capsys)
+    assert code == 0, err
+    header, *rows = (line.split(",") for line in out.splitlines())
+    return [[row[header.index(name)] for row in rows] for name in names]
+
+
+class TestOneValuePerSpectrum:
+    """Every command prints the same exact ratio for a spectrum, plain or
+    dyadic, with or without a majorant beside it."""
+
+    @pytest.mark.parametrize("spectrum, mu", [
+        ("pow:p=2,n=1023", "dyadic:lmax=10,base=0.25"),
+        ("dyadic:lmax=12,base=0.25", "dyadic:lmax=12,base=0.5"),
+    ])
+    def test_commands_agree(self, spectrum, mu, capsys):
+        given = ["--spectrum", spectrum, "--k", "1..32"]
+        cells = ("exact_ratio", "simple_bound", "expected_error", "optimal_error")
+        [ratio] = columns(["ratio", *given], capsys, "ratio")
+        [expected] = columns(["expected-error", *given], capsys, "expected_error")
+        bounds = columns(["bounds", *given], capsys, *cells)
+        [figure] = columns(["figure", *given, "--mu", mu], capsys, "ratio_lambda")
+        assert columns(["bounds", *given, "--mu", mu], capsys, *cells) == bounds
+        assert ratio == bounds[0] == figure
+        assert expected == bounds[2]
+        assert len(ratio) == 32
+
+    @pytest.mark.parametrize("spectrum, mu, message", [
+        ("dyadic:lmax=10,base=0.5", "dyadic:lmax=10,base=0.25",
+         "domination fails at position 2: spectrum value 0.5 exceeds majorant value 0.25"),
+        ("dyadic:lmax=11,base=0.25", "dyadic:lmax=10,base=0.25",
+         "majorant has only 1023 entries but the spectrum is positive at position 1024"),
+    ])
+    def test_dyadic_domination_messages(self, spectrum, mu, message, capsys):
+        code, out, err = run_cli(
+            ["bounds", "--spectrum", spectrum, "--mu", mu, "--k", "1"], capsys)
+        assert (code, out, err) == (1, "", f"error: {message}\n")
 
 
 README = Path(__file__).resolve().parents[1] / "README.md"

@@ -1,0 +1,19 @@
+"""The package exports exactly its modules' public names."""
+import types
+
+import volcur
+import volcur.errors
+from volcur import bounds, esp, psd, sampling, spectra
+
+
+def test_package_exports_each_module_all_and_the_error_classes():
+    listed = {name: getattr(module, name)
+              for module in (bounds, esp, psd, sampling, spectra) for name in module.__all__}
+    for name, obj in listed.items():
+        assert getattr(volcur, name, None) is obj, name
+    errors = {name for name, obj in vars(volcur.errors).items()
+              if isinstance(obj, type) and issubclass(obj, volcur.VolcurError)}
+    public = {name for name, obj in vars(volcur).items()
+              if not name.startswith("_") and not isinstance(obj, types.ModuleType)}
+    assert public - set(listed) == errors
+    assert volcur.__version__

@@ -196,6 +196,14 @@ class TestParsing:
         with pytest.raises(ValidationError):
             load_spectrum(p)
 
+    @pytest.mark.parametrize("token", ["1_000", "\u0661"], ids=["underscore", "arabic_one"])
+    def test_load_spectrum_uses_the_matrix_number_grammar(self, tmp_path, token):
+        # Python's float() reads these as 1000 and 1; numpy's reader, as for matrices, does not
+        p = tmp_path / "s.txt"
+        p.write_text(f"2\n{token}\n", encoding="utf-8")
+        with pytest.raises(ValidationError, match=f"could not convert string '{token}'"):
+            load_spectrum(p)
+
     def test_parse_geometric(self):
         s = parse_generator_spec("geom:q=0.5,n=3")
         assert np.allclose(s.values, [1.0, 0.5, 0.25])

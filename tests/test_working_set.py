@@ -14,6 +14,7 @@ import pytest
 from oracles import random_psd
 from volcur import (
     PsdMatrix,
+    esp_marginals,
     esp_ratios,
     generate_power_law,
     load_matrix,
@@ -21,7 +22,7 @@ from volcur import (
     rbf_kernel_matrix,
     read_array,
 )
-from volcur.esp import esp_marginals
+from volcur.cli import main
 
 
 def traced_peak(fn) -> int:
@@ -47,6 +48,17 @@ def test_esp_marginals_holds_its_table_and_a_few_chunks(n, k):
     spec = generate_power_law(2.0, n)
     table = 8 * (k + 1) * (n + 1)
     assert traced_peak(lambda: esp_marginals(spec, k)) <= table + 2.5e6
+
+
+@pytest.mark.parametrize("command", ["bounds", "figure"])
+def test_deep_dyadic_spectrum_under_a_majorant_stays_symbolic(command, capsys):
+    # n = 2^48 - 1: the level product and a level-head domination check, no entries
+    argv = [command, "--spectrum", "dyadic:lmax=48,base=0.25",
+            "--mu", "dyadic:lmax=48,base=0.5", "--k", "1..32"]
+    codes = []
+    assert traced_peak(lambda: codes.append(main(argv))) < 1e6
+    assert codes == [0]
+    assert len(capsys.readouterr().out.splitlines()) == 33
 
 
 def test_generated_spectrum_holds_its_values():
