@@ -37,8 +37,8 @@ print("direct:   ", esp_all(joined, 3).coeffs)
 scaled = esp_scale(esp_all(joined, 3), 10.0)
 print("e_j of 10x spectrum:", scaled.coeffs)
 
-# The head/tail split evaluates the ratio with the tail normalized by
-# its leading entry, which is how large dynamic ranges stay finite.
+# The head/tail split evaluates the ratio from the ESPs of head and tail,
+# joined by the union rule; gamma is that ratio over the tail's lead.
 split = split_head_tail(joined, 1)
 gamma, ratio = esp_ratio_head_tail(split, 1)
 print(f"head/tail at k=1: gamma={gamma:.6g}, ratio={ratio:.6g} "

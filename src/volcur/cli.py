@@ -56,7 +56,8 @@ def _fmt(x: float) -> str:
     return format(float(x), ".17g")
 
 
-def _parse_k_range(text: str) -> list[int]:
+def _parse_k_range(text: str) -> range:
+    """The --k range; commands check its last k, ks[-1], before using any."""
     try:
         if ".." in text:
             lo_s, hi_s = text.split("..", 1)
@@ -69,7 +70,7 @@ def _parse_k_range(text: str) -> list[int]:
         raise ValidationError(f"k must be nonnegative, got {text!r}")
     if lo > hi:
         raise ValidationError(f"empty k range {text!r}")
-    return list(range(lo, hi + 1))
+    return range(lo, hi + 1)
 
 
 def _resolve_seed(args) -> int:
@@ -126,12 +127,14 @@ def _ratio_pairs(args) -> list[tuple[int, float]]:
     """(k, e_{k+1}/e_k) over the requested k range."""
     spec = _resolve_spectrum(args)
     ks = _parse_k_range(args.k)
-    ratios = esp_ratios(spec, checked_int(max(ks), "k", 0, spec.n - 1))
+    ratios = esp_ratios(spec, checked_int(ks[-1], "k", 0, spec.n - 1))
     return [(k, float(ratios[k])) for k in ks]
 
 
 def cmd_esp(args) -> int:
-    vec = esp_all(_resolve_spectrum(args), max(_parse_k_range(args.k)))
+    spec = _resolve_spectrum(args)
+    # e_j = 0 past n entries, so a larger k asks for nothing
+    vec = esp_all(spec, checked_int(_parse_k_range(args.k)[-1], "k", 0, spec.n))
     lines = ["j,e_j"] + [f"{j},{_fmt(x)}" for j, x in enumerate(vec.coeffs)]
     _emit(args, lines)
     return 0
@@ -153,6 +156,7 @@ def cmd_expected_error(args) -> int:
 def cmd_bounds(args) -> int:
     spec = _resolve_spectrum(args)
     ks = _parse_k_range(args.k)
+    checked_int(ks[-1], "k", 0, spec.n - 1)
     mu = None if args.mu is None else _dyadic_mu(args.mu)
     lines = ["n,k,exact_ratio,simple_bound,dyadic_bound,expected_error,optimal_error"]
     for r in bound_reports(spec, ks, mu=mu):
@@ -210,7 +214,7 @@ def cmd_verify(args) -> int:
             f"got n = {m.n}")
     ks = _parse_k_range(args.k)
     ed = eigendecompose(m)
-    sums = invariant_sums(m, min(max(ks) + 1, m.n))
+    sums = invariant_sums(m, min(ks[-1] + 1, m.n))
     ok = True
     lines = []
     for k in ks:
@@ -241,6 +245,7 @@ def cmd_figure(args) -> int:
     lam = _resolve_spectrum(args)
     mu = _dyadic_mu(args.mu)
     ks = _parse_k_range(args.k)
+    checked_int(ks[-1], "k", 1, lam.n - 1)
     rows = figure_rows(lam, mu, ks)
     lines = ["k,ratio_lambda,ratio_mu,simple_bound"] + [
         f"{k},{_fmt(rl)},{_fmt(rm)},{_fmt(sb)}" for k, rl, rm, sb in rows]

@@ -5,18 +5,19 @@ e_j = 0 for j beyond the number of entries.  All recursions here add
 nonnegative terms only, so there is no cancellation; accuracy is limited
 by plain rounding.
 
-Every ESP of the package is computed here, carried internally as a
-mantissa and an integer exponent, e_j = mantissa * 2^exponent, so values
-far outside double range keep full precision.  Plain spectra run one
-prefix recursion (_prefix_rows), rescaled by exact powers of two; dyadic
-spectra multiply per-level binomial coefficients, aligning exponents per
-order.  The recursion is a blocked scan that runs every order over one
-chunk of 16 x 4096 entries before the next, so whatever n it holds the
-spectrum plus three chunk-sized arrays (1.7 MB traced at n = 10^6).
+Every ESP of the package is computed here and carried as a pair
+(mantissas, exponents), e_j = mantissa * 2^exponent, so values far outside
+double range keep full precision.  Plain spectra run one prefix recursion
+(_prefix_rows), scaled and rescaled by exact powers of two only, so an
+integer spectrum whose ESPs fit 53 bits comes out exact; dyadic spectra
+multiply per-level binomial coefficients.  The recursion is a blocked scan
+that runs every order over one chunk of 16 x 4096 entries before the
+next, so whatever n it holds the spectrum plus three chunk-sized arrays
+(1.7 MB traced at n = 10^6).
 
 Ratios (esp_ratios) and the sampler's marginals (esp_marginals) are
-quotients of such values, so they are scale free; only esp_all, which
-returns plain doubles, can overflow or underflow.
+quotients of such values, so they are scale free; only esp_all and
+esp_scale, which return plain doubles, can overflow or underflow.
 """
 from __future__ import annotations
 
@@ -78,33 +79,35 @@ class EspVector:
         return float(self.coeffs[j])
 
 
-def _prefix_rows(values: np.ndarray, scale: float, m: int):
-    """Yield (j, lo, block, exponent): prefix row e_j of x = values / scale over one chunk.
+def _prefix_rows(values: np.ndarray, m: int):
+    """Yield (j, lo, block, exponent): prefix row e_j of values over one chunk.
 
-    All orders j = 0..min(m, n) run over the chunk of at most _CHUNK
-    entries starting at lo before the next chunk.  The chunk is laid out,
-    zero-padded, as a C-contiguous (depth, lanes) array with x[lo + b*depth
-    + t] at [t, b], and block[t, b] * 2**exponent = e_j(x[:lo + b*depth +
-    t + 1]); padding holds the running total block[-1, -1].  Row j is the
-    prefix sum of x times row j-1 shifted by one: take the products, the
-    per-lane totals, their exclusive prefix sum plus the order's carry (e_j
-    of the prefix before the chunk, which also leads the products of order
-    j+1) as the lanes' carries, then scan down the depth axis with one
-    vector add of length lanes per step.  Rounding error grows with depth +
-    lanes + chunks, not with n as in a serial cumsum; with n <= _LANES each
-    row is that cumsum bit for bit, and with n <= _CHUNK the one chunk is
-    the whole row.  Rows alternate between two chunk buffers, so a block is
-    only valid until the next one is requested.
+    The scan runs on x = values / 2^u, 2^u <= values[0] < 2^(u+1) (the
+    module's one scale, exact), and folds j*u into the exponents.  All
+    orders j = 0..min(m, n) run over the chunk of at most _CHUNK entries
+    starting at lo before the next chunk, laid out zero-padded as a
+    C-contiguous (depth, lanes) array with x[lo + b*depth + t] at [t, b]:
+    block[t, b] * 2**exponent = e_j(values[:lo + b*depth + t + 1]), and
+    padding holds the running total block[-1, -1].  Row j is the prefix
+    sum of x times row j-1 shifted by one: the products, the per-lane
+    totals, their exclusive prefix sum plus the order's carry (e_j of the
+    prefix before the chunk, which also leads the products of order j+1)
+    as lane carries, then one vector add of length lanes per depth step.
+    Rounding error grows with depth + lanes + chunks, not with n as in a
+    serial cumsum; with n <= _LANES each row is that cumsum bit for bit.
+    Rows alternate between two chunk buffers, so a block is only valid
+    until the next one is requested.
 
     A row whose running total leaves 2^(512 +- 256) is rescaled by an exact
     power of two, so values round as in the unscaled recursion wherever
-    that one stays in double range.  The window sits high: with x <= 1 a
-    row grows by at most a factor n per step but can shrink by any factor.
-    Each chunk decides its own, so an order's exponent can change by chunk.
+    that one stays in double range.  The window sits high: a row grows by
+    at most a factor 2n per step but can shrink by any factor.  Each chunk
+    decides its own, so an order's exponent can change by chunk.
     """
     n = int(values.size)
+    u = math.frexp(values[0])[1] - 1 if n and values[0] > 0.0 else 0   # x[0] in [1, 2)
     carry = [2.0**_CENTER] + [0.0] * min(m, n)   # e_j of the prefix before the chunk,
-    exps = [-_CENTER] * len(carry)               # as carry[j] * 2**exps[j]
+    exps = [-_CENTER] * len(carry)               # as carry[j] * 2**exps[j], of x
     for lo in range(0, max(n, 1), _CHUNK):
         chunk = values[lo : lo + _CHUNK]
         depth = max(-(-chunk.size // _LANES), 1)
@@ -115,9 +118,9 @@ def _prefix_rows(values: np.ndarray, scale: float, m: int):
         steps = [list(zip(row[:-1], row[1:])) for row in rows]   # (row t-1, row t) views
         full, rest = divmod(chunk.size, depth)
         x.T[full:] = 0.0
-        np.divide(chunk[: full * depth].reshape(full, depth), scale, out=x.T[:full])
+        np.ldexp(chunk[: full * depth].reshape(full, depth), -u, out=x.T[:full])
         if rest:
-            np.divide(chunk[full * depth :], scale, out=x.T[full, :rest])
+            np.ldexp(chunk[full * depth :], -u, out=x.T[full, :rest])
         out, exponent = rows[0], -_CENTER
         out.fill(2.0**_CENTER)
         yield 0, lo, out, exponent
@@ -135,24 +138,18 @@ def _prefix_rows(values: np.ndarray, scale: float, m: int):
             if out[-1, -1] and abs(shift) > _SLACK:
                 np.ldexp(out, -shift, out=out)
                 exponent += shift
-            yield j, lo, out, exponent
+            yield j, lo, out, exponent + j * u
         carry[-1], exps[-1] = float(out[-1, -1]), exponent
 
 
-def _totals(rows, m: int) -> tuple[np.ndarray, np.ndarray]:
-    """The totals of _prefix_rows as (mantissas, exponents), zeros beyond n."""
-    last = np.zeros(m + 1)
-    exps = np.zeros(m + 1, dtype=np.int64)
-    for j, _, block, exponent in rows:
+def _esp_coeffs(values: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """e_0..e_min(m, n) of plain values as (mantissas, exponents): e_j = mant * 2^exp."""
+    last = np.zeros(min(m, values.size) + 1)
+    exps = np.zeros(last.size, dtype=np.int64)
+    for j, _, block, exponent in _prefix_rows(values, m):
         last[j], exps[j] = block[-1, -1], exponent
     mant, shift = np.frexp(last)
     return mant, np.where(mant > 0.0, exps + shift, 0)
-
-
-def _esp_coeffs(values: np.ndarray, m: int) -> tuple[float, np.ndarray, np.ndarray]:
-    """_scaled_coeffs of plain values: the scale is the leading value (1 when not positive)."""
-    scale = float(values[0]) if values.size and values[0] > 0.0 else 1.0
-    return scale, *_totals(_prefix_rows(values, scale, m), m)
 
 
 def _level_coeffs(level: int, base: float, m: int) -> tuple[np.ndarray, np.ndarray]:
@@ -161,8 +158,7 @@ def _level_coeffs(level: int, base: float, m: int) -> tuple[np.ndarray, np.ndarr
     coeffs[j] = base^(level*j) * C(2^level, j) by the multiplicative
     recurrence, each step split by frexp into (mantissas, exponents).
     """
-    size = 2**level
-    ratio = base**level
+    size, ratio = 2**level, base**level
     mant = np.ones(min(m, size) + 1)
     exps = np.zeros(mant.size, dtype=np.int64)
     for j in range(mant.size - 1):
@@ -172,57 +168,59 @@ def _level_coeffs(level: int, base: float, m: int) -> tuple[np.ndarray, np.ndarr
 
 
 def _cauchy(a, b, m: int) -> tuple[np.ndarray, np.ndarray]:
-    """Union rule f(concat(x, y)) = f(x) * f(y) on (mantissas, exponents).
+    """Union rule f(concat(x, y)) = f(x) * f(y) on pairs, to order m or the last one reached.
 
     Each order sums its terms relative to its largest one, so only terms
     negligible next to that one can underflow.
     """
     (ma, ea), (mb, eb) = a, b
+    size = min(m, ma.size + mb.size - 2) + 1
     order = np.add.outer(np.arange(ma.size), np.arange(mb.size))
     terms = np.outer(ma, mb)
-    keep = (order <= m) & (terms > 0.0)
+    keep = (order < size) & (terms > 0.0)
     order, terms, exps = order[keep], terms[keep], np.add.outer(ea, eb)[keep]
-    top = np.full(m + 1, np.iinfo(np.int64).min)
+    top = np.full(size, np.iinfo(np.int64).min)
     np.maximum.at(top, order, exps)
-    total = np.bincount(order, weights=np.ldexp(terms, exps - top[order]), minlength=m + 1)
+    total = np.bincount(order, weights=np.ldexp(terms, exps - top[order]), minlength=size)
     mant, shift = np.frexp(total)
     return mant, np.where(total > 0.0, top + shift, 0)
 
 
 def _scaled_coeffs(spec: Spectrum | PiecewiseDyadicSpectrum, m: int):
-    """(scale, mantissas, exponents) with e_j = scale^j * mantissas[j] * 2^exponents[j].
-
-    A plain spectrum is divided by its largest entry (the scale); a dyadic
-    one multiplies its levels, smallest values first.
-    """
+    """e_0..e_min(m, n) as (mantissas, exponents): the prefix scan of a plain
+    spectrum, or the product of a dyadic one's levels, smallest values first."""
     if isinstance(spec, PiecewiseDyadicSpectrum):
         acc = (np.ones(1), np.zeros(1, dtype=np.int64))
         for level in range(spec.lmax - 1, -1, -1):
             acc = _cauchy(acc, _level_coeffs(level, spec.base, m), m)
-        return 1.0, *acc
+        return acc
     return _esp_coeffs(spec.values, m)
 
 
-def _ratios(scale: float, mant: np.ndarray, exps: np.ndarray) -> np.ndarray:
-    """e_{k+1}/e_k for every k below the last order of scaled coefficients."""
+def _ratios(mant: np.ndarray, exps: np.ndarray) -> np.ndarray:
+    """e_{k+1}/e_k for every k below the last order of (mantissas, exponents)."""
     zero = np.flatnonzero(mant[:-1] == 0.0)
     if zero.size:
-        raise RankDeficiencyError(
-            f"e_{zero[0]} = 0: spectrum rank is below {zero[0]}")
-    return scale * np.ldexp(mant[1:] / mant[:-1], exps[1:] - exps[:-1])
+        raise RankDeficiencyError(f"e_{zero[0]} = 0: spectrum rank is below {zero[0]}")
+    return np.ldexp(mant[1:] / mant[:-1], exps[1:] - exps[:-1])
 
 
-def esp_all(s: Spectrum | PiecewiseDyadicSpectrum, m: int) -> EspVector:
-    """All values e_0 .. e_m of the spectrum (zeros beyond its length)."""
-    m = checked_int(m, "truncation order m", 0)
-    scale, mant, exps = _scaled_coeffs(s, m)
-    with np.errstate(over="ignore", invalid="ignore"):
-        coeffs = np.ldexp(mant, exps) * scale ** np.arange(m + 1, dtype=np.float64)
+def _esp_vector(mant: np.ndarray, exps: np.ndarray, m: int) -> EspVector:
+    """e_0..e_m of a pair, zeros past its end; NumericalError outside double range."""
+    coeffs = np.zeros(m + 1)
+    with np.errstate(over="ignore"):
+        np.ldexp(mant, exps, out=coeffs[: mant.size])
     if not np.all(np.isfinite(coeffs)):
         raise NumericalError(
             "ESP values overflow double precision at this scale; "
             "use esp_ratios, which is scale free")
     return EspVector(coeffs)
+
+
+def esp_all(s: Spectrum | PiecewiseDyadicSpectrum, m: int) -> EspVector:
+    """All values e_0 .. e_m of the spectrum (zeros beyond its length)."""
+    m = checked_int(m, "truncation order m", 0)
+    return _esp_vector(*_scaled_coeffs(s, m), m)
 
 
 def esp_ratios(spec: Spectrum | PiecewiseDyadicSpectrum, kmax: int) -> np.ndarray:
@@ -232,7 +230,9 @@ def esp_ratios(spec: Spectrum | PiecewiseDyadicSpectrum, kmax: int) -> np.ndarra
     RankDeficiencyError is raised.
     """
     kmax = checked_int(kmax, "k", 0)
-    return _ratios(*_scaled_coeffs(spec, kmax + 1))
+    mant, exps = _scaled_coeffs(spec, kmax + 1)
+    pad = min(kmax + 2 - mant.size, 2)      # e_{n+1} = e_{n+2} = 0 close a pair ending at n
+    return _ratios(np.pad(mant, (0, pad)), np.pad(exps, (0, pad)))
 
 
 def esp_ratio(s: Spectrum | PiecewiseDyadicSpectrum, k: int) -> float:
@@ -248,11 +248,10 @@ def esp_marginals(spec: Spectrum, k: int) -> np.ndarray:
     entries remain to be chosen; zero where e_r(v_1..v_i) = 0.
     """
     k = checked_int(k, "k", 1, spec.n)
-    scale = float(spec.values[0]) or 1.0      # an all-zero spectrum has all-zero marginals
     table = np.zeros((k + 1, spec.n + 1))     # the ESP table, then the marginals in place
     table[0, 0] = 2.0**_CENTER         # e_0 of the empty prefix, scaled as row 0
     exps = np.zeros(k + 1, dtype=np.int64)
-    for j, lo, block, exponent in _prefix_rows(spec.values, scale, k):
+    for j, lo, block, exponent in _prefix_rows(spec.values, k):
         if exponent != exps[j]:        # earlier chunks of the order to this one's exponent
             np.ldexp(table[j, 1 : lo + 1], exps[j] - exponent, out=table[j, 1 : lo + 1])
         table[j, lo + 1 : lo + 1 + _CHUNK] = block.T.reshape(-1)[: spec.n - lo]
@@ -260,9 +259,10 @@ def esp_marginals(spec: Spectrum, k: int) -> np.ndarray:
     del block                          # the last view of the scan's buffers: free them
     # right to left and top down, so each step reads entries not yet overwritten
     for lo in reversed(range(0, spec.n, _CHUNK)):
-        x = spec.values[lo : lo + _CHUNK] / scale
+        x, power = np.frexp(spec.values[lo : lo + _CHUNK])     # the values as exact pairs
         for r in range(k, 0, -1):
-            num = np.ldexp(x * table[r - 1, lo : lo + x.size], exps[r - 1] - exps[r])
+            num = x * table[r - 1, lo : lo + x.size]
+            np.ldexp(num, power + int(exps[r - 1] - exps[r]), out=num)
             den = table[r, lo + 1 : lo + 1 + x.size]
             np.divide(num, den, out=den, where=den > 0.0)
     table[0] = 0.0
@@ -299,15 +299,16 @@ def esp_convolve(a: EspVector, b: EspVector, m: int) -> EspVector:
     This realizes the union rule f(concat(x, y)) = f(x) * f(y).
     """
     m = checked_int(m, "truncation order m", 0)
-    return EspVector(np.ldexp(*_cauchy(np.frexp(a.coeffs), np.frexp(b.coeffs), m)))
+    return _esp_vector(*_cauchy(np.frexp(a.coeffs), np.frexp(b.coeffs), m), m)
 
 
 def esp_scale(v: EspVector, s: float) -> EspVector:
     """Coefficients of the scaled spectrum: e_j(s * x) = s^j e_j(x)."""
     if not s > 0.0:
         raise ValidationError("scale factor must be positive")
-    powers = float(s) ** np.arange(v.coeffs.size, dtype=np.float64)
-    return EspVector(v.coeffs * powers)
+    with np.errstate(over="ignore", invalid="ignore"):
+        coeffs = v.coeffs * float(s) ** np.arange(v.coeffs.size, dtype=np.float64)
+    return _esp_vector(*np.frexp(coeffs), v.m)
 
 
 def esp_ratio_head_tail(split: HeadTailSplit, k: int) -> tuple[float, float]:
@@ -319,16 +320,14 @@ def esp_ratio_head_tail(split: HeadTailSplit, k: int) -> tuple[float, float]:
         gamma = sum_i t_{k+1-i} u_i / (pivot * sum_i t_{k-i} u_i), i = 0..k.
 
     All terms are nonnegative and the denominator contains e_k(head) > 0,
-    so the quotient is well defined whenever the split is.  Both parts are
-    normalized by the leading entry, which leaves gamma unchanged.
+    so the quotient is well defined whenever the split is; both parts are
+    (mantissas, exponents) pairs, so neither needs a common scale.
     """
     k = checked_int(k, "k", 0)
     if k != split.k:
         raise ValidationError(f"split was made at k={split.k}, asked for k={k}")
-    scale = float(split.head.values[0]) if k >= 1 else split.pivot
-    head = _totals(_prefix_rows(split.head.values, scale, k), k)
-    tail = _totals(_prefix_rows(split.tail.values, scale, k + 1), k + 1)
-    ratio = float(_ratios(scale, *_cauchy(head, tail, k + 1))[k])
+    head, tail = _esp_coeffs(split.head.values, k), _esp_coeffs(split.tail.values, k + 1)
+    ratio = float(_ratios(*_cauchy(head, tail, k + 1))[k])
     return ratio / split.pivot, ratio
 
 

@@ -27,6 +27,15 @@ def esp_brute(values, j: int) -> float:
     return math.fsum(math.prod(c) for c in combinations(values, j))
 
 
+def unit_scaled(values: np.ndarray) -> tuple[np.ndarray, int]:
+    """(values / 2^u, u) with 2^u <= values[0] < 2^(u+1), u = 0 for a zero lead.
+
+    The library's ESP scale: a power of two, so the division is exact.
+    """
+    u = math.frexp(values[0])[1] - 1 if values.size and values[0] > 0.0 else 0
+    return np.ldexp(values, -u), u
+
+
 def sequential_prefix_rows(values: np.ndarray, m: int):
     """Yield (row, exponent) for j = 0..min(m, n): row[i] * 2**exponent = e_j(values[:i]).
 
@@ -59,7 +68,7 @@ def sequential_ratios(values: np.ndarray, kmax: int) -> np.ndarray:
 
 def sequential_marginals(values: np.ndarray, k: int) -> np.ndarray:
     """esp_marginals of a nonincreasing spectrum, over sequential_prefix_rows."""
-    values = values / values[0]
+    values = unit_scaled(values)[0]
     rows, exps = zip(*sequential_prefix_rows(values, k))
     table = np.stack(rows)
     num = np.ldexp(values * table[:-1, :-1], -np.diff(exps)[:, None])

@@ -68,6 +68,18 @@ class TestEspCommand:
         values = [float(line.split(",")[1]) for line in out.strip().splitlines()[1:]]
         assert values == pytest.approx([1.0, 6.0, 11.0, 6.0])
 
+    def test_integer_spectrum_prints_exact_values(self, tmp_path, capsys):
+        p = tmp_path / "s.txt"
+        p.write_text("3,1\n2\n")
+        code, out, err = run_cli(["esp", "--input", str(p), "--k", "2"], capsys)
+        assert (code, out, err) == (0, "j,e_j\n0,1\n1,6\n2,11\n", "")
+
+    @pytest.mark.parametrize("k", ["5", str(10**18)])
+    def test_k_past_the_spectrum_is_rejected(self, k, capsys):
+        # e_j = 0 for j > n, so there is nothing to print past n
+        code, out, err = run_cli(["esp", "--spectrum", "geom:q=0.5,n=4", "--k", k], capsys)
+        assert (code, out, err) == (1, "", f"error: k must be at most 4, got {k}\n")
+
     def test_requires_exactly_one_source(self, capsys):
         code, _, err = run_cli(["esp", "--k", "2"], capsys)
         assert code == 1 and "error:" in err
@@ -486,6 +498,24 @@ class TestErrorPaths:
             code, out, _ = run_cli(argv, capsys)
             assert code == 1, argv
             assert out == "", argv
+
+    @pytest.mark.parametrize("argv, message", [
+        (["esp", "--spectrum", "geom:q=0.5,n=4"], "k must be at most 4, got 10**18"),
+        (["ratio", "--spectrum", "geom:q=0.5,n=4"], "k must be at most 3, got 10**18"),
+        (["expected-error", "--spectrum", "geom:q=0.5,n=4"], "k must be at most 3, got 10**18"),
+        (["bounds", "--spectrum", "geom:q=0.5,n=4"], "k must be at most 3, got 10**18"),
+        (["figure", "--spectrum", "geom:q=0.5,n=4", "--mu", "dyadic:lmax=3,base=0.5"],
+         "k must be at most 3, got 10**18"),
+        (["verify", "--input", "IDENTITY5"], "k must be at most 4, got 5"),
+        (["approx", "--input", "IDENTITY5"], "approx takes a single k, not a range"),
+        (["sample", "--input", "IDENTITY5"], "sample takes a single k, not a range"),
+    ], ids=["esp", "ratio", "expected-error", "bounds", "figure", "verify", "approx", "sample"])
+    def test_k_range_is_checked_before_it_is_built(self, argv, message, identity5_file,
+                                                   capsys):
+        argv = [identity5_file if a == "IDENTITY5" else a for a in argv]
+        code, out, err = run_cli(argv + ["--k", f"1..{10**18}"], capsys)
+        message = message.replace("10**18", str(10**18))
+        assert (code, out, err) == (1, "", f"error: {message}\n")
 
     def test_failed_run_writes_no_output_file(self, tmp_path, capsys):
         out_path = tmp_path / "never.csv"

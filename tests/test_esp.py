@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,8 +12,10 @@ from oracles import (
     sequential_marginals,
     sequential_prefix_rows,
     sequential_ratios,
+    unit_scaled,
 )
 from volcur import (
+    NumericalError,
     PiecewiseDyadicSpectrum,
     RankDeficiencyError,
     ValidationError,
@@ -24,6 +28,7 @@ from volcur import (
     esp_ratio_head_tail,
     esp_ratios,
     esp_scale,
+    generate_dyadic,
     generate_geometric,
     generate_power_law,
     make_spectrum,
@@ -41,9 +46,10 @@ def rel_err(a: float, b: float) -> float:
 
 class TestEspAll:
     def test_hand_example(self):
-        # (1,2,3): e_0..e_3 = 1, 6, 11, 6
-        v = esp_all(make_spectrum([1.0, 2.0, 3.0]), 3)
-        assert np.allclose(v.coeffs, [1.0, 6.0, 11.0, 6.0], rtol=1e-14)
+        # (1,2,3): e_0..e_3 = 1, 6, 11, 6, exactly (see TestExactness)
+        s = make_spectrum([1.0, 2.0, 3.0])
+        assert esp_all(s, 3).coeffs.tolist() == [1.0, 6.0, 11.0, 6.0]
+        assert esp_ratio(s, 1) == float(Fraction(11, 6))
 
     def test_two_values(self):
         v = esp_all(make_spectrum([2.0, 1.0]), 2)
@@ -100,6 +106,44 @@ class TestEspAll:
         assert np.all(hi[1:] >= lo[1:])
 
 
+def integer_esps(values) -> list[int]:
+    """e_0..e_n of integers, in Python integers."""
+    e = [1] + [0] * len(values)
+    for v in values:
+        for j in range(len(values), 0, -1):
+            e[j] += v * e[j - 1]
+    return e
+
+
+# n integers below 2^(53/n) - 1 have every e_j below (1 + max)^n <= 2^53
+integer_spectra = st.integers(1, 12).flatmap(lambda n: st.lists(
+    st.integers(0, int(2 ** (53 / n)) - 1), min_size=n, max_size=n))
+
+
+class TestExactness:
+    """Integer spectra whose ESPs fit 53 bits: every value is exact, and
+    every ratio one correctly rounded division."""
+
+    @given(integer_spectra)
+    @settings(max_examples=300)
+    def test_integer_spectra(self, xs):
+        e = integer_esps(xs)
+        assert max(e) < 2**53
+        s = make_spectrum(np.array(xs, dtype=np.float64))
+        assert esp_all(s, s.n).coeffs.tolist() == [float(x) for x in e]
+        rank = sum(x > 0 for x in xs)
+        want = [float(Fraction(a, b)) for a, b in zip(e[1:] + [0], e[: rank + 1])]
+        assert esp_ratios(s, rank).tolist() == want
+
+    def test_integer_spectrum_across_chunks(self):
+        # 3 * C(n, j) for n = 3 chunks + 7: the blocked scan adds integers exactly
+        xs = [3] * (3 * _CHUNK + 7)
+        n = len(xs)
+        e = [1, 3 * n, 9 * n * (n - 1) // 2]
+        assert max(e) < 2**53
+        assert esp_all(make_spectrum(np.array(xs, dtype=np.float64)), 2).coeffs.tolist() == e
+
+
 class TestEspRatio:
     def test_hand_example(self):
         # (2,1): e_2/e_1 = 2/3
@@ -115,6 +159,14 @@ class TestEspRatio:
     def test_k_above_rank_raises(self):
         with pytest.raises(RankDeficiencyError):
             esp_ratio(make_spectrum([2.0, 1.0]), 3)
+
+    @pytest.mark.parametrize("spec, n", [(make_spectrum([3.0, 2.0, 1.0]), 3),
+                                         (generate_dyadic(3, 0.5), 7)])
+    def test_arrays_are_sized_by_the_spectrum(self, spec, n):
+        # e_j = 0 past n is implied, so a huge k allocates nothing
+        with pytest.raises(RankDeficiencyError,
+                           match=f"^e_{n + 1} = 0: spectrum rank is below {n + 1}$"):
+            esp_ratios(spec, 10**18)
 
     def test_rank_deficient_spectrum(self):
         s = make_spectrum([2.0, 1.0, 0.0])
@@ -184,15 +236,15 @@ class TestEspRatio:
         assert lhs >= rhs * (1.0 - 1e-10)
 
 
-def scan(values: np.ndarray, scale: float, m: int) -> list:
+def scan(values: np.ndarray, m: int) -> list:
     """_prefix_rows gathered per order: one (row, exponent) per chunk.
 
-    row[i] * 2**exponent = e_j(x[:lo + i + 1]) for the chunk starting at lo.
+    row[i] * 2**exponent = e_j(values[:lo + i + 1]) for the chunk starting at lo.
     Checks each chunk's (depth, lanes) block and that its padding holds the
     chunk's running total.
     """
     orders = {}
-    for j, lo, block, exponent in _prefix_rows(values, scale, m):
+    for j, lo, block, exponent in _prefix_rows(values, m):
         chunks = orders.setdefault(j, [])
         assert lo == _CHUNK * len(chunks)
         size = min(values.size - lo, _CHUNK)
@@ -214,13 +266,18 @@ def joined(chunks: list) -> tuple[np.ndarray, int]:
 def chunk_exponents(values: np.ndarray, m: int) -> dict:
     """The exponents each order takes over the chunks, without keeping rows."""
     exps = {}
-    for j, _, _, exponent in _prefix_rows(values, float(values[0]), m):
+    for j, _, _, exponent in _prefix_rows(values, m):
         exps.setdefault(j, set()).add(exponent)
     return exps
 
 
 class TestBlockedScan:
-    """_prefix_rows against the serial recursion it replaced."""
+    """_prefix_rows against the serial recursion it replaced.
+
+    The serial rows run on the values the scan runs on, divided by the
+    power of two 2^u at or below the leading value; the scan's exponents
+    carry the factor 2^(j*u) besides.
+    """
 
     @staticmethod
     def spectra(n: int):
@@ -232,18 +289,18 @@ class TestBlockedScan:
     @pytest.mark.parametrize("n", [1, 2, 37, 1000, _LANES - 1, _LANES])
     def test_bit_identical_up_to_lanes(self, n):
         for values in self.spectra(n):
-            scale = float(values[0])
-            pairs = zip(scan(values, scale, 40), sequential_prefix_rows(values / scale, 40))
-            for chunks, (row, want) in pairs:
+            x, u = unit_scaled(values)
+            pairs = zip(scan(values, 40), sequential_prefix_rows(x, 40))
+            for j, (chunks, (row, want)) in enumerate(pairs):
                 [(got, exponent)] = chunks          # one chunk, of depth 1
-                assert exponent == want
+                assert exponent == want + j * u
                 assert np.array_equal(got, row[1:])
 
     def test_bit_identical_through_rescales(self):
         # row j shrinks by about 2^-j: a rescale every 256 / j rows or so
-        values = generate_geometric(0.5, 2000).values
+        values = generate_geometric(0.5, 2000).values     # leads with 1.0: u = 0
         rescaled = 0
-        pairs = zip(scan(values, 1.0, 1100), sequential_prefix_rows(values, 1100))
+        pairs = zip(scan(values, 1100), sequential_prefix_rows(values, 1100))
         for [(got, exponent)], (row, want) in pairs:
             rescaled += exponent != -512
             assert exponent == want
@@ -256,13 +313,14 @@ class TestBlockedScan:
         # the values' referee is the long-double recursion: the double one
         # drifts by up to 3.3e-14 at 3 chunks + 7 (7.0e-15 for the scan)
         values = np.sort(np.random.default_rng(n).random(n))[::-1]
-        scale = float(values[0])
-        pairs = zip(scan(values, scale, 30), sequential_prefix_rows(values / scale, 30),
-                    longdouble_prefix_rows(values / scale, 30))
-        for chunks, (row, want), exact in pairs:
+        x, u = unit_scaled(values)
+        pairs = zip(scan(values, 30), sequential_prefix_rows(x, 30),
+                    longdouble_prefix_rows(x, 30))
+        for j, (chunks, (row, want), exact) in enumerate(pairs):
             assert len(chunks) == -(-n // _CHUNK)
             got, exponent = joined(chunks)
-            assert exponent == want
+            assert exponent == want + j * u
+            exponent -= j * u
             np.testing.assert_allclose(np.ldexp(got, exponent), exact[1:].astype(np.float64),
                                        rtol=2e-14, atol=0.0)
             if n <= _LANES:
@@ -407,6 +465,16 @@ class TestConvolve:
         v = esp_all(make_spectrum([1.0]), 1)
         with pytest.raises(ValidationError):
             esp_scale(v, 0.0)
+
+    def test_scale_past_double_range_is_numerical(self):
+        # 3 * 1e200 fits, 3 * 1e400 does not: a NumericalError, like esp_all's
+        v = esp_all(make_spectrum([1.0, 1.0, 1.0]), 3)
+        with pytest.raises(NumericalError, match="overflow double precision"):
+            esp_scale(v, 1e200)
+
+    def test_convolve_pads_past_both_lengths(self):
+        one = esp_all(make_spectrum([1.0]), 1)
+        assert esp_convolve(one, one, 4).coeffs.tolist() == [1.0, 2.0, 1.0, 0.0, 0.0]
 
 
 class TestHeadTailRatio:
