@@ -73,6 +73,7 @@ from .sampling import (
     sample_subsets,
 )
 from .spectra import (
+    DENSE_CAP,
     HeadTailSplit,
     PiecewiseDyadicSpectrum,
     Spectrum,

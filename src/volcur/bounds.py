@@ -47,12 +47,14 @@ def _check_domination(spec: Spectrum | PiecewiseDyadicSpectrum,
     spec is nonincreasing and mu is constant on each level, so the first
     violation, if any, is at a level head (0-based position 2^l - 1), and
     level mu.lmax's head is the first entry past mu: one comparison per
-    level.  A dyadic spec's heads are its level_values, as it materializes them.
+    level.  A dyadic spec's heads are its level_values, as it materializes them;
+    a plain one's are read entry by entry.
     """
     if isinstance(spec, PiecewiseDyadicSpectrum):
         heads = spec.level_values[: mu.lmax + 1]
     else:
-        heads = spec.values[2 ** np.arange(min(spec.n.bit_length(), mu.lmax + 1)) - 1]
+        levels = range(min(spec.n.bit_length(), mu.lmax + 1))
+        heads = np.array([spec._chunk(2**level - 1, 2**level)[0] for level in levels])
     if heads.size > mu.lmax and heads[mu.lmax] > 0.0:
         raise BoundInapplicableError(
             f"majorant has only {mu.n} entries but the spectrum is "

@@ -214,11 +214,12 @@ def cmd_verify(args) -> int:
             f"got n = {m.n}")
     ks = _parse_k_range(args.k)
     ed = eigendecompose(m)
-    sums = invariant_sums(m, min(ks[-1] + 1, m.n))
+    for k in (ks[0], ks[-1]):          # the range's ends, before enumerating any k
+        checked_int(k, "k", 1, min(m.n - 1, ed.rank))
+    sums = invariant_sums(m, ks[-1] + 1)
     ok = True
     lines = []
     for k in ks:
-        k = checked_int(k, "k", 1, min(m.n - 1, ed.rank))
         dist = enumerate_distribution(m, k)
         brute = dist.expected_error
         exact = expected_error_exact(ed.eigenvalues, k)

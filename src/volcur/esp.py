@@ -11,9 +11,10 @@ double range keep full precision.  Plain spectra run one prefix recursion
 (_prefix_rows), scaled and rescaled by exact powers of two only, so an
 integer spectrum whose ESPs fit 53 bits comes out exact; dyadic spectra
 multiply per-level binomial coefficients.  The recursion is a blocked scan
-that runs every order over one chunk of 16 x 4096 entries before the
-next, so whatever n it holds the spectrum plus three chunk-sized arrays
-(1.7 MB traced at n = 10^6).
+that reads the spectrum one chunk of 16 x 4096 entries at a time and runs
+every order over it before the next, so whatever n it holds three
+chunk-sized arrays, and a generated spectrum only the chunk being read
+(2.2 MB traced at n = 10^6 and at 4 * 10^6).
 
 Ratios (esp_ratios) and the sampler's marginals (esp_marginals) are
 quotients of such values, so they are scale free; only esp_all and
@@ -26,8 +27,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NumericalError, RankDeficiencyError, ValidationError, checked_int
-from .spectra import HeadTailSplit, PiecewiseDyadicSpectrum, Spectrum
+from .errors import (
+    CapExceededError,
+    NumericalError,
+    RankDeficiencyError,
+    ValidationError,
+    checked_int,
+)
+from .spectra import _CHUNK, DENSE_CAP, HeadTailSplit, PiecewiseDyadicSpectrum, Spectrum
 
 __all__ = [
     "EspVector",
@@ -45,7 +52,6 @@ __all__ = [
 
 _CENTER, _SLACK = 512, 256         # prefix rows: running total within 2^(512 +- 256)
 _LANES = 4096                      # prefix rows: lanes of the blocked scan, by timing
-_CHUNK = 16 * _LANES               # prefix rows: entries per chunk, cache-sized by timing
 
 
 @dataclass(frozen=True, eq=False)
@@ -79,14 +85,15 @@ class EspVector:
         return float(self.coeffs[j])
 
 
-def _prefix_rows(values: np.ndarray, m: int):
-    """Yield (j, lo, block, exponent): prefix row e_j of values over one chunk.
+def _prefix_rows(spec: Spectrum, m: int):
+    """Yield (j, lo, block, exponent): prefix row e_j of spec over one chunk.
 
     The scan runs on x = values / 2^u, 2^u <= values[0] < 2^(u+1) (the
-    module's one scale, exact), and folds j*u into the exponents.  All
-    orders j = 0..min(m, n) run over the chunk of at most _CHUNK entries
-    starting at lo before the next chunk, laid out zero-padded as a
-    C-contiguous (depth, lanes) array with x[lo + b*depth + t] at [t, b]:
+    module's one scale, exact), and folds j*u into the exponents.  It reads
+    the values by spec._chunk, and all orders j = 0..min(m, n) run over the
+    chunk of at most _CHUNK entries starting at lo before the next chunk,
+    laid out zero-padded as a C-contiguous (depth, lanes) array with
+    x[lo + b*depth + t] at [t, b]:
     block[t, b] * 2**exponent = e_j(values[:lo + b*depth + t + 1]), and
     padding holds the running total block[-1, -1].  Row j is the prefix
     sum of x times row j-1 shifted by one: the products, the per-lane
@@ -104,15 +111,15 @@ def _prefix_rows(values: np.ndarray, m: int):
     at most a factor 2n per step but can shrink by any factor.  Each chunk
     decides its own, so an order's exponent can change by chunk.
     """
-    n = int(values.size)
-    u = math.frexp(values[0])[1] - 1 if n and values[0] > 0.0 else 0   # x[0] in [1, 2)
+    n = spec.n
     carry = [2.0**_CENTER] + [0.0] * min(m, n)   # e_j of the prefix before the chunk,
     exps = [-_CENTER] * len(carry)               # as carry[j] * 2**exps[j], of x
     for lo in range(0, max(n, 1), _CHUNK):
-        chunk = values[lo : lo + _CHUNK]
+        chunk = spec._chunk(lo, lo + _CHUNK)
         depth = max(-(-chunk.size // _LANES), 1)
         lanes = max(-(-chunk.size // depth), 1)
-        if not lo:                     # the first chunk is the largest
+        if not lo:                     # the first chunk leads, and is the largest
+            u = math.frexp(chunk[0])[1] - 1 if n and chunk[0] > 0.0 else 0   # x[0] in [1, 2)
             bufs = np.empty((3, depth * lanes))
         x, *rows = (buf[: depth * lanes].reshape(depth, lanes) for buf in bufs)
         steps = [list(zip(row[:-1], row[1:])) for row in rows]   # (row t-1, row t) views
@@ -121,6 +128,7 @@ def _prefix_rows(values: np.ndarray, m: int):
         np.ldexp(chunk[: full * depth].reshape(full, depth), -u, out=x.T[:full])
         if rest:
             np.ldexp(chunk[full * depth :], -u, out=x.T[full, :rest])
+        del chunk                      # laid out in x: a generated chunk is freed here
         out, exponent = rows[0], -_CENTER
         out.fill(2.0**_CENTER)
         yield 0, lo, out, exponent
@@ -142,11 +150,11 @@ def _prefix_rows(values: np.ndarray, m: int):
         carry[-1], exps[-1] = float(out[-1, -1]), exponent
 
 
-def _esp_coeffs(values: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
-    """e_0..e_min(m, n) of plain values as (mantissas, exponents): e_j = mant * 2^exp."""
-    last = np.zeros(min(m, values.size) + 1)
+def _esp_coeffs(spec: Spectrum, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """e_0..e_min(m, n) of a plain spectrum as (mantissas, exponents): e_j = mant * 2^exp."""
+    last = np.zeros(min(m, spec.n) + 1)
     exps = np.zeros(last.size, dtype=np.int64)
-    for j, _, block, exponent in _prefix_rows(values, m):
+    for j, _, block, exponent in _prefix_rows(spec, m):
         last[j], exps[j] = block[-1, -1], exponent
     mant, shift = np.frexp(last)
     return mant, np.where(mant > 0.0, exps + shift, 0)
@@ -194,7 +202,7 @@ def _scaled_coeffs(spec: Spectrum | PiecewiseDyadicSpectrum, m: int):
         for level in range(spec.lmax - 1, -1, -1):
             acc = _cauchy(acc, _level_coeffs(level, spec.base, m), m)
         return acc
-    return _esp_coeffs(spec.values, m)
+    return _esp_coeffs(spec, m)
 
 
 def _ratios(mant: np.ndarray, exps: np.ndarray) -> np.ndarray:
@@ -217,9 +225,17 @@ def _esp_vector(mant: np.ndarray, exps: np.ndarray, m: int) -> EspVector:
     return EspVector(coeffs)
 
 
+def _order(m: int) -> int:
+    """A truncation order m, refused above DENSE_CAP before m + 1 entries are allocated."""
+    m = checked_int(m, "truncation order m", 0)
+    if m > DENSE_CAP:
+        raise CapExceededError(f"truncation order m = {m} exceeds the dense-array cap {DENSE_CAP}")
+    return m
+
+
 def esp_all(s: Spectrum | PiecewiseDyadicSpectrum, m: int) -> EspVector:
     """All values e_0 .. e_m of the spectrum (zeros beyond its length)."""
-    m = checked_int(m, "truncation order m", 0)
+    m = _order(m)
     return _esp_vector(*_scaled_coeffs(s, m), m)
 
 
@@ -251,7 +267,7 @@ def esp_marginals(spec: Spectrum, k: int) -> np.ndarray:
     table = np.zeros((k + 1, spec.n + 1))     # the ESP table, then the marginals in place
     table[0, 0] = 2.0**_CENTER         # e_0 of the empty prefix, scaled as row 0
     exps = np.zeros(k + 1, dtype=np.int64)
-    for j, lo, block, exponent in _prefix_rows(spec.values, k):
+    for j, lo, block, exponent in _prefix_rows(spec, k):
         if exponent != exps[j]:        # earlier chunks of the order to this one's exponent
             np.ldexp(table[j, 1 : lo + 1], exps[j] - exponent, out=table[j, 1 : lo + 1])
         table[j, lo + 1 : lo + 1 + _CHUNK] = block.T.reshape(-1)[: spec.n - lo]
@@ -259,12 +275,13 @@ def esp_marginals(spec: Spectrum, k: int) -> np.ndarray:
     del block                          # the last view of the scan's buffers: free them
     # right to left and top down, so each step reads entries not yet overwritten
     for lo in reversed(range(0, spec.n, _CHUNK)):
-        x, power = np.frexp(spec.values[lo : lo + _CHUNK])     # the values as exact pairs
+        x, power = np.frexp(spec._chunk(lo, lo + _CHUNK))      # the values as exact pairs
         for r in range(k, 0, -1):
             num = x * table[r - 1, lo : lo + x.size]
             np.ldexp(num, power + int(exps[r - 1] - exps[r]), out=num)
             den = table[r, lo + 1 : lo + 1 + x.size]
             np.divide(num, den, out=den, where=den > 0.0)
+        del x, power, num              # freed before the next chunk is read
     table[0] = 0.0
     return table
 
@@ -298,7 +315,7 @@ def esp_convolve(a: EspVector, b: EspVector, m: int) -> EspVector:
 
     This realizes the union rule f(concat(x, y)) = f(x) * f(y).
     """
-    m = checked_int(m, "truncation order m", 0)
+    m = _order(m)
     return _esp_vector(*_cauchy(np.frexp(a.coeffs), np.frexp(b.coeffs), m), m)
 
 
@@ -326,7 +343,7 @@ def esp_ratio_head_tail(split: HeadTailSplit, k: int) -> tuple[float, float]:
     k = checked_int(k, "k", 0)
     if k != split.k:
         raise ValidationError(f"split was made at k={split.k}, asked for k={k}")
-    head, tail = _esp_coeffs(split.head.values, k), _esp_coeffs(split.tail.values, k + 1)
+    head, tail = _esp_coeffs(split.head, k), _esp_coeffs(split.tail, k + 1)
     ratio = float(_ratios(*_cauchy(head, tail, k + 1))[k])
     return ratio / split.pivot, ratio
 

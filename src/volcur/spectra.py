@@ -1,21 +1,28 @@
 """Spectra: nonincreasing, nonnegative eigenvalue sequences.
 
-A Spectrum is stored dense in double precision, read-only; tail sums past
-its length are zero.  Generators compute entries by direct formula (no
-repeated multiplication), so values do not drift at large n.
+Every reader takes a Spectrum's entries one chunk at a time (_chunk).  A
+spectrum read from a file or an eigensolve is held dense in double
+precision, read-only, and a chunk is a view of it.  A generated one
+(geom:, pow:) holds no entries: each chunk is computed on demand by
+direct formula (no repeated multiplication, so values do not drift at
+large n) and checked as a dense input is, against the entry before it
+too.  Its length is capped at DENSE_CAP, so .values, which materializes
+every entry once for callers that need one array, always fits.  Tail
+sums past a spectrum's length are zero.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
-from typing import Iterable, NamedTuple
+from typing import Callable, Iterable, NamedTuple
 
 import numpy as np
 
-from .errors import DegenerateTailError, ValidationError, checked_int
+from .errors import CapExceededError, DegenerateTailError, ValidationError, checked_int
 
 __all__ = [
+    "DENSE_CAP",
     "Spectrum",
     "HeadTailSplit",
     "PiecewiseDyadicSpectrum",
@@ -28,6 +35,11 @@ __all__ = [
     "parse_generator_spec",
 ]
 
+# The most entries of a generated spectrum, and of esp_all's output: a
+# float64 array of that size takes 8 GiB, and a k = 64 scan of it about 160 s.
+DENSE_CAP = 2**30
+_CHUNK = 16 * 4096      # entries per read: what the ESP scan holds at once, cache-sized by timing
+
 
 class _Owned(NamedTuple):
     """An array the library built and hands to a constructor that keeps it:
@@ -36,43 +48,86 @@ class _Owned(NamedTuple):
     array: np.ndarray
 
 
-@dataclass(frozen=True, eq=False)
+def _checked(arr: np.ndarray) -> np.ndarray:
+    """arr, unless an entry is not finite, is negative, or exceeds the one before it."""
+    if arr.size and not np.all(np.isfinite(arr)):
+        raise ValidationError("spectrum entries must be finite")
+    if arr.size and arr[-1] < 0.0:
+        raise ValidationError("spectrum entries must be nonnegative")
+    if np.any(arr[1:] > arr[:-1]):
+        raise ValidationError("spectrum must be nonincreasing")
+    return arr
+
+
 class Spectrum:
     """A sorted (nonincreasing) sequence of nonnegative reals, read-only.
 
-    Its input is copied, unless the library hands over its own as _Owned."""
+    Its input is checked and copied, unless the library hands over its own
+    as _Owned; Spectrum._generated builds one from a formula instead.
+    """
 
-    values: np.ndarray
-
-    def __post_init__(self) -> None:
-        arr = self.values
-        arr = arr.array if isinstance(arr, _Owned) else np.array(arr, dtype=np.float64)
+    def __init__(self, values) -> None:
+        arr = values.array if isinstance(values, _Owned) else np.array(values, dtype=np.float64)
         if arr.ndim != 1:
             raise ValidationError("spectrum must be one-dimensional")
-        if arr.size and not np.all(np.isfinite(arr)):
-            raise ValidationError("spectrum entries must be finite")
-        if arr.size and arr[-1] < 0.0:
-            raise ValidationError("spectrum entries must be nonnegative")
-        if np.any(arr[1:] > arr[:-1]):
-            raise ValidationError("spectrum must be nonincreasing")
-        arr.flags.writeable = False
-        object.__setattr__(self, "values", arr)
+        _checked(arr).flags.writeable = False
+        self.n = int(arr.size)
+        self.values = arr              # held: fills the cached property below
 
-    @property
-    def n(self) -> int:
-        return int(self.values.size)
+    @classmethod
+    def _generated(cls, n: int, entries: Callable[[int, int], np.ndarray]) -> Spectrum:
+        """n entries, entries(lo, hi) being a fresh array of those at lo..hi-1."""
+        spec = cls.__new__(cls)
+        spec.n, spec._entries = n, entries
+        return spec
+
+    @cached_property
+    def values(self) -> np.ndarray:
+        """All n entries as one read-only array, computed here once if generated."""
+        arr = self._chunk(0, self.n)
+        arr.flags.writeable = False
+        return arr
+
+    def _chunk(self, lo: int, hi: int) -> np.ndarray:
+        """Entries lo..min(hi, n)-1: a view of the values once held, else
+        computed and checked together with the entry before lo."""
+        if "values" in vars(self):
+            return self.values[lo:hi]
+        start = max(lo - 1, 0)
+        return _checked(self._entries(start, min(hi, self.n)))[lo - start :]
+
+    def __array__(self, dtype=None, copy=None) -> np.ndarray:
+        """np.asarray(spectrum) is the values, materialized."""
+        if copy:
+            return np.array(self.values, dtype=dtype)
+        return np.asarray(self.values, dtype=dtype)
 
     @property
     def rank(self) -> int:
-        """Number of strictly positive entries."""
-        return int(np.count_nonzero(self.values > 0.0))
+        """Number of strictly positive entries: they lead, so bisect for the first zero."""
+        lo, hi = 0, self.n
+        while lo < hi:
+            mid = (lo + hi) // 2
+            if self._chunk(mid, mid + 1)[0] > 0.0:
+                lo = mid + 1
+            else:
+                hi = mid
+        return lo
+
+    @cached_property
+    def _chunk_sums(self) -> np.ndarray:
+        """The sum of each chunk of _CHUNK entries, in order."""
+        return np.array([self._chunk(lo, lo + _CHUNK).sum() for lo in range(0, self.n, _CHUNK)])
 
     def tail_sum(self, k: int) -> float:
-        """Sum of entries after the first k (zero when k >= n)."""
-        return float(self.values[checked_int(k, "k", 0):].sum())
+        """Sum of entries after the first k (zero when k >= n): the rest of
+        k's chunk, then the sums of the chunks after it."""
+        k = checked_int(k, "k", 0)
+        end = (k // _CHUNK + 1) * _CHUNK
+        return float(self._chunk(k, end).sum() + self._chunk_sums[end // _CHUNK :].sum())
 
     def __repr__(self) -> str:
-        shown = ", ".join(f"{v:g}" for v in self.values[:6])
+        shown = ", ".join(f"{v:g}" for v in self._chunk(0, 6))
         more = ", ..." if self.n > 6 else ""
         return f"Spectrum([{shown}{more}], n={self.n})"
 
@@ -139,23 +194,37 @@ def make_spectrum(values: Iterable[float]) -> Spectrum:
     return Spectrum(_Owned(np.sort(arr)[::-1]))
 
 
+def _generated_length(n: int) -> int:
+    n = checked_int(n, "n", 1)
+    if n > DENSE_CAP:
+        raise CapExceededError(
+            f"n = {n} exceeds the generated-spectrum cap {DENSE_CAP}")
+    return n
+
+
 def generate_geometric(q: float, n: int) -> Spectrum:
-    """Geometric spectrum (1, q, q^2, ..., q^{n-1})."""
+    """Geometric spectrum (1, q, q^2, ..., q^{n-1}), computed chunk by chunk."""
     if not 0.0 < q < 1.0:
         raise ValidationError("q must lie strictly between 0 and 1")
-    n = checked_int(n, "n", 1)
-    values = np.arange(n, dtype=np.float64)
-    return Spectrum(_Owned(np.power(q, values, out=values)))
+
+    def entries(lo: int, hi: int) -> np.ndarray:
+        values = np.arange(lo, hi, dtype=np.float64)
+        return np.power(q, values, out=values)
+
+    return Spectrum._generated(_generated_length(n), entries)
 
 
 def generate_power_law(p: float, n: int) -> Spectrum:
-    """Power-law spectrum (1, 1/2^p, 1/3^p, ..., 1/n^p)."""
+    """Power-law spectrum (1, 1/2^p, 1/3^p, ..., 1/n^p), computed chunk by chunk."""
     if not p > 0.0:
         raise ValidationError("p must be positive")
-    n = checked_int(n, "n", 1)
-    values = np.arange(1, n + 1, dtype=np.float64)
-    values **= -float(p)
-    return Spectrum(_Owned(values))
+
+    def entries(lo: int, hi: int) -> np.ndarray:
+        values = np.arange(lo + 1, hi + 1, dtype=np.float64)
+        values **= -float(p)
+        return values
+
+    return Spectrum._generated(_generated_length(n), entries)
 
 
 def generate_dyadic(lmax: int, base: float) -> PiecewiseDyadicSpectrum:

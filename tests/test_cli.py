@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import volcur.cli
 import volcur.esp
 import volcur.sampling
 from oracles import inverse_square_psd, random_psd
@@ -383,6 +384,18 @@ class TestVerifyCommand:
         assert code == 0 and out.endswith("verify: PASS\n")
         assert len(calls) == sum(math.comb(8, k) for k in range(1, 5))
 
+    def test_k_range_end_is_checked_before_any_enumeration(self, tmp_path, capsys,
+                                                          monkeypatch):
+        path = tmp_path / "m12.txt"
+        np.savetxt(path, random_psd(np.random.default_rng(12), 12, 12), fmt="%.17g")
+        calls = []
+        monkeypatch.setattr(volcur.cli, "enumerate_distribution",
+                            lambda *args: calls.append(args))
+        code, out, err = run_cli(["verify", "--input", str(path), "--k", f"1..{10**18}"],
+                                 capsys)
+        assert (code, out, err) == (1, "", f"error: k must be at most 11, got {10**18}\n")
+        assert calls == []
+
     def test_size_cap(self, tmp_path, capsys):
         p = tmp_path / "big.txt"
         n = 13
@@ -506,7 +519,7 @@ class TestErrorPaths:
         (["bounds", "--spectrum", "geom:q=0.5,n=4"], "k must be at most 3, got 10**18"),
         (["figure", "--spectrum", "geom:q=0.5,n=4", "--mu", "dyadic:lmax=3,base=0.5"],
          "k must be at most 3, got 10**18"),
-        (["verify", "--input", "IDENTITY5"], "k must be at most 4, got 5"),
+        (["verify", "--input", "IDENTITY5"], "k must be at most 4, got 10**18"),
         (["approx", "--input", "IDENTITY5"], "approx takes a single k, not a range"),
         (["sample", "--input", "IDENTITY5"], "sample takes a single k, not a range"),
     ], ids=["esp", "ratio", "expected-error", "bounds", "figure", "verify", "approx", "sample"])
@@ -516,6 +529,13 @@ class TestErrorPaths:
         code, out, err = run_cli(argv + ["--k", f"1..{10**18}"], capsys)
         message = message.replace("10**18", str(10**18))
         assert (code, out, err) == (1, "", f"error: {message}\n")
+
+    @pytest.mark.parametrize("spec", ["pow:p=2,n=1000000000000000", "geom:q=0.5,n=1073741825"])
+    def test_generated_spectrum_above_the_cap_exits_3(self, spec, capsys):
+        code, out, err = run_cli(["expected-error", "--spectrum", spec, "--k", "1"], capsys)
+        n = spec.rpartition("=")[2]
+        assert (code, out) == (3, "")
+        assert err == f"error: n = {n} exceeds the generated-spectrum cap 1073741824\n"
 
     def test_failed_run_writes_no_output_file(self, tmp_path, capsys):
         out_path = tmp_path / "never.csv"

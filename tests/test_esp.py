@@ -15,9 +15,12 @@ from oracles import (
     unit_scaled,
 )
 from volcur import (
+    DENSE_CAP,
+    CapExceededError,
     NumericalError,
     PiecewiseDyadicSpectrum,
     RankDeficiencyError,
+    Spectrum,
     ValidationError,
     esp_all,
     esp_convolve,
@@ -168,6 +171,12 @@ class TestEspRatio:
                            match=f"^e_{n + 1} = 0: spectrum rank is below {n + 1}$"):
             esp_ratios(spec, 10**18)
 
+    def test_huge_truncation_order_is_refused_before_allocating(self):
+        with pytest.raises(CapExceededError, match=f"^truncation order m = {10**18} exceeds "
+                                                   f"the dense-array cap {DENSE_CAP}$"):
+            esp_all(make_spectrum([1.0]), 10**18)
+        assert esp_all(make_spectrum([1.0]), 3).coeffs.tolist() == [1.0, 1.0, 0.0, 0.0]
+
     def test_rank_deficient_spectrum(self):
         s = make_spectrum([2.0, 1.0, 0.0])
         assert esp_ratio(s, 1) == pytest.approx(2.0 / 3.0)
@@ -244,7 +253,7 @@ def scan(values: np.ndarray, m: int) -> list:
     chunk's running total.
     """
     orders = {}
-    for j, lo, block, exponent in _prefix_rows(values, m):
+    for j, lo, block, exponent in _prefix_rows(Spectrum(values), m):
         chunks = orders.setdefault(j, [])
         assert lo == _CHUNK * len(chunks)
         size = min(values.size - lo, _CHUNK)
@@ -266,7 +275,7 @@ def joined(chunks: list) -> tuple[np.ndarray, int]:
 def chunk_exponents(values: np.ndarray, m: int) -> dict:
     """The exponents each order takes over the chunks, without keeping rows."""
     exps = {}
-    for j, _, _, exponent in _prefix_rows(values, m):
+    for j, _, _, exponent in _prefix_rows(Spectrum(values), m):
         exps.setdefault(j, set()).add(exponent)
     return exps
 

@@ -1,13 +1,18 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from volcur import (
+    DENSE_CAP,
+    CapExceededError,
     DegenerateTailError,
     PiecewiseDyadicSpectrum,
     Spectrum,
     ValidationError,
+    esp_ratios,
     generate_dyadic,
     generate_geometric,
     generate_power_law,
@@ -16,6 +21,7 @@ from volcur import (
     parse_generator_spec,
     split_head_tail,
 )
+from volcur.spectra import _CHUNK
 
 positive_lists = st.lists(
     st.floats(min_value=1e-6, max_value=1e6, allow_nan=False), min_size=1, max_size=12)
@@ -120,6 +126,94 @@ class TestGenerators:
         for lmax in range(1, 8):
             assert generate_dyadic(lmax, 0.5).n == 2 ** lmax - 1
             assert generate_dyadic(lmax, 0.5).materialized.n == 2 ** lmax - 1
+
+
+def dense_power_law(p: float, n: int) -> np.ndarray:
+    """The power law as one array, by the formula the chunks use."""
+    values = np.arange(1, n + 1, dtype=np.float64)
+    values **= -float(p)
+    return values
+
+
+def dense_geometric(q: float, n: int) -> np.ndarray:
+    values = np.arange(n, dtype=np.float64)
+    return np.power(q, values, out=values)
+
+
+def read_by_chunks(s: Spectrum) -> np.ndarray:
+    return np.concatenate([s._chunk(lo, lo + _CHUNK) for lo in range(0, s.n, _CHUNK)])
+
+
+class TestGeneratedChunks:
+    """A generated spectrum holds no entries: each chunk is computed when read."""
+
+    @pytest.mark.parametrize("p", [0.5, 1.0, 2.0, 3.7, 1e-9, 200.0])
+    @pytest.mark.parametrize("n", [1, 7, _CHUNK - 1, _CHUNK, _CHUNK + 1, 2**20 - 1])
+    def test_power_law_chunks_are_the_dense_formula_bit_for_bit(self, p, n):
+        s, want = generate_power_law(p, n), dense_power_law(p, n)
+        assert read_by_chunks(s).tobytes() == want.tobytes()
+        assert s.values.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("q", [1e-3, 0.5, 0.999])
+    @pytest.mark.parametrize("n", [1, 2000, _CHUNK, _CHUNK + 1, 2**20 - 1])
+    def test_geometric_chunks_are_the_dense_formula_bit_for_bit(self, q, n):
+        s, want = generate_geometric(q, n), dense_geometric(q, n)
+        assert read_by_chunks(s).tobytes() == want.tobytes()
+        assert s.values.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("s, want", [
+        (generate_power_law(200.0, 1000), dense_power_law(200.0, 1000)),
+        (generate_geometric(0.5, 2000), dense_geometric(0.5, 2000)),
+        (generate_power_law(2.0, 3 * _CHUNK + 7), dense_power_law(2.0, 3 * _CHUNK + 7)),
+    ], ids=["pow-underflow", "geom-underflow", "pow-positive"])
+    def test_rank_counts_what_the_dense_values_count(self, s, want):
+        assert s.rank == np.count_nonzero(want > 0.0)
+        assert "values" not in vars(s)          # found without materializing
+
+    def test_tail_sums_sum_chunks(self):
+        s = generate_power_law(1.0, 3 * _CHUNK + 7)
+        values = dense_power_law(1.0, s.n)
+        for k in (0, 5, _CHUNK - 1, _CHUNK, 2 * _CHUNK + 3, s.n - 1, s.n, s.n + 9):
+            assert s.tail_sum(k) == pytest.approx(math.fsum(values[k:]), rel=1e-15, abs=0)
+
+    def test_values_are_computed_once_and_read_only(self):
+        s = generate_geometric(0.5, 10)
+        assert s.values is s.values
+        assert np.array_equal(np.asarray(s), s.values)      # what a tracer counts
+        with pytest.raises(ValueError):
+            s.values[0] = 5.0
+        assert repr(s) == "Spectrum([1, 0.5, 0.25, 0.125, 0.0625, 0.03125, ...], n=10)"
+
+    @pytest.mark.parametrize("bad, message", [
+        (2.0, "spectrum must be nonincreasing"),
+        (float("nan"), "spectrum entries must be finite"),
+        (-1.0, "spectrum entries must be nonnegative"),
+    ])
+    def test_each_chunk_is_checked_against_the_one_before(self, bad, message):
+        # ones, then bad from entry _CHUNK on: the second chunk, read with the
+        # first chunk's last entry, fails as the dense values fail at once
+        def entries(lo, hi):
+            values = np.ones(hi - lo)
+            values[max(_CHUNK - lo, 0):] = bad
+            return values
+
+        with pytest.raises(ValidationError, match=f"^{message}$"):
+            Spectrum(entries(0, 2 * _CHUNK))
+        s = Spectrum._generated(2 * _CHUNK, entries)
+        assert np.all(s._chunk(0, _CHUNK) == 1.0)
+        with pytest.raises(ValidationError, match=f"^{message}$"):
+            s._chunk(_CHUNK, 2 * _CHUNK)
+        with pytest.raises(ValidationError, match=f"^{message}$"):
+            esp_ratios(s, 3)
+
+    @pytest.mark.parametrize("n", [DENSE_CAP + 1, 10**15])
+    @pytest.mark.parametrize("make", [lambda n: generate_power_law(2.0, n),
+                                      lambda n: generate_geometric(0.5, n)],
+                             ids=["pow", "geom"])
+    def test_length_above_the_cap_is_refused(self, make, n):
+        with pytest.raises(CapExceededError, match=f"^n = {n} exceeds the generated-spectrum "
+                                                   f"cap {DENSE_CAP}$"):
+            make(n)
 
 
 class TestPiecewiseDyadic:

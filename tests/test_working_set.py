@@ -2,9 +2,10 @@
 
 tracemalloc sees numpy's array buffers, so its peak is what a call holds
 at once, in units of its input: n-entry arrays for a spectrum, n x n
-arrays for a matrix.  The ESP scan works over fixed-size chunks, so its
-budgets are constants in bytes, checked at two sizes.  The peaks repeat
-exactly from run to run.  LAPACK's own workspace inside eigh is not traced.
+arrays for a matrix.  The ESP scan works over fixed-size chunks and a
+generated spectrum is computed one chunk at a time, so their budgets are
+constants in bytes, checked at two sizes.  The peaks repeat exactly from
+run to run.  LAPACK's own workspace inside eigh is not traced.
 """
 import tracemalloc
 
@@ -37,14 +38,15 @@ def traced_peak(fn) -> int:
 
 @pytest.mark.parametrize("n", [10**6, 4 * 10**6])
 def test_esp_ratios_holds_three_chunks_whatever_n(n):
-    # the scaled chunk and two row buffers of 16 x 4096 entries: 1.69 MB traced
+    # the scaled chunk and two row buffers of 16 x 4096 entries, and each
+    # generated chunk while it is read: 2.19 MB traced
     spec = parse_generator_spec(f"pow:p=2,n={n}")
     assert traced_peak(lambda: esp_ratios(spec, 64)) <= 2.5e6
 
 
 @pytest.mark.parametrize("n, k", [(200_000, 20), (800_000, 5)])
 def test_esp_marginals_holds_its_table_and_a_few_chunks(n, k):
-    # the (k + 1, n + 1) table, which becomes the result, plus 2.11 MB traced
+    # the (k + 1, n + 1) table, which becomes the result, plus 2.17 MB traced
     spec = generate_power_law(2.0, n)
     table = 8 * (k + 1) * (n + 1)
     assert traced_peak(lambda: esp_marginals(spec, k)) <= table + 2.5e6
@@ -62,9 +64,27 @@ def test_deep_dyadic_spectrum_under_a_majorant_stays_symbolic(command, capsys):
 
 
 def test_generated_spectrum_holds_its_values():
-    # the generated values, kept as the Spectrum's, and one boolean check
+    # none of them: a formula whose entries are computed when read (480 bytes traced)
     n = 2**20 - 1
-    assert traced_peak(lambda: generate_power_law(2.0, n)) <= 1.2 * 8 * n
+    assert traced_peak(lambda: generate_power_law(2.0, n)) <= 4096
+
+
+@pytest.mark.parametrize("argv", [
+    ["expected-error", "--spectrum", "pow:p=2,n={n}", "--k", "1..64"],
+    ["bounds", "--spectrum", "pow:p=1,n={n}", "--k", "1..32"],
+    ["figure", "--spectrum", "pow:p=2,n={n}", "--mu", "dyadic:lmax={lmax},base=0.25",
+     "--k", "1..64"],
+], ids=["expected-error", "bounds", "figure"])
+@pytest.mark.parametrize("lmax", [20, 22])
+def test_spectral_command_holds_no_generated_spectrum(argv, lmax, capsys):
+    # n = 2^20 - 1 and 2^22 - 1: the scan's chunks and the generated one, 2.2 to
+    # 2.4 MB traced for the whole run at either size (8 n bytes more when held)
+    n = 2**lmax - 1
+    argv = [a.format(n=n, lmax=lmax) for a in argv]
+    codes = []
+    assert traced_peak(lambda: codes.append(main(argv))) <= 3e6
+    assert codes == [0]
+    assert capsys.readouterr().out.count("\n") == 1 + int(argv[-1].partition("..")[2])
 
 
 def test_read_array_holds_the_array_not_the_text(spd1000):
