@@ -11,8 +11,8 @@ C - B A^{-1} B^T, which is PSD; its nuclear norm is its trace.  Both come
 from one greedy pivoted Cholesky of M over the rows in S: its factor F has
 F F^T = M[:,S] A^{-1} M[S,:], so with W = F[~S], B A^{-1} B^T = W W^T, and
 its residual diagonal diag(M - F F^T), zero on S, sums to the error trace
-trace(C) - |W|_F^2.  The volume sampler runs the same left-looking kernel
-with a random pivot.
+trace(C) - |W|_F^2.  The same factor's pivots multiply to det M[S,S], the
+weight with which the volume sampler draws S.
 """
 from __future__ import annotations
 
@@ -20,7 +20,7 @@ import itertools
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -187,58 +187,34 @@ def _checked_subset(subset: Iterable[int], n: int) -> tuple[int, ...]:
     return s
 
 
-def _partial_cholesky(
-    d: np.ndarray,
-    column: Callable[[int], np.ndarray],
-    pick: Callable[[np.ndarray], int | None],
-    k: int,
-) -> tuple[list[int], list[float], np.ndarray]:
-    """Left-looking pivoted Cholesky of a PSD matrix K, at most k steps.
+def _subset_factor(
+    m: PsdMatrix, s: Sequence[int], floor: float
+) -> tuple[list[float], np.ndarray, np.ndarray]:
+    """Greedy left-looking pivoted Cholesky of M over the rows in s.
 
-    d is diag(K) on entry and the residual diagonal diag(K - F F^T) on
-    return; column(i) gives K[:, i].  Each step takes the row i = pick(d)
-    (None stops), records the pivot d[i], appends the factor column
-    c = (K[:, i] - F F[i]^T) / sqrt(d[i]) to F and subtracts c*c from d,
-    which zeroes d[i]; d is clamped at zero.  Returns (rows, pivots, F).
-    The pick rule makes it the projection-DPP sampler (random, K = V V^T)
-    or the classical greedy factor (argmax d).  Chen, Epperly, Tropp and
-    Webber, "Randomly pivoted Cholesky" (2022).
+    d starts as diag(M).  Each step pivots on the row i in s with the
+    largest residual diagonal d[i] and stops once that is at most floor;
+    it records the pivot d[i], appends the factor column
+    c = (M[:, i] - F F[i]^T) / sqrt(d[i]) to F and subtracts c*c from d,
+    which zeroes d[i]; d is clamped at zero.  Returns (pivots, d, F) with
+    F F^T = M[:, S] A^{-1} M[S, :] for A = M[S,S] when all |s| pivots
+    clear the floor, and d = diag(M - F F^T), zero on S.  The rows of
+    the symmetric entries serve as its columns.
     """
-    factor = np.empty((d.size, k))
-    rows: list[int] = []
+    d = m.entries.diagonal().copy()
+    factor = np.empty((m.n, len(s)))
     pivots: list[float] = []
-    for t in range(k):
-        i = pick(d)
-        if i is None:
+    for t in range(len(s)):
+        i = s[int(np.argmax(d.take(s)))]
+        if not d[i] > floor:
             break
-        rows.append(i)
         pivots.append(float(d[i]))
-        c = (column(i) - factor[:, :t] @ factor[i, :t]) / math.sqrt(d[i])
+        c = (m.entries[i] - factor[:, :t] @ factor[i, :t]) / math.sqrt(d[i])
         factor[:, t] = c
         d -= c * c
         d[i] = 0.0
         np.maximum(d, 0.0, out=d)
-    return rows, pivots, factor[:, : len(rows)]
-
-
-def _subset_factor(
-    m: PsdMatrix, s: Sequence[int], floor: float
-) -> tuple[list[float], np.ndarray, np.ndarray]:
-    """Greedy pivoted Cholesky of M over the rows in s.
-
-    Each step pivots on the largest residual diagonal in s and stops once
-    it is at most floor.  Returns (pivots, d, F) with F F^T = M[:, S]
-    A^{-1} M[S, :] for A = M[S,S] when all |s| pivots clear the floor,
-    and d = diag(M - F F^T), zero on S.  The rows of the symmetric
-    entries serve as its columns.
-    """
-    def pick(d: np.ndarray) -> int | None:
-        i = s[int(np.argmax(d.take(s)))]
-        return i if d[i] > floor else None
-
-    d = m.entries.diagonal().copy()
-    _, pivots, factor = _partial_cholesky(d, m.entries.__getitem__, pick, len(s))
-    return pivots, d, factor
+    return pivots, d, factor[:, : len(pivots)]
 
 
 def _skeleton(

@@ -4,7 +4,9 @@ Everything here avoids the library's fast paths on purpose: ESP values by
 subset enumeration, invariant sums by principal-minor determinants (LU),
 nuclear norms by SVD, CUR matrices by the pseudoinverse formula and
 by triangular solves,
-projection-DPP draws by re-orthonormalizing the basis with a QR per step,
+the sampler's two phases as one serial chain and a projection-DPP draw
+that re-orthonormalizes the basis with a QR per step, inclusion
+probabilities by prefix and suffix ESPs,
 ESP prefix rows by one serial cumsum per row, in double or long double,
 the Gaussian kernel as one expression of fresh temporaries, and two
 matrix families whose spectra and expected errors have closed forms.
@@ -12,7 +14,7 @@ matrix families whose spectra and expected errors have closed forms.
 from __future__ import annotations
 
 import math
-from itertools import combinations
+from itertools import chain, combinations, count
 
 import numpy as np
 
@@ -153,19 +155,45 @@ def expected_error_enumeration(m: np.ndarray, k: int) -> float:
     return float(np.dot(weights / weights.sum(), np.array(errors)))
 
 
-def qr_projection_dpp(v: np.ndarray, rng: np.random.Generator) -> list[int]:
-    """Projection-DPP draw of V V^T with one QR per step.
+def eigenvector_subset_chain(marginals: np.ndarray, k: int, uniforms) -> list[int]:
+    """The sampler's phase 1 as one serial chain: k eigenvector indices.
 
-    Each step draws a row proportional to its squared norm (inverse CDF,
-    one rng.random() per step, as the library does), eliminates that row
-    from the column space and re-orthonormalizes the remaining columns.
+    Scanning i from the last eigenvalue down, index i-1 joins when
+    uniforms[r - i] is below marginals[rem, i] (see esp_marginals).
     """
-    work = v.copy()
     chosen: list[int] = []
-    for _ in range(v.shape[1]):
-        cdf = np.cumsum(np.einsum("ij,ij->i", work, work))
-        u = rng.random() * cdf[-1]
-        i = min(int(np.searchsorted(cdf, u, side="right")), cdf.size - 1)
+    rem = k
+    r = marginals.shape[1] - 1
+    for j, i in enumerate(range(r, 0, -1)):
+        if rem == 0:
+            break
+        if uniforms[j] < marginals[rem, i]:
+            chosen.append(i - 1)
+            rem -= 1
+    return chosen
+
+
+def qr_projection_dpp(v: np.ndarray, proposals) -> list[int]:
+    """Projection-DPP draw of V V^T by rejection, with one QR per step.
+
+    proposals yields (column, row, accept) uniforms.  A proposal is column
+    j = floor(column * k) of V, then row i by inverse CDF of V[:, j]^2; it
+    is accepted when accept * |V_i|^2 is below row i's squared norm in the
+    basis re-orthonormalized after eliminating the rows chosen so far
+    (zero on those rows).
+    """
+    n, k = v.shape
+    cdfs = np.cumsum(v * v, axis=0)
+    work = v.copy()
+    residual = np.einsum("ij,ij->i", v, v)
+    chosen: list[int] = []
+    for _ in range(k):
+        while True:
+            a, b, c = next(proposals)
+            col = cdfs[:, min(int(a * k), k - 1)]
+            i = min(int(np.searchsorted(col, b * col[-1], side="right")), n - 1)
+            if c * float(v[i] @ v[i]) < residual[i]:
+                break
         chosen.append(i)
         j = int(np.argmax(np.abs(work[i, :])))
         pivot_col = work[:, j] / work[i, j]
@@ -173,7 +201,55 @@ def qr_projection_dpp(v: np.ndarray, rng: np.random.Generator) -> list[int]:
         work = np.delete(work, j, axis=1)
         if work.shape[1]:
             work, _ = np.linalg.qr(work)
+        residual = np.einsum("ij,ij->i", work, work)
+        residual[chosen] = 0.0
     return chosen
+
+
+def reference_draws(vectors: np.ndarray, marginals: np.ndarray, k: int, draws: int,
+                    seed: int, window: int) -> list[tuple[int, ...]]:
+    """Volume-sampled subsets by the sampler's stream layout, one draw at a time.
+
+    Draw i reads its block of r + 3 window doubles in order from one
+    Generator(Philox(seed)): r for eigenvector_subset_chain, then window
+    (column, row, accept) triples for qr_projection_dpp, which continues
+    with Generator(Philox(seed).jumped(i + 1)).
+    """
+    r = marginals.shape[1] - 1
+    rng = np.random.Generator(np.random.Philox(seed))
+    out = []
+    for i in range(draws):
+        block = rng.random(r + 3 * window)
+        eig = eigenvector_subset_chain(marginals, k, block[:r])
+        more = np.random.Generator(np.random.Philox(seed).jumped(i + 1))
+        triples = chain(block[r:].reshape(-1, 3), (more.random(3) for _ in count()))
+        out.append(tuple(sorted(qr_projection_dpp(vectors[:, eig], triples))))
+    return out
+
+
+def inclusion_probabilities(vectors: np.ndarray, eigenvalues: np.ndarray, k: int) -> np.ndarray:
+    """P(i in S) under volume sampling (Kulesza & Taskar 2012).
+
+    P(i in S) = sum_j V_ij^2 lambda_j e_{k-1}(lambda without lambda_j) / e_k(lambda).
+    e_{k-1}(lambda without lambda_j) is the convolution of the ESPs of the
+    eigenvalues before j and after j, each built by the serial recursion:
+    sums of products of positive terms, with no subtraction.  The
+    eigenvalues are divided by their mean first; the ratio does not change.
+    """
+    lam = np.asarray(eigenvalues, dtype=np.float64)
+    lam = lam / lam.mean()
+    n = lam.size
+    prefix = np.zeros((n + 1, k + 1))      # prefix[j, a] = e_a(lam[:j])
+    suffix = np.zeros((n + 1, k))          # suffix[j, a] = e_a(lam[j:])
+    prefix[0, 0] = suffix[n, 0] = 1.0
+    for j in range(n):
+        prefix[j + 1] = prefix[j]
+        prefix[j + 1, 1:] += lam[j] * prefix[j, :-1]
+        suffix[n - 1 - j] = suffix[n - j]
+        suffix[n - 1 - j, 1:] += lam[n - 1 - j] * suffix[n - j, :-1]
+    without = np.einsum("ja,ja->j", prefix[:-1, :k], suffix[1:, ::-1])   # e_{k-1}, lam_j left out
+    e_k = prefix[n, k]
+    return (vectors * vectors) @ (lam * without / e_k)
 
 
 def random_psd(rng: np.random.Generator, n: int, rank: int,

@@ -25,7 +25,7 @@ from volcur import (
     rbf_kernel_matrix,
     read_array,
 )
-from volcur.psd import PIVOT_REL_TOL, _partial_cholesky, _subset_factor
+from volcur.psd import PIVOT_REL_TOL, _subset_factor
 
 
 def rel_err(a: float, b: float) -> float:
@@ -226,7 +226,7 @@ def greedy_factor(m: np.ndarray):
 
 
 class TestPivotedCholesky:
-    """The kernel psd._partial_cholesky, mostly through the greedy subset factor."""
+    """The kernel psd._subset_factor, mostly over all rows at the CUR floor."""
 
     def test_reconstructs_matrix(self):
         rng = np.random.default_rng(6)
@@ -265,18 +265,18 @@ class TestPivotedCholesky:
             assert rel_err(float(np.prod(pivots)), float(np.linalg.det(m))) < 1e-8
 
     def test_residual_diagonal_and_stop(self):
-        # d leaves as diag(K - F F^T), zero on the chosen rows; None stops
+        # d leaves as diag(M - F F^T), zero on the chosen rows; a pivot at
+        # the floor stops the factor
         m = random_psd(np.random.default_rng(20), 6, 6)
-        d = m.diagonal().copy()
-        order = iter([4, 1, None, 0])
-        rows, pivots, factor = _partial_cholesky(
-            d, lambda i: m[:, i], lambda d: next(order), 6)
-        assert rows == [4, 1]
+        pivots, d, factor = _subset_factor(PsdMatrix(m), (4, 1), 0.0)
         assert factor.shape == (6, 2)
-        assert pivots[0] == m[4, 4]
+        assert pivots[0] == max(m[4, 4], m[1, 1])
         assert rel_err(pivots[0] * pivots[1], float(np.linalg.det(m[np.ix_([4, 1], [4, 1])]))) < 1e-12
         assert np.array_equal(d[[4, 1]], [0.0, 0.0])
         assert np.allclose(d, np.diag(m - factor @ factor.T), atol=1e-12 * m.max())
+        stopped, d, factor = _subset_factor(PsdMatrix(m), (4, 1), pivots[1])
+        assert stopped == pivots[:1]
+        assert factor.shape == (6, 1)
 
 
 class TestCurReferee:

@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 from oracles import (
-    cur_solve, expected_error_enumeration, inverse_square_psd, qr_projection_dpp,
-    random_psd)
+    cur_solve, expected_error_enumeration, inclusion_probabilities, inverse_square_psd,
+    random_psd, reference_draws)
 import volcur.sampling
 from volcur.esp import esp_marginals
 from volcur import (
@@ -212,6 +212,46 @@ class TestSampler:
         ed = eigendecompose(PsdMatrix(inverse_square_psd()))
         assert sample_subsets(ed, 150, 2, seed=3) == _oracle_draws(ed, 150, 2, 3)
 
+    def test_matches_qr_oracle_past_the_block(self, monkeypatch):
+        # two proposals per block: most draws read on from their continuation
+        monkeypatch.setattr(volcur.sampling, "_window", lambda k: 2)
+        ed = eigendecompose(PsdMatrix(random_psd(np.random.default_rng(42), 40, 40)))
+        assert sample_subsets(ed, 8, 30, seed=8) == _oracle_draws(ed, 8, 30, 8)
+
+    def test_draws_do_not_depend_on_count_or_chunk(self, monkeypatch):
+        ed = eigendecompose(PsdMatrix(random_psd(np.random.default_rng(43), 7, 7)))
+        full = sample_subsets(ed, 3, 23, seed=5)
+        monkeypatch.setattr(volcur.sampling, "_CHUNK_BYTES",
+                            5 * volcur.sampling._draw_bytes(7, 7, 3))    # chunks of 5 draws
+        assert sample_subsets(ed, 3, 23, seed=5) == full
+        for m in (4, 5, 6, 10, 11):
+            assert sample_subsets(ed, 3, m, seed=5) == full[:m]
+        monkeypatch.setattr(volcur.sampling, "_CHUNK_BYTES", 1)
+        assert sample_subsets(ed, 3, 23, seed=5) == full
+
+    def test_run_of_rejections_raises(self):
+        # parallel columns: after one pick every residual is zero
+        ed = EigenDecomposition._of_eigh(np.full((4, 2), 0.5), make_spectrum([1.0, 1.0]))
+        with pytest.raises(NumericalError, match="128 proposals in a row"):
+            sample_subsets(ed, 2, 1, seed=0)
+
+    def test_inclusion_frequencies_match_kdpp_marginals_at_n1000(self):
+        # G G^T with rows of G scaled by 0.25..2: inclusion probabilities
+        # spread over an order of magnitude.  A priori bounds: 2000 draws,
+        # every index within 5 standard errors, mean z^2 (about 1) below 1.3
+        n, k, draws = 1000, 50, 2000
+        rng = np.random.default_rng(1000)
+        g = np.linspace(0.25, 2.0, n)[:, None] * rng.standard_normal((n, n)) / math.sqrt(n)
+        ed = eigendecompose(PsdMatrix(g @ g.T))
+        p = inclusion_probabilities(ed.vectors, ed.eigenvalues.values, k)
+        assert math.fsum(p) == pytest.approx(k, rel=1e-12)
+        assert p.max() > 10.0 * p.min()
+        counts = np.bincount(np.concatenate(sample_subsets(ed, k, draws, seed=7)),
+                             minlength=n)
+        z = (counts / draws - p) / np.sqrt(p * (1.0 - p) / draws)
+        assert np.max(np.abs(z)) < 5.0
+        assert np.mean(z * z) < 1.3
+
     def test_numpy_integer_k_and_draws(self):
         ed = eigendecompose(PsdMatrix(random_psd(np.random.default_rng(41), 6, 6)))
         assert (sample_subsets(ed, np.int64(2), np.int64(5), seed=2)
@@ -225,10 +265,11 @@ class TestSampler:
             sample_subsets(ed, 2, 2.5, seed=0)
 
     @pytest.mark.parametrize("weights", [[0.0, 0.0, 0.0], [1.0, np.nan, 1.0]])
-    def test_pick_rejects_weights_without_positive_finite_sum(self, weights):
-        rng = np.random.Generator(np.random.Philox(0))
-        with pytest.raises(NumericalError):
-            volcur.sampling._pick(np.array(weights), rng)
+    def test_weights_without_positive_finite_sum_raise(self, weights):
+        # the one eigenvector is picked surely; its squared entries are the weights
+        ed = EigenDecomposition._of_eigh(np.array(weights)[:, None], make_spectrum([1.0]))
+        with pytest.raises(NumericalError, match="weights summing to"):
+            sample_subsets(ed, 1, 3, seed=0)
 
     def test_uniformity_chi_square(self):
         stats = pytest.importorskip("scipy.stats")
@@ -243,14 +284,9 @@ class TestSampler:
 
 
 def _oracle_draws(ed, k, draws, seed):
-    """sample_subsets with its projection-DPP phase replaced by the QR oracle."""
-    rng = np.random.Generator(np.random.Philox(seed))
-    marginals = esp_marginals(ed.eigenvalues, k)
-    out = []
-    for _ in range(draws):
-        eig = volcur.sampling._select_eigenvector_subset(marginals, k, rng)
-        out.append(tuple(sorted(qr_projection_dpp(ed.vectors[:, eig], rng))))
-    return out
+    """sample_subsets by the serial referees on the same uniforms."""
+    return reference_draws(ed.vectors, esp_marginals(ed.eigenvalues, k), k, draws, seed,
+                           volcur.sampling._window(k))
 
 
 class TestExpectedError:
