@@ -17,7 +17,27 @@ of j x j principal minors.  This package provides
              and dyadic-majorant bounds, and figure data;
 * cli:       the `volcur` command, the one module that formats output
              (CSV/TSV).
+
+When volcur is the first code to import numpy, numpy's bundled OpenBLAS
+loads with OPENBLAS_THREAD_TIMEOUT=20 unless the user set it, so idle BLAS
+workers sleep within a millisecond instead of spinning for 0.1 s;
+os.environ is left as it was.
 """
+import os as _os
+import sys as _sys
+
+if "numpy" not in _sys.modules and "OPENBLAS_THREAD_TIMEOUT" not in _os.environ:
+    # OpenBLAS reads the timeout once, when it loads: an idle worker then
+    # spins for 2**20 cycles (0.5 ms at 2.1 GHz) before it sleeps, not for
+    # 2**28 (0.13 s) after every parallel call.  That still spans the gaps
+    # between one eigensolve's BLAS calls: at OpenBLAS's minimum, 2**4,
+    # each call waits for a sleeping worker to wake, and eigh at n = 1000
+    # ran about 9% slower.  Thread count and work split are unchanged.
+    _os.environ["OPENBLAS_THREAD_TIMEOUT"] = "20"
+    try:
+        import numpy as _numpy
+    finally:
+        del _os.environ["OPENBLAS_THREAD_TIMEOUT"]
 
 from .bounds import (
     BoundReport,

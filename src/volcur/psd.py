@@ -57,9 +57,10 @@ class EigenDecomposition:
     Only the rank r leading pairs are kept; eigenvalues at or below
     RANK_TOL * lambda_max are treated as zero and their columns dropped.
     The constructor checks that there are as many columns of vectors as
-    eigenvalues and that the columns are orthonormal to ORTHO_TOL, then
-    keeps a read-only C-ordered copy.  PsdMatrix builds its own through
-    _of_eigh, which owns eigh's kept columns with neither check nor copy.
+    eigenvalues and that the columns are finite and orthonormal to
+    ORTHO_TOL, then keeps a read-only C-ordered copy.  PsdMatrix builds its
+    own through _of_eigh, which owns eigh's kept columns with neither check
+    nor copy.
     """
 
     vectors: np.ndarray
@@ -72,6 +73,8 @@ class EigenDecomposition:
         r = self.eigenvalues.n
         if q.shape[1] != r:
             raise ValidationError(f"{q.shape[1]} eigenvector columns for {r} eigenvalues")
+        if not np.isfinite(q).all():
+            raise ValidationError("eigenvectors must be finite")
         if r:
             gram = q.T @ q
             gram.flat[:: r + 1] -= 1.0

@@ -103,6 +103,15 @@ class TestEigenDecompositionConstructor:
         with pytest.raises(ValidationError, match="^eigenvectors are not orthonormal$"):
             EigenDecomposition(vectors=v, eigenvalues=make_spectrum([2.0, 1.0]))
 
+    @pytest.mark.parametrize("vectors", [
+        [[1.0], [np.nan]],                  # the NaN makes the Gram check compare False
+        [[np.inf, 0.0], [0.0, 1.0]],        # inf * 0 puts a NaN off the diagonal
+    ], ids=["nan", "inf"])
+    def test_rejects_non_finite_vectors(self, vectors):
+        values = [2.0, 1.0][:len(vectors[0])]
+        with pytest.raises(ValidationError, match="^eigenvectors must be finite$"):
+            EigenDecomposition(vectors=vectors, eigenvalues=make_spectrum(values))
+
     @pytest.mark.parametrize("columns, values", [(3, [2.0, 1.0]), (2, [2.0, 1.0, 0.5])])
     def test_rejects_shape_mismatch(self, columns, values):
         v = np.eye(4)[:, :columns]
