@@ -44,28 +44,21 @@ def _check_domination(spec: Spectrum | PiecewiseDyadicSpectrum,
                       mu: PiecewiseDyadicSpectrum) -> None:
     """Raise unless spec_i <= mu_i at every position i.
 
-    spec is nonincreasing and mu is constant on each level, so the first
-    violation, if any, is at a level head (0-based position 2^l - 1), and
-    level mu.lmax's head is the first entry past mu: one comparison per
-    level.  A dyadic spec's heads are its level_values, as it materializes them;
-    a plain one's are read entry by entry.
+    spec is nonincreasing and mu is constant on each piece, so the first
+    violation, if any, is at the first entry of a piece or at position
+    mu.n, the first past mu: one entry of spec is read at each, by
+    spec._entry, which for a dyadic spec is the value of its piece.
     """
-    if isinstance(spec, PiecewiseDyadicSpectrum):
-        heads = spec.level_values[: mu.lmax + 1]
-    else:
-        levels = range(min(spec.n.bit_length(), mu.lmax + 1))
-        heads = np.array([spec._chunk(2**level - 1, 2**level)[0] for level in levels])
-    if heads.size > mu.lmax and heads[mu.lmax] > 0.0:
+    if spec._entry(mu.n) > 0.0:
         raise BoundInapplicableError(
             f"majorant has only {mu.n} entries but the spectrum is "
             f"positive at position {mu.n + 1}")
-    tops = mu.level_values
-    bad = np.flatnonzero(heads[: mu.lmax] > tops[: heads.size])
-    if bad.size:
-        level = int(bad[0])
-        raise BoundInapplicableError(
-            f"domination fails at position {2**level}: spectrum value "
-            f"{heads[level]:.17g} exceeds majorant value {tops[level]:.17g}")
+    for start, _, top in mu.pieces:
+        value = spec._entry(start)
+        if value > top:
+            raise BoundInapplicableError(
+                f"domination fails at position {start + 1}: spectrum value "
+                f"{value:.17g} exceeds majorant value {top:.17g}")
 
 
 def bound_reports(
@@ -79,7 +72,7 @@ def bound_reports(
     One ESP table up to max(ks) serves every k, and so does one table of
     the majorant mu, checked for domination once; pass mu to include the
     majorant bound.  A dyadic spec stays symbolic, with or without mu: its
-    ratios come from the per-level product and its tail sums from level
+    ratios come from the per-piece product and its tail sums from piece
     arithmetic.  A k at or above the rank of a plain spectrum reports a
     zero ratio: the approximation is then exact in expectation.
     """

@@ -178,7 +178,7 @@ def cmd_approx(args) -> int:
     subset = sample_subsets(ed, k, 1, seed)[0]
     approx = cur_approximation(m, subset)
     error = cur_error_nuclear(m, subset)
-    expected = expected_error_exact(ed.eigenvalues, k) if k < ed.rank else 0.0
+    expected = expected_error_exact(ed.eigenvalues, k)
     optimal = optimal_error(ed.eigenvalues, k)
     summary = [
         "subset," + ",".join(str(i + 1) for i in subset),
@@ -217,12 +217,13 @@ def cmd_verify(args) -> int:
     for k in (ks[0], ks[-1]):          # the range's ends, before enumerating any k
         checked_int(k, "k", 1, min(m.n - 1, ed.rank))
     sums = invariant_sums(m, ks[-1] + 1)
+    ratios = esp_ratios(ed.eigenvalues, ks[-1])
     ok = True
     lines = []
     for k in ks:
         dist = enumerate_distribution(m, k)
         brute = dist.expected_error
-        exact = expected_error_exact(ed.eigenvalues, k)
+        exact = (k + 1) * float(ratios[k])
         scale = max(abs(brute), abs(exact))
         if scale < 1e-12 * m.lambda_max * m.n:
             # both sides vanish (k at the rank); report exact agreement

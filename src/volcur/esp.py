@@ -10,7 +10,7 @@ Every ESP of the package is computed here and carried as a pair
 double range keep full precision.  Plain spectra run one prefix recursion
 (_prefix_rows), scaled and rescaled by exact powers of two only, so an
 integer spectrum whose ESPs fit 53 bits comes out exact; dyadic spectra
-multiply per-level binomial coefficients.  The recursion is a blocked scan
+multiply per-piece binomial coefficients.  The recursion is a blocked scan
 that reads the spectrum one chunk of 16 x 4096 entries at a time and runs
 every order over it before the next, so whatever n it holds three
 chunk-sized arrays, and a generated spectrum only the chunk being read
@@ -160,17 +160,16 @@ def _esp_coeffs(spec: Spectrum, m: int) -> tuple[np.ndarray, np.ndarray]:
     return mant, np.where(mant > 0.0, exps + shift, 0)
 
 
-def _level_coeffs(level: int, base: float, m: int) -> tuple[np.ndarray, np.ndarray]:
-    """f of one dyadic level (2^level copies of base^level) to order m.
+def _piece_coeffs(count: int, value: float, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """f of one piece (count copies of value) to order m.
 
-    coeffs[j] = base^(level*j) * C(2^level, j) by the multiplicative
-    recurrence, each step split by frexp into (mantissas, exponents).
+    coeffs[j] = value^j * C(count, j) by the multiplicative recurrence,
+    each step split by frexp into (mantissas, exponents).
     """
-    size, ratio = 2**level, base**level
-    mant = np.ones(min(m, size) + 1)
+    mant = np.ones(min(m, count) + 1)
     exps = np.zeros(mant.size, dtype=np.int64)
     for j in range(mant.size - 1):
-        mant[j + 1], shift = math.frexp(mant[j] * ratio * (size - j) / (j + 1))
+        mant[j + 1], shift = math.frexp(mant[j] * value * (count - j) / (j + 1))
         exps[j + 1] = exps[j] + shift
     return mant, exps
 
@@ -196,11 +195,11 @@ def _cauchy(a, b, m: int) -> tuple[np.ndarray, np.ndarray]:
 
 def _scaled_coeffs(spec: Spectrum | PiecewiseDyadicSpectrum, m: int):
     """e_0..e_min(m, n) as (mantissas, exponents): the prefix scan of a plain
-    spectrum, or the product of a dyadic one's levels, smallest values first."""
+    spectrum, or the product of a dyadic one's pieces, smallest values first."""
     if isinstance(spec, PiecewiseDyadicSpectrum):
         acc = (np.ones(1), np.zeros(1, dtype=np.int64))
-        for level in range(spec.lmax - 1, -1, -1):
-            acc = _cauchy(acc, _level_coeffs(level, spec.base, m), m)
+        for _, count, value in reversed(spec.pieces):
+            acc = _cauchy(acc, _piece_coeffs(count, value, m), m)
         return acc
     return _esp_coeffs(spec, m)
 
@@ -349,5 +348,5 @@ def esp_ratio_head_tail(split: HeadTailSplit, k: int) -> tuple[float, float]:
 
 
 def esp_dyadic_convolution(spec: PiecewiseDyadicSpectrum, m: int) -> EspVector:
-    """e_0..e_m of a dyadic spectrum by esp_all's per-level binomial product, O(lmax m^2)."""
+    """e_0..e_m of a dyadic spectrum by esp_all's per-piece binomial product, O(lmax m^2)."""
     return esp_all(spec, m)

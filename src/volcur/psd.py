@@ -58,15 +58,19 @@ class EigenDecomposition:
     RANK_TOL * lambda_max are treated as zero and their columns dropped.
     The constructor checks that there are as many columns of vectors as
     eigenvalues and that the columns are finite and orthonormal to
-    ORTHO_TOL, then keeps a read-only C-ordered copy.  PsdMatrix builds its
-    own through _of_eigh, which owns eigh's kept columns with neither check
-    nor copy.
+    ORTHO_TOL, then keeps a read-only C-ordered copy.  PsdMatrix hands over
+    eigh's kept columns as _Owned, orthonormal by construction: they are
+    kept with neither check nor copy.
     """
 
     vectors: np.ndarray
     eigenvalues: Spectrum
 
     def __post_init__(self) -> None:
+        if isinstance(self.vectors, _Owned):
+            self.vectors.array.flags.writeable = False
+            object.__setattr__(self, "vectors", self.vectors.array)
+            return
         q = np.asarray(self.vectors, dtype=np.float64)
         if q.ndim != 2:
             raise ValidationError("eigenvector matrix must be 2-D")
@@ -89,14 +93,6 @@ class EigenDecomposition:
     def rank(self) -> int:
         """The number of kept pairs."""
         return self.eigenvalues.n
-
-    @classmethod
-    def _of_eigh(cls, vectors: np.ndarray, eigenvalues: Spectrum) -> EigenDecomposition:
-        """Take ownership of eigh's kept columns: orthonormal by construction."""
-        vectors.flags.writeable = False
-        ed = object.__new__(cls)
-        vars(ed).update(vectors=vectors, eigenvalues=eigenvalues)
-        return ed
 
 
 @dataclass(frozen=True, eq=False)
@@ -151,7 +147,7 @@ class PsdMatrix:
         a.flags.writeable = False
         object.__setattr__(self, "entries", a)
         object.__setattr__(self, "lambda_max", lam_max)
-        object.__setattr__(self, "eigen", EigenDecomposition._of_eigh(v, Spectrum(_Owned(w[:r]))))
+        object.__setattr__(self, "eigen", EigenDecomposition(_Owned(v), Spectrum(_Owned(w[:r]))))
 
     @property
     def n(self) -> int:

@@ -12,6 +12,7 @@ sums past a spectrum's length are zero.
 """
 from __future__ import annotations
 
+import bisect
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
@@ -102,13 +103,17 @@ class Spectrum:
             return np.array(self.values, dtype=dtype)
         return np.asarray(self.values, dtype=dtype)
 
+    def _entry(self, i: int) -> float:
+        """The entry at 0-based position i, zero past the end."""
+        return float(self._chunk(i, i + 1)[0]) if i < self.n else 0.0
+
     @property
     def rank(self) -> int:
         """Number of strictly positive entries: they lead, so bisect for the first zero."""
         lo, hi = 0, self.n
         while lo < hi:
             mid = (lo + hi) // 2
-            if self._chunk(mid, mid + 1)[0] > 0.0:
+            if self._entry(mid) > 0.0:
                 lo = mid + 1
             else:
                 hi = mid
@@ -149,7 +154,8 @@ class PiecewiseDyadicSpectrum:
 
     Level l in 0..lmax-1 spans positions 2^l .. 2^{l+1}-1 (1-based) and
     carries the value base^l, so the total length is 2^lmax - 1 and the
-    leading entry is 1.
+    leading entry is 1.  .pieces alone writes that layout out; the ESP product,
+    tail sums, domination check and .materialized all read the same numbers.
     """
 
     lmax: int
@@ -164,24 +170,28 @@ class PiecewiseDyadicSpectrum:
     def n(self) -> int:
         return 2**self.lmax - 1
 
-    @property
-    def level_values(self) -> np.ndarray:
-        """base^l for each level l = 0..lmax-1: the values .materialized repeats."""
-        return self.base ** np.arange(self.lmax).astype(np.float64)
+    @cached_property
+    def pieces(self) -> tuple[tuple[int, int, float], ...]:
+        """(start, count, value) of each level, start 0-based: int counts, exact at
+        any lmax; values by Python's base**l (numpy's vectorized power can differ)."""
+        return tuple((2**level - 1, 2**level, self.base**level) for level in range(self.lmax))
+
+    def _entry(self, i: int) -> float:
+        """The entry at 0-based position i, zero past the end: the value of its piece."""
+        start, count, value = self.pieces[bisect.bisect_right(self.pieces, (i, float("inf"))) - 1]
+        return value if i < start + count else 0.0
 
     @cached_property
     def materialized(self) -> Spectrum:
-        return Spectrum(_Owned(np.repeat(self.level_values, 2 ** np.arange(self.lmax))))
+        _, counts, values = zip(*self.pieces)
+        return Spectrum(_Owned(np.repeat(values, counts)))
 
     def tail_sum(self, k: int) -> float:
-        """Sum of entries after the first k, by level arithmetic."""
+        """Sum of entries after the first k, piece by piece, left to right."""
         k = checked_int(k, "k", 0)
         total = 0.0
-        for level in range(self.lmax):
-            lo, hi = 2**level, 2 ** (level + 1) - 1
-            count = hi - max(lo, k + 1) + 1
-            if count > 0:
-                total += count * self.base**level
+        for start, count, value in self.pieces:     # the piece's entries past the first k
+            total += max(start + count - max(start, k), 0) * value
         return total
 
 

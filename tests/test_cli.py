@@ -226,6 +226,13 @@ class TestApproxCommand:
         m = np.array([[2.0, 1.0], [1.0, 2.0]])
         assert np.allclose(matrix[kept, :], m[kept, :], rtol=1e-15)
 
+    def test_k_at_the_rank_expects_zero_error(self, tmp_path, capsys):
+        p = tmp_path / "r1.txt"
+        p.write_text("1 1\n1 1\n")
+        code, out, err = run_cli(["approx", "--input", str(p), "--k", "1"], capsys)
+        assert code == 0, err
+        assert out.splitlines()[2] == "expected_error,0"
+
     def test_out_file_holds_matrix(self, psd_file, tmp_path, capsys):
         out_path = tmp_path / "approx.txt"
         code, out, _ = run_cli(
@@ -595,7 +602,8 @@ class TestOneEigensolve:
 
 class TestOneEspTable:
     """Each spectral command builds exactly one plain-spectrum ESP table,
-    and none for a dyadic spectrum, majorant or not."""
+    and none for a dyadic spectrum, majorant or not; verify builds two
+    (the invariant sums and the ratios), whatever its k range."""
 
     @pytest.fixture()
     def tables(self, monkeypatch):
@@ -624,6 +632,13 @@ class TestOneEspTable:
         assert code == 0, err
         assert len(out.splitlines()) == 33
         assert len(tables) == (0 if argv[2].startswith("dyadic:") else 1)
+
+    def test_verify_builds_two_tables(self, tables, tmp_path, capsys):
+        path = tmp_path / "m7.txt"
+        np.savetxt(path, random_psd(np.random.default_rng(7), 7, 7), fmt="%.17g")
+        code, out, err = run_cli(["verify", "--input", str(path), "--k", "1..6"], capsys)
+        assert code == 0 and out.endswith("verify: PASS\n"), err
+        assert len(tables) == 2
 
 
 def columns(argv, capsys, *names):
@@ -664,6 +679,16 @@ class TestOneValuePerSpectrum:
         code, out, err = run_cli(
             ["bounds", "--spectrum", spectrum, "--mu", mu, "--k", "1"], capsys)
         assert (code, out, err) == (1, "", f"error: {message}\n")
+
+    @pytest.mark.parametrize("command", ["bounds", "figure"])
+    def test_a_file_of_the_majorants_entries_is_dominated(self, command, tmp_path, capsys):
+        # 0.4**2 is 0.16000000000000003; numpy's vectorized power can give 0.16
+        path = tmp_path / "mu.txt"
+        path.write_text("".join(f"{0.4**level:.17g}\n" * 2**level for level in range(6)))
+        code, out, err = run_cli([command, "--input", str(path),
+                                  "--mu", "dyadic:lmax=6,base=0.4", "--k", "1..3"], capsys)
+        assert (code, err) == (0, "")
+        assert len(out.splitlines()) == 4
 
 
 README = Path(__file__).resolve().parents[1] / "README.md"

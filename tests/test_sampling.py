@@ -9,6 +9,7 @@ from oracles import (
     random_psd, reference_draws)
 import volcur.sampling
 from volcur.esp import esp_marginals
+from volcur.spectra import _Owned
 from volcur import (
     CapExceededError,
     DegenerateDistributionError,
@@ -231,7 +232,7 @@ class TestSampler:
 
     def test_run_of_rejections_raises(self):
         # parallel columns: after one pick every residual is zero
-        ed = EigenDecomposition._of_eigh(np.full((4, 2), 0.5), make_spectrum([1.0, 1.0]))
+        ed = EigenDecomposition(_Owned(np.full((4, 2), 0.5)), make_spectrum([1.0, 1.0]))
         with pytest.raises(NumericalError, match="128 proposals in a row"):
             sample_subsets(ed, 2, 1, seed=0)
 
@@ -267,7 +268,7 @@ class TestSampler:
     @pytest.mark.parametrize("weights", [[0.0, 0.0, 0.0], [1.0, np.nan, 1.0]])
     def test_weights_without_positive_finite_sum_raise(self, weights):
         # the one eigenvector is picked surely; its squared entries are the weights
-        ed = EigenDecomposition._of_eigh(np.array(weights)[:, None], make_spectrum([1.0]))
+        ed = EigenDecomposition(_Owned(np.array(weights)[:, None]), make_spectrum([1.0]))
         with pytest.raises(NumericalError, match="weights summing to"):
             sample_subsets(ed, 1, 3, seed=0)
 

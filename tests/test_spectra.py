@@ -222,6 +222,16 @@ class TestPiecewiseDyadic:
         assert np.array_equal(
             d.materialized.values, generate_dyadic(4, 0.25).materialized.values)
 
+    @pytest.mark.parametrize("base", [0.3, 0.4, 0.7])
+    def test_materialized_entries_are_the_piece_values(self, base):
+        # Python's base**l: numpy's vectorized power gives 0.008099999999999998
+        # for 0.3**4 on some CPUs, where Python's gives 0.0081
+        d = PiecewiseDyadicSpectrum(lmax=8, base=base)
+        assert d.pieces == tuple((2**level - 1, 2**level, base**level) for level in range(8))
+        values = d.materialized.values
+        for start, count, value in d.pieces:
+            assert np.all(values[start : start + count] == value)
+
     def test_analytic_tail_sum_matches_materialized(self):
         d = PiecewiseDyadicSpectrum(lmax=6, base=0.3)
         m = d.materialized
