@@ -14,7 +14,14 @@ multiply per-piece binomial coefficients.  The recursion is a blocked scan
 that reads the spectrum one chunk of 16 x 4096 entries at a time and runs
 every order over it before the next, so whatever n it holds three
 chunk-sized arrays, and a generated spectrum only the chunk being read
-(2.2 MB traced at n = 10^6 and at 4 * 10^6).
+(2.2 MB traced at n = 10^6 and at 4 * 10^6).  Past its first chunk, a
+long spectrum is scanned only to the order its tail can still change
+(_esp_coeffs): by Maclaurin's inequality e_a(tail) <= (tail sum)^a / a!,
+so the terms left out are certified below 2^-64 of the result, and the
+head and the tail are joined by the union rule f(concat(x, y)) =
+f(x) * f(y) (_cauchy).  At n = 10^6 and order 65 the tail needs order 8,
+a fifth of the cells.  esp_marginals, which keeps every prefix, scans
+every order.
 
 Ratios (esp_ratios) and the sampler's marginals (esp_marginals) are
 quotients of such values, so they are scale free; only esp_all and
@@ -150,14 +157,75 @@ def _prefix_rows(spec: Spectrum, m: int):
         carry[-1], exps[-1] = float(out[-1, -1]), exponent
 
 
-def _esp_coeffs(spec: Spectrum, m: int) -> tuple[np.ndarray, np.ndarray]:
-    """e_0..e_min(m, n) of a plain spectrum as (mantissas, exponents): e_j = mant * 2^exp."""
+def _scan_coeffs(spec: Spectrum, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """e_0..e_min(m, n) of a plain spectrum by one prefix scan, as (mantissas, exponents)."""
     last = np.zeros(min(m, spec.n) + 1)
     exps = np.zeros(last.size, dtype=np.int64)
     for j, _, block, exponent in _prefix_rows(spec, m):
         last[j], exps[j] = block[-1, -1], exponent
     mant, shift = np.frexp(last)
     return mant, np.where(mant > 0.0, exps + shift, 0)
+
+
+def _tail_bound(spec: Spectrum) -> float:
+    """An upper bound on the sum of spec's entries past its first chunk, from a few of them.
+
+    Blocks [a, a + a // 16) each count as their first entry times their
+    length, since the entries do not increase.  On a power law 1/i^p that
+    is about p/32 above the sum, from about 16 ln(n / _CHUNK) entries.
+    """
+    total, a = 0.0, _CHUNK
+    while a < spec.n:
+        end = min(a + a // 16, spec.n)
+        total += (end - a) * spec._entry(a)
+        a = end
+    return total
+
+
+def _tail_order(head: tuple[np.ndarray, np.ndarray], total: float) -> int:
+    """The least order A such that, at every order j of the pair head,
+
+        sum_{a > A} e_{j-a}(head) total^a / a!  <=  2^-64 e_j(head).
+
+    By Maclaurin's inequality e_a(y) <= e_1(y)^a / a!, the left side bounds
+    what a tail y of sum at most total adds to e_j(concat(head, y)) past
+    order A.  The sums run in log2, adding one order a per step from the top
+    down, and are held to 2^-65: one bit to spare for the rounding of total
+    and of the log2 terms.  A zero total gives 0; a positive one needs head
+    positive at every order.
+    """
+    if not total:
+        return 0
+    mant, exps = head
+    logs = np.log2(mant) + exps                      # log2 e_j(head)
+    dropped = np.full(logs.size, -np.inf)            # log2 of the terms a' >= a, per j
+    for a in range(logs.size - 1, 0, -1):
+        term = a * math.log2(total) - math.lgamma(a + 1) / math.log(2)   # log2 total^a / a!
+        np.logaddexp2(dropped[a:], logs[:-a] + term, out=dropped[a:])
+        if np.any(dropped > logs - 65):
+            return a
+    return 0
+
+
+def _esp_coeffs(spec: Spectrum, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """e_0..e_min(m, n) of a plain spectrum as (mantissas, exponents): e_j = mant * 2^exp.
+
+    Past n = _CHUNK, if (m + 1)^2 <= _CHUNK, the first chunk (the head) is
+    scanned to order m and the rest (the tail) only to the order A that
+    _tail_order certifies for _tail_bound's bound on the tail's sum, and the
+    two are joined by the union rule.  The terms left out are below
+    2^-64 e_j(head) <= 2^-64 e_j, far under the scan's own rounding (about
+    1e-14).  Every entry is still read, and checked, once.  The rule on m
+    keeps _cauchy's (m + 1) x (A + 1) products within a chunk's size; above
+    it, or up to n = _CHUNK, one scan runs to order m.
+    """
+    if spec.n <= _CHUNK or (m + 1) ** 2 > _CHUNK:
+        return _scan_coeffs(spec, m)
+    head = _scan_coeffs(spec._slice(0, _CHUNK), m)
+    # _entry(_CHUNK) checks the tail's first entry against the head's last; a
+    # positive tail follows _CHUNK > m positive entries, so head is positive to order m
+    order = _tail_order(head, _tail_bound(spec))
+    return _cauchy(head, _scan_coeffs(spec._slice(_CHUNK, spec.n), order), m)
 
 
 def _piece_coeffs(count: int, value: float, m: int) -> tuple[np.ndarray, np.ndarray]:

@@ -1,9 +1,10 @@
 """Spectra: nonincreasing, nonnegative eigenvalue sequences.
 
-Every reader takes a Spectrum's entries one chunk at a time (_chunk).  A
-spectrum read from a file or an eigensolve is held dense in double
-precision, read-only, and a chunk is a view of it.  A generated one
-(geom:, pow:) holds no entries: each chunk is computed on demand by
+Every reader takes a Spectrum's entries one chunk at a time (_chunk), or
+a run of them as a spectrum of its own (_slice).  A spectrum read from a
+file or an eigensolve is held dense in double precision, read-only, and a
+chunk or slice is a view of it.  A generated one (geom:, pow:) holds no
+entries, nor do its slices: each chunk is computed on demand by
 direct formula (no repeated multiplication, so values do not drift at
 large n) and checked as a dense input is, against the entry before it
 too.  Its length is capped at DENSE_CAP, so .values, which materializes
@@ -97,6 +98,15 @@ class Spectrum:
         start = max(lo - 1, 0)
         return _checked(self._entries(start, min(hi, self.n)))[lo - start :]
 
+    def _slice(self, lo: int, hi: int) -> Spectrum:
+        """Entries lo..min(hi, n)-1 as a spectrum of their own: a view of the
+        values once held, else generated by the same formula, holding none."""
+        if "values" in vars(self):
+            return Spectrum(_Owned(self.values[lo:hi]))
+        entries = self._entries
+        return Spectrum._generated(max(min(hi, self.n) - lo, 0),
+                                   lambda a, b: entries(lo + a, lo + b))
+
     def __array__(self, dtype=None, copy=None) -> np.ndarray:
         """np.asarray(spectrum) is the values, materialized."""
         if copy:
@@ -183,6 +193,8 @@ class PiecewiseDyadicSpectrum:
 
     @cached_property
     def materialized(self) -> Spectrum:
+        """Every entry as a dense Spectrum; CapExceededError above DENSE_CAP entries."""
+        _generated_length(self.n)
         _, counts, values = zip(*self.pieces)
         return Spectrum(_Owned(np.repeat(values, counts)))
 
@@ -246,16 +258,15 @@ def split_head_tail(s: Spectrum, k: int) -> HeadTailSplit:
     """Split s after its k largest entries.
 
     The pivot is the (k+1)-st value and must be positive, since the ESP
-    calculus renormalizes the tail by it.  Head and tail are views of s.
+    calculus renormalizes the tail by it.  Head and tail are views of s, or
+    generated by its formula if s is: neither materializes s.
     """
     k = checked_int(k, "k", 0, s.n - 1)
-    pivot = float(s.values[k])
+    pivot = s._entry(k)
     if pivot <= 0.0:
         raise DegenerateTailError(
             f"tail starting at position {k + 1} is all zero; split undefined")
-    head = Spectrum(_Owned(s.values[:k]))
-    tail = Spectrum(_Owned(s.values[k:]))
-    return HeadTailSplit(head=head, tail=tail, pivot=pivot, k=k)
+    return HeadTailSplit(head=s._slice(0, k), tail=s._slice(k, s.n), pivot=pivot, k=k)
 
 
 def load_spectrum(path: str | Path) -> Spectrum:

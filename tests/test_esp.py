@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -35,9 +36,12 @@ from volcur import (
     generate_geometric,
     generate_power_law,
     make_spectrum,
+    parse_generator_spec,
     split_head_tail,
 )
-from volcur.esp import _CHUNK, _LANES, _prefix_rows, esp_marginals
+from volcur.esp import (
+    _CHUNK, _LANES, _prefix_rows, _scan_coeffs, _tail_bound, _tail_order, esp_marginals,
+)
 
 spectrum_lists = st.lists(
     st.floats(min_value=1e-3, max_value=1e3, allow_nan=False), min_size=1, max_size=10)
@@ -145,6 +149,13 @@ class TestExactness:
         e = [1, 3 * n, 9 * n * (n - 1) // 2]
         assert max(e) < 2**53
         assert esp_all(make_spectrum(np.array(xs, dtype=np.float64)), 2).coeffs.tolist() == e
+
+    def test_ones_past_a_chunk_give_binomials(self):
+        # a head of _CHUNK ones and a tail of the rest, joined by the union rule
+        n = 100_000
+        e = [math.comb(n, j) for j in range(4)]
+        assert max(e) < 2**53
+        assert esp_all(make_spectrum(np.ones(n)), 3).coeffs.tolist() == e
 
 
 class TestEspRatio:
@@ -351,10 +362,15 @@ class TestBlockedScan:
 
     @pytest.mark.skipif(np.finfo(np.longdouble).eps == np.finfo(np.float64).eps,
                         reason="long double is no wider than double here")
-    @pytest.mark.parametrize("p, n, kmax", [(2.0, 10**6, 64), (1.0, 10**5, 32)])
-    def test_at_least_as_accurate_as_sequential(self, p, n, kmax):
-        # measured: 9.1e-15 vs 1.4e-13 (p = 2) and 4.9e-15 vs 2.9e-14 (p = 1)
-        s = generate_power_law(p, n)
+    @pytest.mark.parametrize("text, kmax", [
+        ("pow:p=2,n=1000000", 64), ("pow:p=1,n=100000", 32),
+        (f"pow:p=2,n={3 * _CHUNK + 7}", 64), (f"pow:p=1.5,n={3 * _CHUNK + 7}", 64),
+        (f"geom:q=0.9999,n={3 * _CHUNK + 7}", 64)])
+    def test_at_least_as_accurate_as_sequential(self, text, kmax):
+        # past one chunk the tail is scanned only to its certified order;
+        # measured, in the order above: 9.4e-15 vs 1.4e-13, 4.0e-15 vs 2.9e-14,
+        # 9.3e-15 vs 8.3e-14, 7.4e-15 vs 6.3e-14, 6.3e-15 vs 7.7e-14
+        s = parse_generator_spec(text)
         want = longdouble_ratios(s.values, kmax)
 
         def worst(ratios):
@@ -363,6 +379,29 @@ class TestBlockedScan:
         blocked = worst(esp_ratios(s, kmax))
         assert blocked <= worst(sequential_ratios(s.values, kmax))
         assert blocked < 2e-14
+
+    @pytest.mark.parametrize("text, m", [
+        (f"pow:p=2,n={3 * _CHUNK + 7}", 65), (f"pow:p=1.5,n={3 * _CHUNK + 7}", 65),
+        (f"geom:q=0.9999,n={3 * _CHUNK + 7}", 65), ("pow:p=1,n=100000", 33)])
+    def test_tail_order_bounds_what_it_drops(self, text, m):
+        # the tail scanned to full order: the terms of e_j past the certified
+        # order sum to at most 2^-64 e_j(head), and the orders kept are the
+        # full scan's bit for bit
+        spec = parse_generator_spec(text)
+        head = _scan_coeffs(spec._slice(0, _CHUNK), m)
+        total = _tail_bound(spec)
+        assert total >= spec.tail_sum(_CHUNK)
+        order = _tail_order(head, total)
+        assert 0 < order < m
+        tail = spec._slice(_CHUNK, spec.n)
+        (hm, he), (tm, te) = head, _scan_coeffs(tail, m)
+        kept = _scan_coeffs(tail, order)
+        assert np.array_equal(kept[0], tm[: order + 1])
+        assert np.array_equal(kept[1], te[: order + 1])
+        for j in range(m + 1):
+            dropped = sum(math.ldexp(float(hm[j - a] * tm[a]), int(he[j - a] + te[a] - he[j]))
+                          for a in range(order + 1, j + 1))
+            assert dropped <= 2.0**-64 * hm[j]
 
     @pytest.mark.skipif(np.finfo(np.longdouble).eps == np.finfo(np.float64).eps,
                         reason="long double is no wider than double here")

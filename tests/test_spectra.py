@@ -232,6 +232,12 @@ class TestPiecewiseDyadic:
         for start, count, value in d.pieces:
             assert np.all(values[start : start + count] == value)
 
+    @pytest.mark.parametrize("lmax", [31, 64])
+    def test_materialized_above_the_cap_is_refused(self, lmax):
+        d = PiecewiseDyadicSpectrum(lmax=lmax, base=0.5)
+        with pytest.raises(CapExceededError, match=f"cap {DENSE_CAP}$"):
+            d.materialized
+
     def test_analytic_tail_sum_matches_materialized(self):
         d = PiecewiseDyadicSpectrum(lmax=6, base=0.3)
         m = d.materialized

@@ -15,15 +15,20 @@ import pytest
 from oracles import random_psd
 from volcur import (
     PsdMatrix,
+    Spectrum,
     esp_marginals,
+    esp_ratio_head_tail,
     esp_ratios,
     generate_power_law,
     load_matrix,
     parse_generator_spec,
     rbf_kernel_matrix,
     read_array,
+    split_head_tail,
 )
+from volcur import esp
 from volcur.cli import main
+from volcur.esp import _CHUNK
 
 
 def traced_peak(fn) -> int:
@@ -42,6 +47,27 @@ def test_esp_ratios_holds_three_chunks_whatever_n(n):
     # generated chunk while it is read: 2.19 MB traced
     spec = parse_generator_spec(f"pow:p=2,n={n}")
     assert traced_peak(lambda: esp_ratios(spec, 64)) <= 2.5e6
+
+
+def test_esp_ratios_at_a_high_order_is_one_scan(monkeypatch):
+    # (m + 1)^2 > _CHUNK: no head and tail, whose union-rule product holds
+    # (m + 1) x (tail order + 1) terms; 2.18 MB traced
+    spec = generate_power_law(1.0, _CHUNK + 1)
+
+    def refused(*args):
+        raise AssertionError("split into head and tail")
+
+    monkeypatch.setattr(esp, "_cauchy", refused)
+    assert traced_peak(lambda: esp_ratios(spec, 299)) <= 2.5e6
+
+
+def test_split_head_tail_holds_no_generated_spectrum():
+    # two formulas and the pivot, read alone (1.5 kB traced)
+    s = generate_power_law(2.0, 10**6)
+    splits = []
+    assert traced_peak(lambda: splits.append(split_head_tail(s, 20))) < 1e6
+    held = split_head_tail(Spectrum(generate_power_law(2.0, 10**6).values), 20)
+    assert esp_ratio_head_tail(splits[0], 20) == esp_ratio_head_tail(held, 20)
 
 
 @pytest.mark.parametrize("n, k", [(200_000, 20), (800_000, 5)])
