@@ -40,15 +40,17 @@ class BoundReport:
     optimal_error: float
 
 
-def _check_domination(spec: Spectrum | PiecewiseDyadicSpectrum,
-                      mu: PiecewiseDyadicSpectrum) -> None:
-    """Raise unless spec_i <= mu_i at every position i.
+def _check_domination(spec: Spectrum, mu: PiecewiseDyadicSpectrum) -> None:
+    """Raise unless mu is dyadic (ValidationError) and spec_i <= mu_i at
+    every position i (BoundInapplicableError).
 
     spec is nonincreasing and mu is constant on each piece, so the first
     violation, if any, is at the first entry of a piece or at position
     mu.n, the first past mu: one entry of spec is read at each, by
     spec._entry, which for a dyadic spec is the value of its piece.
     """
+    if not isinstance(mu, PiecewiseDyadicSpectrum):
+        raise ValidationError("majorant mu must be a PiecewiseDyadicSpectrum")
     if spec._entry(mu.n) > 0.0:
         raise BoundInapplicableError(
             f"majorant has only {mu.n} entries but the spectrum is "
@@ -62,7 +64,7 @@ def _check_domination(spec: Spectrum | PiecewiseDyadicSpectrum,
 
 
 def bound_reports(
-    spec: Spectrum | PiecewiseDyadicSpectrum,
+    spec: Spectrum,
     ks: list[int],
     *,
     mu: PiecewiseDyadicSpectrum | None = None,
@@ -73,12 +75,12 @@ def bound_reports(
     the majorant mu, checked for domination once; pass mu to include the
     majorant bound.  A dyadic spec stays symbolic, with or without mu: its
     ratios come from the per-piece product and its tail sums from piece
-    arithmetic.  A k at or above the rank of a plain spectrum reports a
-    zero ratio: the approximation is then exact in expectation.
+    arithmetic.  A k at or above the rank of spec reports a zero ratio:
+    the approximation is then exact in expectation.
     """
     ks = [checked_int(k, "k", 0, spec.n - 1) for k in ks]
     kmax = max(ks, default=0)
-    rank = spec.rank if isinstance(spec, Spectrum) else spec.n
+    rank = spec.rank
     exact = np.zeros(kmax + 1)
     if rank:
         top = min(kmax, rank - 1)
@@ -98,7 +100,7 @@ def bound_reports(
 
 
 def bound_report(
-    spec: Spectrum | PiecewiseDyadicSpectrum,
+    spec: Spectrum,
     k: int,
     *,
     mu: PiecewiseDyadicSpectrum | None = None,
@@ -108,14 +110,14 @@ def bound_report(
 
 
 def figure_rows(
-    lam: Spectrum | PiecewiseDyadicSpectrum, mu: PiecewiseDyadicSpectrum, ks: list[int]
+    lam: Spectrum, mu: PiecewiseDyadicSpectrum, ks: list[int]
 ) -> list[tuple[int, float, float, float]]:
     """Rows (k, ratio_lambda, ratio_mu, simple_bound) for plotting.
 
-    lam is plain or dyadic; ratio_lambda is its exact ratio as bound_reports
-    computes it, and ratio_mu the majorant's.  The bound column is the
-    majorant's tail sum, the quantity the simple-bound inequality caps
-    ratio_mu with, so the three columns are ordered at every k.
+    lam is any spectrum, dyadic too; ratio_lambda is its exact ratio, and
+    ratio_mu the majorant's.  The bound column is the majorant's tail sum,
+    the quantity the simple-bound inequality caps ratio_mu with, so the
+    three columns are ordered at every k.
     """
     if not ks:
         raise ValidationError("k range must be nonempty")

@@ -26,7 +26,6 @@ from .psd import (
     PsdMatrix,
     cur_approximation,
     cur_error_nuclear,
-    eigendecompose,
     gram_matrix,
     invariant_sums,
     load_matrix,
@@ -85,7 +84,7 @@ def _resolve_seed(args) -> int:
     return 0
 
 
-def _resolve_spectrum(args) -> Spectrum | PiecewiseDyadicSpectrum:
+def _resolve_spectrum(args) -> Spectrum:
     if (args.input is None) == (args.spectrum is None):
         raise ValidationError("provide exactly one of --input or --spectrum")
     if args.spectrum is not None:
@@ -174,7 +173,7 @@ def cmd_approx(args) -> int:
         raise ValidationError("approx takes a single k, not a range")
     k = ks[0]
     seed = _resolve_seed(args)
-    ed = eigendecompose(m)
+    ed = m.eigen
     subset = sample_subsets(ed, k, 1, seed)[0]
     approx = cur_approximation(m, subset)
     error = cur_error_nuclear(m, subset)
@@ -199,7 +198,7 @@ def cmd_sample(args) -> int:
         raise ValidationError("sample takes a single k, not a range")
     k = ks[0]
     seed = _resolve_seed(args)
-    ed = eigendecompose(m)
+    ed = m.eigen
     subsets = sample_subsets(ed, k, args.draws, seed)
     lines = [",".join(str(i + 1) for i in s) for s in subsets]
     _emit(args, lines)
@@ -213,7 +212,7 @@ def cmd_verify(args) -> int:
             f"verify enumerates all subsets and is capped at n <= {VERIFY_MAX_N}; "
             f"got n = {m.n}")
     ks = _parse_k_range(args.k)
-    ed = eigendecompose(m)
+    ed = m.eigen
     for k in (ks[0], ks[-1]):          # the range's ends, before enumerating any k
         checked_int(k, "k", 1, min(m.n - 1, ed.rank))
     sums = invariant_sums(m, ks[-1] + 1)

@@ -42,6 +42,7 @@ from .errors import (
     checked_int,
 )
 from .spectra import _CHUNK, DENSE_CAP, HeadTailSplit, PiecewiseDyadicSpectrum, Spectrum
+from .spectra import _dense_length
 
 __all__ = [
     "EspVector",
@@ -217,9 +218,10 @@ def _esp_coeffs(spec: Spectrum, m: int) -> tuple[np.ndarray, np.ndarray]:
     2^-64 e_j(head) <= 2^-64 e_j, far under the scan's own rounding (about
     1e-14).  Every entry is still read, and checked, once.  The rule on m
     keeps _cauchy's (m + 1) x (A + 1) products within a chunk's size; above
-    it, or up to n = _CHUNK, one scan runs to order m.
+    it, or up to n = _CHUNK, one scan runs to order m.  Past n = DENSE_CAP
+    it raises CapExceededError.
     """
-    if spec.n <= _CHUNK or (m + 1) ** 2 > _CHUNK:
+    if _dense_length(spec.n) <= _CHUNK or (m + 1) ** 2 > _CHUNK:
         return _scan_coeffs(spec, m)
     head = _scan_coeffs(spec._slice(0, _CHUNK), m)
     # _entry(_CHUNK) checks the tail's first entry against the head's last; a
@@ -261,9 +263,10 @@ def _cauchy(a, b, m: int) -> tuple[np.ndarray, np.ndarray]:
     return mant, np.where(total > 0.0, top + shift, 0)
 
 
-def _scaled_coeffs(spec: Spectrum | PiecewiseDyadicSpectrum, m: int):
-    """e_0..e_min(m, n) as (mantissas, exponents): the prefix scan of a plain
-    spectrum, or the product of a dyadic one's pieces, smallest values first."""
+def _scaled_coeffs(spec: Spectrum, m: int):
+    """e_0..e_min(m, n) as (mantissas, exponents): for a dyadic spectrum the
+    product of its pieces, smallest values first, at any length, never the
+    prefix scan (_esp_coeffs) that any other spectrum gets."""
     if isinstance(spec, PiecewiseDyadicSpectrum):
         acc = (np.ones(1), np.zeros(1, dtype=np.int64))
         for _, count, value in reversed(spec.pieces):
@@ -300,14 +303,14 @@ def _order(m: int) -> int:
     return m
 
 
-def esp_all(s: Spectrum | PiecewiseDyadicSpectrum, m: int) -> EspVector:
+def esp_all(s: Spectrum, m: int) -> EspVector:
     """All values e_0 .. e_m of the spectrum (zeros beyond its length)."""
     m = _order(m)
     return _esp_vector(*_scaled_coeffs(s, m), m)
 
 
-def esp_ratios(spec: Spectrum | PiecewiseDyadicSpectrum, kmax: int) -> np.ndarray:
-    """The ratios e_{k+1}/e_k for k = 0..kmax, of a plain or dyadic spectrum.
+def esp_ratios(spec: Spectrum, kmax: int) -> np.ndarray:
+    """The ratios e_{k+1}/e_k for k = 0..kmax of a spectrum.
 
     The ratio is 0 at k equal to the rank; above it e_k = 0 and
     RankDeficiencyError is raised.
@@ -318,7 +321,7 @@ def esp_ratios(spec: Spectrum | PiecewiseDyadicSpectrum, kmax: int) -> np.ndarra
     return _ratios(np.pad(mant, (0, pad)), np.pad(exps, (0, pad)))
 
 
-def esp_ratio(s: Spectrum | PiecewiseDyadicSpectrum, k: int) -> float:
+def esp_ratio(s: Spectrum, k: int) -> float:
     """The ratio e_{k+1}/e_k (see esp_ratios)."""
     return float(esp_ratios(s, k)[k])
 
@@ -328,10 +331,11 @@ def esp_marginals(spec: Spectrum, k: int) -> np.ndarray:
 
     out[r, i] = v_i e_{r-1}(v_1..v_{i-1}) / e_r(v_1..v_i) for 1 <= r <= k
     and 1 <= i <= n, the chance that entry i joins when r of the first i
-    entries remain to be chosen; zero where e_r(v_1..v_i) = 0.
+    entries remain to be chosen; zero where e_r(v_1..v_i) = 0.  More than
+    DENSE_CAP entries raise CapExceededError before the table is allocated.
     """
     k = checked_int(k, "k", 1, spec.n)
-    table = np.zeros((k + 1, spec.n + 1))     # the ESP table, then the marginals in place
+    table = np.zeros((k + 1, _dense_length(spec.n) + 1))   # the ESP table, then the marginals
     table[0, 0] = 2.0**_CENTER         # e_0 of the empty prefix, scaled as row 0
     exps = np.zeros(k + 1, dtype=np.int64)
     for j, lo, block, exponent in _prefix_rows(spec, k):

@@ -174,7 +174,7 @@ def invariant_sums(m: PsdMatrix, up_to: int) -> np.ndarray:
     exhaustive minor enumeration is kept in the test suite as the oracle.
     """
     up_to = checked_int(up_to, "up_to", 0, m.n)
-    return np.asarray(esp_all(eigendecompose(m).eigenvalues, up_to).coeffs)
+    return np.asarray(esp_all(m.eigen.eigenvalues, up_to).coeffs)
 
 
 def _checked_subset(subset: Iterable[int], n: int) -> tuple[int, ...]:

@@ -46,7 +46,6 @@ from .psd import (
     PsdMatrix,
     _subset_factor,
     cur_error_nuclear,
-    eigendecompose,
 )
 from .spectra import Spectrum
 
@@ -321,7 +320,7 @@ def empirical_error(
     m: PsdMatrix, k: int, draws: int, seed: int
 ) -> tuple[float, float]:
     """Monte Carlo estimate of the expected CUR error: (mean, stderr)."""
-    ed = eigendecompose(m)
+    ed = m.eigen
     subsets = sample_subsets(ed, k, draws, seed)
     errors = np.array([cur_error_nuclear(m, s) for s in subsets])
     mean = float(errors.mean())

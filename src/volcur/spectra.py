@@ -3,13 +3,13 @@
 Every reader takes a Spectrum's entries one chunk at a time (_chunk), or
 a run of them as a spectrum of its own (_slice).  A spectrum read from a
 file or an eigensolve is held dense in double precision, read-only, and a
-chunk or slice is a view of it.  A generated one (geom:, pow:) holds no
-entries, nor do its slices: each chunk is computed on demand by
+chunk or slice is a view of it.  A generated one (geom:, pow:, dyadic:)
+holds no entries, nor do its slices: each chunk is computed on demand by
 direct formula (no repeated multiplication, so values do not drift at
 large n) and checked as a dense input is, against the entry before it
-too.  Its length is capped at DENSE_CAP, so .values, which materializes
-every entry once for callers that need one array, always fits.  Tail
-sums past a spectrum's length are zero.
+too.  Past DENSE_CAP entries, which only a dyadic one may have (its tail
+sums and ESP product read its pieces), .values (every entry in one array)
+and the ESP scan raise CapExceededError.  Tail sums past the end are zero.
 """
 from __future__ import annotations
 
@@ -86,7 +86,7 @@ class Spectrum:
     @cached_property
     def values(self) -> np.ndarray:
         """All n entries as one read-only array, computed here once if generated."""
-        arr = self._chunk(0, self.n)
+        arr = self._chunk(0, _dense_length(self.n))
         arr.flags.writeable = False
         return arr
 
@@ -132,7 +132,8 @@ class Spectrum:
     @cached_property
     def _chunk_sums(self) -> np.ndarray:
         """The sum of each chunk of _CHUNK entries, in order."""
-        return np.array([self._chunk(lo, lo + _CHUNK).sum() for lo in range(0, self.n, _CHUNK)])
+        return np.array([self._chunk(lo, lo + _CHUNK).sum()
+                         for lo in range(0, _dense_length(self.n), _CHUNK)])
 
     def tail_sum(self, k: int) -> float:
         """Sum of entries after the first k (zero when k >= n): the rest of
@@ -158,27 +159,21 @@ class HeadTailSplit:
     k: int
 
 
-@dataclass(frozen=True, eq=False)
-class PiecewiseDyadicSpectrum:
-    """Piecewise-constant spectrum with dyadic blocks.
+class PiecewiseDyadicSpectrum(Spectrum):
+    """Piecewise-constant spectrum with dyadic blocks: a generated Spectrum.
 
     Level l in 0..lmax-1 spans positions 2^l .. 2^{l+1}-1 (1-based) and
     carries the value base^l, so the total length is 2^lmax - 1 and the
-    leading entry is 1.  .pieces alone writes that layout out; the ESP product,
-    tail sums, domination check and .materialized all read the same numbers.
+    leading entry is 1; lmax is at most 1024, so each count fits a double.
+    .pieces alone writes that layout out; the entries, tail sums, ESP
+    product and domination check all read the same numbers.
     """
 
-    lmax: int
-    base: float
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "lmax", checked_int(self.lmax, "lmax", 1))
-        if not 0.0 < self.base < 1.0:
+    def __init__(self, lmax: int, base: float) -> None:
+        self.lmax = checked_int(lmax, "lmax", 1, 1024)
+        if not 0.0 < base < 1.0:
             raise ValidationError("base must lie strictly between 0 and 1")
-
-    @property
-    def n(self) -> int:
-        return 2**self.lmax - 1
+        self.base, self.n = base, 2**self.lmax - 1
 
     @cached_property
     def pieces(self) -> tuple[tuple[int, int, float], ...]:
@@ -186,17 +181,16 @@ class PiecewiseDyadicSpectrum:
         any lmax; values by Python's base**l (numpy's vectorized power can differ)."""
         return tuple((2**level - 1, 2**level, self.base**level) for level in range(self.lmax))
 
-    def _entry(self, i: int) -> float:
-        """The entry at 0-based position i, zero past the end: the value of its piece."""
-        start, count, value = self.pieces[bisect.bisect_right(self.pieces, (i, float("inf"))) - 1]
-        return value if i < start + count else 0.0
-
-    @cached_property
-    def materialized(self) -> Spectrum:
-        """Every entry as a dense Spectrum; CapExceededError above DENSE_CAP entries."""
-        _generated_length(self.n)
-        _, counts, values = zip(*self.pieces)
-        return Spectrum(_Owned(np.repeat(values, counts)))
+    def _entries(self, lo: int, hi: int) -> np.ndarray:
+        """Entries lo..hi-1, each the value of its piece, from the piece holding lo on:
+        Python-int positions, so any lmax."""
+        out = np.empty(hi - lo)
+        first = bisect.bisect_right(self.pieces, (lo, float("inf"))) - 1
+        for start, count, value in self.pieces[first:]:
+            if start >= hi:
+                break
+            out[max(start, lo) - lo : min(start + count, hi) - lo] = value
+        return out
 
     def tail_sum(self, k: int) -> float:
         """Sum of entries after the first k, piece by piece, left to right."""
@@ -216,8 +210,8 @@ def make_spectrum(values: Iterable[float]) -> Spectrum:
     return Spectrum(_Owned(np.sort(arr)[::-1]))
 
 
-def _generated_length(n: int) -> int:
-    n = checked_int(n, "n", 1)
+def _dense_length(n: int) -> int:
+    """n, refused above DENSE_CAP: the most entries held at once or read one by one."""
     if n > DENSE_CAP:
         raise CapExceededError(
             f"n = {n} exceeds the generated-spectrum cap {DENSE_CAP}")
@@ -233,7 +227,7 @@ def generate_geometric(q: float, n: int) -> Spectrum:
         values = np.arange(lo, hi, dtype=np.float64)
         return np.power(q, values, out=values)
 
-    return Spectrum._generated(_generated_length(n), entries)
+    return Spectrum._generated(_dense_length(checked_int(n, "n", 1)), entries)
 
 
 def generate_power_law(p: float, n: int) -> Spectrum:
@@ -246,11 +240,11 @@ def generate_power_law(p: float, n: int) -> Spectrum:
         values **= -float(p)
         return values
 
-    return Spectrum._generated(_generated_length(n), entries)
+    return Spectrum._generated(_dense_length(checked_int(n, "n", 1)), entries)
 
 
 def generate_dyadic(lmax: int, base: float) -> PiecewiseDyadicSpectrum:
-    """Piecewise-constant dyadic spectrum; materialize via .materialized."""
+    """Piecewise-constant dyadic spectrum; its entries are read as any spectrum's."""
     return PiecewiseDyadicSpectrum(lmax=lmax, base=base)
 
 
@@ -293,7 +287,7 @@ _GENERATOR_KEYS = {
 }
 
 
-def parse_generator_spec(text: str) -> Spectrum | PiecewiseDyadicSpectrum:
+def parse_generator_spec(text: str) -> Spectrum:
     """Parse a generator spec string.
 
     Recognized forms: ``geom:q=<f>,n=<int>``, ``pow:p=<f>,n=<int>``,

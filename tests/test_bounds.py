@@ -4,6 +4,7 @@ import pytest
 from volcur import (
     BoundInapplicableError,
     PiecewiseDyadicSpectrum,
+    Spectrum,
     ValidationError,
     bound_report,
     esp_geometric_ratio,
@@ -107,7 +108,7 @@ class TestDyadicUpperBound:
 
     def test_equality_on_the_majorant_itself(self):
         d = PiecewiseDyadicSpectrum(lmax=8, base=0.25)
-        lam = d.materialized
+        lam = Spectrum(d)
         for k in (1, 3, 7):
             bound = dyadic_bound(lam, k, 0.25, 8)
             assert rel_err(bound, esp_ratio(lam, k)) < 1e-10
@@ -186,7 +187,7 @@ class TestFigureRows:
 
     def test_identical_spectra_give_equal_ratio_columns(self):
         mu = PiecewiseDyadicSpectrum(lmax=7, base=0.25)
-        rows = figure_rows(mu.materialized, mu, [1, 2, 3, 8])
+        rows = figure_rows(Spectrum(mu), mu, [1, 2, 3, 8])
         for _, r_lam, r_mu, _ in rows:
             assert rel_err(r_lam, r_mu) < 1e-10
 
@@ -207,11 +208,11 @@ class TestFigureRows:
     def test_k_range_validation(self):
         mu = PiecewiseDyadicSpectrum(lmax=3, base=0.25)
         with pytest.raises(ValidationError):
-            figure_rows(mu.materialized, mu, [])
+            figure_rows(Spectrum(mu), mu, [])
         with pytest.raises(ValidationError):
-            figure_rows(mu.materialized, mu, [0, 1])
+            figure_rows(Spectrum(mu), mu, [0, 1])
         with pytest.raises(ValidationError):
-            figure_rows(mu.materialized, mu, [7])
+            figure_rows(Spectrum(mu), mu, [7])
 
     def test_geometric_spectrum_under_half_base(self):
         # geometric decay 1/2 sits under the dyadic majorant with base 1/2

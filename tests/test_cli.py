@@ -16,6 +16,7 @@ from volcur import (
     EigensolverError,
     PiecewiseDyadicSpectrum,
     PsdMatrix,
+    Spectrum,
     bound_reports,
     esp_all,
     esp_geometric_ratio,
@@ -115,7 +116,7 @@ class TestRatioCommand:
         code, out, _ = run_cli(
             ["ratio", "--spectrum", "dyadic:lmax=8,base=0.25", "--k", "1..8"], capsys)
         assert code == 0
-        lam = PiecewiseDyadicSpectrum(lmax=8, base=0.25).materialized
+        lam = Spectrum(PiecewiseDyadicSpectrum(lmax=8, base=0.25))
         for row in out.strip().splitlines()[1:]:
             k_s, v_s = row.split(",")
             assert float(v_s) == pytest.approx(esp_ratio(lam, int(k_s)), rel=1e-10)
@@ -587,6 +588,27 @@ class TestOneEigensolve:
         assert code == 0, err
         assert out
         assert solves == {"eigh": 1, "eigvalsh": 0}
+
+    @pytest.mark.parametrize("argv", [
+        ["sample", "--k", "3", "--draws", "4"],
+        ["approx", "--k", "3"],
+        ["verify", "--k", "1..3"],
+    ])
+    def test_commands_read_the_matrix_decomposition_directly(self, argv, inputs, monkeypatch,
+                                                            capsys):
+        # m.eigen is the one eigensolve; eigendecompose(m) only hands it back,
+        # so a call to it would count as a second solve where solves are counted
+        calls = []
+
+        def counted(m):
+            calls.append(m)
+            return m.eigen
+        for module in (volcur.cli, volcur.psd, volcur.sampling):
+            if hasattr(module, "eigendecompose"):
+                monkeypatch.setattr(module, "eigendecompose", counted)
+        code, _, err = run_cli([argv[0], "--input", inputs[0], *argv[1:]], capsys)
+        assert code == 0, err
+        assert calls == []
 
     def test_eigensolver_failure_is_typed(self, psd_file, monkeypatch, capsys):
         def fail(*args, **kwargs):

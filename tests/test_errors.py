@@ -6,6 +6,7 @@ from volcur import (
     EigenDecomposition,
     PiecewiseDyadicSpectrum,
     PsdMatrix,
+    Spectrum,
     ValidationError,
     bound_reports,
     enumerate_distribution,
@@ -70,7 +71,7 @@ BOUNDARY = {
     "geometric_expected_error k": (lambda k: esp_geometric_ratio(0.5, 10, k), 11),
     "dyadic_upper_bound": (lambda k: bound_reports(UNDER_DYADIC, [k], mu=DYADIC), 4),
     "bound_reports": (lambda k: bound_reports(SPEC, [1, k]), 4),
-    "figure_rows": (lambda k: figure_rows(DYADIC.materialized, DYADIC, [1, k]), 7),
+    "figure_rows": (lambda k: figure_rows(Spectrum(DYADIC), DYADIC, [1, k]), 7),
     "enumerate_distribution": (lambda k: enumerate_distribution(MATRIX, k), 4),
     "expected_error_bruteforce": (lambda k: expected_error_bruteforce(MATRIX, k), 4),
     "sample_subsets draws": (lambda d: sample_subsets(MATRIX.eigen, 1, d, 0), 0),
