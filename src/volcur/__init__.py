@@ -52,7 +52,6 @@ from .errors import (
     DegenerateTailError,
     EigensolverError,
     NumericalError,
-    RankDeficiencyError,
     SingularPivotError,
     ValidationError,
     VolcurError,

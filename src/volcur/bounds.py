@@ -10,8 +10,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import BoundInapplicableError, ValidationError, checked_int
 from .esp import esp_ratios
 from .spectra import PiecewiseDyadicSpectrum, Spectrum
@@ -75,16 +73,12 @@ def bound_reports(
     the majorant mu, checked for domination once; pass mu to include the
     majorant bound.  A dyadic spec stays symbolic, with or without mu: its
     ratios come from the per-piece product and its tail sums from piece
-    arithmetic.  A k at or above the rank of spec reports a zero ratio:
-    the approximation is then exact in expectation.
+    arithmetic.  At and past the last k with e_k > 0 the ratio is 0, as in
+    esp_ratios: the approximation is then exact in expectation.
     """
     ks = [checked_int(k, "k", 0, spec.n - 1) for k in ks]
     kmax = max(ks, default=0)
-    rank = spec.rank
-    exact = np.zeros(kmax + 1)
-    if rank:
-        top = min(kmax, rank - 1)
-        exact[: top + 1] = esp_ratios(spec, top)
+    exact = esp_ratios(spec, kmax)
     dyadic = None
     if mu is not None:
         _check_domination(spec, mu)
@@ -115,9 +109,10 @@ def figure_rows(
     """Rows (k, ratio_lambda, ratio_mu, simple_bound) for plotting.
 
     lam is any spectrum, dyadic too; ratio_lambda is its exact ratio, and
-    ratio_mu the majorant's.  The bound column is the majorant's tail sum,
-    the quantity the simple-bound inequality caps ratio_mu with, so the
-    three columns are ordered at every k.
+    ratio_mu the majorant's, both traces at k = 0 and 0 past the rank.
+    The bound column is the majorant's tail sum, the quantity the
+    simple-bound inequality caps ratio_mu with, so the three columns are
+    ordered at every k.
     """
     if not ks:
         raise ValidationError("k range must be nonempty")
@@ -125,7 +120,7 @@ def figure_rows(
         raise ValidationError(
             f"spectrum lengths differ: {lam.n} vs {mu.n}")
     _check_domination(lam, mu)
-    ks = [checked_int(k, "k", 1, lam.n - 1) for k in ks]
+    ks = [checked_int(k, "k", 0, lam.n - 1) for k in ks]
     kmax = max(ks)
     rl, rm = esp_ratios(lam, kmax), esp_ratios(mu, kmax)
     return [(k, float(rl[k]), float(rm[k]), mu.tail_sum(k)) for k in ks]

@@ -32,10 +32,6 @@ class BoundInapplicableError(ValidationError):
     names the first violating index."""
 
 
-class RankDeficiencyError(NumericalError):
-    """An ESP ratio e_{k+1}/e_k is undefined because e_k = 0."""
-
-
 class SingularPivotError(NumericalError):
     """A pivot block is numerically singular: its pivoted Cholesky meets a
     pivot at or below PIVOT_REL_TOL (1e-14) times the block's largest
@@ -44,7 +40,7 @@ class SingularPivotError(NumericalError):
 
 class DegenerateDistributionError(NumericalError):
     """Volume sampling at rank k is degenerate: every k-subset has zero
-    volume (k exceeds the matrix rank)."""
+    volume (k exceeds the matrix rank) or meets the pivot floor."""
 
 
 class EigensolverError(NumericalError):

@@ -34,13 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    CapExceededError,
-    NumericalError,
-    RankDeficiencyError,
-    ValidationError,
-    checked_int,
-)
+from .errors import CapExceededError, NumericalError, ValidationError, checked_int
 from .spectra import _CHUNK, DENSE_CAP, HeadTailSplit, PiecewiseDyadicSpectrum, Spectrum
 from .spectra import _dense_length
 
@@ -288,11 +282,9 @@ def _scaled_coeffs(spec: Spectrum, m: int):
 
 
 def _ratios(mant: np.ndarray, exps: np.ndarray) -> np.ndarray:
-    """e_{k+1}/e_k for every k below the last order of (mantissas, exponents)."""
-    zero = np.flatnonzero(mant[:-1] == 0.0)
-    if zero.size:
-        raise RankDeficiencyError(f"e_{zero[0]} = 0: spectrum rank is below {zero[0]}")
-    return np.ldexp(mant[1:] / mant[:-1], exps[1:] - exps[:-1])
+    """e_{k+1}/e_k for every k below the last order of (mantissas, exponents), 0 where e_k = 0."""
+    out = np.divide(mant[1:], mant[:-1], out=np.zeros(mant.size - 1), where=mant[:-1] > 0.0)
+    return np.ldexp(out, exps[1:] - exps[:-1], out=out)
 
 
 def _esp_vector(mant: np.ndarray, exps: np.ndarray, m: int) -> EspVector:
@@ -324,13 +316,16 @@ def esp_all(s: Spectrum, m: int) -> EspVector:
 def esp_ratios(spec: Spectrum, kmax: int) -> np.ndarray:
     """The ratios e_{k+1}/e_k for k = 0..kmax of a spectrum.
 
-    The ratio is 0 at k equal to the rank; above it e_k = 0 and
-    RankDeficiencyError is raised.
+    The ratio is 0 from the last k with e_k > 0 on: the paper's bound
+    e_{k+1}/e_k <= (sum of the entries past the k-th) pins it there, and a
+    formula whose entries underflow to zero meets the same rule.  kmax
+    above DENSE_CAP raises CapExceededError before anything is allocated.
     """
-    kmax = checked_int(kmax, "k", 0)
+    kmax = _order(checked_int(kmax, "k", 0))
     mant, exps = _scaled_coeffs(spec, kmax + 1)
-    pad = min(kmax + 2 - mant.size, 2)      # e_{n+1} = e_{n+2} = 0 close a pair ending at n
-    return _ratios(np.pad(mant, (0, pad)), np.pad(exps, (0, pad)))
+    ratios = np.zeros(kmax + 1)             # e_j = 0 past the pair's end
+    ratios[: mant.size - 1] = _ratios(mant, exps)
+    return ratios
 
 
 def esp_ratio(s: Spectrum, k: int) -> float:

@@ -88,9 +88,10 @@ def enumerate_distribution(m: PsdMatrix, k: int) -> VolumeDistribution:
     pivots multiply to the weight det M[S,S], and its residual diagonal
     sums to the CUR error.  A pivot at or below PIVOT_REL_TOL * lambda_max
     counts the minor as singular: weight zero and error zero (it is never
-    drawn).  Refuses more than ENUMERATION_CAP subsets.
+    drawn).  Refuses k above the rank of m and more than ENUMERATION_CAP
+    subsets before it factors any.
     """
-    k = checked_int(k, "k", 1, m.n)
+    k = _within_rank(m.eigen, checked_int(k, "k", 1, m.n))
     count = math.comb(m.n, k)
     if count > ENUMERATION_CAP:
         raise CapExceededError(
@@ -109,7 +110,7 @@ def enumerate_distribution(m: PsdMatrix, k: int) -> VolumeDistribution:
     normalizer = float(weights.sum())
     if normalizer <= 0.0:
         raise DegenerateDistributionError(
-            f"every {k}-subset has zero volume: matrix rank is below {k}")
+            f"every {k}-subset meets a pivot at or below {PIVOT_REL_TOL:g} * lambda_max")
     return VolumeDistribution(
         k=k,
         subsets=subsets,
@@ -118,6 +119,14 @@ def enumerate_distribution(m: PsdMatrix, k: int) -> VolumeDistribution:
         probabilities=weights / normalizer,
         errors=errors,
     )
+
+
+def _within_rank(ed: EigenDecomposition, k: int) -> int:
+    """k, refused above the rank of ed, where every k-subset has zero volume."""
+    if k > ed.rank:
+        raise DegenerateDistributionError(
+            f"cannot volume-sample {k} columns from a rank-{ed.rank} matrix")
+    return k
 
 
 def _window(k: int) -> int:
@@ -268,12 +277,9 @@ def sample_subsets(
     draw i depends only on (seed, i, ed, k).  A draw without k distinct
     indices raises NumericalError.
     """
-    k = checked_int(k, "k", 1)
+    k = _within_rank(ed, checked_int(k, "k", 1))
     draws = checked_int(draws, "draws", 1)
     seed = checked_int(seed, "seed", 0)
-    if k > ed.rank:
-        raise DegenerateDistributionError(
-            f"cannot volume-sample {k} columns from a rank-{ed.rank} matrix")
     r, window = ed.rank, _window(k)
     width = r + 3 * window
     chunk = max(1, _CHUNK_BYTES // _draw_bytes(ed.vectors.shape[0], r, k))
@@ -301,8 +307,12 @@ def sample_subsets(
 
 
 def expected_error_exact(spec: Spectrum, k: int) -> float:
-    """Exact expected nuclear error under volume sampling: (k+1) e_{k+1}/e_k."""
-    k = checked_int(k, "k", 1)
+    """Exact expected nuclear error under volume sampling: (k+1) e_{k+1}/e_k.
+
+    Defined from k = 0, where the empty skeleton leaves the trace e_1, and 0
+    at and past the last k with e_k > 0 (see esp_ratios).
+    """
+    k = checked_int(k, "k", 0)
     return (k + 1) * esp_ratio(spec, k)
 
 

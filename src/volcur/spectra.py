@@ -117,18 +117,6 @@ class Spectrum:
         """The entry at 0-based position i, zero past the end."""
         return float(self._chunk(i, i + 1)[0]) if i < self.n else 0.0
 
-    @property
-    def rank(self) -> int:
-        """Number of strictly positive entries: they lead, so bisect for the first zero."""
-        lo, hi = 0, self.n
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if self._entry(mid) > 0.0:
-                lo = mid + 1
-            else:
-                hi = mid
-        return lo
-
     @cached_property
     def _chunk_sums(self) -> np.ndarray:
         """The sum of each chunk of _CHUNK entries, in order."""

@@ -210,9 +210,11 @@ class TestFigureRows:
         with pytest.raises(ValidationError):
             figure_rows(Spectrum(mu), mu, [])
         with pytest.raises(ValidationError):
-            figure_rows(Spectrum(mu), mu, [0, 1])
+            figure_rows(Spectrum(mu), mu, [-1, 1])
         with pytest.raises(ValidationError):
             figure_rows(Spectrum(mu), mu, [7])
+        # k = 0 is the trace in every column, as in bound_reports
+        assert figure_rows(Spectrum(mu), mu, [0]) == [(0, 1.75, 1.75, 1.75)]
 
     def test_geometric_spectrum_under_half_base(self):
         # geometric decay 1/2 sits under the dyadic majorant with base 1/2

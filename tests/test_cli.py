@@ -420,6 +420,16 @@ class TestVerifyCommand:
         code, _, _ = run_cli(["verify", "--input", str(p), "--k", "2"], capsys)
         assert code == 1
 
+    @pytest.mark.parametrize("command", ["verify", "approx", "sample"])
+    def test_k_past_the_matrix_rank_exits_2_with_one_message(self, command, tmp_path,
+                                                              monkeypatch, capsys):
+        p = tmp_path / "ones3.txt"
+        np.savetxt(p, np.ones((3, 3)))        # rank 1, n = 3: k = 2 is within n - 1
+        monkeypatch.setattr(volcur.sampling, "_subset_factor", None)   # never reached
+        code, out, err = run_cli([command, "--input", str(p), "--k", "2"], capsys)
+        assert (code, out, err) == (
+            2, "", "error: cannot volume-sample 2 columns from a rank-1 matrix\n")
+
     def test_out_file_holds_report(self, identity5_file, tmp_path, capsys):
         report = tmp_path / "v.out"
         code, out, _ = run_cli(["verify", "--input", identity5_file, "--k", "2",
@@ -626,8 +636,8 @@ class TestOneEigensolve:
 
 class TestOneEspTable:
     """Each spectral command builds exactly one plain-spectrum ESP table,
-    and none for a dyadic spectrum, majorant or not; verify builds two
-    (the invariant sums and the ratios), whatever its k range."""
+    and none for a dyadic spectrum, majorant or not; verify builds one too,
+    the invariant sums that it reads its ratios from, whatever its k range."""
 
     @pytest.fixture()
     def tables(self, monkeypatch):
@@ -657,12 +667,12 @@ class TestOneEspTable:
         assert len(out.splitlines()) == 33
         assert len(tables) == (0 if argv[2].startswith("dyadic:") else 1)
 
-    def test_verify_builds_two_tables(self, tables, tmp_path, capsys):
+    def test_verify_builds_one_table(self, tables, tmp_path, capsys):
         path = tmp_path / "m7.txt"
         np.savetxt(path, random_psd(np.random.default_rng(7), 7, 7), fmt="%.17g")
         code, out, err = run_cli(["verify", "--input", str(path), "--k", "1..6"], capsys)
         assert code == 0 and out.endswith("verify: PASS\n"), err
-        assert len(tables) == 2
+        assert len(tables) == 1
 
 
 def columns(argv, capsys, *names):
@@ -692,6 +702,30 @@ class TestOneValuePerSpectrum:
         assert ratio == bounds[0] == figure
         assert expected == bounds[2]
         assert len(ratio) == 32
+
+    @pytest.mark.parametrize("given, mu, zero_from", [
+        (["--input", "RANK3"], "dyadic:lmax=3,base=0.5", 3),
+        # a full-rank formula whose entries underflow to zero from i = 1075
+        (["--spectrum", "geom:q=0.5,n=2000"], None, 1074),
+    ], ids=["rank-3-file", "geom-underflow"])
+    def test_past_the_rank_every_command_prints_zero(self, given, mu, zero_from, tmp_path,
+                                                     capsys):
+        # e_{k+1}/e_k <= tail_sum(k) pins the ratio to 0 where e_k = 0
+        path = tmp_path / "rank3.txt"
+        path.write_text("1,0.5,0.5,0,0,0,0\n")
+        given = [str(path) if a == "RANK3" else a for a in given]
+        n = 7 if mu else 2000
+        given += ["--k", f"0..{n - 1}"]
+        [ratio] = columns(["ratio", *given], capsys, "ratio")
+        [expected] = columns(["expected-error", *given], capsys, "expected_error")
+        exact, errors = columns(["bounds", *given], capsys, "exact_ratio", "expected_error")
+        assert ratio == exact and expected == errors and len(ratio) == n
+        if mu:
+            assert columns(["figure", *given, "--mu", mu], capsys, "ratio_lambda") == [ratio]
+        values = np.array(ratio + expected, dtype=float)
+        assert not np.any(np.isnan(values))
+        assert set(ratio[zero_from:] + expected[zero_from:]) == {"0"}
+        assert "0" not in ratio[: zero_from - 1]
 
     @pytest.mark.parametrize("spectrum, mu, message", [
         ("dyadic:lmax=10,base=0.5", "dyadic:lmax=10,base=0.25",

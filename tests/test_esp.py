@@ -21,7 +21,6 @@ from volcur import (
     CapExceededError,
     NumericalError,
     PiecewiseDyadicSpectrum,
-    RankDeficiencyError,
     Spectrum,
     ValidationError,
     esp_all,
@@ -173,16 +172,18 @@ class TestEspRatio:
     def test_k_at_rank_is_zero(self):
         assert esp_ratio(make_spectrum([2.0, 1.0]), 2) == 0.0
 
-    def test_k_above_rank_raises(self):
-        with pytest.raises(RankDeficiencyError):
-            esp_ratio(make_spectrum([2.0, 1.0]), 3)
+    def test_k_above_rank_is_zero(self):
+        # e_k = 0 there, and the bound e_{k+1}/e_k <= tail_sum(k) = 0 pins the ratio
+        assert esp_ratio(make_spectrum([2.0, 1.0]), 3) == 0.0
 
     @pytest.mark.parametrize("spec, n", [(make_spectrum([3.0, 2.0, 1.0]), 3),
                                          (generate_dyadic(3, 0.5), 7)])
-    def test_arrays_are_sized_by_the_spectrum(self, spec, n):
-        # e_j = 0 past n is implied, so a huge k allocates nothing
-        with pytest.raises(RankDeficiencyError,
-                           match=f"^e_{n + 1} = 0: spectrum rank is below {n + 1}$"):
+    def test_ratios_past_the_spectrum_are_zero_and_a_huge_kmax_is_refused(self, spec, n):
+        ratios = esp_ratios(spec, n + 5)
+        assert ratios.size == n + 6
+        assert np.all(ratios[:n] > 0.0) and not np.any(ratios[n:])
+        with pytest.raises(CapExceededError, match=f"^truncation order m = {10**18} exceeds "
+                                                   f"the dense-array cap {DENSE_CAP}$"):
             esp_ratios(spec, 10**18)
 
     def test_huge_truncation_order_is_refused_before_allocating(self):
@@ -195,25 +196,23 @@ class TestEspRatio:
         s = make_spectrum([2.0, 1.0, 0.0])
         assert esp_ratio(s, 1) == pytest.approx(2.0 / 3.0)
         assert esp_ratio(s, 2) == 0.0
-        with pytest.raises(RankDeficiencyError):
-            esp_ratio(s, 3)
+        assert esp_ratio(s, 3) == 0.0
 
     def test_matches_geometric_closed_form_at_every_k(self):
         # e_k(q^i) drops below 1e-308 from k = 47 (q = 0.5) and k = 121 (q = 0.9);
-        # n = 10000 runs the prefix rows as a scan over several blocks
+        # q^i underflows to zero from i = 1075 (q = 0.5) and i = 7073 (q = 0.9), and
+        # so does the closed form, which the ratio then follows to k = n - 1 (0 past
+        # the last positive entry); n = 10000 runs the prefix rows over several blocks
+        tiny = 2.0**-1022                       # the least normal double
         for q in (0.5, 0.9):
             for n in (200, 2000, 10_000):
-                s = generate_geometric(q, n)
-                # q^i underflows to zero from i = 1075 at q = 0.5, n >= 2000
-                kmax = min(n - 1, s.rank)
-                ratios = esp_ratios(s, kmax)
-                for k in range(kmax + 1):
-                    assert rel_err(ratios[k], esp_geometric_ratio(q, n, k)) < 1e-12
-                for k in (47, 121, kmax // 2, kmax):
-                    assert esp_ratio(s, k) == ratios[k]
-                if kmax < n - 1:
-                    with pytest.raises(RankDeficiencyError):
-                        esp_ratio(s, kmax + 1)
+                ratios = esp_ratios(generate_geometric(q, n), n - 1)
+                want = np.array([esp_geometric_ratio(q, n, k) for k in range(n)])
+                normal = want >= tiny
+                np.testing.assert_allclose(ratios[normal], want[normal], rtol=1e-12, atol=0)
+                np.testing.assert_allclose(ratios[~normal], want[~normal], rtol=0, atol=tiny)
+                for k in (47, 121, n - 1):
+                    assert esp_ratio(generate_geometric(q, n), k) == ratios[k]
 
     def test_flat_spectrum_does_not_overflow(self):
         # e_k of 10^5 equal values exceeds 1e308 from k = 89

@@ -99,10 +99,16 @@ class TestEnumerateDistribution:
         assert probs[(0, 1)] == 0.0
         assert probs[(0, 2)] > 0.0
 
-    def test_degenerate_when_k_exceeds_rank(self):
+    def test_degenerate_when_k_exceeds_rank(self, monkeypatch):
         g = np.ones((3, 1))
-        with pytest.raises(DegenerateDistributionError):
-            enumerate_distribution(PsdMatrix(g @ g.T), 2)
+        m = PsdMatrix(g @ g.T)
+
+        def factor(*args):
+            raise AssertionError("a subset was factored")
+        monkeypatch.setattr(volcur.sampling, "_subset_factor", factor)
+        with pytest.raises(DegenerateDistributionError,
+                           match="^cannot volume-sample 2 columns from a rank-1 matrix$"):
+            enumerate_distribution(m, 2)
 
     def test_cap_exceeded(self):
         m = PsdMatrix(np.eye(50))
@@ -304,6 +310,8 @@ class TestExpectedError:
     def test_k_at_rank_is_zero(self):
         spec = make_spectrum([2.0, 1.0, 0.0])
         assert expected_error_exact(spec, 2) == 0.0
+        assert expected_error_exact(spec, 3) == 0.0      # past the rank, e_3 = 0
+        assert expected_error_exact(spec, 0) == 3.0      # the empty skeleton leaves the trace
 
     def test_matches_bruteforce_enumeration(self):
         rng = np.random.default_rng(29)

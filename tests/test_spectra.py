@@ -47,7 +47,7 @@ class TestMakeSpectrum:
     def test_zeros_allowed_with_rank_zero(self):
         s = make_spectrum([0.0, 0.0])
         assert s.n == 2
-        assert s.rank == 0
+        assert esp_ratios(s, 1).tolist() == [0.0, 0.0]
 
     def test_values_read_only(self):
         s = make_spectrum([2.0, 1.0])
@@ -69,9 +69,11 @@ class TestMakeSpectrum:
             iter(make_spectrum([2.0, 1.0]))
 
     @given(positive_lists)
-    def test_rank_counts_positive_entries(self, xs):
-        s = make_spectrum(xs)
-        assert s.rank == sum(1 for x in xs if x > 0)
+    def test_ratios_vanish_from_the_count_of_positive_entries(self, xs):
+        s = make_spectrum(xs + [0.0, 0.0])
+        rank = sum(1 for x in xs if x > 0)
+        ratios = esp_ratios(s, s.n - 1)
+        assert np.all(ratios[:rank] > 0.0) and not np.any(ratios[rank:])
 
 
 class TestTailSum:
@@ -161,14 +163,20 @@ class TestGeneratedChunks:
         assert read_by_chunks(s).tobytes() == want.tobytes()
         assert s.values.tobytes() == want.tobytes()
 
-    @pytest.mark.parametrize("s, want", [
-        (generate_power_law(200.0, 1000), dense_power_law(200.0, 1000)),
-        (generate_geometric(0.5, 2000), dense_geometric(0.5, 2000)),
-        (generate_power_law(2.0, 3 * _CHUNK + 7), dense_power_law(2.0, 3 * _CHUNK + 7)),
+    @pytest.mark.parametrize("s, want, kmax", [
+        (generate_power_law(200.0, 1000), dense_power_law(200.0, 1000), 999),
+        (generate_geometric(0.5, 2000), dense_geometric(0.5, 2000), 1999),
+        (generate_power_law(2.0, 3 * _CHUNK + 7), dense_power_law(2.0, 3 * _CHUNK + 7), 8),
     ], ids=["pow-underflow", "geom-underflow", "pow-positive"])
-    def test_rank_counts_what_the_dense_values_count(self, s, want):
-        assert s.rank == np.count_nonzero(want > 0.0)
+    def test_ratios_vanish_where_the_dense_values_do(self, s, want, kmax):
+        # a formula whose entries underflow to zero has the ratios of its dense
+        # values, 0 from its last positive entry on (just before, the ratio
+        # itself can round to 0, as at k = 1074 of geom 0.5)
+        ratios = esp_ratios(s, kmax)
         assert "values" not in vars(s)          # found without materializing
+        assert ratios.tobytes() == esp_ratios(make_spectrum(want), kmax).tobytes()
+        rank = np.count_nonzero(want > 0.0)
+        assert np.all(ratios[: rank - 1] > 0.0) and not np.any(ratios[rank:])
 
     def test_tail_sums_sum_chunks(self):
         s = generate_power_law(1.0, 3 * _CHUNK + 7)
