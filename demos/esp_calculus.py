@@ -10,7 +10,6 @@ from volcur import (
     PiecewiseDyadicSpectrum,
     esp_all,
     esp_convolve,
-    esp_dyadic_convolution,
     esp_geometric_closed_form,
     esp_ratio,
     esp_ratio_head_tail,
@@ -56,5 +55,5 @@ print("recursion:                     ", esp_all(spec, 3).coeffs)
 # the convolution over levels gives e_j for n around a million without
 # touching n numbers one at a time.
 d = PiecewiseDyadicSpectrum(lmax=20, base=0.25)
-vec = esp_dyadic_convolution(d, 4)
+vec = esp_all(d, 4)
 print(f"dyadic n={d.n}: e_1 = {vec[1]:.8g}, e_4 = {vec[4]:.8g}")

@@ -10,9 +10,8 @@ import numpy as np
 
 from volcur import (
     PsdMatrix,
-    eigendecompose,
     empirical_error,
-    expected_error_bruteforce,
+    enumerate_distribution,
     expected_error_exact,
     optimal_error,
 )
@@ -22,7 +21,7 @@ rng = np.random.default_rng(0)
 # A small random PSD matrix where we can afford to enumerate all subsets.
 g = rng.standard_normal((7, 7))
 m = PsdMatrix(g @ g.T)
-ed = eigendecompose(m)
+ed = m.eigen
 
 print("7x7 PSD matrix, eigenvalues:")
 print("  ", np.array2string(ed.eigenvalues.values, precision=3))
@@ -30,7 +29,7 @@ print()
 print(" k   formula          enumeration      optimal")
 for k in range(1, 6):
     exact = expected_error_exact(ed.eigenvalues, k)
-    brute = expected_error_bruteforce(m, k)
+    brute = enumerate_distribution(m, k).expected_error
     best = optimal_error(ed.eigenvalues, k)
     print(f" {k}   {exact:<15.10g}  {brute:<15.10g}  {best:.10g}")
 
@@ -42,7 +41,7 @@ for k in range(1, 6):
 # sample instead and report a standard error next to the point estimate.
 g = rng.standard_normal((40, 12))
 m = PsdMatrix(g @ g.T)
-ed = eigendecompose(m)
+ed = m.eigen
 
 k = 5
 exact = expected_error_exact(ed.eigenvalues, k)

@@ -11,7 +11,6 @@ import numpy as np
 from volcur import (
     cur_approximation,
     cur_error_nuclear,
-    eigendecompose,
     expected_error_exact,
     optimal_error,
     rbf_kernel_matrix,
@@ -28,7 +27,7 @@ points = np.concatenate([
     rng.normal(4.0, 0.3, 30),
 ])
 m = rbf_kernel_matrix(points[:, None], sigma=1.0)
-ed = eigendecompose(m)
+ed = m.eigen
 
 print("90-point RBF kernel, leading eigenvalues:")
 print("  ", np.array2string(ed.eigenvalues.values[:6], precision=3))

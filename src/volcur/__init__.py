@@ -39,70 +39,11 @@ if "numpy" not in _sys.modules and "OPENBLAS_THREAD_TIMEOUT" not in _os.environ:
     finally:
         del _os.environ["OPENBLAS_THREAD_TIMEOUT"]
 
-from .bounds import (
-    BoundReport,
-    bound_report,
-    bound_reports,
-    figure_rows,
-)
-from .errors import (
-    BoundInapplicableError,
-    CapExceededError,
-    DegenerateDistributionError,
-    DegenerateTailError,
-    EigensolverError,
-    NumericalError,
-    SingularPivotError,
-    ValidationError,
-    VolcurError,
-)
-from .esp import (
-    EspVector,
-    esp_all,
-    esp_convolve,
-    esp_dyadic_convolution,
-    esp_geometric_closed_form,
-    esp_geometric_ratio,
-    esp_marginals,
-    esp_ratio,
-    esp_ratio_head_tail,
-    esp_ratios,
-    esp_scale,
-)
-from .psd import (
-    EigenDecomposition,
-    PsdMatrix,
-    cur_approximation,
-    cur_error_nuclear,
-    eigendecompose,
-    gram_matrix,
-    invariant_sums,
-    load_matrix,
-    optimal_error,
-    read_array,
-    rbf_kernel_matrix,
-)
-from .sampling import (
-    ENUMERATION_CAP,
-    VolumeDistribution,
-    empirical_error,
-    enumerate_distribution,
-    expected_error_bruteforce,
-    expected_error_exact,
-    sample_subsets,
-)
-from .spectra import (
-    DENSE_CAP,
-    HeadTailSplit,
-    PiecewiseDyadicSpectrum,
-    Spectrum,
-    generate_dyadic,
-    generate_geometric,
-    generate_power_law,
-    load_spectrum,
-    make_spectrum,
-    parse_generator_spec,
-    split_head_tail,
-)
+from .bounds import *
+from .errors import *
+from .esp import *
+from .psd import *
+from .sampling import *
+from .spectra import *
 
 __version__ = "0.1.0"

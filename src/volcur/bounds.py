@@ -16,7 +16,6 @@ from .spectra import PiecewiseDyadicSpectrum, Spectrum
 
 __all__ = [
     "BoundReport",
-    "bound_report",
     "bound_reports",
     "figure_rows",
 ]
@@ -93,6 +92,7 @@ def bound_reports(
     return reports
 
 
+# Unexported: perfbench/tracer.py, which binds it with getattr, is its only user.
 def bound_report(
     spec: Spectrum,
     k: int,

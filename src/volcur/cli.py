@@ -15,13 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from .bounds import bound_reports, figure_rows
-from .errors import (
-    CapExceededError,
-    NumericalError,
-    ValidationError,
-    VolcurError,
-    checked_int,
-)
+from .errors import CapExceededError, ValidationError, VolcurError, checked_int
 from .esp import esp_all, esp_ratios
 from .psd import (
     PsdMatrix,
@@ -56,8 +50,8 @@ def _fmt(x: float) -> str:
     return format(float(x), ".17g")
 
 
-def _parse_k_range(text: str) -> range:
-    """The --k range; commands check its last k, ks[-1], before using any."""
+def _parse_k_range(text: str, top: int | None) -> range:
+    """The --k range; its last k is checked against top (None: unchecked) before any is used."""
     try:
         if ".." in text:
             lo_s, hi_s = text.split("..", 1)
@@ -70,7 +64,7 @@ def _parse_k_range(text: str) -> range:
         raise ValidationError(f"k must be nonnegative, got {text!r}")
     if lo > hi:
         raise ValidationError(f"empty k range {text!r}")
-    return range(lo, hi + 1)
+    return range(lo, checked_int(hi, "k", 0, top) + 1)
 
 
 def _resolve_seed(args) -> int:
@@ -126,15 +120,15 @@ def _emit(args, lines: list[str]) -> None:
 def _ratio_pairs(args) -> list[tuple[int, float]]:
     """(k, e_{k+1}/e_k) over the requested k range."""
     spec = _resolve_spectrum(args)
-    ks = _parse_k_range(args.k)
-    ratios = esp_ratios(spec, checked_int(ks[-1], "k", 0, spec.n - 1))
+    ks = _parse_k_range(args.k, spec.n - 1)
+    ratios = esp_ratios(spec, ks[-1])
     return [(k, float(ratios[k])) for k in ks]
 
 
 def cmd_esp(args) -> int:
     spec = _resolve_spectrum(args)
     # e_j = 0 past n entries, so a larger k asks for nothing
-    vec = esp_all(spec, checked_int(_parse_k_range(args.k)[-1], "k", 0, spec.n))
+    vec = esp_all(spec, _parse_k_range(args.k, spec.n)[-1])
     lines = ["j,e_j"] + [f"{j},{_fmt(x)}" for j, x in enumerate(vec.coeffs)]
     _emit(args, lines)
     return 0
@@ -155,8 +149,7 @@ def cmd_expected_error(args) -> int:
 
 def cmd_bounds(args) -> int:
     spec = _resolve_spectrum(args)
-    ks = _parse_k_range(args.k)
-    checked_int(ks[-1], "k", 0, spec.n - 1)
+    ks = _parse_k_range(args.k, spec.n - 1)
     mu = None if args.mu is None else _dyadic_mu(args.mu)
     lines = ["n,k,exact_ratio,simple_bound,dyadic_bound,expected_error,optimal_error"]
     for r in bound_reports(spec, ks, mu=mu):
@@ -169,8 +162,8 @@ def cmd_bounds(args) -> int:
 
 def cmd_approx(args) -> int:
     m = _resolve_matrix(args)
-    ks = _parse_k_range(args.k)
-    if len(ks) != 1:
+    ks = _parse_k_range(args.k, None)
+    if ks[0] != ks[-1]:
         raise ValidationError("approx takes a single k, not a range")
     k = ks[0]
     seed = _resolve_seed(args)
@@ -186,16 +179,22 @@ def cmd_approx(args) -> int:
         f"expected_error,{_fmt(expected)}",
         f"optimal_error,{_fmt(optimal)}",
     ]
-    delim = "\t" if args.format == "tsv" else ","
-    sys.stdout.write("\n".join(s.replace(",", delim) for s in summary) + "\n")
-    np.savetxt(sys.stdout if args.out is None else args.out, approx, fmt="%.17g")
+    tsv = args.format == "tsv"
+    text = "\n".join(s.replace(",", "\t") if tsv else s for s in summary) + "\n"
+    delimiter = "\t" if tsv else " "
+    if args.out is None:
+        sys.stdout.write(text)
+        np.savetxt(sys.stdout, approx, fmt="%.17g", delimiter=delimiter)
+    else:                              # the file first: a failed write prints nothing
+        np.savetxt(args.out, approx, fmt="%.17g", delimiter=delimiter)
+        sys.stdout.write(text)
     return 0
 
 
 def cmd_sample(args) -> int:
     m = _resolve_matrix(args)
-    ks = _parse_k_range(args.k)
-    if len(ks) != 1:
+    ks = _parse_k_range(args.k, None)
+    if ks[0] != ks[-1]:
         raise ValidationError("sample takes a single k, not a range")
     k = ks[0]
     seed = _resolve_seed(args)
@@ -212,9 +211,8 @@ def cmd_verify(args) -> int:
         raise CapExceededError(
             f"verify enumerates all subsets and is capped at n <= {VERIFY_MAX_N}; "
             f"got n = {m.n}")
-    ks = _parse_k_range(args.k)
-    for k in (ks[0], ks[-1]):          # the range's ends, before enumerating any k
-        checked_int(k, "k", 1, m.n - 1)
+    ks = _parse_k_range(args.k, m.n - 1)
+    checked_int(ks[0], "k", 1)         # both ends, before enumerating any k
     _within_rank(m.eigen, ks[-1])
     sums = invariant_sums(m, ks[-1] + 1)
     ok = True
@@ -245,8 +243,7 @@ def cmd_figure(args) -> int:
         raise ValidationError("figure requires --mu (dyadic)")
     lam = _resolve_spectrum(args)
     mu = _dyadic_mu(args.mu)
-    ks = _parse_k_range(args.k)
-    checked_int(ks[-1], "k", 0, lam.n - 1)
+    ks = _parse_k_range(args.k, lam.n - 1)
     rows = figure_rows(lam, mu, ks)
     lines = ["k,ratio_lambda,ratio_mu,simple_bound"] + [
         f"{k},{_fmt(rl)},{_fmt(rm)},{_fmt(sb)}" for k, rl, rm, sb in rows]
@@ -310,15 +307,9 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except ValidationError as exc:
+    except VolcurError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except CapExceededError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except (NumericalError, VolcurError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return exc.exit_code
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

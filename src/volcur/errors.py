@@ -1,18 +1,35 @@
 """Exception hierarchy.
 
-Three top-level families map onto the CLI exit codes: ValidationError (1,
-bad inputs), NumericalError (2, computation cannot proceed or failed), and
-CapExceededError (3, a work cap would be blown).
+Each class's exit_code is the CLI's exit status for it, set by its
+top-level family: ValidationError 1 (bad inputs), NumericalError 2
+(computation cannot proceed or failed), CapExceededError 3 (a work cap
+would be blown), and 2 for the VolcurError base.
 """
 import operator
+
+__all__ = [
+    "VolcurError",
+    "ValidationError",
+    "NumericalError",
+    "CapExceededError",
+    "DegenerateTailError",
+    "BoundInapplicableError",
+    "SingularPivotError",
+    "DegenerateDistributionError",
+    "EigensolverError",
+]
 
 
 class VolcurError(Exception):
     """Base class for all errors raised by this package."""
 
+    exit_code = 2
+
 
 class ValidationError(VolcurError, ValueError):
     """Input violates a documented precondition or file format."""
+
+    exit_code = 1
 
 
 class NumericalError(VolcurError, ArithmeticError):
@@ -21,6 +38,8 @@ class NumericalError(VolcurError, ArithmeticError):
 
 class CapExceededError(VolcurError):
     """Requested work exceeds a hard enumeration or size cap."""
+
+    exit_code = 3
 
 
 class DegenerateTailError(ValidationError):

@@ -49,7 +49,6 @@ __all__ = [
     "esp_convolve",
     "esp_scale",
     "esp_ratio_head_tail",
-    "esp_dyadic_convolution",
 ]
 
 _CENTER, _SLACK = 512, 256         # prefix rows: running total within 2^(512 +- 256)
@@ -431,6 +430,7 @@ def esp_ratio_head_tail(split: HeadTailSplit, k: int) -> tuple[float, float]:
     return ratio / split.pivot, ratio
 
 
+# Unexported: perfbench/tracer.py, which binds it with getattr, is its only user.
 def esp_dyadic_convolution(spec: PiecewiseDyadicSpectrum, m: int) -> EspVector:
     """e_0..e_m of a dyadic spectrum by esp_all's per-piece binomial product, O(lmax m^2)."""
     return esp_all(spec, m)

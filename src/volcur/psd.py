@@ -31,7 +31,6 @@ from .spectra import Spectrum, _Owned
 __all__ = [
     "PsdMatrix",
     "EigenDecomposition",
-    "eigendecompose",
     "optimal_error",
     "invariant_sums",
     "cur_approximation",
@@ -103,7 +102,7 @@ class PsdMatrix:
     the overall scale and rejects anything worse; it rejects matrices whose
     smallest eigenvalue is below -PSD_TOL * lambda_max (no projection).
     The one eigensolve that check needs is kept as `eigen`, the rank-r
-    decomposition that eigendecompose returns.  The caller's array is
+    decomposition.  The caller's array is
     copied once, and never written or kept; the library hands its own
     arrays over as _Owned.  The checks and (a + a^T) / 2 then run in place
     on that buffer, one (i <= j) block pair at a time, and it becomes the
@@ -154,6 +153,7 @@ class PsdMatrix:
         return int(self.entries.shape[0])
 
 
+# Unexported: perfbench/tracer.py, which binds it with getattr, is its only user.
 def eigendecompose(m: PsdMatrix) -> EigenDecomposition:
     """Eigendecomposition with eigenvalues sorted nonincreasing.
 
@@ -266,6 +266,9 @@ def rbf_kernel_matrix(data: np.ndarray, sigma: float) -> PsdMatrix:
     """Gaussian kernel exp(-|x_i - x_j|^2 / (2 sigma^2)) over sample rows."""
     if not sigma > 0.0:
         raise ValidationError("sigma must be positive")
+    scale = 2.0 * sigma * sigma
+    if scale == 0.0:
+        raise ValidationError(f"sigma = {sigma:g} is too small: 2 sigma^2 underflows to 0")
     x = np.asarray(data, dtype=np.float64)
     if x.ndim != 2:
         raise ValidationError("data array must be 2-D")
@@ -273,7 +276,7 @@ def rbf_kernel_matrix(data: np.ndarray, sigma: float) -> PsdMatrix:
     k = x @ x.T
     k *= 2.0
     np.clip(np.subtract(np.add.outer(sq, sq), k, out=k), 0.0, None, out=k)
-    np.divide(np.negative(k, out=k), 2.0 * sigma * sigma, out=k)
+    np.divide(np.negative(k, out=k), scale, out=k)
     return PsdMatrix(_Owned(np.exp(k, out=k)))
 
 

@@ -55,7 +55,6 @@ __all__ = [
     "enumerate_distribution",
     "sample_subsets",
     "expected_error_exact",
-    "expected_error_bruteforce",
     "empirical_error",
 ]
 
@@ -314,16 +313,6 @@ def expected_error_exact(spec: Spectrum, k: int) -> float:
     """
     k = checked_int(k, "k", 0)
     return (k + 1) * esp_ratio(spec, k)
-
-
-def expected_error_bruteforce(m: PsdMatrix, k: int) -> float:
-    """Expected CUR error by full enumeration: sum of p(S) * error(S).
-
-    The independent oracle for expected_error_exact.  Each subset's error
-    comes from the same factor as its weight; zero-weight subsets (singular
-    A under the weight floor) add nothing.
-    """
-    return enumerate_distribution(m, k).expected_error
 
 
 def empirical_error(

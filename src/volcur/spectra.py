@@ -31,7 +31,6 @@ __all__ = [
     "make_spectrum",
     "generate_geometric",
     "generate_power_law",
-    "generate_dyadic",
     "split_head_tail",
     "load_spectrum",
     "parse_generator_spec",
@@ -231,11 +230,6 @@ def generate_power_law(p: float, n: int) -> Spectrum:
     return Spectrum._generated(_dense_length(checked_int(n, "n", 1)), entries)
 
 
-def generate_dyadic(lmax: int, base: float) -> PiecewiseDyadicSpectrum:
-    """Piecewise-constant dyadic spectrum; its entries are read as any spectrum's."""
-    return PiecewiseDyadicSpectrum(lmax=lmax, base=base)
-
-
 def split_head_tail(s: Spectrum, k: int) -> HeadTailSplit:
     """Split s after its k largest entries.
 
@@ -291,7 +285,10 @@ def parse_generator_spec(text: str) -> Spectrum:
         key, eq, value = item.partition("=")
         if not eq:
             raise ValidationError(f"malformed generator parameter {item!r}")
-        params[key.strip()] = value.strip()
+        key = key.strip()
+        if key in params:
+            raise ValidationError(f"generator parameter {key!r} is given twice")
+        params[key] = value.strip()
     expected = _GENERATOR_KEYS[kind]
     if set(params) != set(expected):
         raise ValidationError(
@@ -301,7 +298,7 @@ def parse_generator_spec(text: str) -> Spectrum:
             return generate_geometric(float(params["q"]), int(params["n"]))
         if kind == "pow":
             return generate_power_law(float(params["p"]), int(params["n"]))
-        return generate_dyadic(int(params["lmax"]), float(params["base"]))
+        return PiecewiseDyadicSpectrum(int(params["lmax"]), float(params["base"]))
     except ValueError as exc:
         if isinstance(exc, ValidationError):
             raise

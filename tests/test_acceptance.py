@@ -14,16 +14,13 @@ from volcur import (
     PiecewiseDyadicSpectrum,
     PsdMatrix,
     Spectrum,
-    eigendecompose,
     enumerate_distribution,
     esp_all,
     esp_convolve,
-    esp_dyadic_convolution,
     esp_geometric_closed_form,
     esp_geometric_ratio,
     esp_ratio,
     esp_scale,
-    expected_error_bruteforce,
     expected_error_exact,
     figure_rows,
     generate_power_law,
@@ -68,10 +65,10 @@ def test_criterion_1_exact_expectation_formula():
     worst = 0.0
     pairs = 0
     for m in corpus():
-        ed = eigendecompose(m)
+        ed = m.eigen
         for k in range(1, min(5, ed.rank - 1) + 1):
             exact = expected_error_exact(ed.eigenvalues, k)
-            brute = expected_error_bruteforce(m, k)
+            brute = enumerate_distribution(m, k).expected_error
             worst = max(worst, rel_err(exact, brute))
             pairs += 1
     elapsed = time.perf_counter() - start
@@ -85,7 +82,7 @@ def test_criterion_2_normalizer_identity():
     worst = 0.0
     pairs = 0
     for m in corpus():
-        ed = eigendecompose(m)
+        ed = m.eigen
         sums = invariant_sums(m, min(5, ed.rank - 1) if ed.rank > 1 else 0)
         for k in range(1, min(5, ed.rank - 1) + 1):
             dist = enumerate_distribution(m, k)
@@ -200,7 +197,7 @@ def test_criterion_6_dyadic_complexity():
         best = np.inf
         for _ in range(15):
             t0 = time.perf_counter()
-            esp_dyadic_convolution(spec, 33)
+            esp_all(spec, 33)
             best = min(best, time.perf_counter() - t0)
         return best
 
@@ -211,7 +208,7 @@ def test_criterion_6_dyadic_complexity():
     for lmax in (4, 8, 12):
         d = PiecewiseDyadicSpectrum(lmax=lmax, base=0.25)
         m = min(32, d.n - 1)
-        fast = esp_dyadic_convolution(d, m)
+        fast = esp_all(d, m)
         slow = esp_all(Spectrum(d), m)
         for j in range(m + 1):
             if max(abs(fast[j]), abs(slow[j])) >= UNDERFLOW_FLOOR:
@@ -238,7 +235,7 @@ def test_criterion_7_sampler_distribution():
     worst_tv = 0.0
     for mat, k, seed in configs:
         m = PsdMatrix(mat)
-        ed = eigendecompose(m)
+        ed = m.eigen
         dist = enumerate_distribution(m, k)
         counts = dict.fromkeys(dist.subsets, 0)
         sampled = sample_subsets(ed, k, draws, seed=seed)

@@ -6,7 +6,7 @@ from volcur import (
     PiecewiseDyadicSpectrum,
     Spectrum,
     ValidationError,
-    bound_report,
+    bound_reports,
     esp_geometric_ratio,
     esp_ratio,
     expected_error_exact,
@@ -23,8 +23,9 @@ def rel_err(a: float, b: float) -> float:
 
 
 def dyadic_bound(spec, k: int, base: float, lmax: int) -> float:
-    """The majorant column of bound_report under a dyadic mu."""
-    return bound_report(spec, k, mu=PiecewiseDyadicSpectrum(lmax=lmax, base=base)).dyadic_bound
+    """The majorant column of bound_reports under a dyadic mu."""
+    mu = PiecewiseDyadicSpectrum(lmax=lmax, base=base)
+    return bound_reports(spec, [k], mu=mu)[0].dyadic_bound
 
 
 class TestSimpleBound:
@@ -49,7 +50,7 @@ class TestSimpleBound:
         with pytest.raises(ValidationError):
             optimal_error(make_spectrum([1.0]), -1)
         with pytest.raises(ValidationError, match="^k must be at most 0, got 1$"):
-            bound_report(make_spectrum([1.0]), 1)
+            bound_reports(make_spectrum([1.0]), [1])
 
 
 class TestGeometricExpectedError:
@@ -94,7 +95,7 @@ class TestGeometricExpectedError:
 
 
 class TestDyadicUpperBound:
-    """bound_report's majorant column, with mu a dominating dyadic spectrum."""
+    """bound_reports' majorant column, with mu a dominating dyadic spectrum."""
 
     def test_dominates_inverse_square_ratio(self):
         for lmax in (4, 8, 10):
@@ -141,7 +142,7 @@ class TestDyadicUpperBound:
 
 class TestBoundReport:
     def test_small_spectrum_fields(self):
-        rep = bound_report(make_spectrum([4.0, 2.0, 1.0]), 1)
+        [rep] = bound_reports(make_spectrum([4.0, 2.0, 1.0]), [1])
         assert rep.n == 3 and rep.k == 1
         assert rep.exact_ratio == pytest.approx(esp_ratio(make_spectrum([4.0, 2.0, 1.0]), 1))
         assert rep.simple_bound == pytest.approx(3.0)
@@ -150,13 +151,13 @@ class TestBoundReport:
         assert rep.dyadic_bound is None
 
     def test_k_at_or_above_rank_reports_zero(self):
-        rep = bound_report(make_spectrum([2.0, 1.0, 0.0]), 2)
+        [rep] = bound_reports(make_spectrum([2.0, 1.0, 0.0]), [2])
         assert rep.exact_ratio == 0.0
         assert rep.expected_error == 0.0
 
     def test_large_plain_spectrum_gets_exact_ratio(self):
         lam = generate_power_law(2.0, 2 ** 17 - 1)
-        rep = bound_report(lam, 3, mu=PiecewiseDyadicSpectrum(lmax=17, base=0.25))
+        [rep] = bound_reports(lam, [3], mu=PiecewiseDyadicSpectrum(lmax=17, base=0.25))
         assert rep.exact_ratio == esp_ratio(lam, 3)
         assert rep.expected_error == 4 * rep.exact_ratio
         assert rep.exact_ratio <= rep.dyadic_bound * (1.0 + 1e-12)
@@ -164,7 +165,7 @@ class TestBoundReport:
 
     def test_dyadic_input_fast_path(self):
         d = PiecewiseDyadicSpectrum(lmax=20, base=0.25)
-        rep = bound_report(d, 8)
+        [rep] = bound_reports(d, [8])
         assert rep.n == 2 ** 20 - 1
         assert rep.exact_ratio is not None
         assert rep.simple_bound == pytest.approx(d.tail_sum(8))

@@ -249,6 +249,21 @@ class TestApproxCommand:
         assert "error_nuclear" in out
         assert len(out.strip().splitlines()) == 4
 
+    def test_tsv_separates_matrix_rows_by_tabs(self, psd_file, capsys):
+        argv = ["approx", "--input", psd_file, "--k", "1", "--seed", "3"]
+        code, csv, _ = run_cli(argv, capsys)
+        assert code == 0
+        code, tsv, _ = run_cli(argv + ["--format", "tsv"], capsys)
+        assert code == 0 and " " not in tsv and "," not in tsv
+        assert tsv == csv.replace(",", "\t").replace(" ", "\t")
+
+    def test_unwritable_out_prints_nothing(self, psd_file, tmp_path, capsys):
+        out_path = tmp_path / "missing" / "approx.txt"
+        code, out, err = run_cli(
+            ["approx", "--input", psd_file, "--k", "1", "--out", str(out_path)], capsys)
+        assert (code, out) == (1, "")
+        assert err == f"error: [Errno 2] No such file or directory: '{out_path}'\n"
+
     def test_gram_input(self, tmp_path, capsys):
         p = tmp_path / "x.txt"
         p.write_text("1 0\n1 1\n0 2\n")
@@ -521,6 +536,21 @@ class TestErrorPaths:
                 [command, "--input", psd_file, "--k", "1"] + extra, capsys)
             assert code == 1 and out == "", command
             assert message in err, command
+
+    def test_sigma_whose_square_underflows_is_one_error_line(self, tmp_path):
+        p = tmp_path / "pts.txt"
+        p.write_text("0.0\n1.0\n")
+        proc = python_dash_m(["sample", "--input", str(p), "--kernel", "rbf",
+                              "--sigma", "1e-200", "--k", "1"])
+        assert (proc.returncode, proc.stdout) == (1, "")
+        assert proc.stderr == "error: sigma = 1e-200 is too small: 2 sigma^2 underflows to 0\n"
+
+    @pytest.mark.parametrize("command", ["approx", "sample"])
+    def test_single_k_commands_refuse_a_range_of_any_length(self, command, identity5_file,
+                                                             capsys):
+        code, out, err = run_cli([command, "--input", identity5_file, "--k", f"1..{10**20}"],
+                                 capsys)
+        assert (code, out, err) == (1, "", f"error: {command} takes a single k, not a range\n")
 
     def test_malformed_k_range(self, capsys):
         for argv in (

@@ -26,7 +26,6 @@ from volcur import (
     esp_ratios,
     expected_error_exact,
     figure_rows,
-    generate_dyadic,
     optimal_error,
     split_head_tail,
 )
@@ -73,7 +72,7 @@ def test_dyadic_and_its_dense_twin_agree(name):
 
 
 def test_a_dyadic_spectrum_is_a_spectrum():
-    d = generate_dyadic(20, 0.25)
+    d = PiecewiseDyadicSpectrum(20, 0.25)
     assert isinstance(d, Spectrum)
     assert (d.n, d.lmax, d.base) == (2**20 - 1, 20, 0.25)
     assert np.asarray(d).shape == (d.n,)
@@ -119,9 +118,9 @@ def test_a_deep_dyadic_spectrum_answers_from_its_pieces():
 
 
 def test_lmax_is_at_most_1024():
-    assert esp_all(generate_dyadic(1024, 0.5), 1).coeffs[1] == 1024.0
+    assert esp_all(PiecewiseDyadicSpectrum(1024, 0.5), 1).coeffs[1] == 1024.0
     with pytest.raises(ValidationError, match="^lmax must be at most 1024, got 1025$"):
-        generate_dyadic(1025, 0.5)
+        PiecewiseDyadicSpectrum(1025, 0.5)
 
 
 @pytest.mark.parametrize("lmax", [1025, 1100])

@@ -1,7 +1,8 @@
-"""errors.checked_int, and the public integer arguments that go through it."""
+"""errors.checked_int, the public integer arguments that go through it, and exit codes."""
 import numpy as np
 import pytest
 
+import volcur.errors
 from volcur import (
     EigenDecomposition,
     PiecewiseDyadicSpectrum,
@@ -12,7 +13,6 @@ from volcur import (
     enumerate_distribution,
     esp_geometric_closed_form,
     esp_geometric_ratio,
-    expected_error_bruteforce,
     figure_rows,
     invariant_sums,
     make_spectrum,
@@ -22,6 +22,15 @@ from volcur import (
 )
 from volcur.errors import checked_int
 from volcur.esp import esp_marginals
+
+
+def test_each_error_class_carries_its_family_exit_code():
+    codes = {name: getattr(volcur.errors, name).exit_code for name in volcur.errors.__all__}
+    assert codes == {
+        "VolcurError": 2, "ValidationError": 1, "NumericalError": 2, "CapExceededError": 3,
+        "DegenerateTailError": 1, "BoundInapplicableError": 1, "SingularPivotError": 2,
+        "DegenerateDistributionError": 2, "EigensolverError": 2,
+    }
 
 
 class TestCheckedInt:
@@ -73,7 +82,6 @@ BOUNDARY = {
     "bound_reports": (lambda k: bound_reports(SPEC, [1, k]), 4),
     "figure_rows": (lambda k: figure_rows(Spectrum(DYADIC), DYADIC, [1, k]), 7),
     "enumerate_distribution": (lambda k: enumerate_distribution(MATRIX, k), 4),
-    "expected_error_bruteforce": (lambda k: expected_error_bruteforce(MATRIX, k), 4),
     "sample_subsets draws": (lambda d: sample_subsets(MATRIX.eigen, 1, d, 0), 0),
     "sample_subsets seed": (lambda s: sample_subsets(MATRIX.eigen, 1, 1, s), -1),
 }

@@ -25,14 +25,12 @@ from volcur import (
     ValidationError,
     esp_all,
     esp_convolve,
-    esp_dyadic_convolution,
     esp_geometric_closed_form,
     esp_geometric_ratio,
     esp_ratio,
     esp_ratio_head_tail,
     esp_ratios,
     esp_scale,
-    generate_dyadic,
     generate_geometric,
     generate_power_law,
     make_spectrum,
@@ -177,7 +175,7 @@ class TestEspRatio:
         assert esp_ratio(make_spectrum([2.0, 1.0]), 3) == 0.0
 
     @pytest.mark.parametrize("spec, n", [(make_spectrum([3.0, 2.0, 1.0]), 3),
-                                         (generate_dyadic(3, 0.5), 7)])
+                                         (PiecewiseDyadicSpectrum(3, 0.5), 7)])
     def test_ratios_past_the_spectrum_are_zero_and_a_huge_kmax_is_refused(self, spec, n):
         ratios = esp_ratios(spec, n + 5)
         assert ratios.size == n + 6
@@ -623,8 +621,8 @@ class TestNumpyIntegers:
         assert np.array_equal(esp_all(self.spec, np.int64(2)).coeffs,
                               esp_all(self.spec, 2).coeffs)
         d = PiecewiseDyadicSpectrum(lmax=3, base=0.5)
-        assert np.array_equal(esp_dyadic_convolution(d, np.int64(4)).coeffs,
-                              esp_dyadic_convolution(d, 4).coeffs)
+        assert np.array_equal(esp_all(d, np.int64(4)).coeffs,
+                              esp_all(d, 4).coeffs)
 
     def test_esp_ratio_and_ratios(self):
         assert esp_ratio(self.spec, np.int64(1)) == esp_ratio(self.spec, 1)
@@ -654,7 +652,7 @@ class TestNumpyIntegers:
 class TestDyadicConvolution:
     def test_single_level(self):
         d = PiecewiseDyadicSpectrum(lmax=1, base=0.5)
-        v = esp_dyadic_convolution(d, 2)
+        v = esp_all(d, 2)
         assert np.array_equal(v.coeffs, [1.0, 1.0, 0.0])
 
     def test_matches_direct_recursion(self):
@@ -664,7 +662,7 @@ class TestDyadicConvolution:
         cases.append((12, 0.25, 257))
         for lmax, base, m in cases:
             d = PiecewiseDyadicSpectrum(lmax=lmax, base=base)
-            fast = esp_dyadic_convolution(d, m)
+            fast = esp_all(d, m)
             slow = esp_all(Spectrum(d), m)
             for j in range(m + 1):
                 if max(abs(fast.coeffs[j]), abs(slow.coeffs[j])) < 1e-250:
@@ -676,6 +674,6 @@ class TestDyadicConvolution:
 
     def test_deep_instance_is_finite_and_positive(self):
         d = PiecewiseDyadicSpectrum(lmax=20, base=0.25)
-        v = esp_dyadic_convolution(d, 33)
+        v = esp_all(d, 33)
         assert np.all(np.isfinite(v.coeffs))
         assert np.all(v.coeffs[:34] > 0.0)

@@ -17,7 +17,6 @@ from volcur import (
     ValidationError,
     cur_approximation,
     cur_error_nuclear,
-    eigendecompose,
     gram_matrix,
     invariant_sums,
     load_matrix,
@@ -116,21 +115,21 @@ def test_caller_array_is_neither_written_nor_kept(case, build):
 
 class TestEigendecompose:
     def test_diagonal(self):
-        ed = eigendecompose(PsdMatrix(np.diag([1.0, 2.0])))
+        ed = PsdMatrix(np.diag([1.0, 2.0])).eigen
         assert np.allclose(ed.eigenvalues.values, [2.0, 1.0])
         assert ed.rank == 2
 
     def test_reconstruction(self):
         rng = np.random.default_rng(3)
         m = PsdMatrix(random_psd(rng, 6, 6))
-        ed = eigendecompose(m)
+        ed = m.eigen
         rebuilt = (ed.vectors * ed.eigenvalues.values) @ ed.vectors.T
         assert np.allclose(rebuilt, m.entries, atol=1e-10 * m.lambda_max)
 
     def test_rank_detection(self):
         rng = np.random.default_rng(4)
         m = PsdMatrix(random_psd(rng, 7, 3))
-        ed = eigendecompose(m)
+        ed = m.eigen
         assert ed.rank == 3
         assert ed.vectors.shape == (7, 3)
 
@@ -141,13 +140,13 @@ class TestEigendecompose:
             raise AssertionError("eigensolver called after construction")
         monkeypatch.setattr(np.linalg, "eigh", no_solve)
         monkeypatch.setattr(np.linalg, "eigvalsh", no_solve)
-        assert eigendecompose(m) is m.eigen
+        assert m.eigen.rank == 5
         assert m.lambda_max == m.eigen.eigenvalues.values[0]
         invariant_sums(m, 5)
         cur_approximation(m, (0, 2))
 
     def test_zero_matrix_has_rank_zero(self):
-        ed = eigendecompose(PsdMatrix(np.zeros((3, 3))))
+        ed = PsdMatrix(np.zeros((3, 3))).eigen
         assert ed.rank == 0
         assert ed.eigenvalues.n == 0
 
@@ -403,7 +402,7 @@ class TestNorms:
         assert rel_err(float(np.trace(m.entries)), nuclear_norm_svd(m.entries)) < 1e-10
 
     def test_optimal_error_is_tail_sum(self):
-        ed = eigendecompose(PsdMatrix(np.diag([3.0, 2.0, 1.0])))
+        ed = PsdMatrix(np.diag([3.0, 2.0, 1.0])).eigen
         assert optimal_error(ed.eigenvalues, 1) == pytest.approx(3.0)
         assert optimal_error(ed.eigenvalues, 3) == 0.0
 
@@ -424,7 +423,7 @@ class TestConstructorsAndIo:
 
     def test_rbf_bit_identical_to_one_expression(self):
         x = np.random.default_rng(19).standard_normal((60, 4)) * 2.0
-        for sigma in (0.3, 1.3, 7.0):
+        for sigma in (1e-150, 0.3, 1.3, 7.0):
             want = PsdMatrix(rbf_kernel_expression(x, sigma)).entries
             got = rbf_kernel_matrix(x, sigma).entries
             assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
@@ -432,6 +431,8 @@ class TestConstructorsAndIo:
     def test_rbf_rejects_bad_sigma(self):
         with pytest.raises(ValidationError):
             rbf_kernel_matrix(np.ones((2, 2)), 0.0)
+        with pytest.raises(ValidationError, match="^sigma = 1e-200 is too small"):
+            rbf_kernel_matrix(np.ones((2, 2)), 1e-200)
 
     def test_load_matrix_whitespace_and_commas(self, tmp_path):
         p = tmp_path / "m.txt"

@@ -17,10 +17,8 @@ from volcur import (
     NumericalError,
     PsdMatrix,
     ValidationError,
-    eigendecompose,
     empirical_error,
     enumerate_distribution,
-    expected_error_bruteforce,
     expected_error_exact,
     invariant_sums,
     make_spectrum,
@@ -126,21 +124,21 @@ class TestEnumerateDistribution:
 class TestSampler:
     def test_same_seed_same_draws(self):
         rng = np.random.default_rng(24)
-        ed = eigendecompose(PsdMatrix(random_psd(rng, 7, 7)))
+        ed = PsdMatrix(random_psd(rng, 7, 7)).eigen
         a = sample_subsets(ed, 3, 50, seed=123)
         b = sample_subsets(ed, 3, 50, seed=123)
         assert a == b
 
     def test_different_seed_differs(self):
         rng = np.random.default_rng(25)
-        ed = eigendecompose(PsdMatrix(random_psd(rng, 7, 7)))
+        ed = PsdMatrix(random_psd(rng, 7, 7)).eigen
         a = sample_subsets(ed, 3, 50, seed=1)
         b = sample_subsets(ed, 3, 50, seed=2)
         assert a != b
 
     def test_subsets_are_sorted_tuples_in_range(self):
         rng = np.random.default_rng(26)
-        ed = eigendecompose(PsdMatrix(random_psd(rng, 6, 6)))
+        ed = PsdMatrix(random_psd(rng, 6, 6)).eigen
         for s in sample_subsets(ed, 2, 200, seed=5):
             assert s == tuple(sorted(s))
             assert len(s) == 2
@@ -149,7 +147,7 @@ class TestSampler:
     def test_never_emits_zero_weight_subsets(self):
         # rows 0 and 1 are identical, so {0,1} has zero volume
         g = np.array([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0], [0.5, 2.0]])
-        ed = eigendecompose(PsdMatrix(g @ g.T))
+        ed = PsdMatrix(g @ g.T).eigen
         assert ed.rank == 2
         for s in sample_subsets(ed, 2, 500, seed=3):
             assert s != (0, 1)
@@ -157,13 +155,13 @@ class TestSampler:
     def test_k_above_rank_degenerate(self):
         g = np.ones((4, 2))
         g[:, 1] = [1.0, 2.0, 3.0, 4.0]
-        ed = eigendecompose(PsdMatrix(g @ g.T))
+        ed = PsdMatrix(g @ g.T).eigen
         with pytest.raises(DegenerateDistributionError):
             sample_subsets(ed, 3, 1, seed=0)
 
     def test_k_validation(self):
         rng = np.random.default_rng(28)
-        ed = eigendecompose(PsdMatrix(random_psd(rng, 4, 4)))
+        ed = PsdMatrix(random_psd(rng, 4, 4)).eigen
         with pytest.raises(ValidationError):
             sample_subsets(ed, 0, 1, seed=0)
         with pytest.raises(ValidationError):
@@ -172,7 +170,7 @@ class TestSampler:
     def test_frequencies_match_enumeration(self):
         m = PsdMatrix(np.diag([3.0, 2.0, 1.0]))
         dist = enumerate_distribution(m, 1)
-        ed = eigendecompose(m)
+        ed = m.eigen
         draws = 20000
         counts = {s: 0 for s in dist.subsets}
         for s in sample_subsets(ed, 1, draws, seed=77):
@@ -183,7 +181,7 @@ class TestSampler:
 
     def test_deep_spectrum_draws_k_distinct_indices(self):
         # e_150 of i^-2 is about 1e-485: the marginals used to be 0/0
-        ed = eigendecompose(PsdMatrix(inverse_square_psd()))
+        ed = PsdMatrix(inverse_square_psd()).eigen
         assert ed.rank == 300
         for s in sample_subsets(ed, 150, 2, seed=1):
             assert len(set(s)) == 150
@@ -204,7 +202,7 @@ class TestSampler:
         assert np.all(np.abs(counts[1:] / draws - p) < 4.0 * stderr)
 
     def test_draw_without_k_distinct_indices_raises(self, monkeypatch):
-        ed = eigendecompose(PsdMatrix(np.eye(4)))
+        ed = PsdMatrix(np.eye(4)).eigen
         monkeypatch.setattr(volcur.sampling, "esp_marginals",
                             lambda spec, k: np.zeros((k + 1, spec.n + 1)))
         with pytest.raises(NumericalError):
@@ -212,21 +210,21 @@ class TestSampler:
 
     @pytest.mark.parametrize("k, draws", [(1, 30), (8, 30), (40, 3)])
     def test_matches_qr_oracle_on_the_same_stream(self, k, draws):
-        ed = eigendecompose(PsdMatrix(random_psd(np.random.default_rng(40), 40, 40)))
+        ed = PsdMatrix(random_psd(np.random.default_rng(40), 40, 40)).eigen
         assert sample_subsets(ed, k, draws, seed=k) == _oracle_draws(ed, k, draws, k)
 
     def test_matches_qr_oracle_on_deep_spectrum(self):
-        ed = eigendecompose(PsdMatrix(inverse_square_psd()))
+        ed = PsdMatrix(inverse_square_psd()).eigen
         assert sample_subsets(ed, 150, 2, seed=3) == _oracle_draws(ed, 150, 2, 3)
 
     def test_matches_qr_oracle_past_the_block(self, monkeypatch):
         # two proposals per block: most draws read on from their continuation
         monkeypatch.setattr(volcur.sampling, "_window", lambda k: 2)
-        ed = eigendecompose(PsdMatrix(random_psd(np.random.default_rng(42), 40, 40)))
+        ed = PsdMatrix(random_psd(np.random.default_rng(42), 40, 40)).eigen
         assert sample_subsets(ed, 8, 30, seed=8) == _oracle_draws(ed, 8, 30, 8)
 
     def test_draws_do_not_depend_on_count_or_chunk(self, monkeypatch):
-        ed = eigendecompose(PsdMatrix(random_psd(np.random.default_rng(43), 7, 7)))
+        ed = PsdMatrix(random_psd(np.random.default_rng(43), 7, 7)).eigen
         full = sample_subsets(ed, 3, 23, seed=5)
         monkeypatch.setattr(volcur.sampling, "_CHUNK_BYTES",
                             5 * volcur.sampling._draw_bytes(7, 7, 3))    # chunks of 5 draws
@@ -249,7 +247,7 @@ class TestSampler:
         n, k, draws = 1000, 50, 2000
         rng = np.random.default_rng(1000)
         g = np.linspace(0.25, 2.0, n)[:, None] * rng.standard_normal((n, n)) / math.sqrt(n)
-        ed = eigendecompose(PsdMatrix(g @ g.T))
+        ed = PsdMatrix(g @ g.T).eigen
         p = inclusion_probabilities(ed.vectors, ed.eigenvalues.values, k)
         assert math.fsum(p) == pytest.approx(k, rel=1e-12)
         assert p.max() > 10.0 * p.min()
@@ -260,12 +258,12 @@ class TestSampler:
         assert np.mean(z * z) < 1.3
 
     def test_numpy_integer_k_and_draws(self):
-        ed = eigendecompose(PsdMatrix(random_psd(np.random.default_rng(41), 6, 6)))
+        ed = PsdMatrix(random_psd(np.random.default_rng(41), 6, 6)).eigen
         assert (sample_subsets(ed, np.int64(2), np.int64(5), seed=2)
                 == sample_subsets(ed, 2, 5, seed=2))
 
     def test_non_integer_k_and_draws_rejected(self):
-        ed = eigendecompose(PsdMatrix(np.eye(4)))
+        ed = PsdMatrix(np.eye(4)).eigen
         with pytest.raises(ValidationError):
             sample_subsets(ed, 2.5, 1, seed=0)
         with pytest.raises(ValidationError):
@@ -280,7 +278,7 @@ class TestSampler:
 
     def test_uniformity_chi_square(self):
         stats = pytest.importorskip("scipy.stats")
-        ed = eigendecompose(PsdMatrix(np.eye(4)))
+        ed = PsdMatrix(np.eye(4)).eigen
         draws = 12000
         cells = list(combinations(range(4), 2))
         counts = {s: 0 for s in cells}
@@ -320,10 +318,10 @@ class TestExpectedError:
             r = int(rng.integers(1, n + 1))
             zero = 1 if (trial % 4 == 0 and n > 2) else 0
             m = PsdMatrix(random_psd(rng, n, r, zero_rows=zero))
-            ed = eigendecompose(m)
+            ed = m.eigen
             for k in range(1, min(ed.rank, 4) + 1):
                 exact = expected_error_exact(ed.eigenvalues, k)
-                brute = expected_error_bruteforce(m, k)
+                brute = enumerate_distribution(m, k).expected_error
                 scale = max(abs(exact), abs(brute))
                 if scale < 1e-10 * m.lambda_max:
                     continue
@@ -335,7 +333,7 @@ class TestExpectedError:
             n = int(rng.integers(3, 7))
             m = PsdMatrix(random_psd(rng, n, n))
             for k in (1, 2):
-                exact = expected_error_exact(eigendecompose(m).eigenvalues, k)
+                exact = expected_error_exact(m.eigen.eigenvalues, k)
                 oracle = expected_error_enumeration(m.entries, k)
                 assert rel_err(exact, oracle) < 1e-8
 
@@ -343,17 +341,12 @@ class TestExpectedError:
         spec = make_spectrum([3.0, 2.0, 1.0])
         m = PsdMatrix(np.diag([3.0, 2.0, 1.0]))
         assert expected_error_exact(spec, np.int64(2)) == expected_error_exact(spec, 2)
-        assert (expected_error_bruteforce(m, np.int64(2))
-                == expected_error_bruteforce(m, 2))
+        assert (enumerate_distribution(m, np.int64(2)).expected_error
+                == enumerate_distribution(m, 2).expected_error)
         with pytest.raises(ValidationError):
             expected_error_exact(spec, 2.5)
         with pytest.raises(ValidationError):
             enumerate_distribution(m, 2.5)
-
-    def test_bruteforce_respects_cap(self):
-        m = PsdMatrix(np.eye(40))
-        with pytest.raises(CapExceededError):
-            expected_error_bruteforce(m, 10)
 
 
 class TestEmpiricalError:
@@ -368,7 +361,7 @@ class TestEmpiricalError:
     def test_within_sampling_noise_of_exact(self):
         rng = np.random.default_rng(32)
         m = PsdMatrix(random_psd(rng, 6, 6))
-        ed = eigendecompose(m)
+        ed = m.eigen
         exact = expected_error_exact(ed.eigenvalues, 2)
         mean, stderr = empirical_error(m, 2, 2000, seed=8)
         assert abs(mean - exact) < 4.0 * stderr

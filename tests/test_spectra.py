@@ -13,7 +13,6 @@ from volcur import (
     Spectrum,
     ValidationError,
     esp_ratios,
-    generate_dyadic,
     generate_geometric,
     generate_power_law,
     load_spectrum,
@@ -104,7 +103,7 @@ class TestGenerators:
         assert np.allclose(s.values, [1.0, 0.25, 1.0 / 9.0], rtol=1e-15)
 
     def test_dyadic_values(self):
-        s = generate_dyadic(3, 0.25)
+        s = PiecewiseDyadicSpectrum(3, 0.25)
         # levels: 1 copy of 1, 2 copies of 1/4, 4 copies of 1/16
         expected = [1.0, 0.25, 0.25, 0.0625, 0.0625, 0.0625, 0.0625]
         assert s.n == 7
@@ -115,19 +114,19 @@ class TestGenerators:
                               generate_geometric(0.5, 4).values)
         assert np.array_equal(generate_power_law(2.0, np.int64(4)).values,
                               generate_power_law(2.0, 4).values)
-        d = generate_dyadic(np.int64(3), 0.25)
+        d = PiecewiseDyadicSpectrum(np.int64(3), 0.25)
         assert type(d.lmax) is int and d.n == 7
         for make in (lambda: generate_geometric(0.5, 4.0),
                      lambda: generate_power_law(2.0, 4.0)):
             with pytest.raises(ValidationError, match="^n must be a positive integer$"):
                 make()
         with pytest.raises(ValidationError, match="^lmax must be a positive integer$"):
-            generate_dyadic(3.0, 0.25)
+            PiecewiseDyadicSpectrum(3.0, 0.25)
 
     def test_dyadic_length_is_power_of_two_minus_one(self):
         for lmax in range(1, 8):
-            assert generate_dyadic(lmax, 0.5).n == 2 ** lmax - 1
-            assert Spectrum(generate_dyadic(lmax, 0.5)).n == 2 ** lmax - 1
+            assert PiecewiseDyadicSpectrum(lmax, 0.5).n == 2 ** lmax - 1
+            assert Spectrum(PiecewiseDyadicSpectrum(lmax, 0.5)).n == 2 ** lmax - 1
 
 
 def dense_power_law(p: float, n: int) -> np.ndarray:
@@ -228,7 +227,7 @@ class TestPiecewiseDyadic:
     def test_materialized_matches_generate(self):
         d = PiecewiseDyadicSpectrum(lmax=4, base=0.25)
         assert np.array_equal(
-            Spectrum(d).values, Spectrum(generate_dyadic(4, 0.25)).values)
+            Spectrum(d).values, Spectrum(PiecewiseDyadicSpectrum(4, 0.25)).values)
 
     @pytest.mark.parametrize("base", [0.3, 0.4, 0.7])
     def test_materialized_entries_are_the_piece_values(self, base):
@@ -340,6 +339,7 @@ class TestParsing:
         ("pow:p=nan,n=3", "p must be positive"),
         ("geom:q=nan,n=3", "q must lie strictly between 0 and 1"),
         ("dyadic:lmax=3,base=nan", "base must lie strictly between 0 and 1"),
+        ("geom:q=0.5,n=3,n=4", "generator parameter 'n' is given twice"),
     ])
     def test_parse_names_the_bad_parameter(self, text, message):
         with pytest.raises(ValidationError, match=f"^{message}$"):
