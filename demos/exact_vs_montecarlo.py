@@ -21,16 +21,15 @@ rng = np.random.default_rng(0)
 # A small random PSD matrix where we can afford to enumerate all subsets.
 g = rng.standard_normal((7, 7))
 m = PsdMatrix(g @ g.T)
-ed = m.eigen
 
 print("7x7 PSD matrix, eigenvalues:")
-print("  ", np.array2string(ed.eigenvalues.values, precision=3))
+print("  ", np.array2string(m.eigenvalues.values, precision=3))
 print()
 print(" k   formula          enumeration      optimal")
 for k in range(1, 6):
-    exact = expected_error_exact(ed.eigenvalues, k)
+    exact = expected_error_exact(m.eigenvalues, k)
     brute = enumerate_distribution(m, k).expected_error
-    best = optimal_error(ed.eigenvalues, k)
+    best = optimal_error(m.eigenvalues, k)
     print(f" {k}   {exact:<15.10g}  {brute:<15.10g}  {best:.10g}")
 
 # The two columns agree to machine precision: the formula is exact, not
@@ -41,10 +40,9 @@ for k in range(1, 6):
 # sample instead and report a standard error next to the point estimate.
 g = rng.standard_normal((40, 12))
 m = PsdMatrix(g @ g.T)
-ed = m.eigen
 
 k = 5
-exact = expected_error_exact(ed.eigenvalues, k)
+exact = expected_error_exact(m.eigenvalues, k)
 mean, stderr = empirical_error(m, k, draws=4000, seed=1)
 print()
 print(f"40x40 rank-12 matrix, k={k}")

@@ -27,14 +27,13 @@ points = np.concatenate([
     rng.normal(4.0, 0.3, 30),
 ])
 m = rbf_kernel_matrix(points[:, None], sigma=1.0)
-ed = m.eigen
 
 print("90-point RBF kernel, leading eigenvalues:")
-print("  ", np.array2string(ed.eigenvalues.values[:6], precision=3))
+print("  ", np.array2string(m.eigenvalues.values[:6], precision=3))
 
 k = 3
-expected = expected_error_exact(ed.eigenvalues, k)
-best = optimal_error(ed.eigenvalues, k)
+expected = expected_error_exact(m.eigenvalues, k)
+best = optimal_error(m.eigenvalues, k)
 print(f"\nk = {k}: optimal error {best:.4f}, expected error {expected:.4f} "
       f"(guarantee: at most {k + 1} * optimal = {(k + 1) * best:.4f})")
 
@@ -42,7 +41,7 @@ print(f"\nk = {k}: optimal error {best:.4f}, expected error {expected:.4f} "
 # that hit all three clusters land near the optimum, sets that double
 # up on a cluster pay for the one they missed. The expectation above
 # averages over exactly this spread.
-subsets = sample_subsets(ed, k, draws=5, seed=3)
+subsets = sample_subsets(m, k, draws=5, seed=3)
 print("\nsampled landmark sets and their errors:")
 for s in subsets:
     err = cur_error_nuclear(m, s)

@@ -8,9 +8,9 @@ of j x j principal minors.  This package provides
 * spectra:   eigenvalue-sequence type, generators, head/tail splits;
 * esp:       elementary symmetric polynomial calculus (recursion, closed
              forms, convolution/scaling rules, fast dyadic path);
-* psd:       PSD matrix type (eigendecomposed once, on construction),
-             CUR assembly (a read-only array) and error, matrix/kernel
-             ingestion;
+* psd:       PSD matrix type (eigendecomposed once, on construction,
+             it carries its eigenpairs), CUR assembly (a read-only array)
+             and error, matrix/kernel ingestion;
 * sampling:  exact volume sampler, exhaustive distribution, expected-error
              formula with its brute-force oracle, Monte Carlo estimate;
 * bounds:    report rows: the exact ratio e_{k+1}/e_k beside its tail-sum

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import gc
+import math
 import os
 import sys
 from pathlib import Path
@@ -15,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from .bounds import bound_reports, figure_rows
-from .errors import CapExceededError, ValidationError, VolcurError, checked_int
+from .errors import CapExceededError, NumericalError, ValidationError, VolcurError, checked_int
 from .esp import esp_all, esp_ratios
 from .psd import (
     PsdMatrix,
@@ -48,6 +49,17 @@ class _Parser(argparse.ArgumentParser):
 
 def _fmt(x: float) -> str:
     return format(float(x), ".17g")
+
+
+def _row(k: int, *values: float | None) -> str:
+    """k and its values as a CSV row, None as a blank cell.
+
+    NumericalError, naming k, unless every value is finite: a spectral
+    command prints no inf or nan.
+    """
+    if not all(v is None or math.isfinite(v) for v in values):
+        raise NumericalError(f"a value at k = {k} overflows double precision")
+    return ",".join([str(k)] + ["" if v is None else _fmt(v) for v in values])
 
 
 def _parse_k_range(text: str, top: int | None) -> range:
@@ -129,20 +141,19 @@ def cmd_esp(args) -> int:
     spec = _resolve_spectrum(args)
     # e_j = 0 past n entries, so a larger k asks for nothing
     vec = esp_all(spec, _parse_k_range(args.k, spec.n)[-1])
-    lines = ["j,e_j"] + [f"{j},{_fmt(x)}" for j, x in enumerate(vec.coeffs)]
+    lines = ["j,e_j"] + [_row(j, x) for j, x in enumerate(vec.coeffs)]
     _emit(args, lines)
     return 0
 
 
 def cmd_ratio(args) -> int:
-    lines = ["k,ratio"] + [f"{k},{_fmt(r)}" for k, r in _ratio_pairs(args)]
+    lines = ["k,ratio"] + [_row(k, r) for k, r in _ratio_pairs(args)]
     _emit(args, lines)
     return 0
 
 
 def cmd_expected_error(args) -> int:
-    lines = ["k,expected_error"] + [
-        f"{k},{_fmt((k + 1) * r)}" for k, r in _ratio_pairs(args)]
+    lines = ["k,expected_error"] + [_row(k, (k + 1) * r) for k, r in _ratio_pairs(args)]
     _emit(args, lines)
     return 0
 
@@ -153,9 +164,8 @@ def cmd_bounds(args) -> int:
     mu = None if args.mu is None else _dyadic_mu(args.mu)
     lines = ["n,k,exact_ratio,simple_bound,dyadic_bound,expected_error,optimal_error"]
     for r in bound_reports(spec, ks, mu=mu):
-        dyadic = "" if r.dyadic_bound is None else _fmt(r.dyadic_bound)
-        lines.append(f"{r.n},{r.k},{_fmt(r.exact_ratio)},{_fmt(r.simple_bound)},{dyadic},"
-                     f"{_fmt(r.expected_error)},{_fmt(r.optimal_error)}")
+        lines.append(f"{r.n}," + _row(r.k, r.exact_ratio, r.simple_bound, r.dyadic_bound,
+                                      r.expected_error, r.optimal_error))
     _emit(args, lines)
     return 0
 
@@ -167,12 +177,11 @@ def cmd_approx(args) -> int:
         raise ValidationError("approx takes a single k, not a range")
     k = ks[0]
     seed = _resolve_seed(args)
-    ed = m.eigen
-    subset = sample_subsets(ed, k, 1, seed)[0]
+    subset = sample_subsets(m, k, 1, seed)[0]
     approx = cur_approximation(m, subset)
     error = cur_error_nuclear(m, subset)
-    expected = expected_error_exact(ed.eigenvalues, k)
-    optimal = optimal_error(ed.eigenvalues, k)
+    expected = expected_error_exact(m.eigenvalues, k)
+    optimal = optimal_error(m.eigenvalues, k)
     summary = [
         "subset," + ",".join(str(i + 1) for i in subset),
         f"error_nuclear,{_fmt(error)}",
@@ -198,8 +207,7 @@ def cmd_sample(args) -> int:
         raise ValidationError("sample takes a single k, not a range")
     k = ks[0]
     seed = _resolve_seed(args)
-    ed = m.eigen
-    subsets = sample_subsets(ed, k, args.draws, seed)
+    subsets = sample_subsets(m, k, args.draws, seed)
     lines = [",".join(str(i + 1) for i in s) for s in subsets]
     _emit(args, lines)
     return 0
@@ -213,7 +221,7 @@ def cmd_verify(args) -> int:
             f"got n = {m.n}")
     ks = _parse_k_range(args.k, m.n - 1)
     checked_int(ks[0], "k", 1)         # both ends, before enumerating any k
-    _within_rank(m.eigen, ks[-1])
+    _within_rank(m, ks[-1])
     sums = invariant_sums(m, ks[-1] + 1)
     ok = True
     lines = []
@@ -245,8 +253,7 @@ def cmd_figure(args) -> int:
     mu = _dyadic_mu(args.mu)
     ks = _parse_k_range(args.k, lam.n - 1)
     rows = figure_rows(lam, mu, ks)
-    lines = ["k,ratio_lambda,ratio_mu,simple_bound"] + [
-        f"{k},{_fmt(rl)},{_fmt(rm)},{_fmt(sb)}" for k, rl, rm, sb in rows]
+    lines = ["k,ratio_lambda,ratio_mu,simple_bound"] + [_row(*row) for row in rows]
     _emit(args, lines)
     return 0
 

@@ -281,9 +281,13 @@ def _scaled_coeffs(spec: Spectrum, m: int):
 
 
 def _ratios(mant: np.ndarray, exps: np.ndarray) -> np.ndarray:
-    """e_{k+1}/e_k for every k below the last order of (mantissas, exponents), 0 where e_k = 0."""
+    """e_{k+1}/e_k for every k below the last order of (mantissas, exponents), 0 where e_k = 0.
+
+    inf where the ratio leaves double range.
+    """
     out = np.divide(mant[1:], mant[:-1], out=np.zeros(mant.size - 1), where=mant[:-1] > 0.0)
-    return np.ldexp(out, exps[1:] - exps[:-1], out=out)
+    with np.errstate(over="ignore"):
+        return np.ldexp(out, exps[1:] - exps[:-1], out=out)
 
 
 def _esp_vector(mant: np.ndarray, exps: np.ndarray, m: int) -> EspVector:
@@ -291,9 +295,10 @@ def _esp_vector(mant: np.ndarray, exps: np.ndarray, m: int) -> EspVector:
     coeffs = np.zeros(m + 1)
     with np.errstate(over="ignore"):
         np.ldexp(mant, exps, out=coeffs[: mant.size])
-    if not np.all(np.isfinite(coeffs)):
+    bad = np.flatnonzero(~np.isfinite(coeffs))
+    if bad.size:
         raise NumericalError(
-            "ESP values overflow double precision at this scale; "
+            f"ESP values overflow double precision at this scale, first at j = {bad[0]}; "
             "use esp_ratios, which is scale free")
     return EspVector(coeffs)
 

@@ -1,8 +1,9 @@
 """Symmetric positive semidefinite matrices and their CUR skeletons.
 
-A PsdMatrix is eigendecomposed once, on construction: the one eigensolve
-serves the PSD check, the sampler and the expected-error formula.  It owns
-one n x n buffer from parse (or formation) through eigensolve.
+A PsdMatrix is eigendecomposed once, on construction, and carries its
+eigenpairs: the one eigensolve serves the PSD check, the sampler and the
+expected-error formula.  It owns one n x n buffer from parse (or
+formation) through eigensolve.
 
 A subset S of columns/rows induces the blocks A = M[S,S], B = M[~S,S],
 C = M[~S,~S]; the CUR (skeleton) approximation keeps A and B exactly and
@@ -24,13 +25,18 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .errors import EigensolverError, SingularPivotError, ValidationError, checked_int
+from .errors import (
+    EigensolverError,
+    NumericalError,
+    SingularPivotError,
+    ValidationError,
+    checked_int,
+)
 from .esp import esp_all
 from .spectra import Spectrum, _Owned
 
 __all__ = [
     "PsdMatrix",
-    "EigenDecomposition",
     "optimal_error",
     "invariant_sums",
     "cur_approximation",
@@ -45,53 +51,7 @@ PSD_TOL = 1e-10          # relative floor on the smallest eigenvalue
 SYM_TOL = 1e-10          # relative asymmetry accepted before symmetrizing
 RANK_TOL = 1e-12         # relative eigenvalue cutoff defining rank
 PIVOT_REL_TOL = 1e-14    # Cholesky pivot breakdown, relative to scale
-ORTHO_TOL = 1e-10
 _BLOCK = 128             # side of the block pairs symmetrized in place
-
-
-@dataclass(frozen=True, eq=False)
-class EigenDecomposition:
-    """Orthonormal eigenvectors and positive eigenvalues of a PsdMatrix.
-
-    Only the rank r leading pairs are kept; eigenvalues at or below
-    RANK_TOL * lambda_max are treated as zero and their columns dropped.
-    The constructor checks that there are as many columns of vectors as
-    eigenvalues and that the columns are finite and orthonormal to
-    ORTHO_TOL, then keeps a read-only C-ordered copy.  PsdMatrix hands over
-    eigh's kept columns as _Owned, orthonormal by construction: they are
-    kept with neither check nor copy.
-    """
-
-    vectors: np.ndarray
-    eigenvalues: Spectrum
-
-    def __post_init__(self) -> None:
-        if isinstance(self.vectors, _Owned):
-            self.vectors.array.flags.writeable = False
-            object.__setattr__(self, "vectors", self.vectors.array)
-            return
-        q = np.asarray(self.vectors, dtype=np.float64)
-        if q.ndim != 2:
-            raise ValidationError("eigenvector matrix must be 2-D")
-        r = self.eigenvalues.n
-        if q.shape[1] != r:
-            raise ValidationError(f"{q.shape[1]} eigenvector columns for {r} eigenvalues")
-        if not np.isfinite(q).all():
-            raise ValidationError("eigenvectors must be finite")
-        if r:
-            gram = q.T @ q
-            gram.flat[:: r + 1] -= 1.0
-            if np.max(np.abs(gram, out=gram)) > ORTHO_TOL:
-                raise ValidationError("eigenvectors are not orthonormal")
-            del gram                   # freed before the copy
-        q = np.array(q, order="C")
-        q.flags.writeable = False
-        object.__setattr__(self, "vectors", q)
-
-    @property
-    def rank(self) -> int:
-        """The number of kept pairs."""
-        return self.eigenvalues.n
 
 
 @dataclass(frozen=True, eq=False)
@@ -100,18 +60,22 @@ class PsdMatrix:
 
     Construction symmetrizes inputs whose asymmetry is within SYM_TOL of
     the overall scale and rejects anything worse; it rejects matrices whose
-    smallest eigenvalue is below -PSD_TOL * lambda_max (no projection).
-    The one eigensolve that check needs is kept as `eigen`, the rank-r
-    decomposition.  The caller's array is
-    copied once, and never written or kept; the library hands its own
+    smallest eigenvalue is below -PSD_TOL * lambda_max (no projection), and
+    refuses with NumericalError ("overflow") a matrix whose symmetrized
+    entries or eigenvalues leave double range.  The one eigensolve that
+    check needs is kept as the rank-r eigenpairs: `eigenvalues`, the r
+    largest, a Spectrum (an eigenvalue at or below RANK_TOL * lambda_max
+    counts as zero and is dropped), and `vectors`, eigh's orthonormal
+    columns for them, n x r, C-ordered and read-only.  The caller's array
+    is copied once, and never written or kept; the library hands its own
     arrays over as _Owned.  The checks and (a + a^T) / 2 then run in place
     on that buffer, one (i <= j) block pair at a time, and it becomes the
     read-only `entries` that eigh reads.
     """
 
     entries: np.ndarray
-    lambda_max: float = field(init=False)
-    eigen: EigenDecomposition = field(init=False, repr=False)
+    vectors: np.ndarray = field(init=False, repr=False)
+    eigenvalues: Spectrum = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         a = self.entries
@@ -122,19 +86,24 @@ class PsdMatrix:
         if not (math.isfinite(top) and math.isfinite(bottom)):
             raise ValidationError("matrix entries must be finite")
         asymmetry = 0.0
-        for i, j in itertools.combinations_with_replacement(range(0, a.shape[0], _BLOCK), 2):
-            x, y = a[i : i + _BLOCK, j : j + _BLOCK], a[j : j + _BLOCK, i : i + _BLOCK]
-            d = np.subtract(x, y.T)
-            asymmetry = max(asymmetry, float(np.max(np.abs(d, out=d))))
-            x[...] = np.divide(np.add(x, y.T, out=d), 2.0, out=d)
-            y[...] = d.T
+        with np.errstate(over="ignore"):       # an overflow is refused below, not warned of
+            for i, j in itertools.combinations_with_replacement(range(0, a.shape[0], _BLOCK), 2):
+                x, y = a[i : i + _BLOCK, j : j + _BLOCK], a[j : j + _BLOCK, i : i + _BLOCK]
+                d = np.subtract(x, y.T)
+                asymmetry = max(asymmetry, float(np.max(np.abs(d, out=d))))
+                x[...] = np.divide(np.add(x, y.T, out=d), 2.0, out=d)
+                y[...] = d.T
         if asymmetry > SYM_TOL * max(top, -bottom, 1e-300):
             raise ValidationError(
                 f"matrix is not symmetric (max asymmetry {asymmetry:.3g})")
+        if not np.isfinite(a).all():
+            raise NumericalError("matrix entries overflow double precision when symmetrized")
         try:
             w, v = np.linalg.eigh(a)
         except np.linalg.LinAlgError as exc:
             raise EigensolverError(f"eigensolver did not converge: {exc}") from exc
+        if not np.isfinite(w).all():
+            raise NumericalError("matrix eigenvalues overflow double precision")
         lam_max = max(float(w[-1]), 0.0)
         if float(w[0]) < -PSD_TOL * lam_max:
             raise ValidationError(
@@ -143,23 +112,33 @@ class PsdMatrix:
         w = w[::-1]
         r = int(np.count_nonzero(w > RANK_TOL * lam_max)) if lam_max > 0.0 else 0
         v = v[:, ::-1][:, :r].copy()   # contiguous; frees eigh's n x n vectors
-        a.flags.writeable = False
+        a.flags.writeable = v.flags.writeable = False
         object.__setattr__(self, "entries", a)
-        object.__setattr__(self, "lambda_max", lam_max)
-        object.__setattr__(self, "eigen", EigenDecomposition(_Owned(v), Spectrum(_Owned(w[:r]))))
+        object.__setattr__(self, "vectors", v)
+        object.__setattr__(self, "eigenvalues", Spectrum(_Owned(w[:r])))
 
     @property
     def n(self) -> int:
         return int(self.entries.shape[0])
 
+    @property
+    def rank(self) -> int:
+        """The number of kept eigenpairs."""
+        return self.eigenvalues.n
+
+    @property
+    def lambda_max(self) -> float:
+        """The largest eigenvalue, 0 at rank 0."""
+        return self.eigenvalues._entry(0)
+
 
 # Unexported: perfbench/tracer.py, which binds it with getattr, is its only user.
-def eigendecompose(m: PsdMatrix) -> EigenDecomposition:
-    """Eigendecomposition with eigenvalues sorted nonincreasing.
+def eigendecompose(m: PsdMatrix) -> tuple[np.ndarray, Spectrum]:
+    """(vectors, eigenvalues), eigenvalues sorted nonincreasing.
 
     Computed once, when m was constructed; this returns that result.
     """
-    return m.eigen
+    return m.vectors, m.eigenvalues
 
 
 def optimal_error(spec: Spectrum, k: int) -> float:
@@ -174,7 +153,7 @@ def invariant_sums(m: PsdMatrix, up_to: int) -> np.ndarray:
     exhaustive minor enumeration is kept in the test suite as the oracle.
     """
     up_to = checked_int(up_to, "up_to", 0, m.n)
-    return np.asarray(esp_all(m.eigen.eigenvalues, up_to).coeffs)
+    return np.asarray(esp_all(m.eigenvalues, up_to).coeffs)
 
 
 def _checked_subset(subset: Iterable[int], n: int) -> tuple[int, ...]:
@@ -276,7 +255,8 @@ def rbf_kernel_matrix(data: np.ndarray, sigma: float) -> PsdMatrix:
     k = x @ x.T
     k *= 2.0
     np.clip(np.subtract(np.add.outer(sq, sq), k, out=k), 0.0, None, out=k)
-    np.divide(np.negative(k, out=k), scale, out=k)
+    with np.errstate(over="ignore"):   # -inf, whose exp 0 is the kernel's limit
+        np.divide(np.negative(k, out=k), scale, out=k)
     return PsdMatrix(_Owned(np.exp(k, out=k)))
 
 

@@ -10,17 +10,17 @@ where c_j is the sum of j x j principal minors (equivalently e_j of the
 eigenvalues).  This module provides that formula, a brute-force
 enumeration oracle for it, an exact sampler, and a Monte Carlo estimate.
 
-Given the eigendecomposition, a draw costs O(r) to choose its k
+Given the matrix's eigenpairs, a draw costs O(r) to choose its k
 eigenvectors and O(k^3 log k) on average for its projection DPP: k H_k
 proposals of O(k t) each.  Each chunk of draws also builds one
 cumulative table of the eigenvector columns it uses.
 
-Randomness: draw i of sample_subsets(ed, k, draws, seed) reads doubles
+Randomness: draw i of sample_subsets(m, k, draws, seed) reads doubles
 [i L, (i + 1) L) of one counter-based Philox(seed) stream, with
 L = r + 3 _window(k): r for phase 1 (one per eigen-index, spent or not),
 then (column, row, accept) triples for phase 2's proposals.  A draw that
 needs more proposals reads on from Philox(seed).jumped(i + 1).  So draw
-i depends only on (seed, i, ed, k), not on `draws` or on the chunks.
+i depends only on (seed, i, m, k), not on `draws` or on the chunks.
 Every categorical draw is an explicit inverse-CDF lookup, so identical
 seeds give bit-identical subsets.
 """
@@ -40,13 +40,7 @@ from .errors import (
     checked_int,
 )
 from .esp import esp_marginals, esp_ratio
-from .psd import (
-    EigenDecomposition,
-    PIVOT_REL_TOL,
-    PsdMatrix,
-    _subset_factor,
-    cur_error_nuclear,
-)
+from .psd import PIVOT_REL_TOL, PsdMatrix, _subset_factor, cur_error_nuclear
 from .spectra import Spectrum
 
 __all__ = [
@@ -90,7 +84,7 @@ def enumerate_distribution(m: PsdMatrix, k: int) -> VolumeDistribution:
     drawn).  Refuses k above the rank of m and more than ENUMERATION_CAP
     subsets before it factors any.
     """
-    k = _within_rank(m.eigen, checked_int(k, "k", 1, m.n))
+    k = _within_rank(m, checked_int(k, "k", 1, m.n))
     count = math.comb(m.n, k)
     if count > ENUMERATION_CAP:
         raise CapExceededError(
@@ -120,11 +114,11 @@ def enumerate_distribution(m: PsdMatrix, k: int) -> VolumeDistribution:
     )
 
 
-def _within_rank(ed: EigenDecomposition, k: int) -> int:
-    """k, refused above the rank of ed, where every k-subset has zero volume."""
-    if k > ed.rank:
+def _within_rank(m: PsdMatrix, k: int) -> int:
+    """k, refused above the rank of m, where every k-subset has zero volume."""
+    if k > m.rank:
         raise DegenerateDistributionError(
-            f"cannot volume-sample {k} columns from a rank-{ed.rank} matrix")
+            f"cannot volume-sample {k} columns from a rank-{m.rank} matrix")
     return k
 
 
@@ -264,25 +258,23 @@ def _projection_dpps(
     return out
 
 
-def sample_subsets(
-    ed: EigenDecomposition, k: int, draws: int, seed: int
-) -> list[tuple[int, ...]]:
+def sample_subsets(m: PsdMatrix, k: int, draws: int, seed: int) -> list[tuple[int, ...]]:
     """Draw `draws` independent volume-sampled subsets of size k.
 
     Two phases per draw: pick k eigenvector indices weighted by eigenvalue
     products (ESP marginals), then sample the projection determinantal
     process they span.  The mixture is exactly P(S) = det M[S,S] / c_k(M).
     Draws run in chunks of at most _CHUNK_BYTES (_draw_bytes a draw), and
-    draw i depends only on (seed, i, ed, k).  A draw without k distinct
+    draw i depends only on (seed, i, m, k).  A draw without k distinct
     indices raises NumericalError.
     """
-    k = _within_rank(ed, checked_int(k, "k", 1))
+    k = _within_rank(m, checked_int(k, "k", 1))
     draws = checked_int(draws, "draws", 1)
     seed = checked_int(seed, "seed", 0)
-    r, window = ed.rank, _window(k)
+    r, window = m.rank, _window(k)
     width = r + 3 * window
-    chunk = max(1, _CHUNK_BYTES // _draw_bytes(ed.vectors.shape[0], r, k))
-    marginals_t = esp_marginals(ed.eigenvalues, k).T.copy()
+    chunk = max(1, _CHUNK_BYTES // _draw_bytes(m.n, r, k))
+    marginals_t = esp_marginals(m.eigenvalues, k).T.copy()
     key = np.random.Philox(seed).state["state"]["key"]
     continuations: dict[int, np.random.Generator] = {}
 
@@ -298,7 +290,7 @@ def sample_subsets(
         u = np.random.Generator(np.random.Philox(key=key, counter=counter)).random(
             skip + b * width)[skip:].reshape(b, width)
         sel = _eigenvector_subsets(marginals_t, k, u[:, :r])
-        subsets = np.sort(_projection_dpps(ed.vectors, sel, u[:, r:], lambda i: more(lo + i)), 1)
+        subsets = np.sort(_projection_dpps(m.vectors, sel, u[:, r:], lambda i: more(lo + i)), 1)
         if k > 1 and not np.all(subsets[:, 1:] > subsets[:, :-1]):
             raise NumericalError(f"a draw gave fewer than {k} distinct indices")
         out += map(tuple, subsets.tolist())
@@ -319,8 +311,7 @@ def empirical_error(
     m: PsdMatrix, k: int, draws: int, seed: int
 ) -> tuple[float, float]:
     """Monte Carlo estimate of the expected CUR error: (mean, stderr)."""
-    ed = m.eigen
-    subsets = sample_subsets(ed, k, draws, seed)
+    subsets = sample_subsets(m, k, draws, seed)
     errors = np.array([cur_error_nuclear(m, s) for s in subsets])
     mean = float(errors.mean())
     stderr = float(errors.std(ddof=1) / math.sqrt(draws)) if draws > 1 else 0.0

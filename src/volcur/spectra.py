@@ -123,11 +123,13 @@ class Spectrum:
                          for lo in range(0, _dense_length(self.n), _CHUNK)])
 
     def tail_sum(self, k: int) -> float:
-        """Sum of entries after the first k (zero when k >= n): the rest of
-        k's chunk, then the sums of the chunks after it."""
+        """Sum of entries after the first k (zero when k >= n, inf past
+        double range): the rest of k's chunk, then the sums of the chunks
+        after it."""
         k = checked_int(k, "k", 0)
         end = (k // _CHUNK + 1) * _CHUNK
-        return float(self._chunk(k, end).sum() + self._chunk_sums[end // _CHUNK :].sum())
+        with np.errstate(over="ignore"):
+            return float(self._chunk(k, end).sum() + self._chunk_sums[end // _CHUNK :].sum())
 
     def __repr__(self) -> str:
         shown = ", ".join(f"{v:g}" for v in self._chunk(0, 6))

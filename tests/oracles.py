@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from itertools import chain, combinations, count
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -225,6 +226,19 @@ def reference_draws(vectors: np.ndarray, marginals: np.ndarray, k: int, draws: i
         triples = chain(block[r:].reshape(-1, 3), (more.random(3) for _ in count()))
         out.append(tuple(sorted(qr_projection_dpp(vectors[:, eig], triples))))
     return out
+
+
+def eigenpairs(vectors, eigenvalues) -> SimpleNamespace:
+    """A stand-in for a PsdMatrix with the given eigenpairs, for the sampler.
+
+    It carries what sample_subsets reads of a matrix (vectors, eigenvalues,
+    rank and n) and nothing is checked, so it can hold eigenpairs that a
+    PsdMatrix would never keep: eigenvalues that RANK_TOL drops, or columns
+    that are not orthonormal.  eigenvalues is a volcur Spectrum.
+    """
+    vectors = np.asarray(vectors, dtype=np.float64)
+    return SimpleNamespace(vectors=vectors, eigenvalues=eigenvalues,
+                           rank=eigenvalues.n, n=vectors.shape[0])
 
 
 def inclusion_probabilities(vectors: np.ndarray, eigenvalues: np.ndarray, k: int) -> np.ndarray:

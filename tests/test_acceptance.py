@@ -65,9 +65,8 @@ def test_criterion_1_exact_expectation_formula():
     worst = 0.0
     pairs = 0
     for m in corpus():
-        ed = m.eigen
-        for k in range(1, min(5, ed.rank - 1) + 1):
-            exact = expected_error_exact(ed.eigenvalues, k)
+        for k in range(1, min(5, m.rank - 1) + 1):
+            exact = expected_error_exact(m.eigenvalues, k)
             brute = enumerate_distribution(m, k).expected_error
             worst = max(worst, rel_err(exact, brute))
             pairs += 1
@@ -82,9 +81,8 @@ def test_criterion_2_normalizer_identity():
     worst = 0.0
     pairs = 0
     for m in corpus():
-        ed = m.eigen
-        sums = invariant_sums(m, min(5, ed.rank - 1) if ed.rank > 1 else 0)
-        for k in range(1, min(5, ed.rank - 1) + 1):
+        sums = invariant_sums(m, min(5, m.rank - 1) if m.rank > 1 else 0)
+        for k in range(1, min(5, m.rank - 1) + 1):
             dist = enumerate_distribution(m, k)
             worst = max(worst, rel_err(dist.normalizer, float(sums[k])))
             pairs += 1
@@ -235,17 +233,16 @@ def test_criterion_7_sampler_distribution():
     worst_tv = 0.0
     for mat, k, seed in configs:
         m = PsdMatrix(mat)
-        ed = m.eigen
         dist = enumerate_distribution(m, k)
         counts = dict.fromkeys(dist.subsets, 0)
-        sampled = sample_subsets(ed, k, draws, seed=seed)
+        sampled = sample_subsets(m, k, draws, seed=seed)
         for s in sampled:
             counts[s] += 1
         tv = 0.5 * sum(abs(counts[s] / draws - p)
                        for s, p in zip(dist.subsets, dist.probabilities))
         worst_tv = max(worst_tv, tv)
 
-        again = sample_subsets(ed, k, 500, seed=seed)
+        again = sample_subsets(m, k, 500, seed=seed)
         assert again == sampled[:500], "sampler is not reproducible"
 
     ok = worst_tv < 0.01

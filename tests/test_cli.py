@@ -545,6 +545,51 @@ class TestErrorPaths:
         assert (proc.returncode, proc.stdout) == (1, "")
         assert proc.stderr == "error: sigma = 1e-200 is too small: 2 sigma^2 underflows to 0\n"
 
+    def test_subnormal_two_sigma_squared_is_silent(self, tmp_path):
+        p = tmp_path / "pts.txt"
+        p.write_text("0.0\n1.0\n3.0\n")
+        proc = python_dash_m(["sample", "--input", str(p), "--kernel", "rbf",
+                              "--sigma", "1e-160", "--k", "1", "--draws", "3"])
+        assert proc.returncode == 0 and proc.stderr == ""
+        assert len(proc.stdout.splitlines()) == 3
+
+    def test_overflowing_matrix_is_one_error_line(self, tmp_path, capsys):
+        p = tmp_path / "big.txt"
+        p.write_text("1e308 1e308\n1e308 1e308\n")
+        message = "error: matrix entries overflow double precision when symmetrized\n"
+        for command in ("approx", "sample", "verify"):
+            assert run_cli([command, "--input", str(p), "--k", "1"], capsys) == (2, "", message)
+        proc = python_dash_m(["sample", "--input", str(p), "--k", "1"])
+        assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", message)
+
+    @pytest.mark.parametrize("argv, k", [
+        (["ratio", "--k", "0..2"], 0),
+        (["expected-error", "--k", "0..2"], 0),
+        (["expected-error", "--k", "1..2"], 1),      # 2 * 1e308, though the ratio is finite
+        (["bounds", "--k", "0..2"], 0),
+        (["bounds", "--k", "1..2"], 1),              # the tail sum 2e308
+    ])
+    def test_overflowing_spectral_value_is_one_error_line(self, argv, k, tmp_path, capsys):
+        p = tmp_path / "s.txt"
+        p.write_text("1e308\n1e308\n1e308\n")
+        message = f"error: a value at k = {k} overflows double precision\n"
+        assert run_cli(argv + ["--input", str(p)], capsys) == (2, "", message)
+
+    def test_spectral_values_short_of_overflow_print(self, tmp_path, capsys):
+        p = tmp_path / "s.txt"
+        p.write_text("1e308\n1e308\n1e308\n")
+        code, out, err = run_cli(["ratio", "--input", str(p), "--k", "1..2"], capsys)
+        assert (code, err) == (0, "")
+        assert out == "k,ratio\n1,1e+308\n2,3.3333333333333337e+307\n"
+
+    def test_overflowing_esp_names_the_first_j(self, tmp_path, capsys):
+        p = tmp_path / "s.txt"
+        p.write_text("1e308\n1e308\n1e308\n")
+        code, out, err = run_cli(["esp", "--input", str(p), "--k", "0..3"], capsys)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ESP values overflow double precision at this scale, "
+                              "first at j = 1;")
+
     @pytest.mark.parametrize("command", ["approx", "sample"])
     def test_single_k_commands_refuse_a_range_of_any_length(self, command, identity5_file,
                                                              capsys):
@@ -638,13 +683,14 @@ class TestOneEigensolve:
     ])
     def test_commands_read_the_matrix_decomposition_directly(self, argv, inputs, monkeypatch,
                                                             capsys):
-        # m.eigen is the one eigensolve; eigendecompose(m) only hands it back,
-        # so a call to it would count as a second solve where solves are counted
+        # m's eigenpairs are the one eigensolve; eigendecompose(m) only hands
+        # them back, so a call to it would count as a second solve where
+        # solves are counted
         calls = []
 
         def counted(m):
             calls.append(m)
-            return m.eigen
+            return m.vectors, m.eigenvalues
         for module in (volcur.cli, volcur.psd, volcur.sampling):
             if hasattr(module, "eigendecompose"):
                 monkeypatch.setattr(module, "eigendecompose", counted)

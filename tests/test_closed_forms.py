@@ -56,15 +56,15 @@ def max_rel(got: np.ndarray, want: np.ndarray) -> float:
 def test_owning_and_copying_paths_agree(case):
     _, owned, copied, _, _ = case
     assert owned.entries.tobytes() == copied.entries.tobytes()
-    assert owned.eigen.eigenvalues.values.tobytes() == copied.eigen.eigenvalues.values.tobytes()
+    assert owned.eigenvalues.values.tobytes() == copied.eigenvalues.values.tobytes()
 
 
 def test_eigenvalues_match_closed_form(case):
     family, m, _, values, _ = case
-    assert m.eigen.rank == N
-    assert max_rel(m.eigen.eigenvalues.values, values) <= TOLERANCES[family][0]
+    assert m.rank == N
+    assert max_rel(m.eigenvalues.values, values) <= TOLERANCES[family][0]
 
 
 def test_expected_error_matches_closed_form_at_every_k(case):
     family, m, _, _, errors = case
-    assert max_rel(expected_errors(m.eigen.eigenvalues), errors) <= TOLERANCES[family][1]
+    assert max_rel(expected_errors(m.eigenvalues), errors) <= TOLERANCES[family][1]

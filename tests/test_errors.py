@@ -4,7 +4,6 @@ import pytest
 
 import volcur.errors
 from volcur import (
-    EigenDecomposition,
     PiecewiseDyadicSpectrum,
     PsdMatrix,
     Spectrum,
@@ -82,8 +81,8 @@ BOUNDARY = {
     "bound_reports": (lambda k: bound_reports(SPEC, [1, k]), 4),
     "figure_rows": (lambda k: figure_rows(Spectrum(DYADIC), DYADIC, [1, k]), 7),
     "enumerate_distribution": (lambda k: enumerate_distribution(MATRIX, k), 4),
-    "sample_subsets draws": (lambda d: sample_subsets(MATRIX.eigen, 1, d, 0), 0),
-    "sample_subsets seed": (lambda s: sample_subsets(MATRIX.eigen, 1, 1, s), -1),
+    "sample_subsets draws": (lambda d: sample_subsets(MATRIX, 1, d, 0), 0),
+    "sample_subsets seed": (lambda s: sample_subsets(MATRIX, 1, 1, s), -1),
 }
 
 
@@ -95,40 +94,3 @@ BOUNDARY = {
 def test_public_integer_arguments_are_range_checked(call, bad):
     with pytest.raises(ValidationError):
         call(bad)
-
-
-class TestEigenDecompositionConstructor:
-    """The public constructor checks what PsdMatrix's own path skips."""
-
-    def test_accepts_orthonormal_columns_and_copies_them(self):
-        q, _ = np.linalg.qr(np.random.default_rng(8).standard_normal((5, 2)))
-        ed = EigenDecomposition(vectors=q, eigenvalues=make_spectrum([2.0, 1.0]))
-        assert np.array_equal(ed.vectors, q) and ed.vectors is not q
-        assert not ed.vectors.flags.writeable
-        assert ed.rank == 2
-
-    def test_rejects_non_orthonormal_vectors(self):
-        v = np.array([[1.0, 1.0], [0.0, 1.0], [0.0, 0.0]])
-        with pytest.raises(ValidationError, match="^eigenvectors are not orthonormal$"):
-            EigenDecomposition(vectors=v, eigenvalues=make_spectrum([2.0, 1.0]))
-
-    @pytest.mark.parametrize("vectors", [
-        [[1.0], [np.nan]],                  # the NaN makes the Gram check compare False
-        [[np.inf, 0.0], [0.0, 1.0]],        # inf * 0 puts a NaN off the diagonal
-    ], ids=["nan", "inf"])
-    def test_rejects_non_finite_vectors(self, vectors):
-        values = [2.0, 1.0][:len(vectors[0])]
-        with pytest.raises(ValidationError, match="^eigenvectors must be finite$"):
-            EigenDecomposition(vectors=vectors, eigenvalues=make_spectrum(values))
-
-    @pytest.mark.parametrize("columns, values", [(3, [2.0, 1.0]), (2, [2.0, 1.0, 0.5])])
-    def test_rejects_shape_mismatch(self, columns, values):
-        v = np.eye(4)[:, :columns]
-        with pytest.raises(ValidationError,
-                           match=f"^{columns} eigenvector columns for {len(values)} eigenvalues$"):
-            EigenDecomposition(vectors=v, eigenvalues=make_spectrum(values))
-
-    def test_psd_matrix_path_keeps_eighs_columns_read_only(self):
-        ed = PsdMatrix(np.diag([3.0, 1.0, 0.0])).eigen
-        assert ed.rank == 2 and ed.vectors.shape == (3, 2)
-        assert ed.vectors.flags.c_contiguous and not ed.vectors.flags.writeable

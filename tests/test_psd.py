@@ -12,6 +12,7 @@ from oracles import (
     rbf_kernel_expression,
 )
 from volcur import (
+    NumericalError,
     PsdMatrix,
     SingularPivotError,
     ValidationError,
@@ -57,6 +58,23 @@ class TestPsdMatrix:
             PsdMatrix(np.ones((2, 3)))
         with pytest.raises(ValidationError):
             PsdMatrix(np.zeros((0, 0)))
+
+    @pytest.mark.parametrize("a, message", [
+        (np.full((2, 2), 1e308), "^matrix entries overflow double precision when symmetrized$"),
+        (np.full((3, 3), 8.9e307), "^matrix eigenvalues overflow double precision$"),
+    ], ids=["entries", "eigenvalues"])
+    def test_refuses_overflow_without_a_warning(self, a, message):
+        # 1e308 + 1e308 overflows in (x + y^T) / 2; 8.9e307 * 2 does not,
+        # but the 3 x 3 matrix's eigenvalue 2.67e308 does
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericalError, match=message):
+                PsdMatrix(a)
+
+    def test_largest_entries_short_of_overflow_are_kept(self):
+        m = PsdMatrix(np.diag([8e307, 4e307]))
+        assert m.entries[0, 0] == 8e307 and m.rank == 2
+        assert m.lambda_max == pytest.approx(8e307, rel=1e-15)
 
     def test_allows_tiny_negative_eigenvalue(self):
         # within tolerance of PSD, as produced by roundoff
@@ -107,7 +125,7 @@ def test_caller_array_is_neither_written_nor_kept(case, build):
         assert case == "rejected_asymmetric" and build is PsdMatrix
     else:
         assert case != "rejected_asymmetric" or build is not PsdMatrix
-        for kept in (m.entries, m.eigen.vectors, m.eigen.eigenvalues.values):
+        for kept in (m.entries, m.vectors, m.eigenvalues.values):
             assert not np.shares_memory(kept, a)
     assert a.tobytes() == before
     assert a.flags.writeable == writeable
@@ -115,23 +133,21 @@ def test_caller_array_is_neither_written_nor_kept(case, build):
 
 class TestEigendecompose:
     def test_diagonal(self):
-        ed = PsdMatrix(np.diag([1.0, 2.0])).eigen
-        assert np.allclose(ed.eigenvalues.values, [2.0, 1.0])
-        assert ed.rank == 2
+        m = PsdMatrix(np.diag([1.0, 2.0]))
+        assert np.allclose(m.eigenvalues.values, [2.0, 1.0])
+        assert m.rank == 2
 
     def test_reconstruction(self):
         rng = np.random.default_rng(3)
         m = PsdMatrix(random_psd(rng, 6, 6))
-        ed = m.eigen
-        rebuilt = (ed.vectors * ed.eigenvalues.values) @ ed.vectors.T
+        rebuilt = (m.vectors * m.eigenvalues.values) @ m.vectors.T
         assert np.allclose(rebuilt, m.entries, atol=1e-10 * m.lambda_max)
 
     def test_rank_detection(self):
         rng = np.random.default_rng(4)
         m = PsdMatrix(random_psd(rng, 7, 3))
-        ed = m.eigen
-        assert ed.rank == 3
-        assert ed.vectors.shape == (7, 3)
+        assert m.rank == 3
+        assert m.vectors.shape == (7, 3)
 
     def test_computed_once_at_construction(self, monkeypatch):
         m = PsdMatrix(random_psd(np.random.default_rng(2), 5, 5))
@@ -140,15 +156,20 @@ class TestEigendecompose:
             raise AssertionError("eigensolver called after construction")
         monkeypatch.setattr(np.linalg, "eigh", no_solve)
         monkeypatch.setattr(np.linalg, "eigvalsh", no_solve)
-        assert m.eigen.rank == 5
-        assert m.lambda_max == m.eigen.eigenvalues.values[0]
+        assert m.rank == 5
+        assert m.lambda_max == m.eigenvalues.values[0]
         invariant_sums(m, 5)
         cur_approximation(m, (0, 2))
 
     def test_zero_matrix_has_rank_zero(self):
-        ed = PsdMatrix(np.zeros((3, 3))).eigen
-        assert ed.rank == 0
-        assert ed.eigenvalues.n == 0
+        m = PsdMatrix(np.zeros((3, 3)))
+        assert m.rank == 0
+        assert m.eigenvalues.n == 0
+
+    def test_psd_matrix_path_keeps_eighs_columns_read_only(self):
+        m = PsdMatrix(np.diag([3.0, 1.0, 0.0]))
+        assert m.rank == 2 and m.vectors.shape == (3, 2)
+        assert m.vectors.flags.c_contiguous and not m.vectors.flags.writeable
 
 
 class TestInvariantSums:
@@ -402,9 +423,9 @@ class TestNorms:
         assert rel_err(float(np.trace(m.entries)), nuclear_norm_svd(m.entries)) < 1e-10
 
     def test_optimal_error_is_tail_sum(self):
-        ed = PsdMatrix(np.diag([3.0, 2.0, 1.0])).eigen
-        assert optimal_error(ed.eigenvalues, 1) == pytest.approx(3.0)
-        assert optimal_error(ed.eigenvalues, 3) == 0.0
+        m = PsdMatrix(np.diag([3.0, 2.0, 1.0]))
+        assert optimal_error(m.eigenvalues, 1) == pytest.approx(3.0)
+        assert optimal_error(m.eigenvalues, 3) == 0.0
 
 
 class TestConstructorsAndIo:
@@ -427,6 +448,15 @@ class TestConstructorsAndIo:
             want = PsdMatrix(rbf_kernel_expression(x, sigma)).entries
             got = rbf_kernel_matrix(x, sigma).entries
             assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+    def test_rbf_at_subnormal_two_sigma_squared_is_the_identity(self):
+        # 2 sigma^2 = 2e-320 is subnormal: every off-diagonal d^2 / (2 sigma^2)
+        # overflows to inf, and exp(-inf) = 0 is the kernel's exact limit
+        x = np.random.default_rng(20).standard_normal((5, 2))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            m = rbf_kernel_matrix(x, 1e-160)
+        assert np.array_equal(m.entries, np.eye(5))
 
     def test_rbf_rejects_bad_sigma(self):
         with pytest.raises(ValidationError):

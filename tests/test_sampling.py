@@ -5,15 +5,13 @@ import numpy as np
 import pytest
 
 from oracles import (
-    cur_solve, expected_error_enumeration, inclusion_probabilities, inverse_square_psd,
-    random_psd, reference_draws)
+    cur_solve, eigenpairs, expected_error_enumeration, inclusion_probabilities,
+    inverse_square_psd, random_psd, reference_draws)
 import volcur.sampling
 from volcur.esp import esp_marginals
-from volcur.spectra import _Owned
 from volcur import (
     CapExceededError,
     DegenerateDistributionError,
-    EigenDecomposition,
     NumericalError,
     PsdMatrix,
     ValidationError,
@@ -124,22 +122,22 @@ class TestEnumerateDistribution:
 class TestSampler:
     def test_same_seed_same_draws(self):
         rng = np.random.default_rng(24)
-        ed = PsdMatrix(random_psd(rng, 7, 7)).eigen
-        a = sample_subsets(ed, 3, 50, seed=123)
-        b = sample_subsets(ed, 3, 50, seed=123)
+        m = PsdMatrix(random_psd(rng, 7, 7))
+        a = sample_subsets(m, 3, 50, seed=123)
+        b = sample_subsets(m, 3, 50, seed=123)
         assert a == b
 
     def test_different_seed_differs(self):
         rng = np.random.default_rng(25)
-        ed = PsdMatrix(random_psd(rng, 7, 7)).eigen
-        a = sample_subsets(ed, 3, 50, seed=1)
-        b = sample_subsets(ed, 3, 50, seed=2)
+        m = PsdMatrix(random_psd(rng, 7, 7))
+        a = sample_subsets(m, 3, 50, seed=1)
+        b = sample_subsets(m, 3, 50, seed=2)
         assert a != b
 
     def test_subsets_are_sorted_tuples_in_range(self):
         rng = np.random.default_rng(26)
-        ed = PsdMatrix(random_psd(rng, 6, 6)).eigen
-        for s in sample_subsets(ed, 2, 200, seed=5):
+        m = PsdMatrix(random_psd(rng, 6, 6))
+        for s in sample_subsets(m, 2, 200, seed=5):
             assert s == tuple(sorted(s))
             assert len(s) == 2
             assert all(0 <= i < 6 for i in s)
@@ -147,33 +145,32 @@ class TestSampler:
     def test_never_emits_zero_weight_subsets(self):
         # rows 0 and 1 are identical, so {0,1} has zero volume
         g = np.array([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0], [0.5, 2.0]])
-        ed = PsdMatrix(g @ g.T).eigen
-        assert ed.rank == 2
-        for s in sample_subsets(ed, 2, 500, seed=3):
+        m = PsdMatrix(g @ g.T)
+        assert m.rank == 2
+        for s in sample_subsets(m, 2, 500, seed=3):
             assert s != (0, 1)
 
     def test_k_above_rank_degenerate(self):
         g = np.ones((4, 2))
         g[:, 1] = [1.0, 2.0, 3.0, 4.0]
-        ed = PsdMatrix(g @ g.T).eigen
+        m = PsdMatrix(g @ g.T)
         with pytest.raises(DegenerateDistributionError):
-            sample_subsets(ed, 3, 1, seed=0)
+            sample_subsets(m, 3, 1, seed=0)
 
     def test_k_validation(self):
         rng = np.random.default_rng(28)
-        ed = PsdMatrix(random_psd(rng, 4, 4)).eigen
+        m = PsdMatrix(random_psd(rng, 4, 4))
         with pytest.raises(ValidationError):
-            sample_subsets(ed, 0, 1, seed=0)
+            sample_subsets(m, 0, 1, seed=0)
         with pytest.raises(ValidationError):
-            sample_subsets(ed, 2, 0, seed=0)
+            sample_subsets(m, 2, 0, seed=0)
 
     def test_frequencies_match_enumeration(self):
         m = PsdMatrix(np.diag([3.0, 2.0, 1.0]))
         dist = enumerate_distribution(m, 1)
-        ed = m.eigen
         draws = 20000
         counts = {s: 0 for s in dist.subsets}
-        for s in sample_subsets(ed, 1, draws, seed=77):
+        for s in sample_subsets(m, 1, draws, seed=77):
             counts[s] += 1
         tv = 0.5 * sum(
             abs(counts[s] / draws - p) for s, p in zip(dist.subsets, dist.probabilities))
@@ -181,19 +178,18 @@ class TestSampler:
 
     def test_deep_spectrum_draws_k_distinct_indices(self):
         # e_150 of i^-2 is about 1e-485: the marginals used to be 0/0
-        ed = PsdMatrix(inverse_square_psd()).eigen
-        assert ed.rank == 300
-        for s in sample_subsets(ed, 150, 2, seed=1):
+        m = PsdMatrix(inverse_square_psd())
+        assert m.rank == 300
+        for s in sample_subsets(m, 150, 2, seed=1):
             assert len(set(s)) == 150
 
     def test_spread_spectrum_inclusion_frequencies(self):
         # one eigenvalue 1 and eleven 1e-70: index 0 is in almost every
         # subset, and each other index in C(10,4)/C(11,5) = 5/11 of them
-        ed = EigenDecomposition(
-            vectors=np.eye(12), eigenvalues=make_spectrum([1.0] + [1e-70] * 11))
+        m = eigenpairs(np.eye(12), make_spectrum([1.0] + [1e-70] * 11))
         draws = 2000
         counts = np.zeros(12)
-        for s in sample_subsets(ed, 6, draws, seed=17):
+        for s in sample_subsets(m, 6, draws, seed=17):
             assert len(set(s)) == 6
             counts[list(s)] += 1
         assert counts[0] == draws
@@ -202,43 +198,43 @@ class TestSampler:
         assert np.all(np.abs(counts[1:] / draws - p) < 4.0 * stderr)
 
     def test_draw_without_k_distinct_indices_raises(self, monkeypatch):
-        ed = PsdMatrix(np.eye(4)).eigen
+        m = PsdMatrix(np.eye(4))
         monkeypatch.setattr(volcur.sampling, "esp_marginals",
                             lambda spec, k: np.zeros((k + 1, spec.n + 1)))
         with pytest.raises(NumericalError):
-            sample_subsets(ed, 2, 1, seed=0)
+            sample_subsets(m, 2, 1, seed=0)
 
     @pytest.mark.parametrize("k, draws", [(1, 30), (8, 30), (40, 3)])
     def test_matches_qr_oracle_on_the_same_stream(self, k, draws):
-        ed = PsdMatrix(random_psd(np.random.default_rng(40), 40, 40)).eigen
-        assert sample_subsets(ed, k, draws, seed=k) == _oracle_draws(ed, k, draws, k)
+        m = PsdMatrix(random_psd(np.random.default_rng(40), 40, 40))
+        assert sample_subsets(m, k, draws, seed=k) == _oracle_draws(m, k, draws, k)
 
     def test_matches_qr_oracle_on_deep_spectrum(self):
-        ed = PsdMatrix(inverse_square_psd()).eigen
-        assert sample_subsets(ed, 150, 2, seed=3) == _oracle_draws(ed, 150, 2, 3)
+        m = PsdMatrix(inverse_square_psd())
+        assert sample_subsets(m, 150, 2, seed=3) == _oracle_draws(m, 150, 2, 3)
 
     def test_matches_qr_oracle_past_the_block(self, monkeypatch):
         # two proposals per block: most draws read on from their continuation
         monkeypatch.setattr(volcur.sampling, "_window", lambda k: 2)
-        ed = PsdMatrix(random_psd(np.random.default_rng(42), 40, 40)).eigen
-        assert sample_subsets(ed, 8, 30, seed=8) == _oracle_draws(ed, 8, 30, 8)
+        m = PsdMatrix(random_psd(np.random.default_rng(42), 40, 40))
+        assert sample_subsets(m, 8, 30, seed=8) == _oracle_draws(m, 8, 30, 8)
 
     def test_draws_do_not_depend_on_count_or_chunk(self, monkeypatch):
-        ed = PsdMatrix(random_psd(np.random.default_rng(43), 7, 7)).eigen
-        full = sample_subsets(ed, 3, 23, seed=5)
+        m = PsdMatrix(random_psd(np.random.default_rng(43), 7, 7))
+        full = sample_subsets(m, 3, 23, seed=5)
         monkeypatch.setattr(volcur.sampling, "_CHUNK_BYTES",
                             5 * volcur.sampling._draw_bytes(7, 7, 3))    # chunks of 5 draws
-        assert sample_subsets(ed, 3, 23, seed=5) == full
-        for m in (4, 5, 6, 10, 11):
-            assert sample_subsets(ed, 3, m, seed=5) == full[:m]
+        assert sample_subsets(m, 3, 23, seed=5) == full
+        for draws in (4, 5, 6, 10, 11):
+            assert sample_subsets(m, 3, draws, seed=5) == full[:draws]
         monkeypatch.setattr(volcur.sampling, "_CHUNK_BYTES", 1)
-        assert sample_subsets(ed, 3, 23, seed=5) == full
+        assert sample_subsets(m, 3, 23, seed=5) == full
 
     def test_run_of_rejections_raises(self):
         # parallel columns: after one pick every residual is zero
-        ed = EigenDecomposition(_Owned(np.full((4, 2), 0.5)), make_spectrum([1.0, 1.0]))
+        m = eigenpairs(np.full((4, 2), 0.5), make_spectrum([1.0, 1.0]))
         with pytest.raises(NumericalError, match="128 proposals in a row"):
-            sample_subsets(ed, 2, 1, seed=0)
+            sample_subsets(m, 2, 1, seed=0)
 
     def test_inclusion_frequencies_match_kdpp_marginals_at_n1000(self):
         # G G^T with rows of G scaled by 0.25..2: inclusion probabilities
@@ -247,50 +243,50 @@ class TestSampler:
         n, k, draws = 1000, 50, 2000
         rng = np.random.default_rng(1000)
         g = np.linspace(0.25, 2.0, n)[:, None] * rng.standard_normal((n, n)) / math.sqrt(n)
-        ed = PsdMatrix(g @ g.T).eigen
-        p = inclusion_probabilities(ed.vectors, ed.eigenvalues.values, k)
+        m = PsdMatrix(g @ g.T)
+        p = inclusion_probabilities(m.vectors, m.eigenvalues.values, k)
         assert math.fsum(p) == pytest.approx(k, rel=1e-12)
         assert p.max() > 10.0 * p.min()
-        counts = np.bincount(np.concatenate(sample_subsets(ed, k, draws, seed=7)),
+        counts = np.bincount(np.concatenate(sample_subsets(m, k, draws, seed=7)),
                              minlength=n)
         z = (counts / draws - p) / np.sqrt(p * (1.0 - p) / draws)
         assert np.max(np.abs(z)) < 5.0
         assert np.mean(z * z) < 1.3
 
     def test_numpy_integer_k_and_draws(self):
-        ed = PsdMatrix(random_psd(np.random.default_rng(41), 6, 6)).eigen
-        assert (sample_subsets(ed, np.int64(2), np.int64(5), seed=2)
-                == sample_subsets(ed, 2, 5, seed=2))
+        m = PsdMatrix(random_psd(np.random.default_rng(41), 6, 6))
+        assert (sample_subsets(m, np.int64(2), np.int64(5), seed=2)
+                == sample_subsets(m, 2, 5, seed=2))
 
     def test_non_integer_k_and_draws_rejected(self):
-        ed = PsdMatrix(np.eye(4)).eigen
+        m = PsdMatrix(np.eye(4))
         with pytest.raises(ValidationError):
-            sample_subsets(ed, 2.5, 1, seed=0)
+            sample_subsets(m, 2.5, 1, seed=0)
         with pytest.raises(ValidationError):
-            sample_subsets(ed, 2, 2.5, seed=0)
+            sample_subsets(m, 2, 2.5, seed=0)
 
     @pytest.mark.parametrize("weights", [[0.0, 0.0, 0.0], [1.0, np.nan, 1.0]])
     def test_weights_without_positive_finite_sum_raise(self, weights):
         # the one eigenvector is picked surely; its squared entries are the weights
-        ed = EigenDecomposition(_Owned(np.array(weights)[:, None]), make_spectrum([1.0]))
+        m = eigenpairs(np.array(weights)[:, None], make_spectrum([1.0]))
         with pytest.raises(NumericalError, match="weights summing to"):
-            sample_subsets(ed, 1, 3, seed=0)
+            sample_subsets(m, 1, 3, seed=0)
 
     def test_uniformity_chi_square(self):
         stats = pytest.importorskip("scipy.stats")
-        ed = PsdMatrix(np.eye(4)).eigen
+        m = PsdMatrix(np.eye(4))
         draws = 12000
         cells = list(combinations(range(4), 2))
         counts = {s: 0 for s in cells}
-        for s in sample_subsets(ed, 2, draws, seed=99):
+        for s in sample_subsets(m, 2, draws, seed=99):
             counts[s] += 1
         result = stats.chisquare([counts[s] for s in cells])
         assert result.pvalue > 1e-3
 
 
-def _oracle_draws(ed, k, draws, seed):
+def _oracle_draws(m, k, draws, seed):
     """sample_subsets by the serial referees on the same uniforms."""
-    return reference_draws(ed.vectors, esp_marginals(ed.eigenvalues, k), k, draws, seed,
+    return reference_draws(m.vectors, esp_marginals(m.eigenvalues, k), k, draws, seed,
                            volcur.sampling._window(k))
 
 
@@ -318,9 +314,8 @@ class TestExpectedError:
             r = int(rng.integers(1, n + 1))
             zero = 1 if (trial % 4 == 0 and n > 2) else 0
             m = PsdMatrix(random_psd(rng, n, r, zero_rows=zero))
-            ed = m.eigen
-            for k in range(1, min(ed.rank, 4) + 1):
-                exact = expected_error_exact(ed.eigenvalues, k)
+            for k in range(1, min(m.rank, 4) + 1):
+                exact = expected_error_exact(m.eigenvalues, k)
                 brute = enumerate_distribution(m, k).expected_error
                 scale = max(abs(exact), abs(brute))
                 if scale < 1e-10 * m.lambda_max:
@@ -333,7 +328,7 @@ class TestExpectedError:
             n = int(rng.integers(3, 7))
             m = PsdMatrix(random_psd(rng, n, n))
             for k in (1, 2):
-                exact = expected_error_exact(m.eigen.eigenvalues, k)
+                exact = expected_error_exact(m.eigenvalues, k)
                 oracle = expected_error_enumeration(m.entries, k)
                 assert rel_err(exact, oracle) < 1e-8
 
@@ -361,8 +356,7 @@ class TestEmpiricalError:
     def test_within_sampling_noise_of_exact(self):
         rng = np.random.default_rng(32)
         m = PsdMatrix(random_psd(rng, 6, 6))
-        ed = m.eigen
-        exact = expected_error_exact(ed.eigenvalues, 2)
+        exact = expected_error_exact(m.eigenvalues, 2)
         mean, stderr = empirical_error(m, 2, 2000, seed=8)
         assert abs(mean - exact) < 4.0 * stderr
 
