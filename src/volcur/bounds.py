@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import BoundInapplicableError, ValidationError, checked_int
+from .errors import ValidationError, checked_int
 from .esp import esp_ratios
 from .spectra import PiecewiseDyadicSpectrum, Spectrum
 
@@ -38,8 +38,8 @@ class BoundReport:
 
 
 def _check_domination(spec: Spectrum, mu: PiecewiseDyadicSpectrum) -> None:
-    """Raise unless mu is dyadic (ValidationError) and spec_i <= mu_i at
-    every position i (BoundInapplicableError).
+    """ValidationError unless mu is dyadic and spec_i <= mu_i at every
+    position i; a failed domination names its first violating position.
 
     spec is nonincreasing and mu is constant on each piece, so the first
     violation, if any, is at the first entry of a piece or at position
@@ -49,13 +49,13 @@ def _check_domination(spec: Spectrum, mu: PiecewiseDyadicSpectrum) -> None:
     if not isinstance(mu, PiecewiseDyadicSpectrum):
         raise ValidationError("majorant mu must be a PiecewiseDyadicSpectrum")
     if spec._entry(mu.n) > 0.0:
-        raise BoundInapplicableError(
+        raise ValidationError(
             f"majorant has only {mu.n} entries but the spectrum is "
             f"positive at position {mu.n + 1}")
     for start, _, top in mu.pieces:
         value = spec._entry(start)
         if value > top:
-            raise BoundInapplicableError(
+            raise ValidationError(
                 f"domination fails at position {start + 1}: spectrum value "
                 f"{value:.17g} exceeds majorant value {top:.17g}")
 

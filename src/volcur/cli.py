@@ -9,7 +9,6 @@ from __future__ import annotations
 import argparse
 import gc
 import math
-import os
 import sys
 from pathlib import Path
 
@@ -51,14 +50,16 @@ def _fmt(x: float) -> str:
     return format(float(x), ".17g")
 
 
-def _row(k: int, *values: float | None) -> str:
-    """k and its values as a CSV row, None as a blank cell.
-
-    NumericalError, naming k, unless every value is finite: a spectral
-    command prints no inf or nan.
-    """
+def _check_finite(what: str, *values: float | None) -> None:
+    """NumericalError "<what> overflows double precision" unless every
+    value but None is finite: no command prints inf or nan."""
     if not all(v is None or math.isfinite(v) for v in values):
-        raise NumericalError(f"a value at k = {k} overflows double precision")
+        raise NumericalError(f"{what} overflows double precision")
+
+
+def _row(k: int, *values: float | None) -> str:
+    """k and its values as a CSV row, None as a blank cell; finite values only."""
+    _check_finite(f"a value at k = {k}", *values)
     return ",".join([str(k)] + ["" if v is None else _fmt(v) for v in values])
 
 
@@ -77,18 +78,6 @@ def _parse_k_range(text: str, top: int | None) -> range:
     if lo > hi:
         raise ValidationError(f"empty k range {text!r}")
     return range(lo, checked_int(hi, "k", 0, top) + 1)
-
-
-def _resolve_seed(args) -> int:
-    if args.seed is not None:
-        return args.seed
-    env = os.environ.get("VOLCUR_SEED")
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError as exc:
-            raise ValidationError(f"VOLCUR_SEED must be an integer: {env!r}") from exc
-    return 0
 
 
 def _resolve_spectrum(args) -> Spectrum:
@@ -176,18 +165,17 @@ def cmd_approx(args) -> int:
     if ks[0] != ks[-1]:
         raise ValidationError("approx takes a single k, not a range")
     k = ks[0]
-    seed = _resolve_seed(args)
-    subset = sample_subsets(m, k, 1, seed)[0]
+    subset = sample_subsets(m, k, 1, args.seed)[0]
+    values = {
+        "error_nuclear": cur_error_nuclear(m, subset),
+        "expected_error": expected_error_exact(m.eigenvalues, k),
+        "optimal_error": optimal_error(m.eigenvalues, k),
+    }
+    for name, value in values.items():    # before anything is written
+        _check_finite(name, value)
     approx = cur_approximation(m, subset)
-    error = cur_error_nuclear(m, subset)
-    expected = expected_error_exact(m.eigenvalues, k)
-    optimal = optimal_error(m.eigenvalues, k)
-    summary = [
-        "subset," + ",".join(str(i + 1) for i in subset),
-        f"error_nuclear,{_fmt(error)}",
-        f"expected_error,{_fmt(expected)}",
-        f"optimal_error,{_fmt(optimal)}",
-    ]
+    summary = ["subset," + ",".join(str(i + 1) for i in subset)]
+    summary += [f"{name},{_fmt(value)}" for name, value in values.items()]
     tsv = args.format == "tsv"
     text = "\n".join(s.replace(",", "\t") if tsv else s for s in summary) + "\n"
     delimiter = "\t" if tsv else " "
@@ -206,8 +194,7 @@ def cmd_sample(args) -> int:
     if ks[0] != ks[-1]:
         raise ValidationError("sample takes a single k, not a range")
     k = ks[0]
-    seed = _resolve_seed(args)
-    subsets = sample_subsets(m, k, args.draws, seed)
+    subsets = sample_subsets(m, k, args.draws, args.seed)
     lines = [",".join(str(i + 1) for i in s) for s in subsets]
     _emit(args, lines)
     return 0
@@ -280,8 +267,8 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--sigma", type=float, default=None,
                            help="RBF kernel width")
         if needs_seed:
-            p.add_argument("--seed", type=int, default=None,
-                           help="RNG seed (default: $VOLCUR_SEED or 0)")
+            p.add_argument("--seed", type=int, default=0,
+                           help="RNG seed (default: 0)")
         if needs_draws:
             p.add_argument("--draws", type=int, default=1,
                            help="number of subsets to draw")

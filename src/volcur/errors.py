@@ -1,9 +1,10 @@
-"""Exception hierarchy.
+"""Exception hierarchy: one class per CLI exit code.
 
-Each class's exit_code is the CLI's exit status for it, set by its
-top-level family: ValidationError 1 (bad inputs), NumericalError 2
+Every failure raises one of three families, whose exit_code is the CLI's
+exit status for it: ValidationError 1 (bad inputs), NumericalError 2
 (computation cannot proceed or failed), CapExceededError 3 (a work cap
-would be blown), and 2 for the VolcurError base.
+would be blown).  VolcurError is their base, with exit code 2.  The
+message says which precondition or step failed.
 """
 import operator
 
@@ -12,11 +13,6 @@ __all__ = [
     "ValidationError",
     "NumericalError",
     "CapExceededError",
-    "DegenerateTailError",
-    "BoundInapplicableError",
-    "SingularPivotError",
-    "DegenerateDistributionError",
-    "EigensolverError",
 ]
 
 
@@ -40,30 +36,6 @@ class CapExceededError(VolcurError):
     """Requested work exceeds a hard enumeration or size cap."""
 
     exit_code = 3
-
-
-class DegenerateTailError(ValidationError):
-    """Head/tail split requested at a pivot eigenvalue that is zero."""
-
-
-class BoundInapplicableError(ValidationError):
-    """A majorant bound was requested but domination fails; the message
-    names the first violating index."""
-
-
-class SingularPivotError(NumericalError):
-    """A pivot block is numerically singular: its pivoted Cholesky meets a
-    pivot at or below PIVOT_REL_TOL (1e-14) times the block's largest
-    diagonal entry."""
-
-
-class DegenerateDistributionError(NumericalError):
-    """Volume sampling at rank k is degenerate: every k-subset has zero
-    volume (k exceeds the matrix rank) or meets the pivot floor."""
-
-
-class EigensolverError(NumericalError):
-    """The eigensolver failed to converge."""
 
 
 def checked_int(value, name: str, minimum: int, maximum: int | None = None) -> int:

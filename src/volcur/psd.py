@@ -25,13 +25,7 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .errors import (
-    EigensolverError,
-    NumericalError,
-    SingularPivotError,
-    ValidationError,
-    checked_int,
-)
+from .errors import NumericalError, ValidationError, checked_int
 from .esp import esp_all
 from .spectra import Spectrum, _Owned
 
@@ -101,7 +95,7 @@ class PsdMatrix:
         try:
             w, v = np.linalg.eigh(a)
         except np.linalg.LinAlgError as exc:
-            raise EigensolverError(f"eigensolver did not converge: {exc}") from exc
+            raise NumericalError(f"eigensolver did not converge: {exc}") from exc
         if not np.isfinite(w).all():
             raise NumericalError("matrix eigenvalues overflow double precision")
         lam_max = max(float(w[-1]), 0.0)
@@ -200,8 +194,9 @@ def _skeleton(
 ) -> tuple[tuple[int, ...], np.ndarray, np.ndarray]:
     """S, the residual diagonal d and the factor F of M on a nonsingular S.
 
-    The floor is PIVOT_REL_TOL times the largest diagonal of M[S,S].  A
-    full subset gives d = 0 and an empty F without factoring.
+    NumericalError if S is singular: its pivoted Cholesky meets a pivot at
+    or below the floor, PIVOT_REL_TOL times the largest diagonal of
+    M[S,S].  A full subset gives d = 0 and an empty F without factoring.
     """
     s = _checked_subset(subset, m.n)
     if len(s) == m.n:
@@ -209,7 +204,7 @@ def _skeleton(
     floor = PIVOT_REL_TOL * max(float(np.max(m.entries.diagonal().take(s))), 0.0)
     pivots, d, factor = _subset_factor(m, s, floor)
     if len(pivots) < len(s):
-        raise SingularPivotError(
+        raise NumericalError(
             f"pivot block is singular at step {len(pivots) + 1} of {len(s)}")
     return s, d, factor
 
@@ -229,8 +224,13 @@ def cur_approximation(m: PsdMatrix, subset: Iterable[int]) -> np.ndarray:
 
 
 def cur_error_nuclear(m: PsdMatrix, subset: Iterable[int]) -> float:
-    """Nuclear norm of the skeleton error: trace of the Schur complement."""
-    return float(np.sum(_skeleton(m, subset)[1]))
+    """Nuclear norm of the skeleton error: trace of the Schur complement.
+
+    inf, without a warning, when the trace overflows double precision.
+    """
+    d = _skeleton(m, subset)[1]
+    with np.errstate(over="ignore"):
+        return float(np.sum(d))
 
 
 def gram_matrix(data: np.ndarray) -> PsdMatrix:

@@ -33,12 +33,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import (
-    CapExceededError,
-    DegenerateDistributionError,
-    NumericalError,
-    checked_int,
-)
+from .errors import CapExceededError, NumericalError, checked_int
 from .esp import esp_marginals, esp_ratio
 from .psd import PIVOT_REL_TOL, PsdMatrix, _subset_factor, cur_error_nuclear
 from .spectra import Spectrum
@@ -102,7 +97,7 @@ def enumerate_distribution(m: PsdMatrix, k: int) -> VolumeDistribution:
         errors[idx] = float(np.sum(d))
     normalizer = float(weights.sum())
     if normalizer <= 0.0:
-        raise DegenerateDistributionError(
+        raise NumericalError(
             f"every {k}-subset meets a pivot at or below {PIVOT_REL_TOL:g} * lambda_max")
     return VolumeDistribution(
         k=k,
@@ -117,7 +112,7 @@ def enumerate_distribution(m: PsdMatrix, k: int) -> VolumeDistribution:
 def _within_rank(m: PsdMatrix, k: int) -> int:
     """k, refused above the rank of m, where every k-subset has zero volume."""
     if k > m.rank:
-        raise DegenerateDistributionError(
+        raise NumericalError(
             f"cannot volume-sample {k} columns from a rank-{m.rank} matrix")
     return k
 

@@ -21,7 +21,7 @@ from typing import Callable, Iterable, NamedTuple
 
 import numpy as np
 
-from .errors import CapExceededError, DegenerateTailError, ValidationError, checked_int
+from .errors import CapExceededError, ValidationError, checked_int
 
 __all__ = [
     "DENSE_CAP",
@@ -242,7 +242,7 @@ def split_head_tail(s: Spectrum, k: int) -> HeadTailSplit:
     k = checked_int(k, "k", 0, s.n - 1)
     pivot = s._entry(k)
     if pivot <= 0.0:
-        raise DegenerateTailError(
+        raise ValidationError(
             f"tail starting at position {k + 1} is all zero; split undefined")
     return HeadTailSplit(head=s._slice(0, k), tail=s._slice(k, s.n), pivot=pivot, k=k)
 

@@ -15,7 +15,7 @@ import volcur.esp
 import volcur.sampling
 from oracles import inverse_square_psd, random_psd
 from volcur import (
-    EigensolverError,
+    NumericalError,
     PiecewiseDyadicSpectrum,
     PsdMatrix,
     Spectrum,
@@ -317,35 +317,6 @@ class TestSampleCommand:
              "--seed", "4"], capsys)
         assert out1 == out2
 
-    def test_env_seed_fallback(self, identity5_file, capsys, monkeypatch):
-        monkeypatch.setenv("VOLCUR_SEED", "4")
-        _, out_env, _ = run_cli(
-            ["sample", "--input", identity5_file, "--k", "2", "--draws", "10"],
-            capsys)
-        monkeypatch.delenv("VOLCUR_SEED")
-        _, out_seed, _ = run_cli(
-            ["sample", "--input", identity5_file, "--k", "2", "--draws", "10",
-             "--seed", "4"], capsys)
-        assert out_env == out_seed
-
-    def test_flag_overrides_env(self, identity5_file, capsys, monkeypatch):
-        monkeypatch.setenv("VOLCUR_SEED", "4")
-        _, out_flag, _ = run_cli(
-            ["sample", "--input", identity5_file, "--k", "2", "--draws", "10",
-             "--seed", "8"], capsys)
-        monkeypatch.delenv("VOLCUR_SEED")
-        _, out_direct, _ = run_cli(
-            ["sample", "--input", identity5_file, "--k", "2", "--draws", "10",
-             "--seed", "8"], capsys)
-        assert out_flag == out_direct
-
-    def test_bad_env_seed(self, identity5_file, capsys, monkeypatch):
-        monkeypatch.setenv("VOLCUR_SEED", "not-a-number")
-        code, _, err = run_cli(
-            ["sample", "--input", identity5_file, "--k", "2", "--draws", "1"],
-            capsys)
-        assert code == 1 and "VOLCUR_SEED" in err
-
     def test_zero_draws_rejected(self, identity5_file, capsys):
         code, _, _ = run_cli(
             ["sample", "--input", identity5_file, "--k", "2", "--draws", "0"],
@@ -502,6 +473,11 @@ class TestFigureCommand:
         assert len(a.read_bytes()) > 0
 
 
+def unconverged(*args, **kwargs):
+    """A stand-in for np.linalg.eigh that fails as LAPACK does."""
+    raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+
 class TestErrorPaths:
     def test_missing_file(self, capsys):
         code, _, err = run_cli(["esp", "--input", "/nonexistent/s.txt", "--k", "1"],
@@ -561,6 +537,51 @@ class TestErrorPaths:
             assert run_cli([command, "--input", str(p), "--k", "1"], capsys) == (2, "", message)
         proc = python_dash_m(["sample", "--input", str(p), "--k", "1"])
         assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", message)
+
+    def test_overflowing_approx_summary_is_one_error_line(self, tmp_path, capsys):
+        # each entry is finite when symmetrized, but the Schur complement's trace is not
+        p = tmp_path / "diag4.txt"
+        np.savetxt(p, np.diag([8.9e307] * 4), fmt="%.17g")
+        out_path = tmp_path / "cur.txt"
+        message = "error: error_nuclear overflows double precision\n"
+        for extra in ([], ["--out", str(out_path)]):
+            argv = ["approx", "--input", str(p), "--k", "1"] + extra
+            assert run_cli(argv, capsys) == (2, "", message)
+            proc = python_dash_m(argv)
+            assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", message)
+        assert not out_path.exists()
+
+    @pytest.mark.parametrize("argv, patch, code, message", [
+        (["figure", "--spectrum", "dyadic:lmax=10,base=0.5",
+          "--mu", "dyadic:lmax=10,base=0.25", "--k", "1"], None, 1,
+         "domination fails at position 2: spectrum value 0.5 exceeds majorant value 0.25"),
+        (["bounds", "--spectrum", "dyadic:lmax=11,base=0.25",
+          "--mu", "dyadic:lmax=10,base=0.25", "--k", "1"], None, 1,
+         "majorant has only 1023 entries but the spectrum is positive at position 1024"),
+        (["approx", "--input", "{collinear}", "--k", "2"],
+         (volcur.cli, "sample_subsets", lambda m, k, draws, seed: [(0, 1)]), 2,
+         "pivot block is singular at step 2 of 2"),
+        (["verify", "--input", "{eye3}", "--k", "1"],
+         (volcur.sampling, "_subset_factor", lambda m, s, floor: ([], None, None)), 2,
+         "every 1-subset meets a pivot at or below 1e-14 * lambda_max"),
+        (["sample", "--input", "{ones3}", "--k", "2"], None, 2,
+         "cannot volume-sample 2 columns from a rank-1 matrix"),
+        (["sample", "--input", "{eye3}", "--k", "1"], (np.linalg, "eigh", unconverged), 2,
+         "eigensolver did not converge: Eigenvalues did not converge"),
+    ], ids=["domination", "majorant-length", "singular-pivot", "no-positive-volume",
+            "past-the-rank", "eigensolver"])
+    def test_each_raise_site_exits_with_its_family_code(self, argv, patch, code, message,
+                                                        tmp_path, monkeypatch, capsys):
+        # split_head_tail, the one library-only raise site, is tested in test_spectra.py
+        g = np.array([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0]])    # columns 0 and 1 coincide
+        files = {}
+        for name, a in (("collinear", g @ g.T), ("eye3", np.eye(3)), ("ones3", np.ones((3, 3)))):
+            files[name] = str(tmp_path / f"{name}.txt")
+            np.savetxt(files[name], a)
+        if patch is not None:
+            monkeypatch.setattr(*patch)
+        argv = [arg.format(**files) for arg in argv]
+        assert run_cli(argv, capsys) == (code, "", f"error: {message}\n")
 
     @pytest.mark.parametrize("argv, k", [
         (["ratio", "--k", "0..2"], 0),
@@ -699,10 +720,9 @@ class TestOneEigensolve:
         assert calls == []
 
     def test_eigensolver_failure_is_typed(self, psd_file, monkeypatch, capsys):
-        def fail(*args, **kwargs):
-            raise np.linalg.LinAlgError("Eigenvalues did not converge")
-        monkeypatch.setattr(np.linalg, "eigh", fail)
-        with pytest.raises(EigensolverError):
+        monkeypatch.setattr(np.linalg, "eigh", unconverged)
+        with pytest.raises(NumericalError, match="^eigensolver did not converge: "
+                                                 "Eigenvalues did not converge$"):
             PsdMatrix(np.eye(2))
         code, out, err = run_cli(["sample", "--input", psd_file, "--k", "1"], capsys)
         assert code == 2

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from volcur import (
     DENSE_CAP,
     CapExceededError,
-    DegenerateTailError,
     PiecewiseDyadicSpectrum,
     Spectrum,
     ValidationError,
@@ -273,7 +272,8 @@ class TestSplitConcat:
         assert np.array_equal(split.tail.values, [2.0, 1.0])
 
     def test_zero_pivot_raises(self):
-        with pytest.raises(DegenerateTailError):
+        with pytest.raises(ValidationError,
+                           match="^tail starting at position 2 is all zero; split undefined$"):
             split_head_tail(make_spectrum([1.0, 0.0, 0.0]), 1)
 
     def test_k_bounds(self):
