@@ -22,7 +22,6 @@ from .psd import (
     cur_approximation,
     cur_error_nuclear,
     gram_matrix,
-    invariant_sums,
     load_matrix,
     optimal_error,
     rbf_kernel_matrix,
@@ -130,7 +129,7 @@ def cmd_esp(args) -> int:
     spec = _resolve_spectrum(args)
     # e_j = 0 past n entries, so a larger k asks for nothing
     vec = esp_all(spec, _parse_k_range(args.k, spec.n)[-1])
-    lines = ["j,e_j"] + [_row(j, x) for j, x in enumerate(vec.coeffs)]
+    lines = ["j,e_j"] + [_row(j, x) for j, x in enumerate(vec)]
     _emit(args, lines)
     return 0
 
@@ -209,7 +208,7 @@ def cmd_verify(args) -> int:
     ks = _parse_k_range(args.k, m.n - 1)
     checked_int(ks[0], "k", 1)         # both ends, before enumerating any k
     _within_rank(m, ks[-1])
-    sums = invariant_sums(m, ks[-1] + 1)
+    sums = esp_all(m.eigenvalues, ks[-1] + 1)   # c_j, the sums of j x j principal minors
     ok = True
     lines = []
     for k in ks:

@@ -6,8 +6,8 @@ nonnegative terms only, so there is no cancellation; accuracy is limited
 by plain rounding.
 
 Every ESP of the package is computed here and carried as a pair
-(mantissas, exponents), e_j = mantissa * 2^exponent, so values far outside
-double range keep full precision.  Plain spectra run one prefix recursion
+(mantissas, exponents), e_j = mantissa * 2^exponent, so ESPs far outside
+double range stay representable.  Plain spectra run one prefix recursion
 (_prefix_rows), scaled and rescaled by exact powers of two only, so an
 integer spectrum whose ESPs fit 53 bits comes out exact; dyadic spectra
 multiply per-piece binomial coefficients.  The recursion is a blocked scan
@@ -21,16 +21,18 @@ so the terms left out are certified below 2^-64 of the result, and the
 head and the tail are joined by the union rule f(concat(x, y)) =
 f(x) * f(y) (_cauchy).  At n = 10^6 and order 65 the tail needs order 8,
 a fifth of the cells.  esp_marginals, which keeps every prefix, scans
-every order.
+every order.  The entries share one scale, from the largest: one below
+2^-1022 of it loses bits and one below 2^-1074 of it reads 0 (1e200,
+1e-200, 1e-300 gets e_2 = e_3 = 0, not about 1 and 1e-300; [1e10,
+1e-310] a 1.2e-4 error in its k = 1 ratio); ROADMAP item 2(a) mends it.
 
 Ratios (esp_ratios) and the sampler's marginals (esp_marginals) are
-quotients of such values, so they are scale free; only esp_all and
-esp_scale, which return plain doubles, can overflow or underflow.
+scale-free quotients of such values; only esp_all, esp_convolve and
+esp_scale, which return read-only arrays of doubles, can leave double range.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -39,7 +41,6 @@ from .spectra import _CHUNK, DENSE_CAP, HeadTailSplit, PiecewiseDyadicSpectrum, 
 from .spectra import _dense_length
 
 __all__ = [
-    "EspVector",
     "esp_all",
     "esp_ratio",
     "esp_ratios",
@@ -53,37 +54,6 @@ __all__ = [
 
 _CENTER, _SLACK = 512, 256         # prefix rows: running total within 2^(512 +- 256)
 _LANES = 4096                      # prefix rows: lanes of the blocked scan, by timing
-
-
-@dataclass(frozen=True, eq=False)
-class EspVector:
-    """Truncated vector of elementary symmetric polynomial values."""
-
-    coeffs: np.ndarray
-
-    def __post_init__(self) -> None:
-        arr = np.array(self.coeffs, dtype=np.float64)
-        if arr.ndim != 1 or arr.size < 1:
-            raise ValidationError("coefficient vector must be 1-D and nonempty")
-        if not np.all(np.isfinite(arr)):
-            raise ValidationError("coefficients must be finite")
-        if arr[0] != 1.0:
-            raise ValidationError("e_0 must equal 1")
-        if np.any(arr < 0.0):
-            raise ValidationError("coefficients must be nonnegative")
-        arr.flags.writeable = False
-        object.__setattr__(self, "coeffs", arr)
-
-    @property
-    def m(self) -> int:
-        """Truncation order: coefficients cover e_0 .. e_m."""
-        return int(self.coeffs.size - 1)
-
-    def __len__(self) -> int:
-        return int(self.coeffs.size)
-
-    def __getitem__(self, j: int) -> float:
-        return float(self.coeffs[j])
 
 
 def _lay_out(chunk: np.ndarray, u: int, x: np.ndarray, scratch: np.ndarray) -> None:
@@ -290,8 +260,8 @@ def _ratios(mant: np.ndarray, exps: np.ndarray) -> np.ndarray:
         return np.ldexp(out, exps[1:] - exps[:-1], out=out)
 
 
-def _esp_vector(mant: np.ndarray, exps: np.ndarray, m: int) -> EspVector:
-    """e_0..e_m of a pair, zeros past its end; NumericalError outside double range."""
+def _esp_vector(mant: np.ndarray, exps: np.ndarray, m: int) -> np.ndarray:
+    """e_0..e_m of a pair, read-only, zeros past its end; NumericalError outside double range."""
     coeffs = np.zeros(m + 1)
     with np.errstate(over="ignore"):
         np.ldexp(mant, exps, out=coeffs[: mant.size])
@@ -300,7 +270,22 @@ def _esp_vector(mant: np.ndarray, exps: np.ndarray, m: int) -> EspVector:
         raise NumericalError(
             f"ESP values overflow double precision at this scale, first at j = {bad[0]}; "
             "use esp_ratios, which is scale free")
-    return EspVector(coeffs)
+    coeffs.flags.writeable = False
+    return coeffs
+
+
+def _coeff_vector(v: np.ndarray) -> np.ndarray:
+    """v as a float64 coefficient vector e_0..e_m: 1-D, nonempty, finite, e_0 = 1, >= 0."""
+    arr = np.asarray(v, dtype=np.float64)
+    if arr.ndim != 1 or arr.size < 1:
+        raise ValidationError("coefficient vector must be 1-D and nonempty")
+    if not np.all(np.isfinite(arr)):
+        raise ValidationError("coefficients must be finite")
+    if arr[0] != 1.0:
+        raise ValidationError("e_0 must equal 1")
+    if np.any(arr < 0.0):
+        raise ValidationError("coefficients must be nonnegative")
+    return arr
 
 
 def _order(m: int) -> int:
@@ -311,7 +296,7 @@ def _order(m: int) -> int:
     return m
 
 
-def esp_all(s: Spectrum, m: int) -> EspVector:
+def esp_all(s: Spectrum, m: int) -> np.ndarray:
     """All values e_0 .. e_m of the spectrum (zeros beyond its length)."""
     m = _order(m)
     return _esp_vector(*_scaled_coeffs(s, m), m)
@@ -397,26 +382,27 @@ def esp_geometric_ratio(q: float, n: int, k: int) -> float:
     return (q**k - q**n) / (1.0 - q ** (k + 1))
 
 
-def esp_convolve(a: EspVector, b: EspVector, m: int) -> EspVector:
+def esp_convolve(a: np.ndarray, b: np.ndarray, m: int) -> np.ndarray:
     """Cauchy product of two coefficient vectors, truncated at order m.
 
     This realizes the union rule f(concat(x, y)) = f(x) * f(y).
     """
-    m = _order(m)
-    return _esp_vector(*_cauchy(np.frexp(a.coeffs), np.frexp(b.coeffs), m), m)
+    a, b, m = _coeff_vector(a), _coeff_vector(b), _order(m)
+    return _esp_vector(*_cauchy(np.frexp(a), np.frexp(b), m), m)
 
 
-def esp_scale(v: EspVector, s: float) -> EspVector:
+def esp_scale(v: np.ndarray, s: float) -> np.ndarray:
     """Coefficients of the scaled spectrum: e_j(s * x) = s^j e_j(x)."""
+    v = _coeff_vector(v)
     if not s > 0.0:
         raise ValidationError("scale factor must be positive")
     with np.errstate(over="ignore", invalid="ignore"):
-        coeffs = v.coeffs * float(s) ** np.arange(v.coeffs.size, dtype=np.float64)
-    return _esp_vector(*np.frexp(coeffs), v.m)
+        coeffs = v * float(s) ** np.arange(v.size, dtype=np.float64)
+    return _esp_vector(*np.frexp(coeffs), v.size - 1)
 
 
-def esp_ratio_head_tail(split: HeadTailSplit, k: int) -> tuple[float, float]:
-    """(gamma, ratio) for a head/tail split at k.
+def esp_ratio_head_tail(split: HeadTailSplit) -> tuple[float, float]:
+    """(gamma, ratio) for a head/tail split, at its k.
 
     By the union rule, with u = f(head) and t = f(tail) = pivot^j f(rho)_j,
     the ratio e_{k+1}/e_k of the full spectrum is gamma * pivot where
@@ -427,15 +413,13 @@ def esp_ratio_head_tail(split: HeadTailSplit, k: int) -> tuple[float, float]:
     so the quotient is well defined whenever the split is; both parts are
     (mantissas, exponents) pairs, so neither needs a common scale.
     """
-    k = checked_int(k, "k", 0)
-    if k != split.k:
-        raise ValidationError(f"split was made at k={split.k}, asked for k={k}")
+    k = split.k
     head, tail = _esp_coeffs(split.head, k), _esp_coeffs(split.tail, k + 1)
     ratio = float(_ratios(*_cauchy(head, tail, k + 1))[k])
     return ratio / split.pivot, ratio
 
 
 # Unexported: perfbench/tracer.py, which binds it with getattr, is its only user.
-def esp_dyadic_convolution(spec: PiecewiseDyadicSpectrum, m: int) -> EspVector:
+def esp_dyadic_convolution(spec: PiecewiseDyadicSpectrum, m: int) -> np.ndarray:
     """e_0..e_m of a dyadic spectrum by esp_all's per-piece binomial product, O(lmax m^2)."""
     return esp_all(spec, m)

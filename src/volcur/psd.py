@@ -26,13 +26,11 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 from .errors import NumericalError, ValidationError, checked_int
-from .esp import esp_all
 from .spectra import Spectrum, _Owned
 
 __all__ = [
     "PsdMatrix",
     "optimal_error",
-    "invariant_sums",
     "cur_approximation",
     "cur_error_nuclear",
     "gram_matrix",
@@ -140,16 +138,6 @@ def optimal_error(spec: Spectrum, k: int) -> float:
     return spec.tail_sum(k)
 
 
-def invariant_sums(m: PsdMatrix, up_to: int) -> np.ndarray:
-    """(c_0, ..., c_{up_to}): sums of j x j principal minors of m.
-
-    Computed as elementary symmetric polynomials of the eigenvalues; the
-    exhaustive minor enumeration is kept in the test suite as the oracle.
-    """
-    up_to = checked_int(up_to, "up_to", 0, m.n)
-    return np.asarray(esp_all(m.eigenvalues, up_to).coeffs)
-
-
 def _checked_subset(subset: Iterable[int], n: int) -> tuple[int, ...]:
     s = tuple(sorted(checked_int(i, "subset index", 0, n - 1) for i in subset))
     if len(s) == 0:
@@ -233,30 +221,58 @@ def cur_error_nuclear(m: PsdMatrix, subset: Iterable[int]) -> float:
         return float(np.sum(d))
 
 
+def _data_array(data: np.ndarray) -> np.ndarray:
+    """data as a 2-D float64 array of sample rows, refused unless every entry is finite."""
+    x = np.asarray(data, dtype=np.float64)
+    if x.ndim != 2:
+        raise ValidationError("data array must be 2-D")
+    if not np.isfinite(x).all():
+        raise ValidationError("data array entries must be finite")
+    return x
+
+
 def gram_matrix(data: np.ndarray) -> PsdMatrix:
-    """M = X^T X for a data array with samples as rows."""
-    x = np.asarray(data, dtype=np.float64)
-    if x.ndim != 2:
-        raise ValidationError("data array must be 2-D")
-    return PsdMatrix(_Owned(x.T @ x))
+    """M = X^T X for sample rows; NumericalError, not a numpy warning, if it overflows."""
+    x = _data_array(data)
+    with np.errstate(over="ignore", invalid="ignore"):   # refused below, not warned of
+        m = x.T @ x
+    if not np.isfinite(m).all():
+        raise NumericalError("X^T X overflows double precision")
+    return PsdMatrix(_Owned(m))
 
 
-def rbf_kernel_matrix(data: np.ndarray, sigma: float) -> PsdMatrix:
-    """Gaussian kernel exp(-|x_i - x_j|^2 / (2 sigma^2)) over sample rows."""
-    if not sigma > 0.0:
-        raise ValidationError("sigma must be positive")
-    scale = 2.0 * sigma * sigma
-    if scale == 0.0:
-        raise ValidationError(f"sigma = {sigma:g} is too small: 2 sigma^2 underflows to 0")
-    x = np.asarray(data, dtype=np.float64)
-    if x.ndim != 2:
-        raise ValidationError("data array must be 2-D")
+def _sq_distances(x: np.ndarray) -> np.ndarray:
+    """|x_i - x_j|^2 over sample rows, clipped at 0, in one n x n buffer."""
     sq = np.sum(x * x, axis=1)
     k = x @ x.T
     k *= 2.0
-    np.clip(np.subtract(np.add.outer(sq, sq), k, out=k), 0.0, None, out=k)
-    with np.errstate(over="ignore"):   # -inf, whose exp 0 is the kernel's limit
-        np.divide(np.negative(k, out=k), scale, out=k)
+    return np.clip(np.subtract(np.add.outer(sq, sq), k, out=k), 0.0, None, out=k)
+
+
+def rbf_kernel_matrix(data: np.ndarray, sigma: float) -> PsdMatrix:
+    """Gaussian kernel exp(-|x_i - x_j|^2 / (2 sigma^2)) over sample rows.
+
+    Only where a squared distance or 2 sigma^2 overflows is it taken of the
+    data and sigma times 2^-e, e the least exact shift that keeps both in
+    range; a difference below about 2^-1020 of the larger of sigma and the
+    largest |entry| then turns subnormal.  Zero distances are not divided.
+    """
+    if not sigma > 0.0:
+        raise ValidationError("sigma must be positive")
+    if 2.0 * sigma * sigma == 0.0:
+        raise ValidationError(f"sigma = {sigma:g} is too small: 2 sigma^2 underflows to 0")
+    x = _data_array(data)
+    # an overflowing sum is taken again scaled; a quotient's is -inf, whose exp 0 is the limit
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        k, e = _sq_distances(x), 0
+        if not (np.isfinite(k).all() and 2.0 * sigma * sigma < math.inf):
+            # |x 2^-e| < 2^t with 4 d 4^t <= 2^1023, and sigma 2^-e < 2^511
+            t = (1021 - math.ceil(math.log2(max(x.shape[1], 1)))) // 2
+            e = max(math.frexp(float(np.max(np.abs(x), initial=0.0)))[1] - t,
+                    math.frexp(sigma)[1] - 511)
+            k = _sq_distances(np.ldexp(x, -e))
+        s = math.ldexp(sigma, -e)
+        np.divide(k, -2.0 * s * s, out=k, where=k > 0.0)
     return PsdMatrix(_Owned(np.exp(k, out=k)))
 
 

@@ -286,7 +286,8 @@ def inverse_square_psd(n: int = 300, seed: int = 300) -> np.ndarray:
 def rbf_kernel_expression(x: np.ndarray, sigma: float) -> np.ndarray:
     """exp(-|x_i - x_j|^2 / (2 sigma^2)) as one numpy expression, unsymmetrized.
 
-    The same operations in the same order as the library's in-place kernel.
+    The same operations in the same order as the library's in-place kernel,
+    which scales the data only where these sums or 2 sigma^2 overflow.
     """
     sq = np.sum(x * x, axis=1)
     d2 = sq[:, None] + sq[None, :] - 2.0 * (x @ x.T)

@@ -24,7 +24,6 @@ from volcur import (
     expected_error_exact,
     figure_rows,
     generate_power_law,
-    invariant_sums,
     make_spectrum,
     sample_subsets,
 )
@@ -81,7 +80,7 @@ def test_criterion_2_normalizer_identity():
     worst = 0.0
     pairs = 0
     for m in corpus():
-        sums = invariant_sums(m, min(5, m.rank - 1) if m.rank > 1 else 0)
+        sums = esp_all(m.eigenvalues, min(5, m.rank - 1) if m.rank > 1 else 0)
         for k in range(1, min(5, m.rank - 1) + 1):
             dist = enumerate_distribution(m, k)
             worst = max(worst, rel_err(dist.normalizer, float(sums[k])))

@@ -2,6 +2,7 @@ import ast
 import gc
 import io
 import math
+import os
 import re
 import subprocess
 import sys
@@ -551,6 +552,27 @@ class TestErrorPaths:
             assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", message)
         assert not out_path.exists()
 
+    def test_overflowing_gram_is_one_error_line(self, tmp_path, capsys):
+        # X is finite, X^T X is not: exit 2, and no numpy warning
+        p = tmp_path / "x.txt"
+        p.write_text("1e200 1\n1 1\n")
+        argv = ["approx", "--input", str(p), "--gram", "--k", "1"]
+        message = "error: X^T X overflows double precision\n"
+        assert run_cli(argv, capsys) == (2, "", message)
+        proc = python_dash_m(argv, PYTHONWARNINGS="error")
+        assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", message)
+
+    @pytest.mark.parametrize("sigma", ["1", "1e150"])
+    def test_rbf_on_large_coordinates_answers(self, sigma, tmp_path):
+        # points 1e160 apart: the kernel is the identity, so either one may be drawn
+        p = tmp_path / "pts.txt"
+        p.write_text("1e160\n0\n")
+        proc = python_dash_m(["sample", "--input", str(p), "--kernel", "rbf",
+                              "--sigma", sigma, "--k", "1", "--draws", "4"],
+                             PYTHONWARNINGS="error")
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert set(proc.stdout.split()) <= {"1", "2"} and len(proc.stdout.split()) == 4
+
     @pytest.mark.parametrize("argv, patch, code, message", [
         (["figure", "--spectrum", "dyadic:lmax=10,base=0.5",
           "--mu", "dyadic:lmax=10,base=0.25", "--k", "1"], None, 1,
@@ -893,9 +915,10 @@ class TestMatrixOutput:
         assert stream.getvalue() == want
 
 
-def python_dash_m(argv):
+def python_dash_m(argv, **env):
+    """`python -m volcur.cli argv` in a child process, with env added to its environment."""
     return subprocess.run([sys.executable, "-m", "volcur.cli", *argv],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True, env={**os.environ, **env})
 
 
 class TestModuleEntryPoint:

@@ -37,7 +37,7 @@ KS = list(range(1, 31))
 
 
 def _head_tail(s):
-    return [esp_ratio_head_tail(split_head_tail(s, k), k) for k in range(31)]
+    return [esp_ratio_head_tail(split_head_tail(s, k)) for k in range(31)]
 
 
 def _reports(s):
@@ -46,7 +46,7 @@ def _reports(s):
 
 # name -> (spectrum -> answer, bit for bit)
 CALLS = {
-    "esp_all": (lambda s: esp_all(s, 31).coeffs, False),
+    "esp_all": (lambda s: esp_all(s, 31), False),
     "esp_ratios": (lambda s: esp_ratios(s, 30), False),
     "esp_marginals": (lambda s: esp_marginals(s, 31), True),
     "split_head_tail+esp_ratio_head_tail": (_head_tail, True),
@@ -98,7 +98,7 @@ DEEP = PiecewiseDyadicSpectrum(40, 0.5)       # n = 2^40 - 1, above DENSE_CAP
     Spectrum,
     lambda d: d.values,
     lambda d: esp_marginals(d, 3),
-    lambda d: esp_ratio_head_tail(split_head_tail(d, 3), 3),
+    lambda d: esp_ratio_head_tail(split_head_tail(d, 3)),
     lambda d: esp_ratios(split_head_tail(d, 3).tail, 3),
     lambda d: split_head_tail(d, 3).tail.tail_sum(1),
 ], ids=["asarray", "Spectrum", "values", "esp_marginals", "esp_ratio_head_tail",
@@ -118,7 +118,7 @@ def test_a_deep_dyadic_spectrum_answers_from_its_pieces():
 
 
 def test_lmax_is_at_most_1024():
-    assert esp_all(PiecewiseDyadicSpectrum(1024, 0.5), 1).coeffs[1] == 1024.0
+    assert esp_all(PiecewiseDyadicSpectrum(1024, 0.5), 1)[1] == 1024.0
     with pytest.raises(ValidationError, match="^lmax must be at most 1024, got 1025$"):
         PiecewiseDyadicSpectrum(1025, 0.5)
 

@@ -13,7 +13,6 @@ from volcur import (
     esp_geometric_closed_form,
     esp_geometric_ratio,
     figure_rows,
-    invariant_sums,
     make_spectrum,
     optimal_error,
     sample_subsets,
@@ -72,7 +71,6 @@ BOUNDARY = {
     "esp_geometric_ratio k": (lambda k: esp_geometric_ratio(0.5, 10, k), 11),
     "esp_marginals": (lambda k: esp_marginals(SPEC, k), 5),
     "optimal_error": (lambda k: optimal_error(SPEC, k), -1),
-    "invariant_sums": (lambda j: invariant_sums(MATRIX, j), 4),
     # the simple, geometric and dyadic bounds, each through the call that gives it
     "simple_bound": (lambda k: bound_reports(SPEC, [k])[0].simple_bound, 4),
     "geometric_expected_error n": (lambda n: esp_geometric_ratio(0.5, n, 2), 1),

@@ -17,8 +17,8 @@ from volcur import (
     ValidationError,
     cur_approximation,
     cur_error_nuclear,
+    esp_all,
     gram_matrix,
-    invariant_sums,
     load_matrix,
     optimal_error,
     rbf_kernel_matrix,
@@ -157,7 +157,7 @@ class TestEigendecompose:
         monkeypatch.setattr(np.linalg, "eigvalsh", no_solve)
         assert m.rank == 5
         assert m.lambda_max == m.eigenvalues.values[0]
-        invariant_sums(m, 5)
+        esp_all(m.eigenvalues, 5)
         cur_approximation(m, (0, 2))
 
     def test_zero_matrix_has_rank_zero(self):
@@ -174,7 +174,7 @@ class TestEigendecompose:
 class TestInvariantSums:
     def test_identity_binomials(self):
         m = PsdMatrix(np.eye(4))
-        c = invariant_sums(m, 4)
+        c = esp_all(m.eigenvalues, 4)
         assert np.allclose(c, [1.0, 4.0, 6.0, 4.0, 1.0], rtol=1e-12)
 
     def test_matches_minor_enumeration(self):
@@ -183,7 +183,7 @@ class TestInvariantSums:
             n = int(rng.integers(2, 8))
             r = int(rng.integers(1, n + 1))
             m = PsdMatrix(random_psd(rng, n, r))
-            c = invariant_sums(m, n)
+            c = esp_all(m.eigenvalues, n)
             brute = minor_sums_brute(m.entries, n)
             for j in range(n + 1):
                 if max(abs(c[j]), abs(brute[j])) < 1e-11 * m.lambda_max ** j:
@@ -433,6 +433,60 @@ class TestConstructorsAndIo:
         g = gram_matrix(x)
         assert g.n == 2
         assert np.allclose(g.entries, x.T @ x)
+
+    @pytest.mark.parametrize("x", [[[1e200, 1.0], [1.0, 1.0]], [[1e200, 1e200], [-1e200, 1e200]]],
+                             ids=["inf", "inf - inf"])
+    def test_gram_overflow_is_numerical_and_silent(self, x):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericalError, match="^X\\^T X overflows double precision$"):
+                gram_matrix(np.array(x))
+
+    @pytest.mark.parametrize("build", [gram_matrix, lambda x: rbf_kernel_matrix(x, 1.0)],
+                             ids=["gram", "rbf"])
+    def test_nonfinite_data_is_refused(self, build):
+        for bad in (np.inf, np.nan):
+            with pytest.raises(ValidationError, match="^data array entries must be finite$"):
+                build(np.array([[1.0, bad], [1.0, 1.0]]))
+
+    @pytest.mark.parametrize("points, sigma, want", [
+        ([1e160, 0.0], 1.0, np.eye(2)),
+        ([1e160, 0.0], 1e150, np.eye(2)),
+        ([1e200, 1e200], 1.0, np.ones((2, 2))),
+        # 2 sigma^2 scaled by 2^-2e underflows to 0; the zero distances are not divided
+        ([1e300, 1e300], 1e-100, np.ones((2, 2))),
+    ], ids=["1e160 apart", "1e160 apart, sigma 1e150", "equal at 1e200", "equal at 1e300, sigma 1e-100"])
+    def test_rbf_on_large_coordinates(self, points, sigma, want):
+        # |x_1 - x_2|^2 = 1e320 leaves double range; the kernel does not
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            m = rbf_kernel_matrix(np.array(points)[:, None], sigma)
+        assert np.array_equal(m.entries, want) and m.rank == np.linalg.matrix_rank(want)
+
+    def test_rbf_unscaled_where_nothing_overflows(self):
+        # 1e150^2 fits, so the data is not scaled and 1e-100^2 stays normal:
+        # the bits of the one expression, which overflows only in the quotient
+        x = np.array([[1e150], [0.0], [1e-100]])
+        with np.errstate(over="ignore"):
+            want = PsdMatrix(rbf_kernel_expression(x, 1e-100)).entries
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = rbf_kernel_matrix(x, 1e-100).entries
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+        assert got[1, 2] == np.exp(-0.5) and np.linalg.matrix_rank(got) == 3
+
+    @pytest.mark.parametrize("points, sigma, i, j, want", [
+        # scaled by 2^-155, no further than the squares need: 1e-100 stays normal
+        ([1e200, 0.0, 1e-100], 1e-100, 1, 2, np.exp(-0.5)),
+        # 2 sigma^2 = 2e310 overflows, the distance 1e306 does not
+        ([0.0, 1e153], 1e155, 0, 1, np.exp(-5e-5)),
+        ([1e300, -1e300], 1e301, 0, 1, np.exp(-0.02)),
+    ], ids=["1e-100 beside 1e200", "2 sigma^2 overflows", "sigma 1e301 over 1e300"])
+    def test_rbf_scaled_entries_keep_their_digits(self, points, sigma, i, j, want):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = rbf_kernel_matrix(np.array(points)[:, None], sigma).entries
+        assert got[i, j] == pytest.approx(want, rel=1e-14)
 
     def test_rbf_unit_diagonal_and_psd(self):
         rng = np.random.default_rng(18)

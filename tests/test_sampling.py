@@ -16,8 +16,8 @@ from volcur import (
     ValidationError,
     empirical_error,
     enumerate_distribution,
+    esp_all,
     expected_error_exact,
-    invariant_sums,
     make_spectrum,
     sample_subsets,
 )
@@ -83,7 +83,7 @@ class TestEnumerateDistribution:
             m = PsdMatrix(random_psd(rng, n, r))
             for k in range(1, r + 1):
                 dist = enumerate_distribution(m, k)
-                c = invariant_sums(m, k)[k]
+                c = esp_all(m.eigenvalues, k)[k]
                 assert rel_err(dist.normalizer, c) < 1e-8
 
     def test_rank_deficient_subsets_get_zero_weight(self):

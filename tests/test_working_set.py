@@ -67,7 +67,7 @@ def test_split_head_tail_holds_no_generated_spectrum():
     splits = []
     assert traced_peak(lambda: splits.append(split_head_tail(s, 20))) < 1e6
     held = split_head_tail(Spectrum(generate_power_law(2.0, 10**6).values), 20)
-    assert esp_ratio_head_tail(splits[0], 20) == esp_ratio_head_tail(held, 20)
+    assert esp_ratio_head_tail(splits[0]) == esp_ratio_head_tail(held)
 
 
 @pytest.mark.parametrize("n, k", [(200_000, 20), (800_000, 5)])
