@@ -16,7 +16,7 @@ import numpy as np
 
 from .bounds import bound_reports, figure_rows
 from .errors import CapExceededError, NumericalError, ValidationError, VolcurError, checked_int
-from .esp import esp_all, esp_ratios
+from .esp import _ratios_and_esps, esp_all, esp_ratios
 from .psd import (
     PsdMatrix,
     cur_approximation,
@@ -208,19 +208,15 @@ def cmd_verify(args) -> int:
     ks = _parse_k_range(args.k, m.n - 1)
     checked_int(ks[0], "k", 1)         # both ends, before enumerating any k
     _within_rank(m, ks[-1])
-    sums = esp_all(m.eigenvalues, ks[-1] + 1)   # c_j, the sums of j x j principal minors
-    ok = True
-    lines = []
+    ratios, sums = _ratios_and_esps(m.eigenvalues, ks[-1])   # sums[k] = c_k, k x k minors
+    ok, lines = True, []
     for k in ks:
+        _check_finite(f"c_k at k = {k}", float(sums[k]))
         dist = enumerate_distribution(m, k)
-        brute = dist.expected_error
-        exact = (k + 1) * float(sums[k + 1] / sums[k])
+        brute, exact = dist.expected_error, (k + 1) * float(ratios[k])
         scale = max(abs(brute), abs(exact))
-        if scale < 1e-12 * m.lambda_max * m.n:
-            # both sides vanish (k at the rank); report exact agreement
-            err_rel = 0.0
-        else:
-            err_rel = abs(brute - exact) / scale
+        # where both sides vanish (k at the rank), report exact agreement
+        err_rel = 0.0 if scale < 1e-12 * m.lambda_max * m.n else abs(brute - exact) / scale
         norm_rel = abs(dist.normalizer - sums[k]) / max(abs(sums[k]), 1e-300)
         if err_rel >= VERIFY_TOL or norm_rel >= VERIFY_TOL:
             ok = False

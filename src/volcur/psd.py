@@ -13,7 +13,8 @@ from one greedy pivoted Cholesky of M over the rows in S: its factor F has
 F F^T = M[:,S] A^{-1} M[S,:], so with W = F[~S], B A^{-1} B^T = W W^T, and
 its residual diagonal diag(M - F F^T), zero on S, sums to the error trace
 trace(C) - |W|_F^2.  The same factor's pivots multiply to det M[S,S], the
-weight with which the volume sampler draws S.
+weight with which the volume sampler draws S.  One kernel factors a batch
+of subsets at once: per step, one argmax, matmul and masked square root.
 """
 from __future__ import annotations
 
@@ -21,7 +22,7 @@ import itertools
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -53,16 +54,16 @@ class PsdMatrix:
     Construction symmetrizes inputs whose asymmetry is within SYM_TOL of
     the overall scale and rejects anything worse; it rejects matrices whose
     smallest eigenvalue is below -PSD_TOL * lambda_max (no projection), and
-    refuses with NumericalError ("overflow") a matrix whose symmetrized
-    entries or eigenvalues leave double range.  The one eigensolve that
+    refuses with NumericalError ("overflow") a matrix whose eigenvalues
+    leave double range.  The one eigensolve that
     check needs is kept as the rank-r eigenpairs: `eigenvalues`, the r
     largest, a Spectrum (an eigenvalue at or below RANK_TOL * lambda_max
     counts as zero and is dropped), and `vectors`, eigh's orthonormal
     columns for them, n x r, C-ordered and read-only.  The caller's array
     is copied once, and never written or kept; the library hands its own
-    arrays over as _Owned.  The checks and (a + a^T) / 2 then run in place
-    on that buffer, one (i <= j) block pair at a time, and it becomes the
-    read-only `entries` that eigh reads.
+    arrays over as _Owned.  The checks and (a + a^T) / 2 (a / 2 + a^T / 2
+    where the sum overflows) then run in place on that buffer, one (i <= j)
+    block pair at a time, and it becomes the read-only `entries` eigh reads.
     """
 
     entries: np.ndarray
@@ -78,18 +79,17 @@ class PsdMatrix:
         if not (math.isfinite(top) and math.isfinite(bottom)):
             raise ValidationError("matrix entries must be finite")
         asymmetry = 0.0
-        with np.errstate(over="ignore"):       # an overflow is refused below, not warned of
+        with np.errstate(over="ignore"):       # a block whose sum overflows is halved first
             for i, j in itertools.combinations_with_replacement(range(0, a.shape[0], _BLOCK), 2):
                 x, y = a[i : i + _BLOCK, j : j + _BLOCK], a[j : j + _BLOCK, i : i + _BLOCK]
                 d = np.subtract(x, y.T)
                 asymmetry = max(asymmetry, float(np.max(np.abs(d, out=d))))
-                x[...] = np.divide(np.add(x, y.T, out=d), 2.0, out=d)
-                y[...] = d.T
+                np.add(x, y.T, out=d)
+                x[...] = np.divide(d, 2.0, out=d) if np.isfinite(d).all() else x / 2.0 + y.T / 2.0
+                y[...] = x.T
         if asymmetry > SYM_TOL * max(top, -bottom, 1e-300):
             raise ValidationError(
                 f"matrix is not symmetric (max asymmetry {asymmetry:.3g})")
-        if not np.isfinite(a).all():
-            raise NumericalError("matrix entries overflow double precision when symmetrized")
         try:
             w, v = np.linalg.eigh(a)
         except np.linalg.LinAlgError as exc:
@@ -138,75 +138,67 @@ def optimal_error(spec: Spectrum, k: int) -> float:
     return spec.tail_sum(k)
 
 
-def _checked_subset(subset: Iterable[int], n: int) -> tuple[int, ...]:
-    s = tuple(sorted(checked_int(i, "subset index", 0, n - 1) for i in subset))
+def _checked_subset(subset: Iterable[int], n: int) -> np.ndarray:
+    """subset as a sorted 1 x k index array of distinct indices in 0..n-1, k >= 1."""
+    s = sorted(checked_int(i, "subset index", 0, n - 1) for i in subset)
     if len(s) == 0:
         raise ValidationError("subset must be nonempty")
     if len(set(s)) != len(s):
         raise ValidationError("subset indices must be distinct")
-    return s
+    return np.array([s], dtype=np.intp)
 
 
-def _subset_factor(
-    m: PsdMatrix, s: Sequence[int], floor: float
-) -> tuple[list[float], np.ndarray, np.ndarray]:
-    """Greedy left-looking pivoted Cholesky of M over the rows in s.
+def _subset_factor(m: PsdMatrix, s: np.ndarray, floor) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Greedy left-looking pivoted Cholesky of M over each row S of s, a b x k index array.
 
-    d starts as diag(M).  Each step pivots on the row i in s with the
-    largest residual diagonal d[i] and stops once that is at most floor;
-    it records the pivot d[i], appends the factor column
-    c = (M[:, i] - F F[i]^T) / sqrt(d[i]) to F and subtracts c*c from d,
-    which zeroes d[i]; d is clamped at zero.  Returns (pivots, d, F) with
-    F F^T = M[:, S] A^{-1} M[S, :] for A = M[S,S] when all |s| pivots
-    clear the floor, and d = diag(M - F F^T), zero on S.  The rows of
-    the symmetric entries serve as its columns.
+    Each step pivots row r on the first i in S with the largest residual
+    d[r, i] (d starts as diag M), records it, appends c = (M[i] - F F[i]^T)
+    / sqrt(d[r, i]) to F, subtracts c*c from d, zeroes d[r, i] and clamps
+    d at zero.  From its first pivot at or below its floor (a scalar, or
+    one per row) a row runs on masked: pivots and columns 0, d kept.
+    Returns pivots, d and F (b x k, b x n, b x n x k); where all k pivots
+    clear the floor, F F^T = M[:, S] M[S,S]^-1 M[S, :] and d = diag(M - F F^T).
     """
-    d = m.entries.diagonal().copy()
-    factor = np.empty((m.n, len(s)))
-    pivots: list[float] = []
-    for t in range(len(s)):
-        i = s[int(np.argmax(d.take(s)))]
-        if not d[i] > floor:
-            break
-        pivots.append(float(d[i]))
-        c = (m.entries[i] - factor[:, :t] @ factor[i, :t]) / math.sqrt(d[i])
-        factor[:, t] = c
+    (b, k), rows = s.shape, np.arange(len(s))
+    d = np.repeat(m.entries.diagonal()[None], b, axis=0)
+    pivots, factor, live = np.zeros((b, k)), np.zeros((b, m.n, k)), np.ones(b, dtype=bool)
+    for t in range(k):
+        i = s[rows, np.argmax(np.take_along_axis(d, s, axis=1), axis=1)]
+        p = d[rows, i]
+        live &= p > floor
+        pivots[live, t] = p[live]
+        c = m.entries[i] - np.matmul(factor[:, :, :t], factor[rows, i, :t, None])[:, :, 0]
+        root = np.sqrt(p, out=np.ones(b), where=live)[:, None]
+        factor[:, :, t] = c = np.divide(c, root, out=np.zeros_like(c), where=live[:, None])
         d -= c * c
-        d[i] = 0.0
-        np.maximum(d, 0.0, out=d)
-    return pivots, d, factor[:, : len(pivots)]
+        d[rows[live], i[live]] = 0.0
+        np.maximum(d, 0.0, out=d, where=live[:, None])
+    return pivots, d, factor
 
 
-def _skeleton(
-    m: PsdMatrix, subset: Iterable[int]
-) -> tuple[tuple[int, ...], np.ndarray, np.ndarray]:
-    """S, the residual diagonal d and the factor F of M on a nonsingular S.
-
-    NumericalError if S is singular: its pivoted Cholesky meets a pivot at
-    or below the floor, PIVOT_REL_TOL times the largest diagonal of
-    M[S,S].  A full subset gives d = 0 and an empty F without factoring.
-    """
-    s = _checked_subset(subset, m.n)
-    if len(s) == m.n:
-        return s, np.zeros(m.n), np.zeros((m.n, 0))
-    floor = PIVOT_REL_TOL * max(float(np.max(m.entries.diagonal().take(s))), 0.0)
-    pivots, d, factor = _subset_factor(m, s, floor)
-    if len(pivots) < len(s):
-        raise NumericalError(
-            f"pivot block is singular at step {len(pivots) + 1} of {len(s)}")
-    return s, d, factor
+def _skeleton(m: PsdMatrix, s: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """_subset_factor over each row S of s at the CUR floor, PIVOT_REL_TOL * max diag M[S,S];
+    NumericalError at the first S that is singular: it meets that floor."""
+    pivots, d, factor = _subset_factor(
+        m, s, PIVOT_REL_TOL * np.maximum(m.entries.diagonal()[s].max(axis=1), 0.0))
+    short = np.flatnonzero(~(pivots[:, -1] > 0.0))
+    if short.size:
+        step = np.count_nonzero(pivots[short[0]]) + 1
+        raise NumericalError(f"pivot block is singular at step {step} of {s.shape[1]}")
+    return pivots, d, factor
 
 
 def cur_approximation(m: PsdMatrix, subset: Iterable[int]) -> np.ndarray:
     """Skeleton approximation keeping the rows/columns in subset exactly.
 
-    A read-only array, not a PsdMatrix: it is PSD by construction.
+    A read-only array, not a PsdMatrix: it is PSD by construction (M for a full subset).
     """
-    s, _, factor = _skeleton(m, subset)
+    s = _checked_subset(subset, m.n)
     comp = np.setdiff1d(np.arange(m.n), s)
     out = m.entries.copy()
-    w = factor[comp]
-    out[np.ix_(comp, comp)] = w @ w.T
+    if comp.size:
+        w = _skeleton(m, s)[2][0, comp]
+        out[np.ix_(comp, comp)] = w @ w.T
     out.flags.writeable = False
     return out
 
@@ -216,9 +208,9 @@ def cur_error_nuclear(m: PsdMatrix, subset: Iterable[int]) -> float:
 
     inf, without a warning, when the trace overflows double precision.
     """
-    d = _skeleton(m, subset)[1]
+    s = _checked_subset(subset, m.n)
     with np.errstate(over="ignore"):
-        return float(np.sum(d))
+        return 0.0 if s.size == m.n else float(np.sum(_skeleton(m, s)[1]))
 
 
 def _data_array(data: np.ndarray) -> np.ndarray:

@@ -8,7 +8,8 @@ subset has the exact closed form
 
 where c_j is the sum of j x j principal minors (equivalently e_j of the
 eigenvalues).  This module provides that formula, a brute-force
-enumeration oracle for it, an exact sampler, and a Monte Carlo estimate.
+enumeration oracle for it and a Monte Carlo estimate, both factoring
+their subsets in batches (_factor_rows), and an exact sampler.
 
 Given the matrix's eigenpairs, a draw costs O(r) to choose its k
 eigenvectors and O(k^3 log k) on average for its projection DPP: k H_k
@@ -35,7 +36,7 @@ import numpy as np
 
 from .errors import CapExceededError, NumericalError, checked_int
 from .esp import esp_marginals, esp_ratio
-from .psd import PIVOT_REL_TOL, PsdMatrix, _subset_factor, cur_error_nuclear
+from .psd import PIVOT_REL_TOL, PsdMatrix, _skeleton, _subset_factor
 from .spectra import Spectrum
 
 __all__ = [
@@ -77,7 +78,7 @@ def enumerate_distribution(m: PsdMatrix, k: int) -> VolumeDistribution:
     sums to the CUR error.  A pivot at or below PIVOT_REL_TOL * lambda_max
     counts the minor as singular: weight zero and error zero (it is never
     drawn).  Refuses k above the rank of m and more than ENUMERATION_CAP
-    subsets before it factors any.
+    subsets before it factors any, and weights summing past double range.
     """
     k = _within_rank(m, checked_int(k, "k", 1, m.n))
     count = math.comb(m.n, k)
@@ -85,28 +86,32 @@ def enumerate_distribution(m: PsdMatrix, k: int) -> VolumeDistribution:
         raise CapExceededError(
             f"C({m.n},{k}) = {count} subsets exceeds the enumeration cap "
             f"{ENUMERATION_CAP}; use sample_subsets instead")
-    floor = PIVOT_REL_TOL * m.lambda_max
     subsets = tuple(combinations(range(m.n), k))
-    weights = np.zeros(count)
-    errors = np.zeros(count)
-    for idx, s in enumerate(subsets):
-        pivots, d, _ = _subset_factor(m, s, floor)
-        if len(pivots) < k:
-            continue
-        weights[idx] = math.prod(pivots)
-        errors[idx] = float(np.sum(d))
-    normalizer = float(weights.sum())
+    pivots, sums = _factor_rows(lambda rows: _subset_factor(m, rows, PIVOT_REL_TOL * m.lambda_max),
+                                np.array(subsets, dtype=np.intp), m.n)
+    with np.errstate(over="ignore"):     # an overflowing weight is refused below, not warned of
+        weights = pivots.prod(axis=1)    # 0 where a pivot met the floor
+        normalizer = float(weights.sum())
+    if not math.isfinite(normalizer):
+        raise NumericalError(
+            f"c_{k}, the sum of the {k}-subset volumes, overflows double precision")
     if normalizer <= 0.0:
         raise NumericalError(
             f"every {k}-subset meets a pivot at or below {PIVOT_REL_TOL:g} * lambda_max")
-    return VolumeDistribution(
-        k=k,
-        subsets=subsets,
-        weights=weights,
-        normalizer=normalizer,
-        probabilities=weights / normalizer,
-        errors=errors,
-    )
+    return VolumeDistribution(k=k, subsets=subsets, weights=weights, normalizer=normalizer,
+                              probabilities=weights / normalizer,
+                              errors=np.where(pivots[:, -1] > 0.0, sums, 0.0))
+
+
+def _factor_rows(factor: Callable, s: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Pivots and summed d of factor(rows) -> (pivots, d, F) over s, chunked under _CHUNK_BYTES."""
+    chunk = max(1, _CHUNK_BYTES // (8 * n * (s.shape[1] + 6)))
+    pivots, sums = np.empty(s.shape), np.empty(len(s))
+    with np.errstate(over="ignore"):
+        for lo in range(0, len(s), chunk):
+            pivots[lo : lo + chunk], d, _ = factor(s[lo : lo + chunk])
+            sums[lo : lo + chunk] = d.sum(axis=1)
+    return pivots, sums
 
 
 def _within_rank(m: PsdMatrix, k: int) -> int:
@@ -305,9 +310,9 @@ def expected_error_exact(spec: Spectrum, k: int) -> float:
 def empirical_error(
     m: PsdMatrix, k: int, draws: int, seed: int
 ) -> tuple[float, float]:
-    """Monte Carlo estimate of the expected CUR error: (mean, stderr)."""
-    subsets = sample_subsets(m, k, draws, seed)
-    errors = np.array([cur_error_nuclear(m, s) for s in subsets])
+    """Monte Carlo estimate of the expected CUR error, cur_error_nuclear's: (mean, stderr)."""
+    s = np.array(sample_subsets(m, k, draws, seed), dtype=np.intp)
+    errors = _factor_rows(lambda rows: _skeleton(m, rows), s, m.n)[1]
     mean = float(errors.mean())
     stderr = float(errors.std(ddof=1) / math.sqrt(draws)) if draws > 1 else 0.0
     return mean, stderr

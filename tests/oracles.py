@@ -119,6 +119,34 @@ def nuclear_norm_svd(a: np.ndarray) -> float:
     return float(np.linalg.svd(a, compute_uv=False).sum())
 
 
+def subset_factor(m: np.ndarray, s, floor: float) -> tuple[list[float], np.ndarray, np.ndarray]:
+    """One subset's greedy left-looking pivoted Cholesky, one step at a time: the referee
+    of the batched kernel volcur.psd._subset_factor.
+
+    d starts as diag(m).  Each step pivots on the row i in s with the
+    largest residual diagonal d[i] (the first of equals) and stops once that
+    is at most floor; it records the pivot d[i], appends the factor column
+    c = (m[i] - F F[i]^T) / sqrt(d[i]) to F and subtracts c*c from d,
+    which zeroes d[i]; d is clamped at zero.  Returns (pivots, d, F), F
+    with one column per pivot.
+    """
+    n = m.shape[0]
+    d = m.diagonal().copy()
+    factor = np.empty((n, len(s)))
+    pivots: list[float] = []
+    for t in range(len(s)):
+        i = s[int(np.argmax(d.take(s)))]
+        if not d[i] > floor:
+            break
+        pivots.append(float(d[i]))
+        c = (m[i] - factor[:, :t] @ factor[i, :t]) / math.sqrt(d[i])
+        factor[:, t] = c
+        d -= c * c
+        d[i] = 0.0
+        np.maximum(d, 0.0, out=d)
+    return pivots, d, factor[:, : len(pivots)]
+
+
 def cur_pinv(m: np.ndarray, subset) -> np.ndarray:
     """Skeleton approximation by the pseudoinverse formula C A^+ C^T."""
     s = sorted(subset)

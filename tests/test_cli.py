@@ -1,4 +1,5 @@
 import ast
+import dataclasses
 import gc
 import io
 import math
@@ -376,10 +377,10 @@ class TestVerifyCommand:
         calls = []
         factor = volcur.sampling._subset_factor
         monkeypatch.setattr(volcur.sampling, "_subset_factor",
-                            lambda *args: calls.append(1) or factor(*args))
+                            lambda m, s, floor: calls.append(s.shape) or factor(m, s, floor))
         code, out, _ = run_cli(["verify", "--input", str(path), "--k", "1..4"], capsys)
         assert code == 0 and out.endswith("verify: PASS\n")
-        assert len(calls) == sum(math.comb(8, k) for k in range(1, 5))
+        assert calls == [(math.comb(8, k), k) for k in range(1, 5)]   # one batch per k
 
     def test_k_range_end_is_checked_before_any_enumeration(self, tmp_path, capsys,
                                                           monkeypatch):
@@ -433,6 +434,38 @@ class TestVerifyCommand:
         code, out, _ = run_cli(["verify", "--input", str(p), "--k", "2"], capsys)
         assert code == 0
         assert out.strip().splitlines()[-1] == "verify: PASS"
+
+    @pytest.mark.filterwarnings("error")
+    def test_answers_where_c_k_is_finite(self, tmp_path, capsys):
+        # c_2 = 6e400 overflows, but k = 1 reads only c_1 and the ratio e_2 / e_1
+        p = tmp_path / "d200.txt"
+        np.savetxt(p, np.diag([1e200] * 4))
+        code, out, err = run_cli(["verify", "--input", str(p), "--k", "1"], capsys)
+        assert (code, err) == (0, "")
+        assert float(out.split("exact=")[1].split()[0]) == pytest.approx(3e200, rel=1e-15)
+        assert out.splitlines()[-1] == "verify: PASS"
+
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_c_k_is_one_error_line_naming_k(self, tmp_path, capsys):
+        p = tmp_path / "d200.txt"
+        np.savetxt(p, np.diag([1e200] * 4))
+        assert run_cli(["verify", "--input", str(p), "--k", "1..2"], capsys) == (
+            2, "", "error: c_k at k = 2 overflows double precision\n")
+
+    def test_fail_branch_exits_2(self, tmp_path, capsys, monkeypatch):
+        path = tmp_path / "m5.txt"
+        np.savetxt(path, random_psd(np.random.default_rng(5), 5, 5), fmt="%.17g")
+        enumerate_distribution = volcur.cli.enumerate_distribution
+
+        def off_by_1e6(m, k):
+            dist = enumerate_distribution(m, k)
+            return dataclasses.replace(dist, errors=dist.errors * (1.0 + 1e-6))
+        monkeypatch.setattr(volcur.cli, "enumerate_distribution", off_by_1e6)
+        code, out, err = run_cli(["verify", "--input", str(path), "--k", "1..2"], capsys)
+        assert (code, err) == (2, "")
+        assert out.splitlines()[-1] == "verify: FAIL"
+        assert all(float(line.split("rel_err=")[1].split()[0]) > 1e-7
+                   for line in out.splitlines()[:-1])
 
 
 class TestFigureCommand:
@@ -533,11 +566,21 @@ class TestErrorPaths:
     def test_overflowing_matrix_is_one_error_line(self, tmp_path, capsys):
         p = tmp_path / "big.txt"
         p.write_text("1e308 1e308\n1e308 1e308\n")
-        message = "error: matrix entries overflow double precision when symmetrized\n"
+        message = "error: matrix eigenvalues overflow double precision\n"
         for command in ("approx", "sample", "verify"):
             assert run_cli([command, "--input", str(p), "--k", "1"], capsys) == (2, "", message)
         proc = python_dash_m(["sample", "--input", str(p), "--k", "1"])
         assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", message)
+
+    @pytest.mark.filterwarnings("error")
+    def test_gram_entry_whose_double_overflows_is_answered(self, tmp_path, capsys):
+        # X^T X = diag(9.025e307, 1): 2 * 9.025e307 overflows, so that block
+        # is symmetrized by halves, and the eigenvalue 9.025e307 is finite
+        p = tmp_path / "x.txt"
+        p.write_text("9.5e153 0\n0 1\n")
+        code, out, err = run_cli(["approx", "--input", str(p), "--gram", "--k", "1"], capsys)
+        assert (code, err) == (0, "")
+        assert out.splitlines()[0] in ("subset,1", "subset,2")
 
     def test_overflowing_approx_summary_is_one_error_line(self, tmp_path, capsys):
         # each entry is finite when symmetrized, but the Schur complement's trace is not
@@ -584,7 +627,8 @@ class TestErrorPaths:
          (volcur.cli, "sample_subsets", lambda m, k, draws, seed: [(0, 1)]), 2,
          "pivot block is singular at step 2 of 2"),
         (["verify", "--input", "{eye3}", "--k", "1"],
-         (volcur.sampling, "_subset_factor", lambda m, s, floor: ([], None, None)), 2,
+         (volcur.sampling, "_subset_factor",
+          lambda m, s, floor: (np.zeros(s.shape), np.zeros((len(s), m.n)), None)), 2,
          "every 1-subset meets a pivot at or below 1e-14 * lambda_max"),
         (["sample", "--input", "{ones3}", "--k", "2"], None, 2,
          "cannot volume-sample 2 columns from a rank-1 matrix"),
@@ -986,3 +1030,48 @@ class TestModuleEntryPoint:
                    and ast.unparse(node.test) == "__name__ == '__main__'"]
         assert ast.unparse(block).splitlines()[1:] == [f"    {name}()"]
         assert callable(getattr(volcur.cli, name))
+
+
+class TestUnreachedRefusals:
+    """Refusals that no other test reaches: the exit code and the one stderr line."""
+
+    @pytest.mark.parametrize("argv, message", [
+        (["ratio", "--spectrum", "geom:q=0.5,n=8", "--k", "5..3"], "empty k range '5..3'"),
+        (["bounds", "--spectrum", "geom:q=0.5,n=8", "--mu", "geom:q=0.5,n=8", "--k", "1"],
+         "--mu must be a dyadic generator spec"),
+        (["approx", "--k", "1"], "this command requires --input <matrix file>"),
+        (["approx", "--input", "{eye2}", "--gram", "--kernel", "rbf", "--sigma", "1",
+          "--k", "1"], "--gram and --kernel are mutually exclusive"),
+        (["figure", "--spectrum", "geom:q=0.5,n=8", "--k", "1"], "figure requires --mu (dyadic)"),
+        (["ratio", "--input", "{empty}", "--k", "1"], "spectrum file {empty} is empty"),
+        (["ratio", "--spectrum", "geom:q", "--k", "1"], "malformed generator parameter 'q'"),
+        (["ratio", "--spectrum", "geom:q=x,n=3", "--k", "1"],
+         "malformed generator spec 'geom:q=x,n=3': could not convert string to float: 'x'"),
+        (["approx", "--input", "{nan}", "--k", "1"], "matrix entries must be finite"),
+    ], ids=["empty-k-range", "non-dyadic-mu", "no-input", "gram-and-kernel", "figure-no-mu",
+            "empty-spectrum-file", "parameter-without-value", "non-numeric-parameter",
+            "nan-matrix-entry"])
+    def test_exits_1_with_one_error_line(self, argv, message, tmp_path, capsys):
+        files = {"eye2": tmp_path / "eye2.txt", "empty": tmp_path / "empty.txt",
+                 "nan": tmp_path / "nan.txt"}
+        np.savetxt(files["eye2"], np.eye(2))
+        files["empty"].write_text("")
+        files["nan"].write_text("nan 1\n1 1\n")
+        argv = [arg.format(**files) for arg in argv]
+        assert run_cli(argv, capsys) == (1, "", f"error: {message.format(**files)}\n")
+
+    def test_tail_of_zeros_prints_what_the_head_alone_prints(self, tmp_path, capsys,
+                                                             monkeypatch):
+        # past 65536 entries the tail is scanned only to the order _tail_order
+        # certifies; a tail of zeros sums to 0, which needs order 0
+        values = np.concatenate([1.0 / np.arange(1, 65537) ** 2, np.zeros(4464)])
+        long, head = tmp_path / "long.txt", tmp_path / "head.txt"
+        np.savetxt(long, values, fmt="%.17g")
+        np.savetxt(head, values[:65536], fmt="%.17g")
+        totals, tail_order = [], volcur.esp._tail_order
+        monkeypatch.setattr(volcur.esp, "_tail_order",
+                            lambda h, total: totals.append(total) or tail_order(h, total))
+        argv = ["expected-error", "--k", "1..64", "--input"]
+        answer = run_cli(argv + [str(long)], capsys)
+        assert totals == [0.0]
+        assert answer[0] == 0 and answer == run_cli(argv + [str(head)], capsys)

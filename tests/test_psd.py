@@ -1,4 +1,5 @@
 import warnings
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from oracles import (
     nuclear_norm_svd,
     random_psd,
     rbf_kernel_expression,
+    subset_factor,
 )
 from volcur import (
     NumericalError,
@@ -24,7 +26,7 @@ from volcur import (
     rbf_kernel_matrix,
     read_array,
 )
-from volcur.psd import PIVOT_REL_TOL, _subset_factor
+from volcur.psd import PIVOT_REL_TOL, _skeleton, _subset_factor
 
 
 def rel_err(a: float, b: float) -> float:
@@ -59,16 +61,27 @@ class TestPsdMatrix:
             PsdMatrix(np.zeros((0, 0)))
 
     @pytest.mark.parametrize("a, message", [
-        (np.full((2, 2), 1e308), "^matrix entries overflow double precision when symmetrized$"),
+        (np.full((2, 2), 1e308), "^matrix eigenvalues overflow double precision$"),
         (np.full((3, 3), 8.9e307), "^matrix eigenvalues overflow double precision$"),
     ], ids=["entries", "eigenvalues"])
     def test_refuses_overflow_without_a_warning(self, a, message):
-        # 1e308 + 1e308 overflows in (x + y^T) / 2; 8.9e307 * 2 does not,
-        # but the 3 x 3 matrix's eigenvalue 2.67e308 does
+        # 1e308 + 1e308 overflows in (x + y^T) / 2, so that block is
+        # symmetrized as x/2 + y^T/2, and the eigenvalue 2e308 is refused;
+        # 8.9e307 * 2 does not, but the 3 x 3 matrix's eigenvalue 2.67e308 does
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(NumericalError, match=message):
                 PsdMatrix(a)
+
+    def test_entries_whose_sum_overflows_are_symmetrized_by_halves(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            m = PsdMatrix(np.diag([1e308, 1.0]))
+            g = gram_matrix(np.array([[9.5e153, 0.0], [0.0, 1.0]]))
+        assert np.array_equal(m.entries, np.diag([1e308, 1.0]))
+        assert m.lambda_max == 1e308 and m.rank == 1    # 1 is below RANK_TOL * 1e308
+        assert g.entries[0, 0] == 9.5e153 ** 2
+        assert g.lambda_max == pytest.approx(9.025e307, rel=1e-15)
 
     def test_largest_entries_short_of_overflow_are_kept(self):
         m = PsdMatrix(np.diag([8e307, 4e307]))
@@ -235,13 +248,16 @@ class TestPartitionAndSchur:
 
 
 def greedy_factor(m: np.ndarray):
-    """The greedy subset factor over all rows of m, at the CUR floor.
+    """The kernel over all rows of m, as a batch of one row, at the CUR floor.
 
-    Returns (pivots, F); F F^T is m up to a residual at or below the floor.
+    Returns (pivots, F) up to the first pivot at or below the floor; F F^T
+    is m up to a residual at or below the floor.
     """
     floor = PIVOT_REL_TOL * max(float(m.diagonal().max()), 0.0)
-    pivots, _, factor = _subset_factor(PsdMatrix(m), np.arange(m.shape[0]), floor)
-    return np.array(pivots), factor
+    pivots, _, factor = _subset_factor(PsdMatrix(m), np.arange(m.shape[0])[None], floor)
+    count = np.count_nonzero(pivots[0])
+    assert not factor[0, :, count:].any()       # masked past the floor
+    return pivots[0, :count], factor[0, :, :count]
 
 
 class TestPivotedCholesky:
@@ -285,17 +301,64 @@ class TestPivotedCholesky:
 
     def test_residual_diagonal_and_stop(self):
         # d leaves as diag(M - F F^T), zero on the chosen rows; a pivot at
-        # the floor stops the factor
+        # the floor stops the factor, and the row runs on masked
         m = random_psd(np.random.default_rng(20), 6, 6)
-        pivots, d, factor = _subset_factor(PsdMatrix(m), (4, 1), 0.0)
-        assert factor.shape == (6, 2)
+        pivots, d, factor = _subset_factor(PsdMatrix(m), np.array([(4, 1)]), 0.0)
+        assert (pivots.shape, d.shape, factor.shape) == ((1, 2), (1, 6), (1, 6, 2))
+        (pivots,), (d,), (factor,) = pivots, d, factor
         assert pivots[0] == max(m[4, 4], m[1, 1])
         assert rel_err(pivots[0] * pivots[1], float(np.linalg.det(m[np.ix_([4, 1], [4, 1])]))) < 1e-12
         assert np.array_equal(d[[4, 1]], [0.0, 0.0])
         assert np.allclose(d, np.diag(m - factor @ factor.T), atol=1e-12 * m.max())
-        stopped, d, factor = _subset_factor(PsdMatrix(m), (4, 1), pivots[1])
-        assert stopped == pivots[:1]
-        assert factor.shape == (6, 1)
+        stopped, _, cut = _subset_factor(PsdMatrix(m), np.array([(4, 1)]), pivots[1])
+        assert stopped.tolist() == [[pivots[0], 0.0]]
+        assert np.array_equal(cut[0, :, 0], factor[:, 0]) and not cut[0, :, 1].any()
+
+
+class TestBatchedKernel:
+    """The batched kernel against the one-subset referee oracles.subset_factor."""
+
+    @pytest.mark.parametrize("matrix", ["full-rank", "rank-3", "negative-diagonal"])
+    @pytest.mark.parametrize("floors", ["enumeration", "cur"])
+    def test_every_subset_matches_the_referee(self, matrix, floors):
+        rng = np.random.default_rng(31)
+        if matrix == "negative-diagonal":
+            # PSD within PSD_TOL; the subset {7} meets its floor at step 1 and keeps d[7] < 0
+            a = np.zeros((8, 8))
+            a[:7, :7] = random_psd(rng, 7, 7)
+            a[7, 7] = -1e-12 * a.max()
+        else:
+            a = random_psd(rng, 8, 8 if matrix == "full-rank" else 3)
+        m = PsdMatrix(a)
+        stopped = 0
+        for k in range(1, 9):
+            s = np.array(list(combinations(range(8), k)))
+            floor = (PIVOT_REL_TOL * m.lambda_max if floors == "enumeration" else
+                     PIVOT_REL_TOL * np.maximum(m.entries.diagonal()[s].max(axis=1), 0.0))
+            pivots, d, factor = _subset_factor(m, s, floor)
+            assert (pivots.shape, d.shape, factor.shape) == ((len(s), k), (len(s), 8),
+                                                             (len(s), 8, k))
+            for row, subset in enumerate(s):
+                want, want_d, want_f = subset_factor(m.entries, tuple(subset),
+                                                     np.broadcast_to(floor, len(s))[row])
+                t = len(want)                # the step at which the row met its floor, or k
+                stopped += t < k
+                assert pivots[row, :t].tolist() == want and not pivots[row, t:].any()
+                assert np.array_equal(d[row], want_d)
+                assert np.array_equal(factor[row, :, :t], want_f)
+                assert not factor[row, :, t:].any()
+        assert (stopped > 0) == (matrix != "full-rank")
+
+    def test_batch_size_keeps_the_bits_at_n1000(self, spd1000):
+        m = load_matrix(spd1000)
+        rng = np.random.default_rng(50)
+        s = np.array([np.sort(rng.choice(1000, 50, replace=False)) for _ in range(5)])
+        together = _skeleton(m, s)                 # at the CUR floor, each row alone
+        assert np.all(together[0][:, -1] > 0.0)
+        for row in range(5):
+            alone = _skeleton(m, s[row : row + 1])
+            for a, b in zip(alone, together):
+                assert np.array_equal(a[0], b[row])
 
 
 class TestCurReferee:

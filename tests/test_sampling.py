@@ -105,6 +105,13 @@ class TestEnumerateDistribution:
                            match="^cannot volume-sample 2 columns from a rank-1 matrix$"):
             enumerate_distribution(m, 2)
 
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_volumes_raise(self):
+        # every 2-subset of diag(1e200 x 4) has volume 1e400
+        with pytest.raises(NumericalError, match="^c_2, the sum of the 2-subset volumes, "
+                                                 "overflows double precision$"):
+            enumerate_distribution(PsdMatrix(np.diag([1e200] * 4)), 2)
+
     def test_cap_exceeded(self):
         m = PsdMatrix(np.eye(50))
         with pytest.raises(CapExceededError):
