@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from .bounds import bound_reports, figure_rows
-from .errors import CapExceededError, NumericalError, ValidationError, VolcurError, checked_int
+from .errors import NumericalError, ValidationError, VolcurError, checked_int
 from .esp import _ratios_and_esps, esp_all, esp_ratios
 from .psd import (
     PsdMatrix,
@@ -27,7 +27,8 @@ from .psd import (
     rbf_kernel_matrix,
     read_array,
 )
-from .sampling import _within_rank, enumerate_distribution, expected_error_exact, sample_subsets
+from .sampling import (_enumeration_count, _within_rank, enumerate_distribution,
+                       expected_error_exact, sample_subsets)
 from .spectra import (
     PiecewiseDyadicSpectrum,
     Spectrum,
@@ -36,7 +37,6 @@ from .spectra import (
 )
 
 VERIFY_TOL = 1e-9
-VERIFY_MAX_N = 12
 
 
 class _Parser(argparse.ArgumentParser):
@@ -201,13 +201,11 @@ def cmd_sample(args) -> int:
 
 def cmd_verify(args) -> int:
     m = _resolve_matrix(args)
-    if m.n > VERIFY_MAX_N:
-        raise CapExceededError(
-            f"verify enumerates all subsets and is capped at n <= {VERIFY_MAX_N}; "
-            f"got n = {m.n}")
     ks = _parse_k_range(args.k, m.n - 1)
-    checked_int(ks[0], "k", 1)         # both ends, before enumerating any k
+    checked_int(ks[0], "k", 1)         # both ends, and every k's count, before enumerating any
     _within_rank(m, ks[-1])
+    for k in ks:
+        _enumeration_count(m.n, k)
     ratios, sums = _ratios_and_esps(m.eigenvalues, ks[-1])   # sums[k] = c_k, k x k minors
     ok, lines = True, []
     for k in ks:
@@ -296,12 +294,9 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except VolcurError as exc:
+    except (VolcurError, OSError) as exc:     # an OSError is an input problem: exit 1
         print(f"error: {exc}", file=sys.stderr)
-        return exc.exit_code
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return getattr(exc, "exit_code", 1)
 
 
 def run() -> None:

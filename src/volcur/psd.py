@@ -244,20 +244,24 @@ def _sq_distances(x: np.ndarray) -> np.ndarray:
 def rbf_kernel_matrix(data: np.ndarray, sigma: float) -> PsdMatrix:
     """Gaussian kernel exp(-|x_i - x_j|^2 / (2 sigma^2)) over sample rows.
 
-    Only where a squared distance or 2 sigma^2 overflows is it taken of the
-    data and sigma times 2^-e, e the least exact shift that keeps both in
-    range; a difference below about 2^-1020 of the larger of sigma and the
-    largest |entry| then turns subnormal.  Zero distances are not divided.
+    Where 2 sigma^2 underflows to 0 it is taken of the data and sigma times
+    2^-e with sigma 2^-e in [2^-481, 2^-480), where each d^2 that moves an
+    entry off 1 is normal; a d^2 that then overflows is refused.  Where it
+    or a d^2 overflows, e is the least exact shift that keeps both in range;
+    a difference below about 2^-1020 of the larger of sigma and the largest
+    |entry| then turns subnormal.  Zero distances are not divided.
     """
     if not sigma > 0.0:
         raise ValidationError("sigma must be positive")
-    if 2.0 * sigma * sigma == 0.0:
-        raise ValidationError(f"sigma = {sigma:g} is too small: 2 sigma^2 underflows to 0")
     x = _data_array(data)
+    e = math.frexp(sigma)[1] + 480 if 2.0 * sigma * sigma == 0.0 else 0
     # an overflowing sum is taken again scaled; a quotient's is -inf, whose exp 0 is the limit
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        k, e = _sq_distances(x), 0
+        k = _sq_distances(np.ldexp(x, -e) if e else x)
         if not (np.isfinite(k).all() and 2.0 * sigma * sigma < math.inf):
+            if e:
+                raise ValidationError(f"sigma = {sigma:g} is too small: 2 sigma^2 underflows "
+                                      "to 0 unless the data is scaled past double range")
             # |x 2^-e| < 2^t with 4 d 4^t <= 2^1023, and sigma 2^-e < 2^511
             t = (1021 - math.ceil(math.log2(max(x.shape[1], 1)))) // 2
             e = max(math.frexp(float(np.max(np.abs(x), initial=0.0)))[1] - t,

@@ -57,8 +57,7 @@ _REJECTIONS = 64           # a step fails after 64 k rejections in a row (chance
 class VolumeDistribution:
     """Exhaustive volume-sampling distribution over size-k subsets."""
 
-    k: int
-    subsets: tuple[tuple[int, ...], ...]
+    subsets: np.ndarray        # C(n,k) x k read-only intp, rows in lexicographic order
     weights: np.ndarray        # det M[S,S] per subset
     normalizer: float          # sum of weights = c_k(M)
     probabilities: np.ndarray
@@ -81,16 +80,12 @@ def enumerate_distribution(m: PsdMatrix, k: int) -> VolumeDistribution:
     subsets before it factors any, and weights summing past double range.
     """
     k = _within_rank(m, checked_int(k, "k", 1, m.n))
-    count = math.comb(m.n, k)
-    if count > ENUMERATION_CAP:
-        raise CapExceededError(
-            f"C({m.n},{k}) = {count} subsets exceeds the enumeration cap "
-            f"{ENUMERATION_CAP}; use sample_subsets instead")
-    subsets = tuple(combinations(range(m.n), k))
-    pivots, sums = _factor_rows(lambda rows: _subset_factor(m, rows, PIVOT_REL_TOL * m.lambda_max),
-                                np.array(subsets, dtype=np.intp), m.n)
-    with np.errstate(over="ignore"):     # an overflowing weight is refused below, not warned of
-        weights = pivots.prod(axis=1)    # 0 where a pivot met the floor
+    count = _enumeration_count(m.n, k)
+    subsets = np.fromiter(combinations(range(m.n), k), np.dtype((np.intp, (k,))), count)
+    subsets.flags.writeable = False
+    weights, sums = _factor_rows(lambda rows: _subset_factor(m, rows, PIVOT_REL_TOL * m.lambda_max),
+                                 subsets, m.n)
+    with np.errstate(over="ignore"):     # an overflowing sum is refused below, not warned of
         normalizer = float(weights.sum())
     if not math.isfinite(normalizer):
         raise NumericalError(
@@ -98,20 +93,20 @@ def enumerate_distribution(m: PsdMatrix, k: int) -> VolumeDistribution:
     if normalizer <= 0.0:
         raise NumericalError(
             f"every {k}-subset meets a pivot at or below {PIVOT_REL_TOL:g} * lambda_max")
-    return VolumeDistribution(k=k, subsets=subsets, weights=weights, normalizer=normalizer,
+    return VolumeDistribution(subsets=subsets, weights=weights, normalizer=normalizer,
                               probabilities=weights / normalizer,
-                              errors=np.where(pivots[:, -1] > 0.0, sums, 0.0))
+                              errors=np.where(weights > 0.0, sums, 0.0))
 
 
 def _factor_rows(factor: Callable, s: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Pivots and summed d of factor(rows) -> (pivots, d, F) over s, chunked under _CHUNK_BYTES."""
+    """Pivot products and summed d of factor(rows) -> (pivots, d, F) over s, in chunks."""
     chunk = max(1, _CHUNK_BYTES // (8 * n * (s.shape[1] + 6)))
-    pivots, sums = np.empty(s.shape), np.empty(len(s))
+    products, sums = np.empty(len(s)), np.empty(len(s))
     with np.errstate(over="ignore"):
         for lo in range(0, len(s), chunk):
-            pivots[lo : lo + chunk], d, _ = factor(s[lo : lo + chunk])
-            sums[lo : lo + chunk] = d.sum(axis=1)
-    return pivots, sums
+            pivots, d, _ = factor(s[lo : lo + chunk])
+            products[lo : lo + chunk], sums[lo : lo + chunk] = pivots.prod(axis=1), d.sum(axis=1)
+    return products, sums
 
 
 def _within_rank(m: PsdMatrix, k: int) -> int:
@@ -120,6 +115,14 @@ def _within_rank(m: PsdMatrix, k: int) -> int:
         raise NumericalError(
             f"cannot volume-sample {k} columns from a rank-{m.rank} matrix")
     return k
+
+
+def _enumeration_count(n: int, k: int) -> int:
+    """C(n, k), refused above ENUMERATION_CAP before any subset is built."""
+    if (count := math.comb(n, k)) > ENUMERATION_CAP:
+        raise CapExceededError(f"enumerating all C({n},{k}) = {count} subsets exceeds "
+                               f"the enumeration cap of {ENUMERATION_CAP}")
+    return count
 
 
 def _window(k: int) -> int:
@@ -307,9 +310,7 @@ def expected_error_exact(spec: Spectrum, k: int) -> float:
     return (k + 1) * esp_ratio(spec, k)
 
 
-def empirical_error(
-    m: PsdMatrix, k: int, draws: int, seed: int
-) -> tuple[float, float]:
+def empirical_error(m: PsdMatrix, k: int, draws: int, seed: int) -> tuple[float, float]:
     """Monte Carlo estimate of the expected CUR error, cur_error_nuclear's: (mean, stderr)."""
     s = np.array(sample_subsets(m, k, draws, seed), dtype=np.intp)
     errors = _factor_rows(lambda rows: _skeleton(m, rows), s, m.n)[1]

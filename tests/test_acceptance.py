@@ -233,12 +233,13 @@ def test_criterion_7_sampler_distribution():
     for mat, k, seed in configs:
         m = PsdMatrix(mat)
         dist = enumerate_distribution(m, k)
-        counts = dict.fromkeys(dist.subsets, 0)
+        subsets = list(map(tuple, dist.subsets.tolist()))
+        counts = dict.fromkeys(subsets, 0)
         sampled = sample_subsets(m, k, draws, seed=seed)
         for s in sampled:
             counts[s] += 1
         tv = 0.5 * sum(abs(counts[s] / draws - p)
-                       for s, p in zip(dist.subsets, dist.probabilities))
+                       for s, p in zip(subsets, dist.probabilities))
         worst_tv = max(worst_tv, tv)
 
         again = sample_subsets(m, k, 500, seed=seed)

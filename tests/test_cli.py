@@ -394,13 +394,25 @@ class TestVerifyCommand:
         assert (code, out, err) == (1, "", f"error: k must be at most 11, got {10**18}\n")
         assert calls == []
 
-    def test_size_cap(self, tmp_path, capsys):
-        p = tmp_path / "big.txt"
-        n = 13
-        p.write_text("\n".join(
-            " ".join(str(float(i == j)) for j in range(n)) for i in range(n)) + "\n")
-        code, _, err = run_cli(["verify", "--input", str(p), "--k", "1"], capsys)
-        assert code == 3 and "n <= 12" in err
+    @pytest.mark.parametrize("n, k", [(13, "1..12"), (20, "1..2")])
+    def test_n_past_twelve_passes_within_the_enumeration_cap(self, n, k, tmp_path, capsys):
+        path = tmp_path / "m.txt"
+        np.savetxt(path, random_psd(np.random.default_rng(n), n, n), fmt="%.17g")
+        code, out, err = run_cli(["verify", "--input", str(path), "--k", k], capsys)
+        assert (code, err) == (0, "") and out.endswith("verify: PASS\n")
+
+    @pytest.mark.parametrize("k, first", [("15", "C(30,15) = 155117520"),
+                                          ("1..15", "C(30,7) = 2035800")], ids=["15", "1..15"])
+    def test_size_cap(self, k, first, tmp_path, capsys, monkeypatch):
+        # every k is counted before any is enumerated; the first past the cap is named
+        path = tmp_path / "m30.txt"
+        np.savetxt(path, random_psd(np.random.default_rng(30), 30, 30), fmt="%.17g")
+        calls = []
+        monkeypatch.setattr(volcur.sampling, "_subset_factor", lambda *args: calls.append(args))
+        code, out, err = run_cli(["verify", "--input", str(path), "--k", k], capsys)
+        assert (code, out) == (3, "")
+        assert err == f"error: enumerating all {first} subsets exceeds the enumeration cap of 1000000\n"
+        assert calls == []
 
     def test_k_above_rank_rejected(self, tmp_path, capsys):
         p = tmp_path / "r1.txt"
@@ -548,12 +560,23 @@ class TestErrorPaths:
             assert message in err, command
 
     def test_sigma_whose_square_underflows_is_one_error_line(self, tmp_path):
+        # 1e150 / 1e-200 = 1e350: no shift of the data keeps its square in range
         p = tmp_path / "pts.txt"
-        p.write_text("0.0\n1.0\n")
+        p.write_text("0.0\n1e-200\n1e150\n")
         proc = python_dash_m(["sample", "--input", str(p), "--kernel", "rbf",
-                              "--sigma", "1e-200", "--k", "1"])
+                              "--sigma", "1e-200", "--k", "1"], PYTHONWARNINGS="error")
         assert (proc.returncode, proc.stdout) == (1, "")
-        assert proc.stderr == "error: sigma = 1e-200 is too small: 2 sigma^2 underflows to 0\n"
+        assert proc.stderr == ("error: sigma = 1e-200 is too small: 2 sigma^2 underflows to 0 "
+                               "unless the data is scaled past double range\n")
+
+    def test_sigma_whose_square_underflows_answers_data_on_its_scale(self, tmp_path):
+        p = tmp_path / "pts.txt"
+        p.write_text("0.0\n1e-200\n")
+        proc = python_dash_m(["approx", "--input", str(p), "--kernel", "rbf",
+                              "--sigma", "1e-200", "--k", "2"], PYTHONWARNINGS="error")
+        assert (proc.returncode, proc.stderr) == (0, "")
+        entry = format(np.exp(-0.5), ".17g")
+        assert proc.stdout.splitlines()[-2:] == [f"1 {entry}", f"{entry} 1"]
 
     def test_subnormal_two_sigma_squared_is_silent(self, tmp_path):
         p = tmp_path / "pts.txt"

@@ -510,6 +510,10 @@ class TestGeometricClosedForm:
         assert esp_geometric_closed_form(0.5, 4, 0) == 1.0
         assert esp_geometric_closed_form(0.5, 4, 5) == 0.0
 
+    def test_q_outside_the_open_unit_interval_is_refused(self):
+        with pytest.raises(ValidationError, match="^q must lie strictly between 0 and 1$"):
+            esp_geometric_closed_form(1.5, 3, 1)
+
     def test_matches_recursion_on_grid(self):
         for q in (0.1, 0.5, 0.9, 0.99):
             for n in (1, 2, 3, 5, 8, 13, 21, 34):

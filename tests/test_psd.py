@@ -507,6 +507,12 @@ class TestConstructorsAndIo:
 
     @pytest.mark.parametrize("build", [gram_matrix, lambda x: rbf_kernel_matrix(x, 1.0)],
                              ids=["gram", "rbf"])
+    def test_data_must_be_two_dimensional(self, build):
+        with pytest.raises(ValidationError, match="^data array must be 2-D$"):
+            build(np.ones(3))
+
+    @pytest.mark.parametrize("build", [gram_matrix, lambda x: rbf_kernel_matrix(x, 1.0)],
+                             ids=["gram", "rbf"])
     def test_nonfinite_data_is_refused(self, build):
         for bad in (np.inf, np.nan):
             with pytest.raises(ValidationError, match="^data array entries must be finite$"):
@@ -577,8 +583,29 @@ class TestConstructorsAndIo:
     def test_rbf_rejects_bad_sigma(self):
         with pytest.raises(ValidationError):
             rbf_kernel_matrix(np.ones((2, 2)), 0.0)
-        with pytest.raises(ValidationError, match="^sigma = 1e-200 is too small"):
-            rbf_kernel_matrix(np.ones((2, 2)), 1e-200)
+        # 2 sigma^2 underflows, and 1e150 / 1e-200 squared leaves double range at any shift
+        with pytest.raises(ValidationError, match="^sigma = 1e-200 is too small: 2 sigma\\^2 "
+                                                  "underflows to 0 unless the data is scaled "
+                                                  "past double range$"):
+            rbf_kernel_matrix(np.array([[0.0], [1e-200], [1e150]]), 1e-200)
+
+    @pytest.mark.parametrize("points, sigma, want", [
+        ([0.0, 1e-200], 1e-200, np.exp(-0.5)),
+        ([3 * 2.0**-1040, 0.0], 2.0**-1040, np.exp(-4.5)),
+        ([1.0, 0.0], 1e-200, 0.0),             # exp(-5e399): the exact limit, as at sigma 1e-160
+    ], ids=["d = sigma", "subnormal sigma", "d = 1e200 sigma"])
+    def test_rbf_where_two_sigma_squared_underflows(self, points, sigma, want):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            m = rbf_kernel_matrix(np.array(points)[:, None], sigma)
+        assert m.entries[0, 1] == want and np.array_equal(np.diag(m.entries), [1.0, 1.0])
+
+    def test_rbf_shift_keeps_the_bits_of_sigma_one(self):
+        # sigma 2^-1000 and the data scaled alike: the kernel of sigma 1, bit for bit
+        x = np.random.default_rng(21).standard_normal((20, 3)) * 2.0 ** np.arange(-10, 10)[:, None]
+        want = rbf_kernel_matrix(x, 1.0).entries
+        got = rbf_kernel_matrix(np.ldexp(x, -1000), 2.0 ** -1000).entries
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
     def test_load_matrix_whitespace_and_commas(self, tmp_path):
         p = tmp_path / "m.txt"

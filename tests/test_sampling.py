@@ -31,13 +31,14 @@ class TestEnumerateDistribution:
     def test_diagonal_hand_case(self):
         m = PsdMatrix(np.diag([2.0, 1.0]))
         dist = enumerate_distribution(m, 1)
-        assert list(dist.subsets) == [(0,), (1,)]
+        assert dist.subsets.dtype == np.intp and not dist.subsets.flags.writeable
+        assert np.array_equal(dist.subsets, [[0], [1]])
         assert np.allclose(dist.probabilities, [2.0 / 3.0, 1.0 / 3.0], rtol=1e-14)
         assert dist.normalizer == pytest.approx(3.0)
 
     def test_identity_is_uniform(self):
         dist = enumerate_distribution(PsdMatrix(np.eye(4)), 2)
-        assert len(dist.subsets) == 6
+        assert np.array_equal(dist.subsets, list(combinations(range(4), 2)))
         assert np.allclose(dist.probabilities, 1.0 / 6.0, rtol=1e-12)
         assert dist.normalizer == pytest.approx(6.0)
 
@@ -90,7 +91,7 @@ class TestEnumerateDistribution:
         g = np.array([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
         m = PsdMatrix(g @ g.T)
         dist = enumerate_distribution(m, 2)
-        probs = dict(zip(dist.subsets, dist.probabilities))
+        probs = dict(zip(map(tuple, dist.subsets.tolist()), dist.probabilities))
         assert probs[(0, 1)] == 0.0
         assert probs[(0, 2)] > 0.0
 
@@ -112,9 +113,11 @@ class TestEnumerateDistribution:
                                                  "overflows double precision$"):
             enumerate_distribution(PsdMatrix(np.diag([1e200] * 4)), 2)
 
-    def test_cap_exceeded(self):
+    def test_cap_exceeded(self, monkeypatch):
         m = PsdMatrix(np.eye(50))
-        with pytest.raises(CapExceededError):
+        monkeypatch.setattr(volcur.sampling, "_subset_factor", None)   # never reached
+        with pytest.raises(CapExceededError, match=r"^enumerating all C\(50,10\) = 10272278170 "
+                                                   r"subsets exceeds the enumeration cap of 1000000$"):
             enumerate_distribution(m, 10)
 
     def test_k_validation(self):
@@ -164,6 +167,14 @@ class TestSampler:
                            match="^cannot volume-sample 3 columns from a rank-2 matrix$"):
             sample_subsets(m, 3, 1, seed=0)
 
+    def test_a_repeated_index_is_refused(self, monkeypatch):
+        # phase 2 returning one row twice: the draw has 1 distinct index, not 2
+        monkeypatch.setattr(volcur.sampling, "_projection_dpps",
+                            lambda vectors, sel, u, more: np.zeros_like(sel))
+        m = PsdMatrix(np.eye(3))
+        with pytest.raises(NumericalError, match="^a draw gave fewer than 2 distinct indices$"):
+            sample_subsets(m, 2, 1, seed=0)
+
     def test_k_validation(self):
         rng = np.random.default_rng(28)
         m = PsdMatrix(random_psd(rng, 4, 4))
@@ -176,11 +187,11 @@ class TestSampler:
         m = PsdMatrix(np.diag([3.0, 2.0, 1.0]))
         dist = enumerate_distribution(m, 1)
         draws = 20000
-        counts = {s: 0 for s in dist.subsets}
+        subsets = list(map(tuple, dist.subsets.tolist()))
+        counts = dict.fromkeys(subsets, 0)
         for s in sample_subsets(m, 1, draws, seed=77):
             counts[s] += 1
-        tv = 0.5 * sum(
-            abs(counts[s] / draws - p) for s, p in zip(dist.subsets, dist.probabilities))
+        tv = 0.5 * sum(abs(counts[s] / draws - p) for s, p in zip(subsets, dist.probabilities))
         assert tv < 0.02
 
     def test_deep_spectrum_draws_k_distinct_indices(self):

@@ -56,6 +56,10 @@ class TestMakeSpectrum:
         with pytest.raises(ValidationError):
             Spectrum(np.array([1.0, 2.0]))
 
+    def test_direct_construction_requires_one_dimension(self):
+        with pytest.raises(ValidationError, match="^spectrum must be one-dimensional$"):
+            Spectrum(np.ones((2, 2)))
+
     def test_direct_construction_copies(self):
         values = np.array([2.0, 1.0])
         s = Spectrum(values)
