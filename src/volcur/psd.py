@@ -233,41 +233,36 @@ def gram_matrix(data: np.ndarray) -> PsdMatrix:
     return PsdMatrix(_Owned(m))
 
 
-def _sq_distances(x: np.ndarray) -> np.ndarray:
-    """|x_i - x_j|^2 over sample rows, clipped at 0, in one n x n buffer."""
-    sq = np.sum(x * x, axis=1)
-    k = x @ x.T
-    k *= 2.0
-    return np.clip(np.subtract(np.add.outer(sq, sq), k, out=k), 0.0, None, out=k)
-
-
 def rbf_kernel_matrix(data: np.ndarray, sigma: float) -> PsdMatrix:
     """Gaussian kernel exp(-|x_i - x_j|^2 / (2 sigma^2)) over sample rows.
 
-    Where 2 sigma^2 underflows to 0 it is taken of the data and sigma times
-    2^-e with sigma 2^-e in [2^-481, 2^-480), where each d^2 that moves an
-    entry off 1 is normal; a d^2 that then overflows is refused.  Where it
-    or a d^2 overflows, e is the least exact shift that keeps both in range;
-    a difference below about 2^-1020 of the larger of sigma and the largest
-    |entry| then turns subnormal.  Zero distances are not divided.
+    The data and sigma are scaled by one exact power of two 2^-e, so that
+    s = sigma 2^-e lies in [1/2, 1) unless the data needs a larger e to keep
+    its sums of squares in range; where nothing under- or overflows, the
+    entries off the diagonal keep their unscaled bits, and the diagonal is 1.
+    ValidationError where 2 s^2 and the squared distance of two distinct
+    rows both underflow to 0.
     """
     if not sigma > 0.0:
         raise ValidationError("sigma must be positive")
     x = _data_array(data)
-    e = math.frexp(sigma)[1] + 480 if 2.0 * sigma * sigma == 0.0 else 0
-    # an overflowing sum is taken again scaled; a quotient's is -inf, whose exp 0 is the limit
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        k = _sq_distances(np.ldexp(x, -e) if e else x)
-        if not (np.isfinite(k).all() and 2.0 * sigma * sigma < math.inf):
-            if e:
-                raise ValidationError(f"sigma = {sigma:g} is too small: 2 sigma^2 underflows "
-                                      "to 0 unless the data is scaled past double range")
-            # |x 2^-e| < 2^t with 4 d 4^t <= 2^1023, and sigma 2^-e < 2^511
-            t = (1021 - math.ceil(math.log2(max(x.shape[1], 1)))) // 2
-            e = max(math.frexp(float(np.max(np.abs(x), initial=0.0)))[1] - t,
-                    math.frexp(sigma)[1] - 511)
-            k = _sq_distances(np.ldexp(x, -e))
-        s = math.ldexp(sigma, -e)
+    # |x 2^-e| < 2^t with 4 d 4^t <= 2^1023
+    t = (1021 - math.ceil(math.log2(max(x.shape[1], 1)))) // 2
+    e = max(math.frexp(sigma)[1], math.frexp(float(np.max(np.abs(x), initial=0.0)))[1] - t)
+    y, s = np.ldexp(x, -e), math.ldexp(sigma, -e)
+    sq = np.sum(y * y, axis=1)
+    k = y @ y.T
+    k *= 2.0
+    np.clip(np.subtract(np.add.outer(sq, sq), k, out=k), 0.0, None, out=k)
+    np.fill_diagonal(k, 0.0)     # |x_i - x_i|^2, where the sums can leave a residue
+    if 2.0 * s * s == 0.0:
+        row = np.unique(x, axis=0, return_inverse=True)[1].ravel()   # equal rows, one label
+        if ((k == 0.0) & (row[:, None] != row)).any():
+            raise ValidationError(f"sigma = {sigma:g} is too small for the data's range: scaled "
+                                  "to fit it, 2 sigma^2 and the squared distance of two "
+                                  "distinct points both underflow to 0")
+    # a quotient past range is -inf, whose exp 0 is the kernel's limit
+    with np.errstate(over="ignore", divide="ignore"):
         np.divide(k, -2.0 * s * s, out=k, where=k > 0.0)
     return PsdMatrix(_Owned(np.exp(k, out=k)))
 

@@ -315,11 +315,13 @@ def rbf_kernel_expression(x: np.ndarray, sigma: float) -> np.ndarray:
     """exp(-|x_i - x_j|^2 / (2 sigma^2)) as one numpy expression, unsymmetrized.
 
     The same operations in the same order as the library's in-place kernel,
-    which scales the data only where these sums or 2 sigma^2 overflow.
+    on the unscaled data.  The library's shift by a power of two is exact,
+    so wherever no intermediate underflows or overflows these are its bits.
     """
     sq = np.sum(x * x, axis=1)
     d2 = sq[:, None] + sq[None, :] - 2.0 * (x @ x.T)
     np.clip(d2, 0.0, None, out=d2)
+    np.fill_diagonal(d2, 0.0)
     return np.exp(-d2 / (2.0 * sigma * sigma))
 
 

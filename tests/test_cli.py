@@ -559,24 +559,40 @@ class TestErrorPaths:
             assert code == 1 and out == "", command
             assert message in err, command
 
-    def test_sigma_whose_square_underflows_is_one_error_line(self, tmp_path):
-        # 1e150 / 1e-200 = 1e350: no shift of the data keeps its square in range
+    # the shift that keeps the largest point in range takes the distance of 0
+    # and the next point, and 2 sigma^2, to 0 alike
+    @pytest.mark.parametrize("command, points, sigma", [
+        ("sample", "0.0\n1e-200\n1e150\n", "1e-200"),
+        ("approx", "0\n1e-100\n1e300\n", "1e-100"),
+        ("approx", "0\n1e-100\n1e300\n", "1e-160"),
+    ], ids=["0, 1e-200, 1e150", "0, 1e-100, 1e300 at 1e-100", "0, 1e-100, 1e300 at 1e-160"])
+    def test_sigma_whose_square_underflows_is_one_error_line(self, command, points, sigma,
+                                                             tmp_path):
         p = tmp_path / "pts.txt"
-        p.write_text("0.0\n1e-200\n1e150\n")
-        proc = python_dash_m(["sample", "--input", str(p), "--kernel", "rbf",
-                              "--sigma", "1e-200", "--k", "1"], PYTHONWARNINGS="error")
+        p.write_text(points)
+        proc = python_dash_m([command, "--input", str(p), "--kernel", "rbf",
+                              "--sigma", sigma, "--k", "1"], PYTHONWARNINGS="error")
         assert (proc.returncode, proc.stdout) == (1, "")
-        assert proc.stderr == ("error: sigma = 1e-200 is too small: 2 sigma^2 underflows to 0 "
-                               "unless the data is scaled past double range\n")
+        assert proc.stderr == (f"error: sigma = {sigma} is too small for the data's range: "
+                               "scaled to fit it, 2 sigma^2 and the squared distance of two "
+                               "distinct points both underflow to 0\n")
 
-    def test_sigma_whose_square_underflows_answers_data_on_its_scale(self, tmp_path):
+    # k is the kernel's rank, so the approximation printed is the kernel
+    @pytest.mark.parametrize("points, sigma, k, rows", [
+        ("0.0\n1e-200\n", "1e-200", 2, ["1 {e}", "{e} 1"]),
+        ("0\n1\n3\n", "1e-300", 3, ["1 0 0", "0 1 0", "0 0 1"]),
+        ("1e300\n1e300\n", "1e-200", 1, ["1 1", "1 1"]),
+        ("0\n1e-200\n1e100\n", "1e-200", 3, ["1 {e} 0", "{e} 1 0", "0 0 1"]),
+    ], ids=["d = sigma", "unit apart, sigma 1e-300", "equal at 1e300", "d = sigma beside 1e100"])
+    def test_sigma_whose_square_underflows_answers_data_on_its_scale(self, points, sigma, k,
+                                                                     rows, tmp_path):
         p = tmp_path / "pts.txt"
-        p.write_text("0.0\n1e-200\n")
+        p.write_text(points)
         proc = python_dash_m(["approx", "--input", str(p), "--kernel", "rbf",
-                              "--sigma", "1e-200", "--k", "2"], PYTHONWARNINGS="error")
+                              "--sigma", sigma, "--k", str(k)], PYTHONWARNINGS="error")
         assert (proc.returncode, proc.stderr) == (0, "")
         entry = format(np.exp(-0.5), ".17g")
-        assert proc.stdout.splitlines()[-2:] == [f"1 {entry}", f"{entry} 1"]
+        assert proc.stdout.splitlines()[-len(rows):] == [r.format(e=entry) for r in rows]
 
     def test_subnormal_two_sigma_squared_is_silent(self, tmp_path):
         p = tmp_path / "pts.txt"

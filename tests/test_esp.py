@@ -466,6 +466,18 @@ class TestBlockedScan:
                           for a in range(order + 1, j + 1))
             assert dropped <= 2.0**-64 * hm[j]
 
+    def test_tail_order_zero_keeps_the_head(self):
+        # a tail of 1e-40s after a chunk of ones adds nothing at any order:
+        # the certified order is 0, and the ratios are the head's bit for bit
+        n, kmax = _CHUNK, 10
+        spec = make_spectrum(np.concatenate([np.ones(n), np.full(n, 1e-40)]))
+        head = _scan_coeffs(spec._slice(0, _CHUNK), kmax + 1)
+        assert _tail_order(head, _tail_bound(spec)) == 0
+        got = esp_ratios(spec, kmax)
+        assert np.array_equal(got, esp_ratios(make_spectrum(np.ones(n)), kmax))
+        k = np.arange(kmax + 1)
+        assert np.allclose(got, (n - k) / (k + 1), rtol=1e-13, atol=0.0)
+
     @pytest.mark.skipif(np.finfo(np.longdouble).eps == np.finfo(np.float64).eps,
                         reason="long double is no wider than double here")
     def test_deep_spectrum_rescales_inside_later_chunks(self):

@@ -524,7 +524,14 @@ class TestConstructorsAndIo:
         ([1e200, 1e200], 1.0, np.ones((2, 2))),
         # 2 sigma^2 scaled by 2^-2e underflows to 0; the zero distances are not divided
         ([1e300, 1e300], 1e-100, np.ones((2, 2))),
-    ], ids=["1e160 apart", "1e160 apart, sigma 1e150", "equal at 1e200", "equal at 1e300, sigma 1e-100"])
+        ([1e300, 1e300], 1e-200, np.ones((2, 2))),
+        # scaled by 2^508, the most 3 allows: 2 s^2 is normal, each d^2 / (2 s^2) overflows
+        ([0.0, 1.0, 3.0], 1e-300, np.eye(3)),
+        # scaled by 2^177: 1e-200 and sigma take the same normal value
+        ([0.0, 1e-200, 1e100], 1e-200,
+         [[1.0, np.exp(-0.5), 0.0], [np.exp(-0.5), 1.0, 0.0], [0.0, 0.0, 1.0]]),
+    ], ids=["1e160 apart", "1e160 apart, sigma 1e150", "equal at 1e200", "equal at 1e300, sigma 1e-100",
+            "equal at 1e300, sigma 1e-200", "unit apart, sigma 1e-300", "d = sigma beside 1e100"])
     def test_rbf_on_large_coordinates(self, points, sigma, want):
         # |x_1 - x_2|^2 = 1e320 leaves double range; the kernel does not
         with warnings.catch_warnings():
@@ -533,8 +540,8 @@ class TestConstructorsAndIo:
         assert np.array_equal(m.entries, want) and m.rank == np.linalg.matrix_rank(want)
 
     def test_rbf_unscaled_where_nothing_overflows(self):
-        # 1e150^2 fits, so the data is not scaled and 1e-100^2 stays normal:
-        # the bits of the one expression, which overflows only in the quotient
+        # scaled by 2^11, 1e150^2 fits and 1e-100^2 stays normal: the bits of
+        # the one unscaled expression, which overflows only in the quotient
         x = np.array([[1e150], [0.0], [1e-100]])
         with np.errstate(over="ignore"):
             want = PsdMatrix(rbf_kernel_expression(x, 1e-100)).entries
@@ -558,11 +565,14 @@ class TestConstructorsAndIo:
         assert got[i, j] == pytest.approx(want, rel=1e-14)
 
     def test_rbf_unit_diagonal_and_psd(self):
+        # a row is at distance 0 from itself, exactly: the sums' rounding residue
+        # would read 1 - 6e-16 on the diagonal here, and 0 at sigma 1e-150
         rng = np.random.default_rng(18)
         x = rng.standard_normal((8, 3))
         m = rbf_kernel_matrix(x, 1.3)
-        assert np.allclose(np.diag(m.entries), 1.0)
+        assert np.array_equal(np.diag(m.entries), np.ones(8))
         assert np.linalg.eigvalsh(m.entries)[0] > -1e-10
+        assert np.array_equal(rbf_kernel_matrix(x, 1e-150).entries, np.eye(8))
 
     def test_rbf_bit_identical_to_one_expression(self):
         x = np.random.default_rng(19).standard_normal((60, 4)) * 2.0
@@ -580,14 +590,20 @@ class TestConstructorsAndIo:
             m = rbf_kernel_matrix(x, 1e-160)
         assert np.array_equal(m.entries, np.eye(5))
 
+    @pytest.mark.filterwarnings("error")
     def test_rbf_rejects_bad_sigma(self):
         with pytest.raises(ValidationError):
             rbf_kernel_matrix(np.ones((2, 2)), 0.0)
-        # 2 sigma^2 underflows, and 1e150 / 1e-200 squared leaves double range at any shift
-        with pytest.raises(ValidationError, match="^sigma = 1e-200 is too small: 2 sigma\\^2 "
-                                                  "underflows to 0 unless the data is scaled "
-                                                  "past double range$"):
+        # scaled so that 1e150 squared fits, 2 sigma^2 and (1e-200 - 0)^2 both read 0
+        with pytest.raises(ValidationError, match="^sigma = 1e-200 is too small for the data's "
+                                                  "range: scaled to fit it, 2 sigma\\^2 and the "
+                                                  "squared distance of two distinct points "
+                                                  "both underflow to 0$"):
             rbf_kernel_matrix(np.array([[0.0], [1e-200], [1e150]]), 1e-200)
+        # the shift that keeps 1e300 in range takes 2 s^2 and (1e-100 - 0)^2 to 0 alike
+        for sigma in (1e-100, 1e-160):
+            with pytest.raises(ValidationError, match=f"^sigma = {sigma:g} is too small"):
+                rbf_kernel_matrix(np.array([[0.0], [1e-100], [1e300]]), sigma)
 
     @pytest.mark.parametrize("points, sigma, want", [
         ([0.0, 1e-200], 1e-200, np.exp(-0.5)),
