@@ -15,6 +15,7 @@ its residual diagonal diag(M - F F^T), zero on S, sums to the error trace
 trace(C) - |W|_F^2.  The same factor's pivots multiply to det M[S,S], the
 weight with which the volume sampler draws S.  One kernel factors a batch
 of subsets at once: per step, one argmax, matmul and masked square root.
+It alone judges S singular: at a pivot <= PIVOT_REL_TOL * max diag M[S,S].
 """
 from __future__ import annotations
 
@@ -148,19 +149,20 @@ def _checked_subset(subset: Iterable[int], n: int) -> np.ndarray:
     return np.array([s], dtype=np.intp)
 
 
-def _subset_factor(m: PsdMatrix, s: np.ndarray, floor) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _subset_factor(m: PsdMatrix, s: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Greedy left-looking pivoted Cholesky of M over each row S of s, a b x k index array.
 
     Each step pivots row r on the first i in S with the largest residual
     d[r, i] (d starts as diag M), records it, appends c = (M[i] - F F[i]^T)
     / sqrt(d[r, i]) to F, subtracts c*c from d, zeroes d[r, i] and clamps
-    d at zero.  From its first pivot at or below its floor (a scalar, or
-    one per row) a row runs on masked: pivots and columns 0, d kept.
-    Returns pivots, d and F (b x k, b x n, b x n x k); where all k pivots
-    clear the floor, F F^T = M[:, S] M[S,S]^-1 M[S, :] and d = diag(M - F F^T).
+    d at zero.  From its first pivot at or below PIVOT_REL_TOL * max(max diag
+    M[S,S], 0) a row is singular and runs on masked: pivots and columns 0, d
+    kept.  Returns pivots, d and F (b x k, b x n, b x n x k); where the last
+    pivot is positive, F F^T = M[:, S] M[S,S]^-1 M[S, :] and d = diag(M - F F^T).
     """
     (b, k), rows = s.shape, np.arange(len(s))
     d = np.repeat(m.entries.diagonal()[None], b, axis=0)
+    floor = PIVOT_REL_TOL * np.maximum(m.entries.diagonal()[s].max(axis=1), 0.0)
     pivots, factor, live = np.zeros((b, k)), np.zeros((b, m.n, k)), np.ones(b, dtype=bool)
     for t in range(k):
         i = s[rows, np.argmax(np.take_along_axis(d, s, axis=1), axis=1)]
@@ -177,10 +179,8 @@ def _subset_factor(m: PsdMatrix, s: np.ndarray, floor) -> tuple[np.ndarray, np.n
 
 
 def _skeleton(m: PsdMatrix, s: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """_subset_factor over each row S of s at the CUR floor, PIVOT_REL_TOL * max diag M[S,S];
-    NumericalError at the first S that is singular: it meets that floor."""
-    pivots, d, factor = _subset_factor(
-        m, s, PIVOT_REL_TOL * np.maximum(m.entries.diagonal()[s].max(axis=1), 0.0))
+    """_subset_factor over each row S of s; NumericalError at the first S that is singular."""
+    pivots, d, factor = _subset_factor(m, s)
     short = np.flatnonzero(~(pivots[:, -1] > 0.0))
     if short.size:
         step = np.count_nonzero(pivots[short[0]]) + 1
@@ -238,8 +238,8 @@ def rbf_kernel_matrix(data: np.ndarray, sigma: float) -> PsdMatrix:
 
     The data and sigma are scaled by one exact power of two 2^-e, so that
     s = sigma 2^-e lies in [1/2, 1) unless the data needs a larger e to keep
-    its sums of squares in range; where nothing under- or overflows, the
-    entries off the diagonal keep their unscaled bits, and the diagonal is 1.
+    its sums of squares in range; where nothing under- or overflows, entries
+    of distinct rows keep their unscaled bits, and those of equal rows are 1.
     ValidationError where 2 s^2 and the squared distance of two distinct
     rows both underflow to 0.
     """
@@ -254,13 +254,12 @@ def rbf_kernel_matrix(data: np.ndarray, sigma: float) -> PsdMatrix:
     k = y @ y.T
     k *= 2.0
     np.clip(np.subtract(np.add.outer(sq, sq), k, out=k), 0.0, None, out=k)
-    np.fill_diagonal(k, 0.0)     # |x_i - x_i|^2, where the sums can leave a residue
-    if 2.0 * s * s == 0.0:
-        row = np.unique(x, axis=0, return_inverse=True)[1].ravel()   # equal rows, one label
-        if ((k == 0.0) & (row[:, None] != row)).any():
-            raise ValidationError(f"sigma = {sigma:g} is too small for the data's range: scaled "
-                                  "to fit it, 2 sigma^2 and the squared distance of two "
-                                  "distinct points both underflow to 0")
+    row = np.unique(x, axis=0, return_inverse=True)[1].ravel()   # equal rows, one label
+    k[row[:, None] == row] = 0.0     # |x_i - x_j|^2 of equal rows, where the sums leave a residue
+    if 2.0 * s * s == 0.0 and ((k == 0.0) & (row[:, None] != row)).any():
+        raise ValidationError(f"sigma = {sigma:g} is too small for the data's range: scaled "
+                              "to fit it, 2 sigma^2 and the squared distance of two "
+                              "distinct points both underflow to 0")
     # a quotient past range is -inf, whose exp 0 is the kernel's limit
     with np.errstate(over="ignore", divide="ignore"):
         np.divide(k, -2.0 * s * s, out=k, where=k > 0.0)

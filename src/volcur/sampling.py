@@ -7,9 +7,9 @@ subset has the exact closed form
     E |M - M_S|_* = (k+1) * c_{k+1}(M) / c_k(M),
 
 where c_j is the sum of j x j principal minors (equivalently e_j of the
-eigenvalues).  This module provides that formula, a brute-force
-enumeration oracle for it and a Monte Carlo estimate, both factoring
-their subsets in batches (_factor_rows), and an exact sampler.
+eigenvalues).  This module provides that formula, an exact sampler, and
+an enumeration oracle and Monte Carlo estimate whose subsets psd's kernel
+factors (_factor_rows): the oracle's zero weights are the refused CUR errors.
 
 Given the matrix's eigenpairs, a draw costs O(r) to choose its k
 eigenvectors and O(k^3 log k) on average for its projection DPP: k H_k
@@ -36,7 +36,7 @@ import numpy as np
 
 from .errors import CapExceededError, NumericalError, checked_int
 from .esp import esp_marginals, esp_ratio
-from .psd import PIVOT_REL_TOL, PsdMatrix, _skeleton, _subset_factor
+from .psd import PsdMatrix, _skeleton, _subset_factor
 from .spectra import Spectrum
 
 __all__ = [
@@ -74,38 +74,38 @@ def enumerate_distribution(m: PsdMatrix, k: int) -> VolumeDistribution:
 
     One greedy pivoted Cholesky of M over each subset gives both: its
     pivots multiply to the weight det M[S,S], and its residual diagonal
-    sums to the CUR error.  A pivot at or below PIVOT_REL_TOL * lambda_max
-    counts the minor as singular: weight zero and error zero (it is never
-    drawn).  Refuses k above the rank of m and more than ENUMERATION_CAP
-    subsets before it factors any, and weights summing past double range.
+    sums to the CUR error.  A singular subset, whose CUR error is refused,
+    has weight and error zero (it is never drawn).  Refuses k above the rank
+    of m, more than ENUMERATION_CAP subsets before it factors any, and
+    weights summing past double range or to zero.
     """
     k = _within_rank(m, checked_int(k, "k", 1, m.n))
     count = _enumeration_count(m.n, k)
     subsets = np.fromiter(combinations(range(m.n), k), np.dtype((np.intp, (k,))), count)
     subsets.flags.writeable = False
-    weights, sums = _factor_rows(lambda rows: _subset_factor(m, rows, PIVOT_REL_TOL * m.lambda_max),
-                                 subsets, m.n)
+    weights, sums = _factor_rows(m, subsets)
     with np.errstate(over="ignore"):     # an overflowing sum is refused below, not warned of
         normalizer = float(weights.sum())
     if not math.isfinite(normalizer):
         raise NumericalError(
             f"c_{k}, the sum of the {k}-subset volumes, overflows double precision")
     if normalizer <= 0.0:
-        raise NumericalError(
-            f"every {k}-subset meets a pivot at or below {PIVOT_REL_TOL:g} * lambda_max")
+        raise NumericalError(f"every {k}-subset has volume 0: its pivot block is singular "
+                             "or its volume underflows double precision")
     return VolumeDistribution(subsets=subsets, weights=weights, normalizer=normalizer,
                               probabilities=weights / normalizer,
                               errors=np.where(weights > 0.0, sums, 0.0))
 
 
-def _factor_rows(factor: Callable, s: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Pivot products and summed d of factor(rows) -> (pivots, d, F) over s, in chunks."""
-    chunk = max(1, _CHUNK_BYTES // (8 * n * (s.shape[1] + 6)))
+def _factor_rows(m: PsdMatrix, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """det M[S,S] (pivot products) and CUR errors (summed d, nan if singular) over s, in chunks."""
+    chunk = max(1, _CHUNK_BYTES // (8 * m.n * (s.shape[1] + 6)))
     products, sums = np.empty(len(s)), np.empty(len(s))
     with np.errstate(over="ignore"):
         for lo in range(0, len(s), chunk):
-            pivots, d, _ = factor(s[lo : lo + chunk])
-            products[lo : lo + chunk], sums[lo : lo + chunk] = pivots.prod(axis=1), d.sum(axis=1)
+            pivots, d, _ = _subset_factor(m, s[lo : lo + chunk])
+            products[lo : lo + chunk] = pivots.prod(axis=1)
+            sums[lo : lo + chunk] = np.where(pivots[:, -1] > 0.0, d.sum(axis=1), np.nan)
     return products, sums
 
 
@@ -261,7 +261,7 @@ def _projection_dpps(
     return out
 
 
-def sample_subsets(m: PsdMatrix, k: int, draws: int, seed: int) -> list[tuple[int, ...]]:
+def sample_subsets(m: PsdMatrix, k: int, draws: int, seed: int) -> np.ndarray:
     """Draw `draws` independent volume-sampled subsets of size k.
 
     Two phases per draw: pick k eigenvector indices weighted by eigenvalue
@@ -269,7 +269,7 @@ def sample_subsets(m: PsdMatrix, k: int, draws: int, seed: int) -> list[tuple[in
     process they span.  The mixture is exactly P(S) = det M[S,S] / c_k(M).
     Draws run in chunks of at most _CHUNK_BYTES (_draw_bytes a draw), and
     draw i depends only on (seed, i, m, k).  A draw without k distinct
-    indices raises NumericalError.
+    indices raises NumericalError.  Returns a read-only draws x k intp array, rows sorted.
     """
     k = _within_rank(m, checked_int(k, "k", 1))
     draws = checked_int(draws, "draws", 1)
@@ -286,17 +286,18 @@ def sample_subsets(m: PsdMatrix, k: int, draws: int, seed: int) -> list[tuple[in
             continuations[i] = np.random.Generator(np.random.Philox(seed).jumped(i + 1))
         return continuations[i].random(3 * window)
 
-    out: list[tuple[int, ...]] = []
+    out = np.empty((draws, k), dtype=np.intp)
     for lo in range(0, draws, chunk):
         b = min(chunk, draws - lo)
         counter, skip = divmod(lo * width, 4)
         u = np.random.Generator(np.random.Philox(key=key, counter=counter)).random(
             skip + b * width)[skip:].reshape(b, width)
         sel = _eigenvector_subsets(marginals_t, k, u[:, :r])
-        subsets = np.sort(_projection_dpps(m.vectors, sel, u[:, r:], lambda i: more(lo + i)), 1)
-        if k > 1 and not np.all(subsets[:, 1:] > subsets[:, :-1]):
-            raise NumericalError(f"a draw gave fewer than {k} distinct indices")
-        out += map(tuple, subsets.tolist())
+        out[lo : lo + b] = _projection_dpps(m.vectors, sel, u[:, r:], lambda i: more(lo + i))
+    out.sort(axis=1)
+    if k > 1 and not np.all(out[:, 1:] > out[:, :-1]):
+        raise NumericalError(f"a draw gave fewer than {k} distinct indices")
+    out.flags.writeable = False
     return out
 
 
@@ -312,8 +313,9 @@ def expected_error_exact(spec: Spectrum, k: int) -> float:
 
 def empirical_error(m: PsdMatrix, k: int, draws: int, seed: int) -> tuple[float, float]:
     """Monte Carlo estimate of the expected CUR error, cur_error_nuclear's: (mean, stderr)."""
-    s = np.array(sample_subsets(m, k, draws, seed), dtype=np.intp)
-    errors = _factor_rows(lambda rows: _skeleton(m, rows), s, m.n)[1]
+    errors = _factor_rows(m, s := sample_subsets(m, k, draws, seed))[1]
+    if np.isnan(errors).any():       # a singular draw, refused as cur_error_nuclear refuses it
+        _skeleton(m, s[np.isnan(errors)][:1])
     mean = float(errors.mean())
     stderr = float(errors.std(ddof=1) / math.sqrt(draws)) if draws > 1 else 0.0
     return mean, stderr

@@ -22,11 +22,13 @@ from volcur import (
     PsdMatrix,
     Spectrum,
     bound_reports,
+    enumerate_distribution,
     esp_all,
     esp_geometric_ratio,
     esp_ratio,
     expected_error_exact,
     generate_geometric,
+    load_matrix,
     make_spectrum,
 )
 from volcur.cli import main
@@ -371,13 +373,27 @@ class TestVerifyCommand:
         assert code == 0
         assert len(out.strip().splitlines()) == 4
 
+    @pytest.mark.parametrize("text, k, det", [("5\n", "1", 5.0), ("2 1\n1 2\n", "1..2", 3.0)],
+                             ids=["1x1", "2x2"])
+    def test_k_up_to_n(self, text, k, det, tmp_path, capsys):
+        # k = n, as approx and sample take it: one subset, no error, normalizer det M
+        p = tmp_path / "m.txt"
+        p.write_text(text)
+        code, out, err = run_cli(["verify", "--input", str(p), "--k", k], capsys)
+        assert (code, err) == (0, "")
+        *_, last, verdict = out.splitlines()
+        assert last.startswith(f"k={k[-1]} bruteforce=0 exact=0 rel_err=0.000e+00 ")
+        assert verdict == "verify: PASS"
+        dist = enumerate_distribution(load_matrix(p), int(k[-1]))
+        assert dist.normalizer == pytest.approx(det, rel=1e-15)
+
     def test_one_enumeration_per_k(self, tmp_path, capsys, monkeypatch):
         path = tmp_path / "m8.txt"
         np.savetxt(path, random_psd(np.random.default_rng(9), 8, 8), fmt="%.17g")
         calls = []
         factor = volcur.sampling._subset_factor
         monkeypatch.setattr(volcur.sampling, "_subset_factor",
-                            lambda m, s, floor: calls.append(s.shape) or factor(m, s, floor))
+                            lambda m, s: calls.append(s.shape) or factor(m, s))
         code, out, _ = run_cli(["verify", "--input", str(path), "--k", "1..4"], capsys)
         assert code == 0 and out.endswith("verify: PASS\n")
         assert calls == [(math.comb(8, k), k) for k in range(1, 5)]   # one batch per k
@@ -391,7 +407,8 @@ class TestVerifyCommand:
                             lambda *args: calls.append(args))
         code, out, err = run_cli(["verify", "--input", str(path), "--k", f"1..{10**18}"],
                                  capsys)
-        assert (code, out, err) == (1, "", f"error: k must be at most 11, got {10**18}\n")
+        assert (code, out, err) == (
+            2, "", f"error: cannot volume-sample {10**18} columns from a rank-12 matrix\n")
         assert calls == []
 
     @pytest.mark.parametrize("n, k", [(13, "1..12"), (20, "1..2")])
@@ -418,7 +435,7 @@ class TestVerifyCommand:
         p = tmp_path / "r1.txt"
         p.write_text("1 1\n1 1\n")
         code, _, _ = run_cli(["verify", "--input", str(p), "--k", "2"], capsys)
-        assert code == 1
+        assert code == 2
 
     @pytest.mark.parametrize("command", ["verify", "approx", "sample"])
     def test_k_past_the_matrix_rank_exits_2_with_one_message(self, command, tmp_path,
@@ -663,12 +680,13 @@ class TestErrorPaths:
           "--mu", "dyadic:lmax=10,base=0.25", "--k", "1"], None, 1,
          "majorant has only 1023 entries but the spectrum is positive at position 1024"),
         (["approx", "--input", "{collinear}", "--k", "2"],
-         (volcur.cli, "sample_subsets", lambda m, k, draws, seed: [(0, 1)]), 2,
+         (volcur.cli, "sample_subsets", lambda m, k, draws, seed: np.array([[0, 1]])), 2,
          "pivot block is singular at step 2 of 2"),
         (["verify", "--input", "{eye3}", "--k", "1"],
          (volcur.sampling, "_subset_factor",
-          lambda m, s, floor: (np.zeros(s.shape), np.zeros((len(s), m.n)), None)), 2,
-         "every 1-subset meets a pivot at or below 1e-14 * lambda_max"),
+          lambda m, s: (np.zeros(s.shape), np.zeros((len(s), m.n)), None)), 2,
+         "every 1-subset has volume 0: its pivot block is singular or its volume "
+         "underflows double precision"),
         (["sample", "--input", "{ones3}", "--k", "2"], None, 2,
          "cannot volume-sample 2 columns from a rank-1 matrix"),
         (["sample", "--input", "{eye3}", "--k", "1"], (np.linalg, "eigh", unconverged), 2,
@@ -733,23 +751,25 @@ class TestErrorPaths:
             assert code == 1, argv
             assert out == "", argv
 
-    @pytest.mark.parametrize("argv, message", [
-        (["esp", "--spectrum", "geom:q=0.5,n=4"], "k must be at most 4, got 10**18"),
-        (["ratio", "--spectrum", "geom:q=0.5,n=4"], "k must be at most 3, got 10**18"),
-        (["expected-error", "--spectrum", "geom:q=0.5,n=4"], "k must be at most 3, got 10**18"),
-        (["bounds", "--spectrum", "geom:q=0.5,n=4"], "k must be at most 3, got 10**18"),
-        (["figure", "--spectrum", "geom:q=0.5,n=4", "--mu", "dyadic:lmax=3,base=0.5"],
+    @pytest.mark.parametrize("argv, code, message", [
+        (["esp", "--spectrum", "geom:q=0.5,n=4"], 1, "k must be at most 4, got 10**18"),
+        (["ratio", "--spectrum", "geom:q=0.5,n=4"], 1, "k must be at most 3, got 10**18"),
+        (["expected-error", "--spectrum", "geom:q=0.5,n=4"], 1,
          "k must be at most 3, got 10**18"),
-        (["verify", "--input", "IDENTITY5"], "k must be at most 4, got 10**18"),
-        (["approx", "--input", "IDENTITY5"], "approx takes a single k, not a range"),
-        (["sample", "--input", "IDENTITY5"], "sample takes a single k, not a range"),
+        (["bounds", "--spectrum", "geom:q=0.5,n=4"], 1, "k must be at most 3, got 10**18"),
+        (["figure", "--spectrum", "geom:q=0.5,n=4", "--mu", "dyadic:lmax=3,base=0.5"], 1,
+         "k must be at most 3, got 10**18"),
+        (["verify", "--input", "IDENTITY5"], 2,
+         "cannot volume-sample 10**18 columns from a rank-5 matrix"),
+        (["approx", "--input", "IDENTITY5"], 1, "approx takes a single k, not a range"),
+        (["sample", "--input", "IDENTITY5"], 1, "sample takes a single k, not a range"),
     ], ids=["esp", "ratio", "expected-error", "bounds", "figure", "verify", "approx", "sample"])
-    def test_k_range_is_checked_before_it_is_built(self, argv, message, identity5_file,
+    def test_k_range_is_checked_before_it_is_built(self, argv, code, message, identity5_file,
                                                    capsys):
         argv = [identity5_file if a == "IDENTITY5" else a for a in argv]
-        code, out, err = run_cli(argv + ["--k", f"1..{10**18}"], capsys)
+        got = run_cli(argv + ["--k", f"1..{10**18}"], capsys)
         message = message.replace("10**18", str(10**18))
-        assert (code, out, err) == (1, "", f"error: {message}\n")
+        assert got == (code, "", f"error: {message}\n")
 
     @pytest.mark.parametrize("spec", ["pow:p=2,n=1000000000000000", "geom:q=0.5,n=1073741825"])
     def test_generated_spectrum_above_the_cap_exits_3(self, spec, capsys):

@@ -19,6 +19,7 @@ from volcur import (
     ValidationError,
     cur_approximation,
     cur_error_nuclear,
+    enumerate_distribution,
     esp_all,
     gram_matrix,
     load_matrix,
@@ -248,20 +249,42 @@ class TestPartitionAndSchur:
 
 
 def greedy_factor(m: np.ndarray):
-    """The kernel over all rows of m, as a batch of one row, at the CUR floor.
+    """The kernel over all rows of m, as a batch of one row.
 
     Returns (pivots, F) up to the first pivot at or below the floor; F F^T
     is m up to a residual at or below the floor.
     """
-    floor = PIVOT_REL_TOL * max(float(m.diagonal().max()), 0.0)
-    pivots, _, factor = _subset_factor(PsdMatrix(m), np.arange(m.shape[0])[None], floor)
+    pivots, _, factor = _subset_factor(PsdMatrix(m), np.arange(m.shape[0])[None])
     count = np.count_nonzero(pivots[0])
     assert not factor[0, :, count:].any()       # masked past the floor
     return pivots[0, :count], factor[0, :, :count]
 
 
+def floor_matrix(name: str) -> PsdMatrix:
+    """The matrices on which the kernel's one singular rule is tested."""
+    rng = np.random.default_rng(31)
+    if name == "tiny-diagonal":
+        return PsdMatrix(np.diag([1.0, 1e-20, 1.0]))
+    if name == "graded":
+        # x = diag(10^-3j), x[0, 1:] = 1e-9: block scales span 42 decades, so a floor
+        # relative to lambda_max, not to the block, misjudges 20 of the 92 subsets
+        x = np.diag(10.0 ** (-3.0 * np.arange(8)))
+        x[0, 1:] = 1e-9
+        return PsdMatrix(x @ x.T)
+    if name == "negative-diagonal":
+        # PSD within PSD_TOL; the subset {7} meets its floor at step 1 and keeps d[7] < 0
+        a = np.zeros((8, 8))
+        a[:7, :7] = random_psd(rng, 7, 7)
+        a[7, 7] = -1e-12 * a.max()
+        return PsdMatrix(a)
+    return PsdMatrix(random_psd(rng, 8, 8 if name == "full-rank" else 3))
+
+
+FLOOR_MATRICES = ["full-rank", "rank-3", "negative-diagonal", "tiny-diagonal", "graded"]
+
+
 class TestPivotedCholesky:
-    """The kernel psd._subset_factor, mostly over all rows at the CUR floor."""
+    """The kernel psd._subset_factor, mostly over all rows."""
 
     def test_reconstructs_matrix(self):
         rng = np.random.default_rng(6)
@@ -300,47 +323,45 @@ class TestPivotedCholesky:
             assert rel_err(float(np.prod(pivots)), float(np.linalg.det(m))) < 1e-8
 
     def test_residual_diagonal_and_stop(self):
-        # d leaves as diag(M - F F^T), zero on the chosen rows; a pivot at
-        # the floor stops the factor, and the row runs on masked
-        m = random_psd(np.random.default_rng(20), 6, 6)
-        pivots, d, factor = _subset_factor(PsdMatrix(m), np.array([(4, 1)]), 0.0)
+        # d leaves as diag(M - F F^T), zero on the chosen rows
+        rng = np.random.default_rng(20)
+        g = rng.standard_normal((6, 6))
+        m = g @ g.T
+        pivots, d, factor = _subset_factor(PsdMatrix(m), np.array([(4, 1)]))
         assert (pivots.shape, d.shape, factor.shape) == ((1, 2), (1, 6), (1, 6, 2))
         (pivots,), (d,), (factor,) = pivots, d, factor
         assert pivots[0] == max(m[4, 4], m[1, 1])
         assert rel_err(pivots[0] * pivots[1], float(np.linalg.det(m[np.ix_([4, 1], [4, 1])]))) < 1e-12
         assert np.array_equal(d[[4, 1]], [0.0, 0.0])
         assert np.allclose(d, np.diag(m - factor @ factor.T), atol=1e-12 * m.max())
-        stopped, _, cut = _subset_factor(PsdMatrix(m), np.array([(4, 1)]), pivots[1])
-        assert stopped.tolist() == [[pivots[0], 0.0]]
-        assert np.array_equal(cut[0, :, 0], factor[:, 0]) and not cut[0, :, 1].any()
+        # row 1 half of row 4: M[S,S] is singular, its second pivot a residue at
+        # or below the per-block floor, which stops the factor; the row runs on masked
+        g[1] = g[4] / 2.0
+        m = g @ g.T
+        stopped, d, cut = _subset_factor(PsdMatrix(m), np.array([(4, 1)]))
+        first = m[4] / np.sqrt(m[4, 4])
+        assert stopped.tolist() == [[m[4, 4], 0.0]]
+        assert np.array_equal(cut[0, :, 0], first) and not cut[0, :, 1].any()
+        kept = np.maximum(m.diagonal() - first * first, 0.0)
+        kept[4] = 0.0
+        assert np.array_equal(d[0], kept)
 
 
 class TestBatchedKernel:
     """The batched kernel against the one-subset referee oracles.subset_factor."""
 
-    @pytest.mark.parametrize("matrix", ["full-rank", "rank-3", "negative-diagonal"])
-    @pytest.mark.parametrize("floors", ["enumeration", "cur"])
-    def test_every_subset_matches_the_referee(self, matrix, floors):
-        rng = np.random.default_rng(31)
-        if matrix == "negative-diagonal":
-            # PSD within PSD_TOL; the subset {7} meets its floor at step 1 and keeps d[7] < 0
-            a = np.zeros((8, 8))
-            a[:7, :7] = random_psd(rng, 7, 7)
-            a[7, 7] = -1e-12 * a.max()
-        else:
-            a = random_psd(rng, 8, 8 if matrix == "full-rank" else 3)
-        m = PsdMatrix(a)
+    @pytest.mark.parametrize("matrix", FLOOR_MATRICES)
+    def test_every_subset_matches_the_referee(self, matrix):
+        m = floor_matrix(matrix)
         stopped = 0
-        for k in range(1, 9):
-            s = np.array(list(combinations(range(8), k)))
-            floor = (PIVOT_REL_TOL * m.lambda_max if floors == "enumeration" else
-                     PIVOT_REL_TOL * np.maximum(m.entries.diagonal()[s].max(axis=1), 0.0))
-            pivots, d, factor = _subset_factor(m, s, floor)
-            assert (pivots.shape, d.shape, factor.shape) == ((len(s), k), (len(s), 8),
-                                                             (len(s), 8, k))
+        for k in range(1, m.n + 1):
+            s = np.array(list(combinations(range(m.n), k)))
+            floor = PIVOT_REL_TOL * np.maximum(m.entries.diagonal()[s].max(axis=1), 0.0)
+            pivots, d, factor = _subset_factor(m, s)
+            assert (pivots.shape, d.shape, factor.shape) == ((len(s), k), (len(s), m.n),
+                                                             (len(s), m.n, k))
             for row, subset in enumerate(s):
-                want, want_d, want_f = subset_factor(m.entries, tuple(subset),
-                                                     np.broadcast_to(floor, len(s))[row])
+                want, want_d, want_f = subset_factor(m.entries, tuple(subset), floor[row])
                 t = len(want)                # the step at which the row met its floor, or k
                 stopped += t < k
                 assert pivots[row, :t].tolist() == want and not pivots[row, t:].any()
@@ -353,12 +374,39 @@ class TestBatchedKernel:
         m = load_matrix(spd1000)
         rng = np.random.default_rng(50)
         s = np.array([np.sort(rng.choice(1000, 50, replace=False)) for _ in range(5)])
-        together = _skeleton(m, s)                 # at the CUR floor, each row alone
+        together = _skeleton(m, s)
         assert np.all(together[0][:, -1] > 0.0)
         for row in range(5):
             alone = _skeleton(m, s[row : row + 1])
             for a, b in zip(alone, together):
                 assert np.array_equal(a[0], b[row])
+
+
+class TestOneSingularRule:
+    """The CUR error refuses a subset exactly where the enumeration gives it weight 0."""
+
+    @pytest.mark.parametrize("matrix", FLOOR_MATRICES)
+    def test_refused_error_iff_zero_weight(self, matrix):
+        m = floor_matrix(matrix)
+        refused = 0
+        for k in range(1, m.rank + 1):
+            dist = enumerate_distribution(m, k)
+            for s, w, err in zip(dist.subsets.tolist(), dist.weights, dist.errors):
+                if w == 0.0:
+                    refused += 1
+                    with pytest.raises(NumericalError, match="^pivot block is singular at step"):
+                        cur_error_nuclear(m, s)
+                else:
+                    assert cur_error_nuclear(m, s) == err
+        assert (refused > 0) == (matrix not in ("full-rank", "rank-3"))
+
+    def test_tiny_diagonal_hand_case(self):
+        # {1} is regular at its own scale: weight 1e-20 and error 2, as cur_error_nuclear says
+        m = floor_matrix("tiny-diagonal")
+        dist = enumerate_distribution(m, 1)
+        assert dist.weights.tolist() == [1.0, 1e-20, 1.0]
+        assert dist.errors.tolist() == [1.0, 2.0, 1.0]
+        assert cur_error_nuclear(m, [1]) == 2.0
 
 
 class TestCurReferee:
@@ -573,6 +621,17 @@ class TestConstructorsAndIo:
         assert np.array_equal(np.diag(m.entries), np.ones(8))
         assert np.linalg.eigvalsh(m.entries)[0] > -1e-10
         assert np.array_equal(rbf_kernel_matrix(x, 1e-150).entries, np.eye(8))
+
+    def test_rbf_equal_rows_read_distance_zero(self):
+        # rows 1 and 3 equal: K[1, 3] = 1 exactly, where the sums' residue left
+        # it below 1 at sigma 1e-150 in 33 of these 200 draws
+        want = np.eye(4)
+        want[1, 3] = want[3, 1] = 1.0
+        rng = np.random.default_rng(3)
+        for _ in range(200):
+            x = rng.standard_normal((4, 4))
+            x[3] = x[1]
+            assert np.array_equal(rbf_kernel_matrix(x, 1e-150).entries, want)
 
     def test_rbf_bit_identical_to_one_expression(self):
         x = np.random.default_rng(19).standard_normal((60, 4)) * 2.0

@@ -134,20 +134,29 @@ class TestSampler:
         m = PsdMatrix(random_psd(rng, 7, 7))
         a = sample_subsets(m, 3, 50, seed=123)
         b = sample_subsets(m, 3, 50, seed=123)
-        assert a == b
+        assert np.array_equal(a, b)
+
+    def test_returns_a_read_only_index_array(self):
+        # the type VolumeDistribution.subsets has: one sorted subset a row
+        m = PsdMatrix(random_psd(np.random.default_rng(24), 7, 7))
+        s = sample_subsets(m, 3, 50, seed=123)
+        assert (s.shape, s.dtype, s.flags.writeable) == ((50, 3), np.intp, False)
+        assert np.array_equal(s, np.sort(s, axis=1))
+        with pytest.raises(ValueError):
+            s[0, 0] = 0
 
     def test_different_seed_differs(self):
         rng = np.random.default_rng(25)
         m = PsdMatrix(random_psd(rng, 7, 7))
         a = sample_subsets(m, 3, 50, seed=1)
         b = sample_subsets(m, 3, 50, seed=2)
-        assert a != b
+        assert not np.array_equal(a, b)
 
-    def test_subsets_are_sorted_tuples_in_range(self):
+    def test_subsets_are_sorted_rows_in_range(self):
         rng = np.random.default_rng(26)
         m = PsdMatrix(random_psd(rng, 6, 6))
-        for s in sample_subsets(m, 2, 200, seed=5):
-            assert s == tuple(sorted(s))
+        for s in sample_subsets(m, 2, 200, seed=5).tolist():
+            assert s == sorted(s)
             assert len(s) == 2
             assert all(0 <= i < 6 for i in s)
 
@@ -156,8 +165,8 @@ class TestSampler:
         g = np.array([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0], [0.5, 2.0]])
         m = PsdMatrix(g @ g.T)
         assert m.rank == 2
-        for s in sample_subsets(m, 2, 500, seed=3):
-            assert s != (0, 1)
+        for s in sample_subsets(m, 2, 500, seed=3).tolist():
+            assert s != [0, 1]
 
     def test_k_above_rank_degenerate(self):
         g = np.ones((4, 2))
@@ -189,7 +198,7 @@ class TestSampler:
         draws = 20000
         subsets = list(map(tuple, dist.subsets.tolist()))
         counts = dict.fromkeys(subsets, 0)
-        for s in sample_subsets(m, 1, draws, seed=77):
+        for s in map(tuple, sample_subsets(m, 1, draws, seed=77).tolist()):
             counts[s] += 1
         tv = 0.5 * sum(abs(counts[s] / draws - p) for s, p in zip(subsets, dist.probabilities))
         assert tv < 0.02
@@ -225,28 +234,28 @@ class TestSampler:
     @pytest.mark.parametrize("k, draws", [(1, 30), (8, 30), (40, 3)])
     def test_matches_qr_oracle_on_the_same_stream(self, k, draws):
         m = PsdMatrix(random_psd(np.random.default_rng(40), 40, 40))
-        assert sample_subsets(m, k, draws, seed=k) == _oracle_draws(m, k, draws, k)
+        assert np.array_equal(sample_subsets(m, k, draws, seed=k), _oracle_draws(m, k, draws, k))
 
     def test_matches_qr_oracle_on_deep_spectrum(self):
         m = PsdMatrix(inverse_square_psd())
-        assert sample_subsets(m, 150, 2, seed=3) == _oracle_draws(m, 150, 2, 3)
+        assert np.array_equal(sample_subsets(m, 150, 2, seed=3), _oracle_draws(m, 150, 2, 3))
 
     def test_matches_qr_oracle_past_the_block(self, monkeypatch):
         # two proposals per block: most draws read on from their continuation
         monkeypatch.setattr(volcur.sampling, "_window", lambda k: 2)
         m = PsdMatrix(random_psd(np.random.default_rng(42), 40, 40))
-        assert sample_subsets(m, 8, 30, seed=8) == _oracle_draws(m, 8, 30, 8)
+        assert np.array_equal(sample_subsets(m, 8, 30, seed=8), _oracle_draws(m, 8, 30, 8))
 
     def test_draws_do_not_depend_on_count_or_chunk(self, monkeypatch):
         m = PsdMatrix(random_psd(np.random.default_rng(43), 7, 7))
         full = sample_subsets(m, 3, 23, seed=5)
         monkeypatch.setattr(volcur.sampling, "_CHUNK_BYTES",
                             5 * volcur.sampling._draw_bytes(7, 7, 3))    # chunks of 5 draws
-        assert sample_subsets(m, 3, 23, seed=5) == full
+        assert np.array_equal(sample_subsets(m, 3, 23, seed=5), full)
         for draws in (4, 5, 6, 10, 11):
-            assert sample_subsets(m, 3, draws, seed=5) == full[:draws]
+            assert np.array_equal(sample_subsets(m, 3, draws, seed=5), full[:draws])
         monkeypatch.setattr(volcur.sampling, "_CHUNK_BYTES", 1)
-        assert sample_subsets(m, 3, 23, seed=5) == full
+        assert np.array_equal(sample_subsets(m, 3, 23, seed=5), full)
 
     def test_run_of_rejections_raises(self):
         # parallel columns: after one pick every residual is zero
@@ -265,16 +274,15 @@ class TestSampler:
         p = inclusion_probabilities(m.vectors, m.eigenvalues.values, k)
         assert math.fsum(p) == pytest.approx(k, rel=1e-12)
         assert p.max() > 10.0 * p.min()
-        counts = np.bincount(np.concatenate(sample_subsets(m, k, draws, seed=7)),
-                             minlength=n)
+        counts = np.bincount(sample_subsets(m, k, draws, seed=7).ravel(), minlength=n)
         z = (counts / draws - p) / np.sqrt(p * (1.0 - p) / draws)
         assert np.max(np.abs(z)) < 5.0
         assert np.mean(z * z) < 1.3
 
     def test_numpy_integer_k_and_draws(self):
         m = PsdMatrix(random_psd(np.random.default_rng(41), 6, 6))
-        assert (sample_subsets(m, np.int64(2), np.int64(5), seed=2)
-                == sample_subsets(m, 2, 5, seed=2))
+        assert np.array_equal(sample_subsets(m, np.int64(2), np.int64(5), seed=2),
+                              sample_subsets(m, 2, 5, seed=2))
 
     def test_non_integer_k_and_draws_rejected(self):
         m = PsdMatrix(np.eye(4))
@@ -296,7 +304,7 @@ class TestSampler:
         draws = 12000
         cells = list(combinations(range(4), 2))
         counts = {s: 0 for s in cells}
-        for s in sample_subsets(m, 2, draws, seed=99):
+        for s in map(tuple, sample_subsets(m, 2, draws, seed=99).tolist()):
             counts[s] += 1
         result = stats.chisquare([counts[s] for s in cells])
         assert result.pvalue > 1e-3
