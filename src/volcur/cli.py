@@ -18,6 +18,7 @@ from .bounds import bound_reports, figure_rows
 from .errors import NumericalError, ValidationError, VolcurError, checked_int
 from .esp import _ratios_and_esps, esp_all, esp_ratios
 from .psd import (
+    RANK_TOL,
     PsdMatrix,
     cur_approximation,
     cur_error_nuclear,
@@ -205,14 +206,15 @@ def cmd_verify(args) -> int:
     for k in ks:
         _enumeration_count(m.n, k)
     ratios, sums = _ratios_and_esps(m.eigenvalues, ks[-1])   # sums[k] = c_k, k x k minors
+    dropped = (m.n - m.rank) * RANK_TOL * m.lambda_max      # at least the mass RANK_TOL drops
     ok, lines = True, []
     for k in ks:
         _check_finite(f"c_k at k = {k}", float(sums[k]))
         dist = enumerate_distribution(m, k)
         brute, exact = dist.expected_error, (k + 1) * float(ratios[k])
         scale = max(abs(brute), abs(exact))
-        # where both sides vanish (k at the rank), report exact agreement
-        err_rel = 0.0 if scale < 1e-12 * m.lambda_max * m.n else abs(brute - exact) / scale
+        # the dropped eigenvalues raise (k+1) e_{k+1}/e_k by at most (k+1) times their mass
+        err_rel = 0.0 if scale <= (k + 1) * dropped else abs(brute - exact) / scale
         norm_rel = abs(dist.normalizer - sums[k]) / max(abs(sums[k]), 1e-300)
         if err_rel >= VERIFY_TOL or norm_rel >= VERIFY_TOL:
             ok = False

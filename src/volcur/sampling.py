@@ -9,7 +9,7 @@ subset has the exact closed form
 where c_j is the sum of j x j principal minors (equivalently e_j of the
 eigenvalues).  This module provides that formula, an exact sampler, and
 an enumeration oracle and Monte Carlo estimate whose subsets psd's kernel
-factors (_factor_rows): the oracle's zero weights are the refused CUR errors.
+factors (_factor_rows): the oracle's errors are 0 where the kernel refuses S.
 
 Given the matrix's eigenpairs, a draw costs O(r) to choose its k
 eigenvectors and O(k^3 log k) on average for its projection DPP: k H_k
@@ -37,7 +37,7 @@ import numpy as np
 from .errors import CapExceededError, NumericalError, checked_int
 from .esp import esp_marginals, esp_ratio
 from .psd import PsdMatrix, _skeleton, _subset_factor
-from .spectra import Spectrum
+from .spectra import DENSE_CAP, Spectrum
 
 __all__ = [
     "ENUMERATION_CAP",
@@ -61,7 +61,7 @@ class VolumeDistribution:
     weights: np.ndarray        # det M[S,S] per subset
     normalizer: float          # sum of weights = c_k(M)
     probabilities: np.ndarray
-    errors: np.ndarray         # CUR nuclear error per subset, 0 at weight 0
+    errors: np.ndarray         # CUR nuclear error per subset, 0 where S is singular
 
     @property
     def expected_error(self) -> float:
@@ -72,41 +72,45 @@ class VolumeDistribution:
 def enumerate_distribution(m: PsdMatrix, k: int) -> VolumeDistribution:
     """All size-k subsets with their volume-sampling probabilities and errors.
 
-    One greedy pivoted Cholesky of M over each subset gives both: its
-    pivots multiply to the weight det M[S,S], and its residual diagonal
-    sums to the CUR error.  A singular subset, whose CUR error is refused,
-    has weight and error zero (it is never drawn).  Refuses k above the rank
-    of m, more than ENUMERATION_CAP subsets before it factors any, and
-    weights summing past double range or to zero.
+    One greedy pivoted Cholesky of M over each subset gives both: its pivots
+    multiply to det M[S,S], a (mantissa, exponent) pair normalized at the
+    largest, so the probabilities do not depend on the matrix's scale (weights
+    and normalizer are the pairs as doubles), and its residual diagonal sums to
+    the CUR error, 0 where the kernel calls S singular (S is never drawn).  Refuses
+    k above the rank, more than ENUMERATION_CAP subsets before it factors any,
+    a normalizer past double range, and a k at which every S is singular.
     """
     k = _within_rank(m, checked_int(k, "k", 1, m.n))
     count = _enumeration_count(m.n, k)
     subsets = np.fromiter(combinations(range(m.n), k), np.dtype((np.intp, (k,))), count)
     subsets.flags.writeable = False
-    weights, sums = _factor_rows(m, subsets)
+    mant, exps, sums = _factor_rows(m, subsets)
+    if not mant.any():
+        raise NumericalError(f"every {k}-subset has volume 0: its pivot block is singular")
+    scaled = np.ldexp(mant, exps - (top := exps[mant > 0.0].max()))   # the largest in [1/2, 1)
     with np.errstate(over="ignore"):     # an overflowing sum is refused below, not warned of
-        normalizer = float(weights.sum())
+        weights, normalizer = np.ldexp(mant, exps), float(np.ldexp(total := scaled.sum(), top))
     if not math.isfinite(normalizer):
         raise NumericalError(
             f"c_{k}, the sum of the {k}-subset volumes, overflows double precision")
-    if normalizer <= 0.0:
-        raise NumericalError(f"every {k}-subset has volume 0: its pivot block is singular "
-                             "or its volume underflows double precision")
     return VolumeDistribution(subsets=subsets, weights=weights, normalizer=normalizer,
-                              probabilities=weights / normalizer,
-                              errors=np.where(weights > 0.0, sums, 0.0))
+                              probabilities=scaled / total,
+                              errors=np.where(np.isnan(sums), 0.0, sums))
 
 
-def _factor_rows(m: PsdMatrix, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """det M[S,S] (pivot products) and CUR errors (summed d, nan if singular) over s, in chunks."""
+def _factor_rows(m: PsdMatrix, s: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Over s: det M[S,S] = mant * 2^exp and CUR errors, 0 and nan where S is singular."""
     chunk = max(1, _CHUNK_BYTES // (8 * m.n * (s.shape[1] + 6)))
-    products, sums = np.empty(len(s)), np.empty(len(s))
+    mant, exps, sums = np.empty(len(s)), np.empty(len(s), dtype=np.int64), np.empty(len(s))
     with np.errstate(over="ignore"):
         for lo in range(0, len(s), chunk):
             pivots, d, _ = _subset_factor(m, s[lo : lo + chunk])
-            products[lo : lo + chunk] = pivots.prod(axis=1)
+            mant[lo : lo + chunk], exps[lo : lo + chunk] = np.frexp(pivots[:, 0])
+            for column in pivots.T[1:]:          # renormalized per pivot: the product stays in range
+                mant[lo : lo + chunk], shift = np.frexp(mant[lo : lo + chunk] * column)
+                exps[lo : lo + chunk] += shift
             sums[lo : lo + chunk] = np.where(pivots[:, -1] > 0.0, d.sum(axis=1), np.nan)
-    return products, sums
+    return mant, exps, sums
 
 
 def _within_rank(m: PsdMatrix, k: int) -> int:
@@ -264,16 +268,18 @@ def _projection_dpps(
 def sample_subsets(m: PsdMatrix, k: int, draws: int, seed: int) -> np.ndarray:
     """Draw `draws` independent volume-sampled subsets of size k.
 
-    Two phases per draw: pick k eigenvector indices weighted by eigenvalue
-    products (ESP marginals), then sample the projection determinantal
-    process they span.  The mixture is exactly P(S) = det M[S,S] / c_k(M).
-    Draws run in chunks of at most _CHUNK_BYTES (_draw_bytes a draw), and
-    draw i depends only on (seed, i, m, k).  A draw without k distinct
-    indices raises NumericalError.  Returns a read-only draws x k intp array, rows sorted.
+    Two phases per draw: pick k eigenvector indices weighted by eigenvalue products (ESP
+    marginals), then sample the projection determinantal process they span.  The mixture
+    is exactly P(S) = det M[S,S] / c_k(M).  Draws run in chunks of at most _CHUNK_BYTES
+    (_draw_bytes a draw), and draw i depends only on (seed, i, m, k).  More than DENSE_CAP
+    indices in all raise CapExceededError before anything is allocated, and a draw without
+    k distinct indices NumericalError.  Returns a read-only draws x k intp array, rows sorted.
     """
     k = _within_rank(m, checked_int(k, "k", 1))
     draws = checked_int(draws, "draws", 1)
     seed = checked_int(seed, "seed", 0)
+    if draws * k > DENSE_CAP:
+        raise CapExceededError(f"{draws} draws x {k} indices exceed the dense-array cap {DENSE_CAP}")
     r, window = m.rank, _window(k)
     width = r + 3 * window
     chunk = max(1, _CHUNK_BYTES // _draw_bytes(m.n, r, k))
@@ -313,7 +319,7 @@ def expected_error_exact(spec: Spectrum, k: int) -> float:
 
 def empirical_error(m: PsdMatrix, k: int, draws: int, seed: int) -> tuple[float, float]:
     """Monte Carlo estimate of the expected CUR error, cur_error_nuclear's: (mean, stderr)."""
-    errors = _factor_rows(m, s := sample_subsets(m, k, draws, seed))[1]
+    errors = _factor_rows(m, s := sample_subsets(m, k, draws, seed))[2]
     if np.isnan(errors).any():       # a singular draw, refused as cur_error_nuclear refuses it
         _skeleton(m, s[np.isnan(errors)][:1])
     mean = float(errors.mean())

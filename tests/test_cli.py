@@ -373,6 +373,21 @@ class TestVerifyCommand:
         assert code == 0
         assert len(out.strip().splitlines()) == 4
 
+    @pytest.mark.parametrize("diagonal", [
+        [1e-160, 1e-160, 1e-170, 1e-170],       # five of six 2 x 2 volumes underflow as doubles
+        [1e-200] * 4,                           # every 2-subset's volume is 1e-400
+        # rank 3: at k = 3 exact is 0 and brute force 1.08e-11, 4 times the dropped 2.7e-12,
+        # within the allowance (k+1) (n - rank) RANK_TOL lambda_max = 1.2e-11
+        [1.0, 1.0, 1.0, 9e-13, 9e-13, 9e-13],
+    ], ids=["underflowing-volumes", "tiny-scale", "dropped-eigenvalues"])
+    def test_passes_at_any_scale_and_at_the_rank(self, diagonal, tmp_path, capsys):
+        p = tmp_path / "d.txt"
+        np.savetxt(p, np.diag(diagonal), fmt="%.17g")
+        code, out, err = run_cli(["verify", "--input", str(p), "--k", "1..3"], capsys)
+        assert (code, err) == (0, "")
+        assert [line.split()[0] for line in out.splitlines()] == ["k=1", "k=2", "k=3", "verify:"]
+        assert out.splitlines()[-1] == "verify: PASS"
+
     @pytest.mark.parametrize("text, k, det", [("5\n", "1", 5.0), ("2 1\n1 2\n", "1..2", 3.0)],
                              ids=["1x1", "2x2"])
     def test_k_up_to_n(self, text, k, det, tmp_path, capsys):
@@ -685,8 +700,7 @@ class TestErrorPaths:
         (["verify", "--input", "{eye3}", "--k", "1"],
          (volcur.sampling, "_subset_factor",
           lambda m, s: (np.zeros(s.shape), np.zeros((len(s), m.n)), None)), 2,
-         "every 1-subset has volume 0: its pivot block is singular or its volume "
-         "underflows double precision"),
+         "every 1-subset has volume 0: its pivot block is singular"),
         (["sample", "--input", "{ones3}", "--k", "2"], None, 2,
          "cannot volume-sample 2 columns from a rank-1 matrix"),
         (["sample", "--input", "{eye3}", "--k", "1"], (np.linalg, "eigh", unconverged), 2,
@@ -777,6 +791,12 @@ class TestErrorPaths:
         n = spec.rpartition("=")[2]
         assert (code, out) == (3, "")
         assert err == f"error: n = {n} exceeds the generated-spectrum cap 1073741824\n"
+
+    def test_draws_past_the_dense_cap_exit_3(self, psd_file, capsys):
+        # 10^12 one-index draws would need 7.28 TiB: refused before anything is allocated
+        got = run_cli(["sample", "--input", psd_file, "--k", "1", "--draws", str(10**12)], capsys)
+        assert got == (3, "", f"error: {10**12} draws x 1 indices exceed the dense-array cap "
+                              "1073741824\n")
 
     def test_failed_run_writes_no_output_file(self, tmp_path, capsys):
         out_path = tmp_path / "never.csv"

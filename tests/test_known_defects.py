@@ -46,3 +46,14 @@ def test_rbf_distance_of_close_points_far_from_the_origin():
     x = np.array([[1.0], [1.0 + 1e-8]])
     want = np.exp(-0.5 * ((x[1, 0] - x[0, 0]) / 1e-8) ** 2)
     assert abs(rbf_kernel_matrix(x, 1e-8).entries[0, 1] - want) <= 1e-6
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason="ROADMAP item 16")
+def test_verify_passes_where_both_sides_round_at_lambda_max(tmp_path, capsys):
+    # Q diag(1, 2e-12 x 4) Q^T, full rank: both sides carry absolute errors near
+    # eps * lambda_max, so every k reads a relative gap near 7e-6 (7.3e-06 at k = 4)
+    q = np.linalg.qr(np.random.default_rng(9).standard_normal((5, 5)))[0]
+    p = tmp_path / "m.txt"
+    np.savetxt(p, q @ np.diag([1.0, 2e-12, 2e-12, 2e-12, 2e-12]) @ q.T, fmt="%.17g")
+    code = main(["verify", "--input", str(p), "--k", "1..4"])
+    assert (code, capsys.readouterr().out.splitlines()[-1]) == (0, "verify: PASS")

@@ -1,3 +1,4 @@
+import math
 import warnings
 from itertools import combinations
 
@@ -265,6 +266,11 @@ def floor_matrix(name: str) -> PsdMatrix:
     rng = np.random.default_rng(31)
     if name == "tiny-diagonal":
         return PsdMatrix(np.diag([1.0, 1e-20, 1.0]))
+    if name == "underflowing-diagonal":
+        # rank 4, but five of the six 2 x 2 volumes underflow as doubles
+        return PsdMatrix(np.diag([1e-160, 1e-160, 1e-170, 1e-170]))
+    if name == "wishart":
+        return PsdMatrix(random_psd(np.random.default_rng(34), 8, 8))
     if name == "graded":
         # x = diag(10^-3j), x[0, 1:] = 1e-9: block scales span 42 decades, so a floor
         # relative to lambda_max, not to the block, misjudges 20 of the 92 subsets
@@ -383,22 +389,44 @@ class TestBatchedKernel:
 
 
 class TestOneSingularRule:
-    """The CUR error refuses a subset exactly where the enumeration gives it weight 0."""
+    """The CUR error refuses a subset exactly where the enumeration calls it singular."""
 
-    @pytest.mark.parametrize("matrix", FLOOR_MATRICES)
-    def test_refused_error_iff_zero_weight(self, matrix):
+    @pytest.mark.parametrize("matrix", FLOOR_MATRICES + ["underflowing-diagonal"])
+    def test_refused_error_iff_zero_probability(self, matrix):
         m = floor_matrix(matrix)
         refused = 0
         for k in range(1, m.rank + 1):
             dist = enumerate_distribution(m, k)
-            for s, w, err in zip(dist.subsets.tolist(), dist.weights, dist.errors):
-                if w == 0.0:
+            for s, p, err in zip(dist.subsets.tolist(), dist.probabilities, dist.errors):
+                if p == 0.0:
                     refused += 1
                     with pytest.raises(NumericalError, match="^pivot block is singular at step"):
                         cur_error_nuclear(m, s)
                 else:
                     assert cur_error_nuclear(m, s) == err
-        assert (refused > 0) == (matrix not in ("full-rank", "rank-3"))
+        assert (refused > 0) == (matrix not in ("full-rank", "rank-3", "underflowing-diagonal"))
+
+    @pytest.mark.parametrize("exponent", [-300, -600])
+    @pytest.mark.parametrize("matrix", FLOOR_MATRICES + ["wishart"])
+    def test_probabilities_do_not_depend_on_scale(self, matrix, exponent):
+        # M 2^e: the pivots scale exactly, so the volumes, which leave double range
+        # as doubles, keep their bits as (mantissa, exponent) pairs
+        m = floor_matrix(matrix)
+        scaled = PsdMatrix(np.ldexp(m.entries, exponent))
+        for k in range(1, m.rank + 1):
+            want, got = enumerate_distribution(m, k), enumerate_distribution(scaled, k)
+            assert np.array_equal(got.probabilities, want.probabilities)
+            assert np.array_equal(got.errors, np.ldexp(want.errors, exponent))
+            assert got.expected_error == math.ldexp(want.expected_error, exponent)
+
+    def test_underflowing_volumes_keep_their_probabilities(self):
+        # the weights as doubles: 1e-320 (subnormal) and five zeros; the pairs keep
+        # p proportional to 1, 1e-10 (four times) and 1e-20, and brute force 6e-170
+        dist = enumerate_distribution(floor_matrix("underflowing-diagonal"), 2)
+        assert np.count_nonzero(dist.weights) == 1
+        want = np.array([1.0, 1e-10, 1e-10, 1e-10, 1e-10, 1e-20])
+        assert np.allclose(dist.probabilities, want / want.sum(), rtol=1e-14, atol=0.0)
+        assert dist.expected_error == pytest.approx(6e-170, rel=1e-9)
 
     def test_tiny_diagonal_hand_case(self):
         # {1} is regular at its own scale: weight 1e-20 and error 2, as cur_error_nuclear says

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from itertools import combinations
 
 import numpy as np
@@ -191,6 +192,23 @@ class TestSampler:
             sample_subsets(m, 0, 1, seed=0)
         with pytest.raises(ValidationError):
             sample_subsets(m, 2, 0, seed=0)
+
+    def test_draws_past_the_dense_cap_are_refused_before_allocating(self, monkeypatch):
+        m = PsdMatrix(np.eye(3))
+        message = f"^{10**12} draws x 2 indices exceed the dense-array cap 1073741824$"
+        tracemalloc.start()
+        try:
+            for call in (sample_subsets, empirical_error):
+                with pytest.raises(CapExceededError, match=message):
+                    call(m, 2, 10**12, 0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+        monkeypatch.setattr(volcur.sampling, "DENSE_CAP", 6)    # draws x k at the cap is kept
+        assert sample_subsets(m, 2, 3, 0).shape == (3, 2)
+        with pytest.raises(CapExceededError, match="^4 draws x 2 indices exceed the dense-array cap 6$"):
+            sample_subsets(m, 2, 4, 0)
 
     def test_frequencies_match_enumeration(self):
         m = PsdMatrix(np.diag([3.0, 2.0, 1.0]))
