@@ -16,7 +16,7 @@ import numpy as np
 
 from .bounds import bound_reports, figure_rows
 from .errors import NumericalError, ValidationError, VolcurError, checked_int
-from .esp import _ratios_and_esps, esp_all, esp_ratios
+from .esp import _ratios, _scaled_coeffs, esp_all, esp_ratios
 from .psd import (
     RANK_TOL,
     PsdMatrix,
@@ -205,17 +205,21 @@ def cmd_verify(args) -> int:
     _within_rank(m, ks[-1])
     for k in ks:
         _enumeration_count(m.n, k)
-    ratios, sums = _ratios_and_esps(m.eigenvalues, ks[-1])   # sums[k] = c_k, k x k minors
+    mant, exps = _scaled_coeffs(m.eigenvalues, ks[-1] + 1)   # c_k = mant[k] 2^exps[k]
+    ratios = np.append(_ratios(mant, exps), 0.0)            # e_{k+1}/e_k, 0 at k = rank
     dropped = (m.n - m.rank) * RANK_TOL * m.lambda_max      # at least the mass RANK_TOL drops
     ok, lines = True, []
     for k in ks:
-        _check_finite(f"c_k at k = {k}", float(sums[k]))
         dist = enumerate_distribution(m, k)
         brute, exact = dist.expected_error, (k + 1) * float(ratios[k])
+        _check_finite(f"a value at k = {k}", brute, exact)
         scale = max(abs(brute), abs(exact))
         # the dropped eigenvalues raise (k+1) e_{k+1}/e_k by at most (k+1) times their mass
         err_rel = 0.0 if scale <= (k + 1) * dropped else abs(brute - exact) / scale
-        norm_rel = abs(dist.normalizer - sums[k]) / max(abs(sums[k]), 1e-300)
+        # both sides' c_k as mantissas, aligned at the larger exponent
+        (nm, ne), ce = dist.normalizer, int(exps[k])
+        a, b = math.ldexp(nm, ne - max(ne, ce)), math.ldexp(mant[k], ce - max(ne, ce))
+        norm_rel = abs(a - b) / b
         if err_rel >= VERIFY_TOL or norm_rel >= VERIFY_TOL:
             ok = False
         lines.append(

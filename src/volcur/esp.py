@@ -269,7 +269,7 @@ def _esp_vector(mant: np.ndarray, exps: np.ndarray, m: int) -> np.ndarray:
     if bad.size:
         raise NumericalError(
             f"ESP values overflow double precision at this scale, first at j = {bad[0]}; "
-            "use esp_ratios, which is scale free")
+            "use esp_ratios (volcur ratio), which is scale free")
     coeffs.flags.writeable = False
     return coeffs
 
@@ -310,18 +310,11 @@ def esp_ratios(spec: Spectrum, kmax: int) -> np.ndarray:
     formula whose entries underflow to zero meets the same rule.  kmax
     above DENSE_CAP raises CapExceededError before anything is allocated.
     """
-    return _ratios_and_esps(spec, kmax)[0]
-
-
-def _ratios_and_esps(spec: Spectrum, kmax: int) -> tuple[np.ndarray, np.ndarray]:
-    """esp_ratios(spec, kmax) and e_0..e_kmax, inf past double range, from one ESP table."""
     kmax = _order(checked_int(kmax, "k", 0))
     mant, exps = _scaled_coeffs(spec, kmax + 1)
-    ratios, esps = np.zeros(kmax + 1), np.zeros(kmax + 1)    # e_j = 0 past the pair's end
+    ratios = np.zeros(kmax + 1)                  # e_{k+1} = 0 past the pair's end
     ratios[: mant.size - 1] = _ratios(mant, exps)
-    with np.errstate(over="ignore"):
-        np.ldexp(mant[: kmax + 1], exps[: kmax + 1], out=esps[: min(mant.size, kmax + 1)])
-    return ratios, esps
+    return ratios
 
 
 def esp_ratio(s: Spectrum, k: int) -> float:

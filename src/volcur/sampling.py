@@ -9,7 +9,8 @@ subset has the exact closed form
 where c_j is the sum of j x j principal minors (equivalently e_j of the
 eigenvalues).  This module provides that formula, an exact sampler, and
 an enumeration oracle and Monte Carlo estimate whose subsets psd's kernel
-factors (_factor_rows): the oracle's errors are 0 where the kernel refuses S.
+factors (_factor_rows): the oracle's errors are 0 where the kernel refuses S,
+and it holds c_k as a (mantissa, exponent) pair, as esp holds e_k.
 
 Given the matrix's eigenpairs, a draw costs O(r) to choose its k
 eigenvectors and O(k^3 log k) on average for its projection DPP: k H_k
@@ -58,9 +59,8 @@ class VolumeDistribution:
     """Exhaustive volume-sampling distribution over size-k subsets."""
 
     subsets: np.ndarray        # C(n,k) x k read-only intp, rows in lexicographic order
-    weights: np.ndarray        # det M[S,S] per subset
-    normalizer: float          # sum of weights = c_k(M)
-    probabilities: np.ndarray
+    normalizer: tuple[float, int]   # c_k(M) = sum of det M[S,S] = mantissa * 2**exponent
+    probabilities: np.ndarray  # det M[S,S] / c_k(M)
     errors: np.ndarray         # CUR nuclear error per subset, 0 where S is singular
 
     @property
@@ -74,11 +74,11 @@ def enumerate_distribution(m: PsdMatrix, k: int) -> VolumeDistribution:
 
     One greedy pivoted Cholesky of M over each subset gives both: its pivots
     multiply to det M[S,S], a (mantissa, exponent) pair normalized at the
-    largest, so the probabilities do not depend on the matrix's scale (weights
-    and normalizer are the pairs as doubles), and its residual diagonal sums to
-    the CUR error, 0 where the kernel calls S singular (S is never drawn).  Refuses
-    k above the rank, more than ENUMERATION_CAP subsets before it factors any,
-    a normalizer past double range, and a k at which every S is singular.
+    largest, so the probabilities do not depend on the matrix's scale and the
+    normalizer c_k is a pair too, mantissa in [1/2, 1), at any scale; and its
+    residual diagonal sums to the CUR error, 0 where the kernel calls S singular
+    (S is never drawn).  Refuses k above the rank, more than ENUMERATION_CAP
+    subsets before it factors any, and a k at which every S is singular.
     """
     k = _within_rank(m, checked_int(k, "k", 1, m.n))
     count = _enumeration_count(m.n, k)
@@ -88,12 +88,8 @@ def enumerate_distribution(m: PsdMatrix, k: int) -> VolumeDistribution:
     if not mant.any():
         raise NumericalError(f"every {k}-subset has volume 0: its pivot block is singular")
     scaled = np.ldexp(mant, exps - (top := exps[mant > 0.0].max()))   # the largest in [1/2, 1)
-    with np.errstate(over="ignore"):     # an overflowing sum is refused below, not warned of
-        weights, normalizer = np.ldexp(mant, exps), float(np.ldexp(total := scaled.sum(), top))
-    if not math.isfinite(normalizer):
-        raise NumericalError(
-            f"c_{k}, the sum of the {k}-subset volumes, overflows double precision")
-    return VolumeDistribution(subsets=subsets, weights=weights, normalizer=normalizer,
+    mantissa, shift = math.frexp(total := scaled.sum())
+    return VolumeDistribution(subsets=subsets, normalizer=(mantissa, int(top) + shift),
                               probabilities=scaled / total,
                               errors=np.where(np.isnan(sums), 0.0, sums))
 

@@ -400,7 +400,7 @@ class TestVerifyCommand:
         assert last.startswith(f"k={k[-1]} bruteforce=0 exact=0 rel_err=0.000e+00 ")
         assert verdict == "verify: PASS"
         dist = enumerate_distribution(load_matrix(p), int(k[-1]))
-        assert dist.normalizer == pytest.approx(det, rel=1e-15)
+        assert math.ldexp(*dist.normalizer) == pytest.approx(det, rel=1e-15)
 
     def test_one_enumeration_per_k(self, tmp_path, capsys, monkeypatch):
         path = tmp_path / "m8.txt"
@@ -481,7 +481,7 @@ class TestVerifyCommand:
 
     @pytest.mark.filterwarnings("error")
     def test_answers_where_c_k_is_finite(self, tmp_path, capsys):
-        # c_2 = 6e400 overflows, but k = 1 reads only c_1 and the ratio e_2 / e_1
+        # c_1 = 4e200, and the ratio e_2 / e_1 is read from the pairs
         p = tmp_path / "d200.txt"
         np.savetxt(p, np.diag([1e200] * 4))
         code, out, err = run_cli(["verify", "--input", str(p), "--k", "1"], capsys)
@@ -491,10 +491,15 @@ class TestVerifyCommand:
 
     @pytest.mark.filterwarnings("error")
     def test_overflowing_c_k_is_one_error_line_naming_k(self, tmp_path, capsys):
+        # c_2 = 6e400 and c_3 = 4e600 leave double range but not their pairs, so
+        # diag(1e200 x 4) passes; on diag(8.9e307 x 4) the errors themselves overflow
         p = tmp_path / "d200.txt"
         np.savetxt(p, np.diag([1e200] * 4))
-        assert run_cli(["verify", "--input", str(p), "--k", "1..2"], capsys) == (
-            2, "", "error: c_k at k = 2 overflows double precision\n")
+        code, out, err = run_cli(["verify", "--input", str(p), "--k", "1..3"], capsys)
+        assert (code, err, out.splitlines()[-1]) == (0, "", "verify: PASS")
+        np.savetxt(p, np.diag([8.9e307] * 4))
+        assert run_cli(["verify", "--input", str(p), "--k", "1"], capsys) == (
+            2, "", "error: a value at k = 1 overflows double precision\n")
 
     def test_fail_branch_exits_2(self, tmp_path, capsys, monkeypatch):
         path = tmp_path / "m5.txt"
@@ -510,6 +515,23 @@ class TestVerifyCommand:
         assert out.splitlines()[-1] == "verify: FAIL"
         assert all(float(line.split("rel_err=")[1].split()[0]) > 1e-7
                    for line in out.splitlines()[:-1])
+
+    def test_fail_branch_reads_c_k_below_double_range(self, tmp_path, capsys, monkeypatch):
+        # c_2 = 6e-400 of diag(1e-200 x 4) is 0.0 as a double; a doubled pair still fails
+        path = tmp_path / "d.txt"
+        np.savetxt(path, np.diag([1e-200] * 4))
+        enumerate_distribution = volcur.cli.enumerate_distribution
+
+        def doubled(m, k):
+            dist = enumerate_distribution(m, k)
+            mantissa, exponent = dist.normalizer
+            return dataclasses.replace(dist, normalizer=(mantissa, exponent + 1))
+        monkeypatch.setattr(volcur.cli, "enumerate_distribution", doubled)
+        code, out, err = run_cli(["verify", "--input", str(path), "--k", "2"], capsys)
+        assert (code, err) == (2, "")
+        line, verdict = out.splitlines()
+        assert float(line.split("normalizer_rel_err=")[1]) == pytest.approx(1.0, rel=1e-9)
+        assert verdict == "verify: FAIL"
 
 
 class TestFigureCommand:
@@ -740,13 +762,16 @@ class TestErrorPaths:
         assert (code, err) == (0, "")
         assert out == "k,ratio\n1,1e+308\n2,3.3333333333333337e+307\n"
 
-    def test_overflowing_esp_names_the_first_j(self, tmp_path, capsys):
+    @pytest.mark.parametrize("text, k, j", [("1e308\n1e308\n1e308\n", "0..3", 1),
+                                            ("1e300\n1e300\n", "2", 2)],
+                             ids=["1e308x3", "1e300x2"])
+    def test_overflowing_esp_names_the_first_j(self, text, k, j, tmp_path, capsys):
+        # and the scale-free command a CLI user can run instead
         p = tmp_path / "s.txt"
-        p.write_text("1e308\n1e308\n1e308\n")
-        code, out, err = run_cli(["esp", "--input", str(p), "--k", "0..3"], capsys)
-        assert (code, out) == (2, "")
-        assert err.startswith("error: ESP values overflow double precision at this scale, "
-                              "first at j = 1;")
+        p.write_text(text)
+        assert run_cli(["esp", "--input", str(p), "--k", k], capsys) == (
+            2, "", f"error: ESP values overflow double precision at this scale, first at "
+                   f"j = {j}; use esp_ratios (volcur ratio), which is scale free\n")
 
     @pytest.mark.parametrize("command", ["approx", "sample"])
     def test_single_k_commands_refuse_a_range_of_any_length(self, command, identity5_file,

@@ -406,11 +406,11 @@ class TestOneSingularRule:
                     assert cur_error_nuclear(m, s) == err
         assert (refused > 0) == (matrix not in ("full-rank", "rank-3", "underflowing-diagonal"))
 
-    @pytest.mark.parametrize("exponent", [-300, -600])
+    @pytest.mark.parametrize("exponent", [-300, -600, 600])
     @pytest.mark.parametrize("matrix", FLOOR_MATRICES + ["wishart"])
     def test_probabilities_do_not_depend_on_scale(self, matrix, exponent):
-        # M 2^e: the pivots scale exactly, so the volumes, which leave double range
-        # as doubles, keep their bits as (mantissa, exponent) pairs
+        # M 2^e: the pivots scale exactly, so the volumes and c_k, which leave double
+        # range as doubles, keep their bits as (mantissa, exponent) pairs
         m = floor_matrix(matrix)
         scaled = PsdMatrix(np.ldexp(m.entries, exponent))
         for k in range(1, m.rank + 1):
@@ -418,21 +418,22 @@ class TestOneSingularRule:
             assert np.array_equal(got.probabilities, want.probabilities)
             assert np.array_equal(got.errors, np.ldexp(want.errors, exponent))
             assert got.expected_error == math.ldexp(want.expected_error, exponent)
+            assert got.normalizer == (want.normalizer[0], want.normalizer[1] + k * exponent)
 
     def test_underflowing_volumes_keep_their_probabilities(self):
-        # the weights as doubles: 1e-320 (subnormal) and five zeros; the pairs keep
+        # the volumes as doubles: 1e-320 (subnormal) and five zeros; the pairs keep
         # p proportional to 1, 1e-10 (four times) and 1e-20, and brute force 6e-170
         dist = enumerate_distribution(floor_matrix("underflowing-diagonal"), 2)
-        assert np.count_nonzero(dist.weights) == 1
         want = np.array([1.0, 1e-10, 1e-10, 1e-10, 1e-10, 1e-20])
         assert np.allclose(dist.probabilities, want / want.sum(), rtol=1e-14, atol=0.0)
         assert dist.expected_error == pytest.approx(6e-170, rel=1e-9)
 
     def test_tiny_diagonal_hand_case(self):
-        # {1} is regular at its own scale: weight 1e-20 and error 2, as cur_error_nuclear says
+        # {1} is regular at its own scale: volume 1e-20 and error 2, as cur_error_nuclear says
         m = floor_matrix("tiny-diagonal")
         dist = enumerate_distribution(m, 1)
-        assert dist.weights.tolist() == [1.0, 1e-20, 1.0]
+        mantissa, exponent = dist.normalizer
+        assert np.ldexp(dist.probabilities * mantissa, exponent).tolist() == [1.0, 1e-20, 1.0]
         assert dist.errors.tolist() == [1.0, 2.0, 1.0]
         assert cur_error_nuclear(m, [1]) == 2.0
 
