@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import gc
 import math
+import os
 import sys
 from pathlib import Path
 
@@ -298,7 +299,9 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except (VolcurError, OSError) as exc:     # an OSError is an input problem: exit 1
+    except BrokenPipeError:                   # a reader that stopped early: run() ends quietly
+        raise
+    except (VolcurError, OSError) as exc:     # any other OSError is an input problem: exit 1
         print(f"error: {exc}", file=sys.stderr)
         return getattr(exc, "exit_code", 1)
 
@@ -313,9 +316,19 @@ def run() -> None:
     a 2-vCPU VM).  Objects the command makes are collected as before.
     main() never freezes, so a process that calls it in-process keeps its
     garbage collectable.
+
+    A reader that closes stdout early (`volcur approx ... | head -1`) is not
+    an error: exit 0, nothing on stderr.  stdout is then pointed at
+    os.devnull, as the Python docs advise, so the last flush cannot fail.
     """
     gc.freeze()
-    sys.exit(main())
+    try:
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 0
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -23,12 +23,12 @@ import itertools
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import Iterable
 
 import numpy as np
 
 from .errors import NumericalError, ValidationError, checked_int
-from .spectra import Spectrum, _Owned
+from .spectra import Spectrum, _Owned, _read_table
 
 __all__ = [
     "PsdMatrix",
@@ -267,60 +267,8 @@ def rbf_kernel_matrix(data: np.ndarray, sigma: float) -> PsdMatrix:
 
 
 def read_array(path: str | Path) -> np.ndarray:
-    """Read a 2-D array: one row per line, whitespace- or comma-separated.
-
-    Blank lines are skipped; there is no comment syntax.  A malformed file
-    is reported at its first bad token or ragged row, by 1-based line.
-    Streamed into numpy's reader, the parse holds the array, not the text.
-    """
-    try:
-        with open(path) as file:
-            lines = _lines(file)
-            head = next((line for line in lines if line.strip()), None)
-            if head is None:
-                raise ValidationError(f"matrix file {path} is empty")
-            try:
-                return np.loadtxt(itertools.chain([head], lines), ndmin=2, comments=None)
-            except ValueError as exc:
-                with open(path) as again:
-                    where = _first_fault(_lines(again)) or exc
-                raise ValidationError(f"malformed matrix file {path}: {where}") from exc
-    except (OSError, UnicodeError) as exc:
-        raise ValidationError(f"cannot read matrix file {path}: {exc}") from exc
-
-
-def _lines(file: Iterable[str]) -> Iterator[str]:
-    """A text file's lines, commas made spaces, split as str.splitlines splits its text."""
-    for line in file:
-        yield from line.replace(",", " ").splitlines()
-
-
-def _first_fault(lines: Iterable[str]) -> str | None:
-    """Where numpy's reader fails on lines, named by the file's line.
-
-    numpy counts rows after skipping blank lines, so its locations are not
-    the file's; its tokenizer splits on the same whitespace as str.split.
-    """
-    width = None
-    for number, line in enumerate(lines, 1):
-        tokens = line.split()
-        if not tokens:
-            continue
-        try:
-            np.loadtxt([line], comments=None)
-        except ValueError:
-            for column, token in enumerate(tokens, 1):
-                try:
-                    np.loadtxt([token], comments=None)
-                except ValueError:
-                    return (f"line {number}, column {column}: "
-                            f"could not convert string {token!r} to float64")
-        if width is None:
-            width = len(tokens)
-        elif len(tokens) != width:
-            return (f"line {number}: the number of columns changed "
-                    f"from {width} to {len(tokens)}")
-    return None
+    """Read a 2-D array from a matrix file, in spectra._read_table's grammar."""
+    return _read_table(path, "matrix")
 
 
 def load_matrix(path: str | Path) -> PsdMatrix:

@@ -78,7 +78,7 @@ class TestEspCommand:
 
     def test_integer_spectrum_prints_exact_values(self, tmp_path, capsys):
         p = tmp_path / "s.txt"
-        p.write_text("3,1\n2\n")
+        p.write_text("3,1,2\n")
         code, out, err = run_cli(["esp", "--input", str(p), "--k", "2"], capsys)
         assert (code, out, err) == (0, "j,e_j\n0,1\n1,6\n2,11\n", "")
 
@@ -601,6 +601,28 @@ class TestErrorPaths:
         assert code == 1 and out == ""
         assert "error: cannot read spectrum file" in err
 
+    @pytest.mark.parametrize("command", [
+        ["ratio"], ["expected-error"], ["bounds"], ["figure", "--mu", "dyadic:lmax=4,base=0.25"],
+    ], ids=["ratio", "expected-error", "bounds", "figure"])
+    @pytest.mark.parametrize("text, detail", [
+        ("3 1\n1 3\n", "holds a 2 x 2 table; give one line of values, or one value per line"),
+        (None, "holds a 12 x 12 table; give one line of values, or one value per line"),
+        ("3,1\n2", "line 2: the number of columns changed from 2 to 1"),
+    ], ids=["2x2", "wishart12", "ragged"])
+    def test_a_table_given_as_a_spectrum_is_one_error_line(self, command, text, detail,
+                                                           tmp_path, capsys):
+        # the 2 x 2 file was once the spectrum {3, 3, 1, 1}: `ratio --k 1` printed 2.75
+        p = tmp_path / "table.txt"
+        if text is None:
+            g = np.random.default_rng(12).standard_normal((12, 12))
+            np.savetxt(p, g @ g.T)
+        else:
+            p.write_text(text)
+        code, out, err = run_cli(command + ["--input", str(p), "--k", "1"], capsys)
+        assert (code, out) == (1, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert err.endswith(f"{detail}\n")
+
     @pytest.mark.parametrize("extra, message", [
         (["--kernel", "poly", "--sigma", "1"], "invalid choice: 'poly'"),
         (["--spectrum", "geom:q=0.5,n=2"], "unrecognized arguments: --spectrum"),
@@ -1102,6 +1124,21 @@ class TestModuleEntryPoint:
         proc = python_dash_m(argv)
         assert (proc.returncode, proc.stdout, proc.stderr) == run_cli(argv, capsys)
         assert proc.returncode == code and proc.stderr.startswith("error: ")
+
+    def test_a_reader_that_stops_early_is_not_an_error(self, tmp_path):
+        # approx on eye(300) writes about 180 kB, past the pipe's buffer, so the
+        # command is still writing when the reader closes its end
+        eye = tmp_path / "eye300.txt"
+        np.savetxt(eye, np.eye(300))
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "volcur.cli", "approx", "--input", str(eye), "--k", "5"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+        first = proc.stdout.readline()
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait(timeout=60) == 0
+        assert first.startswith(b"subset,") and err == b""
 
     def test_main_and_import_leave_the_collector_alone(self, capsys):
         before = gc.get_freeze_count()

@@ -307,15 +307,64 @@ class TestParsing:
         assert np.array_equal(load_spectrum(p).values, [3.0, 2.0, 1.0])
 
     def test_load_spectrum_commas_and_lines(self, tmp_path):
+        # one comma-separated line, or one value per line; a table is refused below
         p = tmp_path / "s.txt"
-        p.write_text("3,1\n2\n")
-        assert np.array_equal(load_spectrum(p).values, [3.0, 2.0, 1.0])
+        for text in ("3,1,2\n", "3\n1\n2\n"):
+            p.write_text(text)
+            assert np.array_equal(load_spectrum(p).values, [3.0, 2.0, 1.0])
+
+    @pytest.mark.parametrize("text", [
+        "0.5, 3,1e-3 ,2.25\n",
+        "\n0.5\n\n3\n 1e-3\n\n\n2.25",
+        "0.5\r\n3\r\n\r\n1e-3\r\n2.25\r\n",
+        "0.5,3\t1e-3 2.25\r\n\r\n",
+        # about 460 kB: read in several blocks, each cut at a line end
+        "\r\n\r\n".join(format(x, ".17g") for x in np.random.default_rng(1).random(20000)),
+    ], ids=["one_line", "blank_lines", "crlf", "crlf_one_line", "many_blocks"])
+    def test_accepted_layouts_hold_every_token(self, tmp_path, text):
+        # every token of a single line or column, sorted, as a flat read of the text gives
+        p = tmp_path / "s.txt"
+        p.write_bytes(text.encode())
+        want = sorted((float(t) for t in text.replace(",", " ").split()), reverse=True)
+        assert load_spectrum(p).values.tolist() == want
+
+    @pytest.mark.parametrize("text, message", [
+        ("3 1\n1 3\n", "spectrum file {p} holds a 2 x 2 table; "
+                        "give one line of values, or one value per line"),
+        (None, "spectrum file {p} holds a 12 x 12 table; "
+               "give one line of values, or one value per line"),
+        ("3,1\n2", "malformed spectrum file {p}: line 2: the number of columns changed "
+                   "from 2 to 1"),
+    ], ids=["2x2", "wishart12", "ragged"])
+    def test_a_table_is_not_a_spectrum(self, tmp_path, text, message):
+        # the 2 x 2 file was read as the entries {3, 3, 1, 1}; its spectrum is {4, 2}
+        p = tmp_path / "s.txt"
+        if text is None:
+            g = np.random.default_rng(12).standard_normal((12, 12))
+            np.savetxt(p, g @ g.T)
+        else:
+            p.write_text(text)
+        with pytest.raises(ValidationError) as info:
+            load_spectrum(p)
+        assert str(info.value) == message.format(p=p)
 
     def test_load_spectrum_rejects_garbage(self, tmp_path):
         p = tmp_path / "s.txt"
         p.write_text("1 banana\n")
         with pytest.raises(ValidationError):
             load_spectrum(p)
+
+    @pytest.mark.parametrize("text, where", [
+        ("3, 1, x, 2\n", "line 1, column 3"),
+        ("3\n\n1\r\nx\n2\n", "line 4, column 1"),
+    ], ids=["one_line", "one_per_line"])
+    def test_a_malformed_token_is_located(self, tmp_path, text, where):
+        p = tmp_path / "s.txt"
+        p.write_bytes(text.encode())
+        with pytest.raises(ValidationError) as info:
+            load_spectrum(p)
+        assert str(info.value) == (f"malformed spectrum file {p}: {where}: "
+                                   "could not convert string 'x' to float64")
 
     @pytest.mark.parametrize("token", ["1_000", "\u0661"], ids=["underscore", "arabic_one"])
     def test_load_spectrum_uses_the_matrix_number_grammar(self, tmp_path, token):
