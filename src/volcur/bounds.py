@@ -83,8 +83,7 @@ def bound_reports(
         _check_domination(spec, mu)
         dyadic = esp_ratios(mu, kmax)
     reports = []
-    for k in ks:
-        tail = spec.tail_sum(k)
+    for k, tail in zip(ks, spec._tail_sums(ks)):
         reports.append(BoundReport(
             n=spec.n, k=k, exact_ratio=float(exact[k]), simple_bound=tail,
             dyadic_bound=None if dyadic is None else float(dyadic[k]),

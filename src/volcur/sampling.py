@@ -280,7 +280,7 @@ def sample_subsets(m: PsdMatrix, k: int, draws: int, seed: int) -> np.ndarray:
     width = r + 3 * window
     chunk = max(1, _CHUNK_BYTES // _draw_bytes(m.n, r, k))
     marginals_t = esp_marginals(m.eigenvalues, k).T.copy()
-    key = np.random.Philox(seed).state["state"]["key"]
+    stream = np.random.Generator(np.random.Philox(seed))
     continuations: dict[int, np.random.Generator] = {}
 
     def more(i: int) -> np.ndarray:
@@ -291,9 +291,7 @@ def sample_subsets(m: PsdMatrix, k: int, draws: int, seed: int) -> np.ndarray:
     out = np.empty((draws, k), dtype=np.intp)
     for lo in range(0, draws, chunk):
         b = min(chunk, draws - lo)
-        counter, skip = divmod(lo * width, 4)
-        u = np.random.Generator(np.random.Philox(key=key, counter=counter)).random(
-            skip + b * width)[skip:].reshape(b, width)
+        u = stream.random((b, width))
         sel = _eigenvector_subsets(marginals_t, k, u[:, :r])
         out[lo : lo + b] = _projection_dpps(m.vectors, sel, u[:, r:], lambda i: more(lo + i))
     out.sort(axis=1)

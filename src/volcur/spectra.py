@@ -124,13 +124,19 @@ class Spectrum:
                          for lo in range(0, _dense_length(self.n), _CHUNK)])
 
     def tail_sum(self, k: int) -> float:
-        """Sum of entries after the first k (zero when k >= n, inf past
-        double range): the rest of k's chunk, then the sums of the chunks
-        after it."""
-        k = checked_int(k, "k", 0)
-        end = (k // _CHUNK + 1) * _CHUNK
+        """Sum of entries after the first k (zero when k >= n, inf past double range)."""
+        return self._tail_sums([k])[0]
+
+    def _tail_sums(self, ks: list[int]) -> list[float]:
+        """tail_sum at each k in ks: the rest of k's chunk, read once for all
+        the ks in it, then the sums of the chunks after it."""
+        ks, sums = [checked_int(k, "k", 0) for k in ks], {}
         with np.errstate(over="ignore"):
-            return float(self._chunk(k, end).sum() + self._chunk_sums[end // _CHUNK :].sum())
+            for c, group in itertools.groupby(sorted(set(ks)), lambda k: k // _CHUNK):
+                chunk = self._chunk(c * _CHUNK, (c + 1) * _CHUNK)
+                rest = self._chunk_sums[c + 1 :].sum()
+                sums.update((k, float(chunk[k % _CHUNK :].sum() + rest)) for k in group)
+        return [sums[k] for k in ks]
 
     def __repr__(self) -> str:
         shown = ", ".join(f"{v:g}" for v in self._chunk(0, 6))
@@ -189,6 +195,10 @@ class PiecewiseDyadicSpectrum(Spectrum):
         for start, count, value in self.pieces:     # the piece's entries past the first k
             total += max(start + count - max(start, k), 0) * value
         return total
+
+    def _tail_sums(self, ks: list[int]) -> list[float]:
+        """tail_sum at each k in ks: no entries to share."""
+        return [self.tail_sum(k) for k in ks]
 
 
 def make_spectrum(values: Iterable[float]) -> Spectrum:
@@ -265,53 +275,45 @@ def _read_table(path: str | Path, what: str) -> np.ndarray:
     reported at its first bad token or ragged row, by 1-based line, and named
     a `what` file.  Fed to numpy's reader 64 Ki characters at a time, the parse
     holds the array, not the text (0.2 MB beside a 1000 x 1000 matrix's 8 MB).
+    The file is read once, a pipe too: numpy's reader converts each line
+    before it takes the next, so a fault lies on the last line it took.
     """
+    at = [0, [], iter(())]      # lines before the block in hand, its lines, their iterator
     try:
         with open(path) as file:
-            lines = _lines(file)
-            head = next((line for line in lines if line.strip()), None)
-            if head is None:
-                raise ValidationError(f"{what} file {path} is empty")
-            try:
+            lines = _lines(file, at)
+            if (head := next((line for line in lines if line.strip()), None)) is not None:
                 return np.loadtxt(itertools.chain([head], lines), ndmin=2, comments=None)
-            except ValueError as exc:
-                with open(path) as again:      # not file.seek(0): a pipe cannot seek
-                    where = _first_fault(_lines(again)) or exc
-                raise ValidationError(f"malformed {what} file {path}: {where}") from exc
     except (OSError, UnicodeError) as exc:
         raise ValidationError(f"cannot read {what} file {path}: {exc}") from exc
+    except ValueError as exc:
+        taken = len(at[1]) - len(list(at[2]))       # of the block's lines, the reader took these
+        where = _fault(at[0] + taken, at[1][taken - 1], len(head.split())) or exc
+        raise ValidationError(f"malformed {what} file {path}: {where}") from exc
+    raise ValidationError(f"{what} file {path} is empty")
 
 
-def _lines(file: TextIO) -> Iterator[str]:
-    """A text file's lines, commas made spaces, split as str.splitlines splits its text."""
-    while block := file.read(1 << 16):
-        yield from (block + file.readline()).replace(",", " ").splitlines()
+def _lines(file: TextIO, at: list) -> Iterator[str]:
+    """A text file's lines, commas made spaces, split as str.splitlines splits its text;
+    at holds the number of lines before the current block, its lines and their iterator."""
+    while text := file.read(1 << 16):
+        lines = (text + file.readline()).replace(",", " ").splitlines()
+        at[:] = at[0] + len(at[1]), lines, iter(lines)
+        yield from at[2]
 
 
-def _first_fault(lines: Iterable[str]) -> str | None:
-    """Where numpy's reader fails on lines, named by the file's line.
-
-    numpy counts rows after skipping blank lines, so its locations are not
-    the file's; its tokenizer splits on the same whitespace as str.split.
-    """
-    width = None
-    for number, line in enumerate(lines, 1):
-        tokens = line.split()
-        if not tokens:
-            continue
+def _fault(number: int, line: str, width: int) -> str | None:
+    """File line `number` named at its first token outside numpy's float grammar, else at
+    a width other than the head row's; numpy's own message counts nonblank rows."""
+    tokens = line.split()
+    for column, token in enumerate(tokens, 1):
         try:
-            np.loadtxt([line], comments=None)
+            np.loadtxt([token], comments=None)
         except ValueError:
-            for column, token in enumerate(tokens, 1):
-                try:
-                    np.loadtxt([token], comments=None)
-                except ValueError:
-                    return (f"line {number}, column {column}: "
-                            f"could not convert string {token!r} to float64")
-        width = width or len(tokens)
-        if len(tokens) != width:
-            return (f"line {number}: the number of columns changed "
-                    f"from {width} to {len(tokens)}")
+            return (f"line {number}, column {column}: "
+                    f"could not convert string {token!r} to float64")
+    if len(tokens) != width:
+        return f"line {number}: the number of columns changed from {width} to {len(tokens)}"
     return None
 
 

@@ -1140,6 +1140,30 @@ class TestModuleEntryPoint:
         assert proc.wait(timeout=60) == 0
         assert first.startswith(b"subset,") and err == b""
 
+    @pytest.mark.parametrize("command, text, where", [
+        ("approx", "1 2\n3 x\n", "line 2, column 2: could not convert string 'x' to float64"),
+        ("approx", "1 2\n\n3", "line 3: the number of columns changed from 2 to 1"),
+        ("approx", "1, 2\n\n\n3, 4,\n\n5 6 7\n",
+         "line 6: the number of columns changed from 2 to 3"),
+        ("approx", "1 2\r\n\r\n3 4\r\n5 x\r\n",
+         "line 4, column 2: could not convert string 'x' to float64"),
+        ("ratio", "3, 1, x, 2\n", "line 1, column 3: could not convert string 'x' to float64"),
+        # about 270 kB: the fault is read in a later 64 Ki block than the head
+        ("approx", "0.5 0.25\n" * 30000 + "\n1 y\n",
+         "line 30002, column 2: could not convert string 'y' to float64"),
+    ], ids=["bad_token", "ragged", "blank_lines", "crlf", "commas", "past_the_first_block"])
+    def test_a_pipe_is_located_as_a_file_is(self, command, text, where, tmp_path):
+        # numpy's own location counts nonblank rows from 0; the message names the file's line
+        p = tmp_path / "bad.txt"
+        p.write_bytes(text.encode())
+        what = "matrix" if command == "approx" else "spectrum"
+        runs = [(subprocess.run([sys.executable, "-m", "volcur.cli", command, "--input", path,
+                                 "--k", "1"], input=text.encode(), capture_output=True), path)
+                for path in (str(p), "/dev/stdin")]
+        for proc, path in runs:
+            assert (proc.returncode, proc.stdout) == (1, b"")
+            assert proc.stderr.decode() == f"error: malformed {what} file {path}: {where}\n"
+
     def test_main_and_import_leave_the_collector_alone(self, capsys):
         before = gc.get_freeze_count()
         assert run_cli(["ratio", "--spectrum", "geom:q=0.5,n=3", "--k", "1"], capsys)[0] == 0

@@ -1,10 +1,13 @@
 import math
+import os
+import threading
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import volcur.spectra
 from volcur import (
     DENSE_CAP,
     CapExceededError,
@@ -19,7 +22,7 @@ from volcur import (
     parse_generator_spec,
     split_head_tail,
 )
-from volcur.spectra import _CHUNK
+from volcur.spectra import _CHUNK, _read_table
 
 positive_lists = st.lists(
     st.floats(min_value=1e-6, max_value=1e6, allow_nan=False), min_size=1, max_size=12)
@@ -185,6 +188,18 @@ class TestGeneratedChunks:
         values = dense_power_law(1.0, s.n)
         for k in (0, 5, _CHUNK - 1, _CHUNK, 2 * _CHUNK + 3, s.n - 1, s.n, s.n + 9):
             assert s.tail_sum(k) == pytest.approx(math.fsum(values[k:]), rel=1e-15, abs=0)
+
+    def test_tail_sums_read_each_chunk_once(self):
+        # bound_reports' ks: unordered, repeated, past n; one read per chunk, and the
+        # bits of one tail_sum call per k
+        s = generate_power_law(1.0, 3 * _CHUNK + 7)
+        ks = [5, 0, _CHUNK + 1, _CHUNK - 1, 5, 2 * _CHUNK + 3, s.n, s.n + 9, _CHUNK]
+        want = [s.tail_sum(k) for k in ks]
+        entries, reads = s._entries, []
+        s._entries = lambda lo, hi: reads.append((hi - 1) // _CHUNK) or entries(lo, hi)
+        assert s._tail_sums(ks) == want
+        assert sorted(reads) == [0, 1, 2, 3]
+        assert "values" not in vars(s)
 
     def test_values_are_computed_once_and_read_only(self):
         s = generate_geometric(0.5, 10)
@@ -407,3 +422,91 @@ class TestParsing:
             parse_generator_spec("geom:q=0.5")
         with pytest.raises(ValidationError):
             parse_generator_spec("geom:q=0.5,n=3,extra=1")
+
+
+@st.composite
+def malformed_tables(draw):
+    """(text, where): a table with one bad token or one ragged row, and the location
+    _read_table names, by 1-based file line; blank lines and separators vary."""
+    width = draw(st.integers(1, 5))
+    number = st.floats(allow_nan=False, allow_infinity=False).map(repr)
+    rows = draw(st.lists(st.lists(number, min_size=width, max_size=width),
+                         min_size=1, max_size=8))
+    pad = draw(st.sampled_from([0, 9000]))     # 9000 rows ahead: past one 64 Ki block
+    rows = [["0.5"] * width] * pad + rows
+    at = draw(st.integers(pad, len(rows) - 1))
+    if at > 0 and draw(st.booleans()):
+        changed = draw(st.integers(1, 6).filter(lambda v: v != width))
+        rows[at] = (rows[at] * 6)[:changed]
+        where = f"line {{}}: the number of columns changed from {width} to {changed}"
+    else:
+        column = draw(st.integers(0, width - 1))
+        token = draw(st.sampled_from(["x", "1_000", "1..2", "#", "0x10", "--1"]))
+        rows[at] = rows[at][:column] + [token] + rows[at][column + 1 :]
+        where = f"line {{}}, column {column + 1}: could not convert string {token!r} to float64"
+    lines = []
+    for i, row in enumerate(rows):
+        if i >= pad:
+            lines += draw(st.lists(st.sampled_from(["", " ", "\t", ","]), max_size=2))
+        sep = draw(st.sampled_from([" ", "\t", ",", ", ", " , "])) if i >= pad else " "
+        lines.append(sep.join(row))
+        if i == at:
+            line = len(lines)
+    eol = draw(st.sampled_from(["\n", "\r\n"]))
+    return eol.join(lines) + draw(st.sampled_from(["", eol])), where.format(line)
+
+
+def read_through_a_pipe(data: bytes) -> str:
+    """_read_table's message for data written into an os.pipe and read from its end."""
+    r, w = os.pipe()
+
+    def write():
+        try:
+            with os.fdopen(w, "wb") as pipe:
+                pipe.write(data)
+        except BrokenPipeError:             # the reader stopped at the fault
+            pass
+
+    writer = threading.Thread(target=write)
+    writer.start()
+    try:
+        with pytest.raises(ValidationError) as info:
+            _read_table(f"/dev/fd/{r}", "matrix")
+    finally:
+        os.close(r)
+        writer.join(timeout=60)
+    assert not writer.is_alive()
+    return str(info.value).removeprefix(f"malformed matrix file /dev/fd/{r}: ")
+
+
+class TestReadTable:
+    @given(malformed_tables())
+    @settings(max_examples=60, derandomize=True, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_the_fault_is_located_from_a_file_and_a_pipe(self, tmp_path, case):
+        text, where = case
+        p = tmp_path / "bad.txt"
+        p.write_bytes(text.encode())
+        with pytest.raises(ValidationError) as info:
+            _read_table(p, "matrix")
+        assert str(info.value) == f"malformed matrix file {p}: {where}"
+        assert read_through_a_pipe(text.encode()) == where
+
+    def test_a_malformed_file_is_opened_once(self, tmp_path, monkeypatch):
+        p = tmp_path / "bad.txt"
+        p.write_text("1 2\n" * 20000 + "3 x\n")
+        opened = []
+        monkeypatch.setattr(volcur.spectra, "open",
+                            lambda *args: opened.append(args) or open(*args), raising=False)
+        with pytest.raises(ValidationError) as info:
+            _read_table(p, "matrix")
+        assert str(info.value).startswith(f"malformed matrix file {p}: line 20001, column 2: ")
+        assert opened == [(p,)]
+
+    def test_an_undecodable_later_block_is_unreadable_not_malformed(self, tmp_path):
+        # the decode error reaches numpy's reader, past the first block, as a ValueError
+        p = tmp_path / "bad.txt"
+        p.write_bytes(b"1 2\n" * 20000 + b"\xff 3\n")
+        with pytest.raises(ValidationError) as info:
+            _read_table(p, "matrix")
+        assert str(info.value).startswith(f"cannot read matrix file {p}: 'utf-8' codec")
