@@ -267,10 +267,10 @@ def rbf_kernel_matrix(data: np.ndarray, sigma: float) -> PsdMatrix:
 
 
 def read_array(path: str | Path) -> np.ndarray:
-    """Read a 2-D array from a matrix file, in spectra._read_table's grammar."""
+    """Read a 2-D array from a matrix file, text or .npy, as spectra._read_table reads it."""
     return _read_table(path, "matrix")
 
 
 def load_matrix(path: str | Path) -> PsdMatrix:
-    """Read a symmetric PSD matrix from a text file."""
+    """Read a symmetric PSD matrix from a text or .npy file."""
     return PsdMatrix(_Owned(read_array(path)))

@@ -15,9 +15,11 @@ from __future__ import annotations
 
 import bisect
 import itertools
+import os
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
+from stat import S_ISREG
 from typing import Callable, Iterable, Iterator, NamedTuple, TextIO
 
 import numpy as np
@@ -260,7 +262,8 @@ def split_head_tail(s: Spectrum, k: int) -> HeadTailSplit:
 
 def load_spectrum(path: str | Path) -> Spectrum:
     """Read a spectrum from text: one line of values, or one value per line, in a
-    matrix file's grammar (_read_table).  A table of 2+ rows and columns is refused."""
+    matrix file's grammar (_read_table), or from an .npy file of one row or column.
+    A table of 2+ rows and columns is refused."""
     table = _read_table(path, "spectrum")
     if min(table.shape) > 1:
         raise ValidationError(f"spectrum file {path} holds a {table.shape[0]} x {table.shape[1]} "
@@ -269,21 +272,38 @@ def load_spectrum(path: str | Path) -> Spectrum:
 
 
 def _read_table(path: str | Path, what: str) -> np.ndarray:
-    """A 2-D array from a text file: one row per line, whitespace- or comma-separated.
+    """A 2-D array from a text file: one row per line, whitespace- or comma-separated;
+    from a file named *.npy, the float64 array it holds (_npy_array).
 
     Blank lines are skipped; there is no comment syntax.  A malformed file is
     reported at its first bad token or ragged row, by 1-based line, and named
     a `what` file.  Fed to numpy's reader 64 Ki characters at a time, the parse
     holds the array, not the text (0.2 MB beside a 1000 x 1000 matrix's 8 MB).
-    The file is read once, a pipe too: numpy's reader converts each line
-    before it takes the next, so a fault lies on the last line it took.
+    The file is opened once, a pipe too: numpy's reader converts each line
+    before it takes the next, so a fault lies on the last line it took.  A
+    regular file is first hashed through the same handle and rewound: a parse
+    of the same bytes cached earlier (_cache_key) is loaded instead, and a new
+    one is stored.
     """
+    if Path(path).suffix == ".npy":
+        try:
+            return _npy_array(path)
+        except OSError as exc:
+            raise ValidationError(f"cannot read {what} file {path}: {exc}") from exc
+        except ValueError as exc:
+            raise ValidationError(f"malformed {what} file {path}: {exc}") from exc
     at = [0, [], iter(())]      # lines before the block in hand, its lines, their iterator
     try:
         with open(path) as file:
+            key = _cache_key(file)
+            if key and (table := _cache_load(key[0])) is not None:
+                return table
             lines = _lines(file, at)
             if (head := next((line for line in lines if line.strip()), None)) is not None:
-                return np.loadtxt(itertools.chain([head], lines), ndmin=2, comments=None)
+                table = np.loadtxt(itertools.chain([head], lines), ndmin=2, comments=None)
+                if key:
+                    _cache_store(*key, file, table)
+                return table
     except (OSError, UnicodeError) as exc:
         raise ValidationError(f"cannot read {what} file {path}: {exc}") from exc
     except ValueError as exc:
@@ -291,6 +311,83 @@ def _read_table(path: str | Path, what: str) -> np.ndarray:
         where = _fault(at[0] + taken, at[1][taken - 1], len(head.split())) or exc
         raise ValidationError(f"malformed {what} file {path}: {where}") from exc
     raise ValidationError(f"{what} file {path} is empty")
+
+
+def _npy_array(path: str | Path) -> np.ndarray:
+    """The array an .npy file holds, C-ordered and writable, read as np.load reads
+    one, with no unpickling; ValueError unless it is a 2-D float64 array."""
+    with Path(path).open("rb") as file:
+        table = np.lib.format.read_array(file, allow_pickle=False)
+    if table.ndim != 2 or table.dtype != np.float64:
+        raise ValueError(f"it holds a {table.ndim}-D {table.dtype} array, not a 2-D float64 one")
+    return np.ascontiguousarray(table)
+
+
+# The text grammar's version, part of every cache key: bump it whenever
+# _read_table parses some text differently, so no parse cached before is used.
+_GRAMMAR = "1"
+_CACHE_CAP = 1 << 30        # bytes of cached parses kept; the least recently used go first
+
+
+def _cache_key(file: TextIO) -> tuple[Path, tuple[int, int, int]] | None:
+    """The cache entry for an open text file's parse, and the file's (size, mtime,
+    ctime) before it was hashed; None for a pipe or another file that is not regular.
+
+    The entry is named by the SHA-256 of the grammar version, numpy's version,
+    the file's text encoding and its bytes, read through its own handle, which
+    is then rewound.  It lives in $XDG_CACHE_HOME/volcur, or ~/.cache/volcur
+    where that variable is unset or not an absolute path.
+    """
+    stat = os.fstat(file.fileno())
+    base = os.environ.get("XDG_CACHE_HOME", "")
+    base = base if os.path.isabs(base) else os.path.expanduser("~/.cache")
+    if not S_ISREG(stat.st_mode) or not os.path.isabs(base):
+        return None
+    import hashlib          # loads OpenSSL: only a command that reads a text file pays for it
+    digest = hashlib.sha256(f"{_GRAMMAR}\0{np.__version__}\0{file.encoding}\0".encode())
+    while block := file.buffer.read(1 << 20):
+        digest.update(block)
+    file.seek(0)
+    stamp = (stat.st_size, stat.st_mtime_ns, stat.st_ctime_ns)
+    return Path(base, "volcur", f"{digest.hexdigest()}.npy"), stamp
+
+
+def _cache_load(entry: Path) -> np.ndarray | None:
+    """The parse cached as entry, marked as just used; None where there is none to read."""
+    try:
+        table = _npy_array(entry)
+        os.utime(entry)
+    except (OSError, ValueError):
+        return None
+    return table
+
+
+def _cache_store(entry: Path, stamp: tuple[int, int, int], file: TextIO, table: np.ndarray) -> None:
+    """Store table as entry, unless file changed while it was parsed, then evict the
+    least recently used entries past _CACHE_CAP; a store that fails leaves no file."""
+    temp = entry.with_name(f"{entry.stem}.{os.getpid()}.tmp")
+    try:
+        stat = os.fstat(file.fileno())
+        if (stat.st_size, stat.st_mtime_ns, stat.st_ctime_ns) != stamp:
+            return
+        entry.parent.mkdir(mode=0o700, parents=True, exist_ok=True)
+        with open(temp, "wb") as out:
+            np.save(out, table)
+        os.replace(temp, entry)
+        with os.scandir(entry.parent) as scan:
+            files = sorted((s.st_mtime_ns, s.st_size, e.path)
+                           for e in scan if e.is_file() for s in [e.stat()])
+        total = sum(size for _, size, _ in files)
+        for _, size, name in files:
+            if total <= _CACHE_CAP:
+                break
+            os.unlink(name)
+            total -= size
+    except (OSError, ValueError):
+        try:
+            os.unlink(temp)
+        except OSError:
+            pass
 
 
 def _lines(file: TextIO, at: list) -> Iterator[str]:

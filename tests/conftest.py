@@ -4,6 +4,22 @@ import pytest
 import _acceptance_log
 
 
+@pytest.fixture(scope="session", autouse=True)
+def parse_cache(tmp_path_factory):
+    """The run's own cache of parsed input files, in place of the user's: a child
+    process inherits it through the environment."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setenv("XDG_CACHE_HOME", str(tmp_path_factory.mktemp("xdg-cache")))
+        yield
+
+
+@pytest.fixture()
+def cache(tmp_path, monkeypatch):
+    """A test's own empty parse cache: the directory volcur keeps its entries in."""
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "xdg"))
+    return tmp_path / "xdg" / "volcur"
+
+
 @pytest.fixture(scope="session")
 def spd1000(tmp_path_factory):
     """The layout the CLI benchmark writes: an n = 1000 SPD matrix, %.17g, spaces."""

@@ -15,6 +15,7 @@ import pytest
 import volcur.cli
 import volcur.esp
 import volcur.sampling
+import volcur.spectra
 from oracles import inverse_square_psd, random_psd
 from volcur import (
     NumericalError,
@@ -1195,6 +1196,47 @@ class TestModuleEntryPoint:
                    and ast.unparse(node.test) == "__name__ == '__main__'"]
         assert ast.unparse(block).splitlines()[1:] == [f"    {name}()"]
         assert callable(getattr(volcur.cli, name))
+
+
+class TestParseCache:
+    """A text matrix file read again is loaded from the parse cached by its content
+    hash; what a command prints never depends on whether it was."""
+
+    @pytest.mark.parametrize("argv", [
+        ["sample", "--k", "50", "--draws", "40", "--seed", "3"],
+        ["approx", "--k", "20", "--seed", "5", "--out", "{out}"],
+    ], ids=["sample", "approx"])
+    def test_a_miss_a_hit_and_npy_print_the_same(self, argv, spd1000, cache, tmp_path, capsys,
+                                                  monkeypatch):
+        npy = tmp_path / "spd1000.npy"
+        np.save(npy, np.loadtxt(spd1000))
+        runs = []
+        for i, source in enumerate((spd1000, spd1000, npy)):    # a miss, a hit, the binary file
+            out = tmp_path / f"cur{i}.txt"
+            command = [argv[0], "--input", str(source), *(a.format(out=out) for a in argv[1:])]
+            runs.append((run_cli(command, capsys), out.read_bytes() if out.exists() else None))
+            assert len(list(cache.glob("*.npy"))) == 1
+            monkeypatch.setattr(volcur.spectra, "_lines", lambda *args: pytest.fail("parsed"))
+        code, stdout, stderr = runs[0][0]
+        assert (code, stderr) == (0, "") and stdout
+        assert runs[1] == runs[0] and runs[2] == runs[0]
+
+    def test_a_cache_that_cannot_be_made_changes_nothing(self, psd_file, tmp_path):
+        argv = ["sample", "--input", psd_file, "--k", "1", "--draws", "5", "--seed", "2"]
+        want = python_dash_m(argv, XDG_CACHE_HOME=str(tmp_path / "xdg"))
+        (tmp_path / "blocked").mkdir()
+        (tmp_path / "blocked" / "volcur").write_text("a regular file\n")
+        got = python_dash_m(argv, XDG_CACHE_HOME=str(tmp_path / "blocked"))
+        assert (got.returncode, got.stderr) == (0, "")
+        assert got.stdout == want.stdout != ""
+
+    def test_a_pipe_is_not_cached(self, psd_file, cache):
+        argv = ["sample", "--input", "/dev/stdin", "--k", "1", "--draws", "5", "--seed", "2"]
+        piped = subprocess.run([sys.executable, "-m", "volcur.cli", *argv], input="2 1\n1 2\n",
+                               capture_output=True, text=True)
+        assert (piped.returncode, piped.stderr) == (0, "")
+        assert not cache.exists()
+        assert piped.stdout == python_dash_m([*argv[:2], psd_file, *argv[3:]]).stdout
 
 
 class TestUnreachedRefusals:

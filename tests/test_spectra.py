@@ -510,3 +510,133 @@ class TestReadTable:
         with pytest.raises(ValidationError) as info:
             _read_table(p, "matrix")
         assert str(info.value).startswith(f"cannot read matrix file {p}: 'utf-8' codec")
+
+
+class TestNpyFiles:
+    def test_a_npy_file_reads_as_its_text(self, tmp_path):
+        a = np.array([[2.0, -0.0], [5e-324, 1e308]])
+        text, npy = tmp_path / "m.txt", tmp_path / "m.npy"
+        np.savetxt(text, a, fmt="%.17g")
+        np.save(npy, np.asfortranarray(a))
+        got = _read_table(npy, "matrix")
+        assert np.array_equal(got.view(np.int64), _read_table(text, "matrix").view(np.int64))
+        assert got.flags.c_contiguous and got.flags.writeable
+
+    def test_a_npy_spectrum_keeps_the_one_row_or_column_rule(self, tmp_path):
+        p = tmp_path / "s.npy"
+        np.save(p, np.array([[1.0], [3.0], [2.0]]))
+        assert load_spectrum(p).values.tolist() == [3.0, 2.0, 1.0]
+        np.save(p, np.eye(2))
+        with pytest.raises(ValidationError, match="holds a 2 x 2 table"):
+            load_spectrum(p)
+
+    @pytest.mark.parametrize("array, message", [
+        (np.arange(3.0), "it holds a 1-D float64 array, not a 2-D float64 one"),
+        (np.eye(2, dtype=np.float32), "it holds a 2-D float32 array, not a 2-D float64 one"),
+        (np.zeros((2, 2, 2)), "it holds a 3-D float64 array, not a 2-D float64 one"),
+        (np.array([[None]]), "Object arrays cannot be loaded when allow_pickle=False"),
+        ("npz", "the magic string is not correct; expected b'\\x93NUMPY', got b'PK\\x03\\x04"),
+        ("2 1\n1 2\n", "the magic string is not correct; expected b'\\x93NUMPY', got b'2 1\\n1"),
+    ], ids=["1d", "float32", "3d", "object", "npz", "text"])
+    def test_any_other_content_is_refused_naming_the_file(self, tmp_path, array, message):
+        p = tmp_path / "m.npy"
+        if isinstance(array, np.ndarray):
+            np.save(p, array)
+        elif array == "npz":
+            with open(p, "wb") as file:
+                np.savez(file, m=np.eye(2))
+        else:
+            p.write_text(array)
+        with pytest.raises(ValidationError) as info:
+            _read_table(p, "matrix")
+        assert str(info.value).startswith(f"malformed matrix file {p}: {message}")
+
+    def test_a_missing_npy_file_cannot_be_read(self, tmp_path):
+        p = tmp_path / "none.npy"
+        with pytest.raises(ValidationError, match=f"^cannot read spectrum file {p}: "):
+            load_spectrum(p)
+
+
+class TestParseCache:
+    """_read_table's cache of parsed text files, keyed by their content."""
+
+    @staticmethod
+    def parse_fails(monkeypatch):
+        """From here on, a text parse fails the test: only the cache may answer."""
+        monkeypatch.setattr(volcur.spectra, "_lines", lambda *args: pytest.fail("parsed"))
+
+    def test_a_hit_is_the_parse_bit_for_bit(self, tmp_path, spd1000, cache, monkeypatch):
+        odd = tmp_path / "odd.txt"
+        odd.write_text("-0.0 nan 5e-324\n-inf 1.7976931348623157e308 0.1\n")
+        parsed = [_read_table(p, "matrix") for p in (spd1000, odd)]
+        assert len(list(cache.glob("*.npy"))) == 2
+        self.parse_fails(monkeypatch)
+        for p, want in zip((spd1000, odd), parsed):
+            got = _read_table(p, "matrix")
+            assert np.array_equal(got.view(np.int64), want.view(np.int64))
+            assert got.dtype == np.float64 and got.flags.c_contiguous and got.flags.writeable
+
+    def test_a_rewrite_of_the_same_size_and_time_is_a_miss(self, tmp_path, cache):
+        p = tmp_path / "m.txt"
+        p.write_text("2 1\n1 2\n")
+        assert _read_table(p, "matrix").tolist() == [[2, 1], [1, 2]]
+        before = p.stat()
+        p.write_text("3 1\n1 3\n")
+        os.utime(p, ns=(before.st_atime_ns, before.st_mtime_ns))
+        assert (p.stat().st_size, p.stat().st_mtime_ns) == (before.st_size, before.st_mtime_ns)
+        assert _read_table(p, "matrix").tolist() == [[3, 1], [1, 3]]
+        assert len(list(cache.glob("*.npy"))) == 2
+
+    @pytest.mark.parametrize("data, message", [
+        (b"1 2\n3 x\n", "malformed matrix file {p}: line 2, column 2: "
+                        "could not convert string 'x' to float64"),
+        (b"1 2\n3\n", "malformed matrix file {p}: line 2: the number of columns changed "
+                      "from 2 to 1"),
+        (b"\n \n", "matrix file {p} is empty"),
+        (b"1 \xff\n", "cannot read matrix file {p}: 'utf-8' codec can't decode byte 0xff "
+                      "in position 2: invalid start byte"),
+    ], ids=["bad_token", "ragged", "empty", "undecodable"])
+    def test_a_malformed_file_stores_nothing(self, tmp_path, cache, data, message):
+        p = tmp_path / "bad.txt"
+        p.write_bytes(data)
+        for _ in range(2):
+            with pytest.raises(ValidationError) as info:
+                _read_table(p, "matrix")
+            assert str(info.value) == message.format(p=p)
+        assert not cache.exists()
+
+    @pytest.mark.parametrize("damage", [
+        lambda entry: entry.write_bytes(entry.read_bytes()[:-8]),
+        lambda entry: entry.write_bytes(b""),
+        lambda entry: np.save(entry, np.arange(4.0)),
+    ], ids=["truncated", "empty", "1d"])
+    def test_a_damaged_entry_is_a_miss_and_is_replaced(self, tmp_path, cache, damage):
+        p = tmp_path / "m.txt"
+        p.write_text("2 1\n1 2\n")
+        want = _read_table(p, "matrix")
+        [entry] = cache.glob("*.npy")
+        stored = entry.read_bytes()
+        damage(entry)
+        assert np.array_equal(_read_table(p, "matrix"), want)
+        assert entry.read_bytes() == stored
+        assert sorted(cache.iterdir()) == [entry]
+
+    def test_the_least_recently_used_entries_go_past_the_cap(self, tmp_path, cache,
+                                                              monkeypatch):
+        paths, entries = [tmp_path / f"m{i}.txt" for i in range(4)], []
+        for i, p in enumerate(paths):
+            p.write_text(f"{i} 1\n1 {i}\n")
+        for p in paths[:3]:
+            known = set(cache.glob("*.npy"))
+            _read_table(p, "matrix")
+            [entry] = set(cache.glob("*.npy")) - known
+            entries.append(entry)
+        for i, entry in enumerate(entries, 1):     # stored in order, long ago
+            os.utime(entry, ns=(i * 10**9, i * 10**9))
+        size = entries[0].stat().st_size
+        monkeypatch.setattr(volcur.spectra, "_CACHE_CAP", 3 * size)
+        _read_table(paths[0], "matrix")            # a hit: m0 is now the most recently used
+        _read_table(paths[3], "matrix")            # the fourth entry evicts m1's
+        kept = set(cache.iterdir())
+        assert entries[1] not in kept and {entries[0], entries[2]} <= kept
+        assert len(kept) == 3 and sum(e.stat().st_size for e in kept) <= 3 * size
