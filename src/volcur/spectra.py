@@ -19,7 +19,7 @@ import os
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
-from stat import S_ISREG
+from stat import S_ISDIR, S_ISREG
 from typing import Callable, Iterable, Iterator, NamedTuple, TextIO
 
 import numpy as np
@@ -331,17 +331,15 @@ _CACHE_CAP = 1 << 30        # bytes of cached parses kept; the least recently us
 
 def _cache_key(file: TextIO) -> tuple[Path, tuple[int, int, int]] | None:
     """The cache entry for an open text file's parse, and the file's (size, mtime,
-    ctime) before it was hashed; None for a pipe or another file that is not regular.
+    ctime) before it was hashed; None for a pipe or another file that is not
+    regular, and where there is no cache directory to use (_cache_dir).
 
     The entry is named by the SHA-256 of the grammar version, numpy's version,
     the file's text encoding and its bytes, read through its own handle, which
-    is then rewound.  It lives in $XDG_CACHE_HOME/volcur, or ~/.cache/volcur
-    where that variable is unset or not an absolute path.
+    is then rewound.
     """
     stat = os.fstat(file.fileno())
-    base = os.environ.get("XDG_CACHE_HOME", "")
-    base = base if os.path.isabs(base) else os.path.expanduser("~/.cache")
-    if not S_ISREG(stat.st_mode) or not os.path.isabs(base):
+    if not S_ISREG(stat.st_mode) or (directory := _cache_dir()) is None:
         return None
     import hashlib          # loads OpenSSL: only a command that reads a text file pays for it
     digest = hashlib.sha256(f"{_GRAMMAR}\0{np.__version__}\0{file.encoding}\0".encode())
@@ -349,7 +347,30 @@ def _cache_key(file: TextIO) -> tuple[Path, tuple[int, int, int]] | None:
         digest.update(block)
     file.seek(0)
     stamp = (stat.st_size, stat.st_mtime_ns, stat.st_ctime_ns)
-    return Path(base, "volcur", f"{digest.hexdigest()}.npy"), stamp
+    return directory / f"{digest.hexdigest()}.npy", stamp
+
+
+def _cache_dir() -> Path | None:
+    """$XDG_CACHE_HOME/volcur, or ~/.cache/volcur where that variable is unset or not
+    an absolute path; None where that path exists but is not _private, as anyone
+    else who may write there could plant the parse of a file whose bytes they know."""
+    base = os.environ.get("XDG_CACHE_HOME", "")
+    base = base if os.path.isabs(base) else os.path.expanduser("~/.cache")
+    directory = Path(base, "volcur")
+    if not directory.is_absolute():
+        return None
+    try:
+        return directory if _private(directory) else None
+    except FileNotFoundError:
+        return directory        # _cache_store makes it, and checks it again
+    except OSError:
+        return None
+
+
+def _private(directory: Path) -> bool:
+    """Whether directory is one of this user's that no one else may write to."""
+    stat = os.stat(directory)
+    return S_ISDIR(stat.st_mode) and stat.st_uid == os.getuid() and not stat.st_mode & 0o022
 
 
 def _cache_load(entry: Path) -> np.ndarray | None:
@@ -363,14 +384,17 @@ def _cache_load(entry: Path) -> np.ndarray | None:
 
 
 def _cache_store(entry: Path, stamp: tuple[int, int, int], file: TextIO, table: np.ndarray) -> None:
-    """Store table as entry, unless file changed while it was parsed, then evict the
-    least recently used entries past _CACHE_CAP; a store that fails leaves no file."""
+    """Store table as entry, unless file changed while it was parsed or table alone
+    is past _CACHE_CAP, then evict the least recently used entries past the cap;
+    a store that fails leaves no file."""
     temp = entry.with_name(f"{entry.stem}.{os.getpid()}.tmp")
     try:
         stat = os.fstat(file.fileno())
-        if (stat.st_size, stat.st_mtime_ns, stat.st_ctime_ns) != stamp:
+        if (stat.st_size, stat.st_mtime_ns, stat.st_ctime_ns) != stamp or table.nbytes > _CACHE_CAP:
             return
         entry.parent.mkdir(mode=0o700, parents=True, exist_ok=True)
+        if not _private(entry.parent):
+            return
         with open(temp, "wb") as out:
             np.save(out, table)
         os.replace(temp, entry)

@@ -5,11 +5,15 @@ import _acceptance_log
 
 
 @pytest.fixture(scope="session", autouse=True)
-def parse_cache(tmp_path_factory):
-    """The run's own cache of parsed input files, in place of the user's: a child
-    process inherits it through the environment."""
+def no_parse_cache(tmp_path_factory):
+    """No parse cache for the run, in place of the user's: XDG_CACHE_HOME is a new
+    directory that holds a regular file where volcur would keep its own, so every
+    read parses, whatever the tests before it read.  A child process inherits
+    this through the environment; a test of the cache asks for `cache`."""
+    base = tmp_path_factory.mktemp("xdg-cache")
+    (base / "volcur").write_text("not a directory: no parse cache\n")
     with pytest.MonkeyPatch.context() as patch:
-        patch.setenv("XDG_CACHE_HOME", str(tmp_path_factory.mktemp("xdg-cache")))
+        patch.setenv("XDG_CACHE_HOME", str(base))
         yield
 
 

@@ -640,3 +640,31 @@ class TestParseCache:
         kept = set(cache.iterdir())
         assert entries[1] not in kept and {entries[0], entries[2]} <= kept
         assert len(kept) == 3 and sum(e.stat().st_size for e in kept) <= 3 * size
+
+    def test_a_parse_past_the_cap_is_not_stored(self, tmp_path, cache, monkeypatch):
+        small, large = tmp_path / "small.txt", tmp_path / "large.txt"
+        small.write_text("2 1\n1 2\n")
+        large.write_text("1 0 0\n0 1 0\n0 0 1\n")
+        _read_table(small, "matrix")
+        [entry] = cache.glob("*.npy")
+        monkeypatch.setattr(volcur.spectra, "_CACHE_CAP", 9 * 8 - 1)
+        assert _read_table(large, "matrix").tolist() == np.eye(3).tolist()
+        assert sorted(cache.iterdir()) == [entry]
+
+    @pytest.mark.parametrize("mode, other_uid", [(0o770, 0), (0o702, 0), (0o700, 1)],
+                             ids=["group-writable", "world-writable", "another-users"])
+    def test_a_directory_others_may_write_is_no_cache(self, tmp_path, cache, mode, other_uid):
+        p, q = tmp_path / "m.txt", tmp_path / "n.txt"
+        p.write_text("2 1\n1 2\n")
+        q.write_text("3 1\n1 3\n")
+        _read_table(p, "matrix")
+        [entry] = cache.glob("*.npy")
+        np.save(entry, np.eye(2))                   # a planted parse under p's name
+        cache.chmod(mode)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(os, "getuid", lambda: cache.stat().st_uid + other_uid)
+            assert _read_table(p, "matrix").tolist() == [[2, 1], [1, 2]]
+            assert _read_table(q, "matrix").tolist() == [[3, 1], [1, 3]]
+        assert sorted(cache.iterdir()) == [entry]   # nothing stored
+        cache.chmod(0o700)
+        assert _read_table(p, "matrix").tolist() == np.eye(2).tolist()

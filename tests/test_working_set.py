@@ -7,6 +7,7 @@ generated spectrum is computed one chunk at a time, so their budgets are
 constants in bytes, checked at two sizes.  The peaks repeat exactly from
 run to run.  LAPACK's own workspace inside eigh is not traced.
 """
+import shutil
 import tracemalloc
 
 import numpy as np
@@ -113,8 +114,15 @@ def test_spectral_command_holds_no_generated_spectrum(argv, lmax, capsys):
     assert capsys.readouterr().out.count("\n") == 1 + int(argv[-1].partition("..")[2])
 
 
-def test_read_array_holds_the_array_not_the_text(spd1000):
+def test_read_array_holds_the_array_not_the_text(spd1000, cache):
+    # a miss: the file is hashed, parsed and its parse stored
     assert traced_peak(lambda: read_array(spd1000)) <= 1.3 * 8 * 1000**2
+    assert len(list(cache.glob("*.npy"))) == 1
+
+
+def test_a_cached_read_holds_the_array_alone(spd1000, cache):
+    read_array(spd1000)
+    assert traced_peak(lambda: read_array(spd1000)) <= 1.05 * 8 * 1000**2
 
 
 def test_psd_matrix_holds_three_matrices_above_its_input():
@@ -131,10 +139,13 @@ def test_rbf_kernel_matrix_holds_three_matrices():
     assert traced_peak(lambda: rbf_kernel_matrix(x, 1.3)) <= 3.1 * 8 * n * n
 
 
-def test_load_matrix_keeps_the_parsed_array(spd1000):
-    # the parsed array becomes the entries: one n x n below parse-then-copy
+def test_load_matrix_keeps_the_parsed_array(spd1000, cache):
+    # the parsed array becomes the entries: one n x n below parse-then-copy,
+    # each read a miss that stores its parse
     size = 8 * 1000**2
     owning = traced_peak(lambda: load_matrix(spd1000))
+    shutil.rmtree(cache)
     copying = traced_peak(lambda: PsdMatrix(read_array(spd1000)))
+    assert len(list(cache.glob("*.npy"))) == 1
     assert owning <= 3.1 * size
     assert owning <= copying - 0.95 * size
