@@ -113,13 +113,11 @@ def figure_rows(
     simple-bound inequality caps ratio_mu with, so the three columns are
     ordered at every k.
     """
-    if not ks:
-        raise ValidationError("k range must be nonempty")
     if lam.n != mu.n:
         raise ValidationError(
             f"spectrum lengths differ: {lam.n} vs {mu.n}")
     _check_domination(lam, mu)
     ks = [checked_int(k, "k", 0, lam.n - 1) for k in ks]
-    kmax = max(ks)
+    kmax = max(ks, default=0)
     rl, rm = esp_ratios(lam, kmax), esp_ratios(mu, kmax)
     return [(k, float(rl[k]), float(rm[k]), mu.tail_sum(k)) for k in ks]

@@ -110,12 +110,20 @@ def _resolve_matrix(args) -> PsdMatrix:
     return load_matrix(args.input)
 
 
-def _emit(args, lines: list[str]) -> None:
-    delim = "\t" if args.format == "tsv" else ","
-    text = "\n".join(line.replace(",", delim) for line in lines) + "\n"
-    if args.out is not None:
+def _emit(args, lines: list[str], matrix: np.ndarray | None = None) -> None:
+    """lines to --out or stdout, commas made tabs under --format tsv; a matrix (approx's,
+    %.17g, tab- or space-separated) takes --out, the lines then going to stdout."""
+    tsv = args.format == "tsv"
+    text = "\n".join(line.replace(",", "\t") if tsv else line for line in lines) + "\n"
+    delimiter = "\t" if tsv else " "
+    if args.out is None:
+        sys.stdout.write(text)
+        if matrix is not None:
+            np.savetxt(sys.stdout, matrix, fmt="%.17g", delimiter=delimiter)
+    elif matrix is None:
         Path(args.out).write_text(text)
-    else:
+    else:                              # the file first: a failed write prints nothing
+        np.savetxt(args.out, matrix, fmt="%.17g", delimiter=delimiter)
         sys.stdout.write(text)
 
 
@@ -174,18 +182,9 @@ def cmd_approx(args) -> int:
     }
     for name, value in values.items():    # before anything is written
         _check_finite(name, value)
-    approx = cur_approximation(m, subset)
     summary = ["subset," + ",".join(str(i + 1) for i in subset)]
     summary += [f"{name},{_fmt(value)}" for name, value in values.items()]
-    tsv = args.format == "tsv"
-    text = "\n".join(s.replace(",", "\t") if tsv else s for s in summary) + "\n"
-    delimiter = "\t" if tsv else " "
-    if args.out is None:
-        sys.stdout.write(text)
-        np.savetxt(sys.stdout, approx, fmt="%.17g", delimiter=delimiter)
-    else:                              # the file first: a failed write prints nothing
-        np.savetxt(args.out, approx, fmt="%.17g", delimiter=delimiter)
-        sys.stdout.write(text)
+    _emit(args, summary, cur_approximation(m, subset))
     return 0
 
 

@@ -199,8 +199,9 @@ def _esp_coeffs(spec: Spectrum, m: int) -> tuple[np.ndarray, np.ndarray]:
     if _dense_length(spec.n) <= _CHUNK or (m + 1) ** 2 > _CHUNK:
         return _scan_coeffs(spec, m)
     head = _scan_coeffs(spec._slice(0, _CHUNK), m)
-    # _entry(_CHUNK) checks the tail's first entry against the head's last; a
-    # positive tail follows _CHUNK > m positive entries, so head is positive to order m
+    # _tail_order needs head positive to order m.  _tail_bound reads entry _CHUNK first,
+    # checked against the head's last before the tail's scan would check it, and a positive
+    # tail follows _CHUNK > m positive entries
     order = _tail_order(head, _tail_bound(spec))
     return _cauchy(head, _scan_coeffs(spec._slice(_CHUNK, spec.n), order), m)
 

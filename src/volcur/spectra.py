@@ -1,15 +1,15 @@
 """Spectra: nonincreasing, nonnegative eigenvalue sequences.
 
 Every reader takes a Spectrum's entries one chunk at a time (_chunk), or
-a run of them as a spectrum of its own (_slice).  A spectrum read from a
-file or an eigensolve is held dense in double precision, read-only, and a
-chunk or slice is a view of it.  A generated one (geom:, pow:, dyadic:)
-holds no entries, nor do its slices: each chunk is computed on demand by
-direct formula (no repeated multiplication, so values do not drift at
-large n) and checked as a dense input is, against the entry before it
-too.  Past DENSE_CAP entries, which only a dyadic one may have (its tail
-sums and ESP product read its pieces), .values (every entry in one array)
-and the ESP scan raise CapExceededError.  Tail sums past the end are zero.
+a run of them as a spectrum of its own (_slice), which holds none and reads
+its parent's chunks.  A spectrum read from a file or an eigensolve is held
+dense in double precision, read-only; a generated one (geom:, pow:, dyadic:)
+computes each chunk on demand by direct formula (no repeated multiplication,
+so values do not drift at large n).  Each chunk is checked as a dense input
+is, against the entry before it too: its parent's, for a slice's first entry.
+Past DENSE_CAP entries, which only a dyadic one may have (its tail sums and
+ESP product read its pieces), .values (every entry in one array) and the
+ESP scan raise CapExceededError.  Tail sums past the end are zero.
 """
 from __future__ import annotations
 
@@ -66,8 +66,8 @@ def _checked(arr: np.ndarray) -> np.ndarray:
 class Spectrum:
     """A sorted (nonincreasing) sequence of nonnegative reals, read-only.
 
-    Its input is checked and copied, unless the library hands over its own
-    as _Owned; Spectrum._generated builds one from a formula instead.
+    Its input is checked, copied (unless handed over as _Owned) and read by
+    _entries; Spectrum._generated builds one whose _entries is a formula.
     """
 
     def __init__(self, values) -> None:
@@ -92,22 +92,20 @@ class Spectrum:
         arr.flags.writeable = False
         return arr
 
+    def _entries(self, lo: int, hi: int) -> np.ndarray:
+        """Entries lo..hi-1 of the values held: a view, read-only."""
+        return self.values[lo:hi]
+
     def _chunk(self, lo: int, hi: int) -> np.ndarray:
-        """Entries lo..min(hi, n)-1: a view of the values once held, else
-        computed and checked together with the entry before lo."""
-        if "values" in vars(self):
-            return self.values[lo:hi]
+        """Entries lo..min(hi, n)-1, checked together with the entry before lo."""
         start = max(lo - 1, 0)
         return _checked(self._entries(start, min(hi, self.n)))[lo - start :]
 
     def _slice(self, lo: int, hi: int) -> Spectrum:
-        """Entries lo..min(hi, n)-1 as a spectrum of their own: a view of the
-        values once held, else generated by the same formula, holding none."""
-        if "values" in vars(self):
-            return Spectrum(_Owned(self.values[lo:hi]))
-        entries = self._entries
+        """Entries lo..min(hi, n)-1 as a spectrum of their own, holding none: it
+        reads this one's chunks, so its first entry meets the one before it here."""
         return Spectrum._generated(max(min(hi, self.n) - lo, 0),
-                                   lambda a, b: entries(lo + a, lo + b))
+                                   lambda a, b: self._chunk(lo + a, lo + b))
 
     def __array__(self, dtype=None, copy=None) -> np.ndarray:
         """np.asarray(spectrum) is the values, materialized."""
@@ -249,8 +247,8 @@ def split_head_tail(s: Spectrum, k: int) -> HeadTailSplit:
     """Split s after its k largest entries.
 
     The pivot is the (k+1)-st value and must be positive, since the ESP
-    calculus renormalizes the tail by it.  Head and tail are views of s, or
-    generated by its formula if s is: neither materializes s.
+    calculus renormalizes the tail by it.  Head and tail read s by chunks
+    (Spectrum._slice): neither materializes s.
     """
     k = checked_int(k, "k", 0, s.n - 1)
     pivot = s._entry(k)
@@ -285,15 +283,11 @@ def _read_table(path: str | Path, what: str) -> np.ndarray:
     of the same bytes cached earlier (_cache_key) is loaded instead, and a new
     one is stored.
     """
-    if Path(path).suffix == ".npy":
-        try:
-            return _npy_array(path)
-        except OSError as exc:
-            raise ValidationError(f"cannot read {what} file {path}: {exc}") from exc
-        except ValueError as exc:
-            raise ValidationError(f"malformed {what} file {path}: {exc}") from exc
     at = [0, [], iter(())]      # lines before the block in hand, its lines, their iterator
+    head = None                 # a text file's first row
     try:
+        if Path(path).suffix == ".npy":
+            return _npy_array(path)
         with open(path) as file:
             key = _cache_key(file)
             if key and (table := _cache_load(key[0])) is not None:
@@ -308,7 +302,7 @@ def _read_table(path: str | Path, what: str) -> np.ndarray:
         raise ValidationError(f"cannot read {what} file {path}: {exc}") from exc
     except ValueError as exc:
         taken = len(at[1]) - len(list(at[2]))       # of the block's lines, the reader took these
-        where = _fault(at[0] + taken, at[1][taken - 1], len(head.split())) or exc
+        where = head and _fault(at[0] + taken, at[1][taken - 1], len(head.split())) or exc
         raise ValidationError(f"malformed {what} file {path}: {where}") from exc
     raise ValidationError(f"{what} file {path} is empty")
 

@@ -211,13 +211,18 @@ class TestFigureRows:
     def test_k_range_validation(self):
         mu = PiecewiseDyadicSpectrum(lmax=3, base=0.25)
         with pytest.raises(ValidationError):
-            figure_rows(Spectrum(mu), mu, [])
-        with pytest.raises(ValidationError):
             figure_rows(Spectrum(mu), mu, [-1, 1])
         with pytest.raises(ValidationError):
             figure_rows(Spectrum(mu), mu, [7])
         # k = 0 is the trace in every column, as in bound_reports
         assert figure_rows(Spectrum(mu), mu, [0]) == [(0, 1.75, 1.75, 1.75)]
+
+    def test_no_ks_give_no_rows(self):
+        # as bound_reports gives no reports; the CLI always passes a k
+        mu = PiecewiseDyadicSpectrum(lmax=3, base=0.25)
+        assert figure_rows(Spectrum(mu), mu, []) == []
+        assert bound_reports(Spectrum(mu), [], mu=mu) == []
+        assert bound_reports(Spectrum(mu), []) == []
 
     def test_geometric_spectrum_under_half_base(self):
         # geometric decay 1/2 sits under the dyadic majorant with base 1/2

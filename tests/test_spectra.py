@@ -231,6 +231,28 @@ class TestGeneratedChunks:
         with pytest.raises(ValidationError, match=f"^{message}$"):
             esp_ratios(s, 3)
 
+    def test_a_slice_is_checked_against_the_entry_before_it(self):
+        # ones, then twos from entry _CHUNK on: the rise sits exactly at the seam
+        # of a slice there, whose own entries are all in order
+        s = Spectrum._generated(2 * _CHUNK, lambda lo, hi: np.where(
+            np.arange(lo, hi) < _CHUNK, 1.0, 2.0))
+        assert np.all(s._slice(0, _CHUNK).values == 1.0)
+        with pytest.raises(ValidationError, match="^spectrum must be nonincreasing$"):
+            s._slice(_CHUNK, s.n).values
+        with pytest.raises(ValidationError, match="^spectrum must be nonincreasing$"):
+            esp_ratios(s, 8)
+        with pytest.raises(ValidationError, match="^spectrum must be nonincreasing$"):
+            split_head_tail(s, _CHUNK)
+
+    def test_materialized_values_do_not_change_where_reads_come_from(self):
+        s = generate_power_law(1.0, 3 * _CHUNK + 7)
+        want = esp_ratios(s, 8)
+        s.values                                # materialized: reads still come from the formula
+        entries, reads = s._entries, []
+        s._entries = lambda lo, hi: reads.append(lo) or entries(lo, hi)
+        assert esp_ratios(s, 8).tobytes() == want.tobytes()
+        assert reads
+
     @pytest.mark.parametrize("n", [DENSE_CAP + 1, 10**15])
     @pytest.mark.parametrize("make", [lambda n: generate_power_law(2.0, n),
                                       lambda n: generate_geometric(0.5, n)],
@@ -537,7 +559,8 @@ class TestNpyFiles:
         (np.array([[None]]), "Object arrays cannot be loaded when allow_pickle=False"),
         ("npz", "the magic string is not correct; expected b'\\x93NUMPY', got b'PK\\x03\\x04"),
         ("2 1\n1 2\n", "the magic string is not correct; expected b'\\x93NUMPY', got b'2 1\\n1"),
-    ], ids=["1d", "float32", "3d", "object", "npz", "text"])
+        ("", "EOF: reading magic string"),
+    ], ids=["1d", "float32", "3d", "object", "npz", "text", "empty"])
     def test_any_other_content_is_refused_naming_the_file(self, tmp_path, array, message):
         p = tmp_path / "m.npy"
         if isinstance(array, np.ndarray):
@@ -555,6 +578,13 @@ class TestNpyFiles:
         p = tmp_path / "none.npy"
         with pytest.raises(ValidationError, match=f"^cannot read spectrum file {p}: "):
             load_spectrum(p)
+
+    @pytest.mark.parametrize("name", ["m.npy", "m.txt"])
+    def test_a_directory_cannot_be_read(self, tmp_path, name):
+        p = tmp_path / name
+        p.mkdir()
+        with pytest.raises(ValidationError, match=f"^cannot read matrix file {p}: "):
+            _read_table(p, "matrix")
 
 
 class TestParseCache:
