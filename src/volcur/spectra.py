@@ -295,8 +295,8 @@ def _read_table(path: str | Path, what: str) -> np.ndarray:
             lines = _lines(file, at)
             if (head := next((line for line in lines if line.strip()), None)) is not None:
                 table = np.loadtxt(itertools.chain([head], lines), ndmin=2, comments=None)
-                if key:
-                    _cache_store(*key, file, table)
+                if key and _stamp(file) == key[1]:      # unchanged while it was parsed
+                    _cache_store(key[0], table)
                 return table
     except (OSError, UnicodeError) as exc:
         raise ValidationError(f"cannot read {what} file {path}: {exc}") from exc
@@ -332,16 +332,21 @@ def _cache_key(file: TextIO) -> tuple[Path, tuple[int, int, int]] | None:
     the file's text encoding and its bytes, read through its own handle, which
     is then rewound.
     """
-    stat = os.fstat(file.fileno())
-    if not S_ISREG(stat.st_mode) or (directory := _cache_dir()) is None:
+    if not S_ISREG(os.fstat(file.fileno()).st_mode) or (directory := _cache_dir()) is None:
         return None
+    stamp = _stamp(file)
     import hashlib          # loads OpenSSL: only a command that reads a text file pays for it
     digest = hashlib.sha256(f"{_GRAMMAR}\0{np.__version__}\0{file.encoding}\0".encode())
     while block := file.buffer.read(1 << 20):
         digest.update(block)
     file.seek(0)
-    stamp = (stat.st_size, stat.st_mtime_ns, stat.st_ctime_ns)
     return directory / f"{digest.hexdigest()}.npy", stamp
+
+
+def _stamp(file: TextIO) -> tuple[int, int, int]:
+    """An open file's (size, mtime, ctime), in nanoseconds."""
+    stat = os.fstat(file.fileno())
+    return stat.st_size, stat.st_mtime_ns, stat.st_ctime_ns
 
 
 def _cache_dir() -> Path | None:
@@ -368,7 +373,7 @@ def _private(directory: Path) -> bool:
 
 
 def _cache_load(entry: Path) -> np.ndarray | None:
-    """The parse cached as entry, marked as just used; None where there is none to read."""
+    """The array cached as entry, marked as just used; None where there is none to read."""
     try:
         table = _npy_array(entry)
         os.utime(entry)
@@ -377,15 +382,14 @@ def _cache_load(entry: Path) -> np.ndarray | None:
     return table
 
 
-def _cache_store(entry: Path, stamp: tuple[int, int, int], file: TextIO, table: np.ndarray) -> None:
-    """Store table as entry, unless file changed while it was parsed or table alone
-    is past _CACHE_CAP, then evict the least recently used entries past the cap;
-    a store that fails leaves no file."""
+def _cache_store(entry: Path, table: np.ndarray) -> None:
+    """Store table as entry, unless it alone is past _CACHE_CAP, then evict the least
+    recently used entries past the cap; a store that fails leaves no file.  Only
+    finished entries (*.npy) count and go: a *.tmp file is a store in flight."""
+    if table.nbytes > _CACHE_CAP:
+        return
     temp = entry.with_name(f"{entry.stem}.{os.getpid()}.tmp")
     try:
-        stat = os.fstat(file.fileno())
-        if (stat.st_size, stat.st_mtime_ns, stat.st_ctime_ns) != stamp or table.nbytes > _CACHE_CAP:
-            return
         entry.parent.mkdir(mode=0o700, parents=True, exist_ok=True)
         if not _private(entry.parent):
             return
@@ -393,8 +397,8 @@ def _cache_store(entry: Path, stamp: tuple[int, int, int], file: TextIO, table: 
             np.save(out, table)
         os.replace(temp, entry)
         with os.scandir(entry.parent) as scan:
-            files = sorted((s.st_mtime_ns, s.st_size, e.path)
-                           for e in scan if e.is_file() for s in [e.stat()])
+            files = sorted((s.st_mtime_ns, s.st_size, e.path) for e in scan
+                           if e.name.endswith(".npy") and e.is_file() for s in [e.stat()])
         total = sum(size for _, size, _ in files)
         for _, size, name in files:
             if total <= _CACHE_CAP:

@@ -24,6 +24,15 @@ def cache(tmp_path, monkeypatch):
     return tmp_path / "xdg" / "volcur"
 
 
+@pytest.fixture()
+def entries(cache):
+    """A count of `cache`'s entries by kind: (parses, eigensolves), the *.eigh.npy files."""
+    def count():
+        eigensolves = len(list(cache.glob("*.eigh.npy")))
+        return len(list(cache.glob("*.npy"))) - eigensolves, eigensolves
+    return count
+
+
 @pytest.fixture(scope="session")
 def spd1000(tmp_path_factory):
     """The layout the CLI benchmark writes: an n = 1000 SPD matrix, %.17g, spaces."""

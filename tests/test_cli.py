@@ -1206,7 +1206,7 @@ class TestParseCache:
         ["sample", "--k", "50", "--draws", "40", "--seed", "3"],
         ["approx", "--k", "20", "--seed", "5", "--out", "{out}"],
     ], ids=["sample", "approx"])
-    def test_a_miss_a_hit_and_npy_print_the_same(self, argv, spd1000, cache, tmp_path, capsys,
+    def test_a_miss_a_hit_and_npy_print_the_same(self, argv, spd1000, entries, tmp_path, capsys,
                                                   monkeypatch):
         npy = tmp_path / "spd1000.npy"
         np.save(npy, np.loadtxt(spd1000))
@@ -1215,8 +1215,9 @@ class TestParseCache:
             out = tmp_path / f"cur{i}.txt"
             command = [argv[0], "--input", str(source), *(a.format(out=out) for a in argv[1:])]
             runs.append((run_cli(command, capsys), out.read_bytes() if out.exists() else None))
-            assert len(list(cache.glob("*.npy"))) == 1
+            assert entries() == (1, 1)      # one parse, one eigensolve
             monkeypatch.setattr(volcur.spectra, "_lines", lambda *args: pytest.fail("parsed"))
+            monkeypatch.setattr(np.linalg, "eigh", lambda *args: pytest.fail("eigensolved"))
         code, stdout, stderr = runs[0][0]
         assert (code, stderr) == (0, "") and stdout
         assert runs[1] == runs[0] and runs[2] == runs[0]
@@ -1237,6 +1238,127 @@ class TestParseCache:
         assert (piped.returncode, piped.stderr) == (0, "")
         assert not cache.exists()
         assert piped.stdout == python_dash_m([*argv[:2], psd_file, *argv[3:]]).stdout
+
+
+EIGH_FLOOR = volcur.psd._EIGH_FLOOR
+
+
+def no_eigh(monkeypatch):
+    """From here on, an eigensolve fails the test: only the cache may answer."""
+    monkeypatch.setattr(np.linalg, "eigh", lambda *args: pytest.fail("eigensolved"))
+
+
+class TestEigenCache:
+    """PsdMatrix's eigensolve, cached by the bytes eigh reads and the BLAS setting
+    it runs under: a hit is what eigh returns here, and every check runs on it."""
+
+    def test_each_thread_setting_hits_its_own_bits(self, cache, entries, tmp_path):
+        # eigh's bits at n = 300 differ between one and two OpenBLAS threads: an
+        # entry stored under one setting must not answer the other.  The matrix is
+        # formed here, once: a product formed in each child would differ by setting too
+        path = tmp_path / "m.npy"
+        np.save(path, random_psd(np.random.default_rng(0), 300, 300))
+        code = ("import hashlib, numpy as np; from volcur import PsdMatrix; "
+                f"m = PsdMatrix(np.load({str(path)!r})); "
+                "print(hashlib.sha256(m.eigenvalues.values.tobytes() "
+                "+ m.vectors.tobytes()).hexdigest())")
+        blocked = tmp_path / "blocked"
+        blocked.mkdir()
+        (blocked / "volcur").write_text("a regular file: no cache\n")
+
+        def digest(threads, base):
+            proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                                  env={**os.environ, "OPENBLAS_NUM_THREADS": threads,
+                                       "XDG_CACHE_HOME": str(base)})
+            assert (proc.returncode, proc.stderr) == (0, "")
+            return proc.stdout
+        for threads in ("1", "2"):
+            want = digest(threads, blocked)
+            assert [digest(threads, cache.parent) for _ in range(2)] == [want, want]
+        assert entries() == (0, 2)
+
+    @pytest.mark.parametrize("damage", [
+        lambda entry, n: entry.write_bytes(entry.read_bytes()[:-8]),
+        lambda entry, n: np.save(entry, np.zeros((n, n))),
+        lambda entry, n: np.save(entry, np.arange(4.0)),
+        lambda entry, n: np.save(entry, np.zeros((n + 1, n), dtype=np.int64)),
+    ], ids=["truncated", "wrong-shape", "1d", "int"])
+    def test_a_damaged_entry_is_a_miss_and_is_replaced(self, cache, damage):
+        a = random_psd(np.random.default_rng(7), EIGH_FLOOR, EIGH_FLOOR)
+        want = PsdMatrix(a)
+        [entry] = cache.iterdir()
+        stored = entry.read_bytes()
+        damage(entry, EIGH_FLOOR)
+        got = PsdMatrix(a)
+        assert np.array_equal(got.eigenvalues.values, want.eigenvalues.values)
+        assert np.array_equal(got.vectors, want.vectors)
+        assert entry.read_bytes() == stored
+        assert list(cache.iterdir()) == [entry]
+
+    @pytest.mark.parametrize("mode, other_uid", [(0o770, 0), (0o700, 1)],
+                             ids=["group-writable", "another-users"])
+    def test_a_directory_others_may_write_is_no_cache(self, cache, monkeypatch, mode, other_uid,
+                                                     tmp_path, capsys):
+        a = random_psd(np.random.default_rng(8), EIGH_FLOOR, EIGH_FLOOR)
+        path = tmp_path / "m.npy"
+        np.save(path, a)
+        argv = ["approx", "--input", str(path), "--k", "3"]
+        want = run_cli(argv, capsys)
+        [entry] = cache.iterdir()
+        pair = np.load(entry)
+        pair[0] *= 2.0                              # planted eigenvalues
+        np.save(entry, pair)
+        cache.chmod(mode)
+        with monkeypatch.context() as patch:
+            patch.setattr(os, "getuid", lambda: cache.stat().st_uid + other_uid)
+            assert run_cli(argv, capsys) == want
+            PsdMatrix(a + np.eye(EIGH_FLOOR))
+        assert list(cache.iterdir()) == [entry]     # nothing stored
+        cache.chmod(0o700)
+        assert run_cli(argv, capsys) != want        # the plant, where it may be trusted
+
+    @pytest.mark.parametrize("matrix, code, message", [
+        (lambda g: g + g.T, 1, "matrix is not PSD: smallest eigenvalue -22.7 below "
+                               "-1e-10 * lambda_max"),
+        (lambda g: np.full_like(g, 8.9e307), 2, "matrix eigenvalues overflow double precision"),
+    ], ids=["not-psd", "overflow"])
+    def test_a_refusal_is_the_same_on_a_hit(self, matrix, code, message, cache, entries,
+                                            tmp_path, capsys, monkeypatch):
+        path = tmp_path / "m.npy"
+        np.save(path, matrix(np.random.default_rng(1).standard_normal((64, 64))))
+        argv = ["sample", "--input", str(path), "--k", "1"]
+        for _ in range(2):
+            assert run_cli(argv, capsys) == (code, "", f"error: {message}\n")
+            assert entries() == (0, 1)
+            no_eigh(monkeypatch)
+
+    @pytest.mark.parametrize("first, then", [
+        (["--input", "{txt}"], ["--input", "{npy}"]),
+        (["--input", "{data}", "--gram"], ["--input", "{data}", "--gram"]),
+        (["--input", "{data}", "--kernel", "rbf", "--sigma", "2"],
+         ["--input", "{data}", "--kernel", "rbf", "--sigma", "2"]),
+    ], ids=["npy-twin", "gram", "rbf"])
+    def test_every_matrix_source_hits(self, first, then, entries, tmp_path, capsys, monkeypatch):
+        rng = np.random.default_rng(9)
+        files = {"txt": tmp_path / "m.txt", "npy": tmp_path / "m.npy", "data": tmp_path / "x.txt"}
+        np.savetxt(files["txt"], random_psd(rng, EIGH_FLOOR, EIGH_FLOOR), fmt="%.17g")
+        np.save(files["npy"], np.loadtxt(files["txt"]))
+        np.savetxt(files["data"], rng.standard_normal((EIGH_FLOOR + 6, EIGH_FLOOR)), fmt="%.17g")
+        runs = []
+        for args in (first, then):
+            argv = ["approx", *(a.format(**files) for a in args), "--k", "3", "--seed", "4"]
+            runs.append(run_cli(argv, capsys))
+            assert entries() == (1, 1)      # the text file's parse, one eigensolve
+            no_eigh(monkeypatch)
+        assert runs[0][0] == 0 and runs[0][1]
+        assert runs[1] == runs[0]
+
+    def test_nothing_is_stored_below_the_floor(self, cache, entries):
+        rng = np.random.default_rng(10)
+        PsdMatrix(random_psd(rng, EIGH_FLOOR - 1, EIGH_FLOOR - 1))
+        assert not cache.exists()
+        PsdMatrix(random_psd(rng, EIGH_FLOOR, EIGH_FLOOR))
+        assert entries() == (0, 1)
 
 
 class TestUnreachedRefusals:

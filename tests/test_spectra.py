@@ -671,6 +671,21 @@ class TestParseCache:
         assert entries[1] not in kept and {entries[0], entries[2]} <= kept
         assert len(kept) == 3 and sum(e.stat().st_size for e in kept) <= 3 * size
 
+    def test_a_store_in_flight_is_not_evicted(self, tmp_path, cache, monkeypatch):
+        # another process's temp file, older than every entry and past the cap alone
+        paths = [tmp_path / f"m{i}.txt" for i in range(2)]
+        for i, p in enumerate(paths):
+            p.write_text(f"{i} 1\n1 {i}\n")
+        _read_table(paths[0], "matrix")
+        [entry] = cache.glob("*.npy")
+        temp = cache / f"{'0' * 64}.99999.tmp"
+        temp.write_bytes(b"\0" * 4 * entry.stat().st_size)
+        os.utime(temp, ns=(10**9, 10**9))
+        monkeypatch.setattr(volcur.spectra, "_CACHE_CAP", 2 * entry.stat().st_size)
+        _read_table(paths[1], "matrix")
+        assert temp.exists() and entry.exists()
+        assert len(list(cache.glob("*.npy"))) == 2
+
     def test_a_parse_past_the_cap_is_not_stored(self, tmp_path, cache, monkeypatch):
         small, large = tmp_path / "small.txt", tmp_path / "large.txt"
         small.write_text("2 1\n1 2\n")

@@ -122,10 +122,10 @@ def test_spectral_command_holds_no_generated_spectrum(argv, lmax, capsys):
     assert capsys.readouterr().out.count("\n") == 1 + int(argv[-1].partition("..")[2])
 
 
-def test_read_array_holds_the_array_not_the_text(spd1000, cache):
+def test_read_array_holds_the_array_not_the_text(spd1000, entries):
     # a miss: the file is hashed, parsed and its parse stored
     assert traced_peak(lambda: read_array(spd1000)) <= 1.3 * 8 * 1000**2
-    assert len(list(cache.glob("*.npy"))) == 1
+    assert entries() == (1, 0)
 
 
 def test_a_cached_read_holds_the_array_alone(spd1000, cache):
@@ -140,6 +140,16 @@ def test_psd_matrix_holds_three_matrices_above_its_input():
     assert traced_peak(lambda: PsdMatrix(a)) <= 3.1 * a.nbytes
 
 
+def test_psd_matrix_holds_three_matrices_on_a_cache_miss_and_hit(entries):
+    # a miss: eigh's pair stacked into one (n+1) x n array, stored and held in
+    # place of eigh's own; a hit: that array, loaded
+    n = 500
+    a = random_psd(np.random.default_rng(5), n, n)
+    for _ in range(2):
+        assert traced_peak(lambda: PsdMatrix(a)) <= 3.1 * a.nbytes
+        assert entries() == (0, 1)
+
+
 def test_rbf_kernel_matrix_holds_three_matrices():
     # the kernel, which becomes the entries, then eigh's eigenvectors and the kept ones
     n = 500
@@ -147,13 +157,13 @@ def test_rbf_kernel_matrix_holds_three_matrices():
     assert traced_peak(lambda: rbf_kernel_matrix(x, 1.3)) <= 3.1 * 8 * n * n
 
 
-def test_load_matrix_keeps_the_parsed_array(spd1000, cache):
+def test_load_matrix_keeps_the_parsed_array(spd1000, cache, entries):
     # the parsed array becomes the entries: one n x n below parse-then-copy,
-    # each read a miss that stores its parse
+    # each read a miss that stores its parse and its eigensolve
     size = 8 * 1000**2
     owning = traced_peak(lambda: load_matrix(spd1000))
     shutil.rmtree(cache)
     copying = traced_peak(lambda: PsdMatrix(read_array(spd1000)))
-    assert len(list(cache.glob("*.npy"))) == 1
+    assert entries() == (1, 1)
     assert owning <= 3.1 * size
     assert owning <= copying - 0.95 * size
