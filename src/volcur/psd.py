@@ -4,8 +4,9 @@ A PsdMatrix is eigendecomposed once, on construction, and carries its
 eigenpairs: the one eigensolve serves the PSD check, the sampler and the
 expected-error formula.  It owns one n x n buffer from parse (or
 formation) through eigensolve.  That eigensolve is cached by the bytes it
-reads (_eigh), so a matrix formed or read again, in any process, loads
-eigh's pair instead of computing it; every check then runs on the pair.
+reads and the BLAS setting it runs under (_eigh), so a matrix formed or read
+again, in any process that loaded numpy through volcur, loads eigh's pair
+instead of computing it; every check then runs on the pair.
 
 A subset S of columns/rows induces the blocks A = M[S,S], B = M[~S,S],
 C = M[~S,~S]; the CUR (skeleton) approximation keeps A and B exactly and
@@ -24,12 +25,14 @@ from __future__ import annotations
 import itertools
 import math
 import os
+import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable
 
 import numpy as np
 
+from . import _BLAS_SETTING
 from .errors import NumericalError, ValidationError, checked_int
 from .spectra import Spectrum, _Owned, _cache_dir, _cache_load, _cache_store, _read_table
 
@@ -62,9 +65,9 @@ class PsdMatrix:
     the overall scale and rejects anything worse; it rejects matrices whose
     smallest eigenvalue is below -PSD_TOL * lambda_max (no projection), and
     refuses with NumericalError ("overflow") a matrix whose eigenvalues
-    leave double range.  The one eigensolve that
-    check needs (_eigh: a cached one, where these bytes were solved before
-    under the same BLAS setting) is kept as the rank-r eigenpairs: `eigenvalues`, the r
+    leave double range.  The one eigensolve that check needs (_eigh: a
+    cached one, where these bytes were solved before under the same BLAS
+    setting) is kept as the rank-r eigenpairs: `eigenvalues`, the r
     largest, a Spectrum (an eigenvalue at or below RANK_TOL * lambda_max
     counts as zero and is dropped), and `vectors`, eigh's orthonormal
     columns for them, n x r, C-ordered and read-only.  The caller's array
@@ -136,20 +139,20 @@ def _eigh(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """np.linalg.eigh(a): w, and v as rows 1..n of one (n+1) x n array whose row 0 is w.
 
     From n = _EIGH_FLOOR on, that array is a cache entry (spectra._cache_store)
-    named by the SHA-256 of a format tag, numpy's version, n, the BLAS thread
-    setting (the environment's thread counts and the usable CPUs), the host and
-    a's bytes: eigh's bits differ with the thread count and, through OpenBLAS's
-    kernels, the CPU, so an entry holds what this call returns here.  A damaged
+    named by the SHA-256 of numpy's version, install and BLAS build, the BLAS
+    setting it loaded with (volcur._BLAS_SETTING), the host, n and a's bytes,
+    all that eigh's bits depend on.  Where that setting is unknown, or may
+    have changed (threadpoolctl is loaded), nothing is cached.  A damaged
     entry is a miss, and the miss replaces it.
     """
     n, entry = a.shape[0], None
-    if n >= _EIGH_FLOOR and (directory := _cache_dir()) is not None:
-        import hashlib, platform    # only a matrix past the floor pays for them
-        cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-        threads = [os.environ.get(v) for v in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS",
-                                               "OMP_NUM_THREADS")]
-        digest = hashlib.sha256(f"eigh1\0{np.__version__}\0{n}\0{threads}\0{cpus}\0"
-                                f"{platform.node()}\0".encode())
+    if (n >= _EIGH_FLOOR and _BLAS_SETTING is not None and "threadpoolctl" not in sys.modules
+            and (directory := _cache_dir()) is not None):
+        import hashlib      # only a matrix past the floor pays for it
+        build = getattr(np.__config__, "CONFIG", {}).get("Build Dependencies")
+        host = os.uname().nodename if hasattr(os, "uname") else os.environ.get("COMPUTERNAME")
+        digest = hashlib.sha256(f"eigh2\0{np.__version__}\0{np.__file__}\0{build}\0"
+                                f"{_BLAS_SETTING}\0{host}\0{n}\0".encode())
         digest.update(np.ascontiguousarray(a))
         entry = directory / f"{digest.hexdigest()}.eigh.npy"
     pair = _cache_load(entry) if entry else None

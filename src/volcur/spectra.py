@@ -320,7 +320,8 @@ def _npy_array(path: str | Path) -> np.ndarray:
 # The text grammar's version, part of every cache key: bump it whenever
 # _read_table parses some text differently, so no parse cached before is used.
 _GRAMMAR = "1"
-_CACHE_CAP = 1 << 30        # bytes of cached parses kept; the least recently used go first
+_CACHE_CAP = 1 << 30        # bytes of cache files kept; the least recently used go first
+_STALE = 3600 * 10**9       # ns: a *.tmp file this much older than the newest file is a dead store's
 
 
 def _cache_key(file: TextIO) -> tuple[Path, tuple[int, int, int]] | None:
@@ -384,8 +385,10 @@ def _cache_load(entry: Path) -> np.ndarray | None:
 
 def _cache_store(entry: Path, table: np.ndarray) -> None:
     """Store table as entry, unless it alone is past _CACHE_CAP, then evict the least
-    recently used entries past the cap; a store that fails leaves no file.  Only
-    finished entries (*.npy) count and go: a *.tmp file is a store in flight."""
+    recently used files past the cap.  A store cut short, by an error or an
+    interrupt, removes its *.tmp file.  One _STALE older than the newest file,
+    left by a process that died, counts and goes as an entry does; a younger
+    one is a store in flight, and neither counts nor goes."""
     if table.nbytes > _CACHE_CAP:
         return
     temp = entry.with_name(f"{entry.stem}.{os.getpid()}.tmp")
@@ -397,8 +400,10 @@ def _cache_store(entry: Path, table: np.ndarray) -> None:
             np.save(out, table)
         os.replace(temp, entry)
         with os.scandir(entry.parent) as scan:
-            files = sorted((s.st_mtime_ns, s.st_size, e.path) for e in scan
-                           if e.name.endswith(".npy") and e.is_file() for s in [e.stat()])
+            files = sorted((s.st_mtime_ns, s.st_size, e.path)
+                           for e in scan if e.is_file() for s in [e.stat()])
+        fresh = files[-1][0] - _STALE
+        files = [f for f in files if f[0] <= fresh or not f[2].endswith(".tmp")]
         total = sum(size for _, size, _ in files)
         for _, size, name in files:
             if total <= _CACHE_CAP:
@@ -406,8 +411,10 @@ def _cache_store(entry: Path, table: np.ndarray) -> None:
             os.unlink(name)
             total -= size
     except (OSError, ValueError):
+        pass
+    finally:
         try:
-            os.unlink(temp)
+            os.unlink(temp)     # there is none once it became the entry
         except OSError:
             pass
 

@@ -1,3 +1,4 @@
+import volcur   # first, so it loads numpy: psd then caches eigensolves, as in the CLI
 import numpy as np
 import pytest
 

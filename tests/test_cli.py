@@ -7,6 +7,7 @@ import os
 import re
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import numpy as np
@@ -1252,30 +1253,69 @@ class TestEigenCache:
     """PsdMatrix's eigensolve, cached by the bytes eigh reads and the BLAS setting
     it runs under: a hit is what eigh returns here, and every check runs on it."""
 
-    def test_each_thread_setting_hits_its_own_bits(self, cache, entries, tmp_path):
-        # eigh's bits at n = 300 differ between one and two OpenBLAS threads: an
-        # entry stored under one setting must not answer the other.  The matrix is
-        # formed here, once: a product formed in each child would differ by setting too
-        path = tmp_path / "m.npy"
-        np.save(path, random_psd(np.random.default_rng(0), 300, 300))
-        code = ("import hashlib, numpy as np; from volcur import PsdMatrix; "
-                f"m = PsdMatrix(np.load({str(path)!r})); "
+    @staticmethod
+    def eigen_digest(path, base, threads=None, prelude="import volcur"):
+        """A digest of PsdMatrix(np.load(path))'s eigenpairs in a fresh process that
+        runs prelude first, with XDG_CACHE_HOME=base and OPENBLAS_NUM_THREADS=threads
+        (unset for None)."""
+        code = (f"{prelude}\nimport hashlib, numpy as np; from volcur import PsdMatrix\n"
+                f"m = PsdMatrix(np.load({str(path)!r}))\n"
                 "print(hashlib.sha256(m.eigenvalues.values.tobytes() "
                 "+ m.vectors.tobytes()).hexdigest())")
+        env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+        env["XDG_CACHE_HOME"] = str(base)
+        if threads is not None:
+            env["OPENBLAS_NUM_THREADS"] = threads
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env=env)
+        assert (proc.returncode, proc.stderr) == (0, "")
+        return proc.stdout
+
+    @pytest.fixture()
+    def m300(self, tmp_path):
+        # eigh's bits at n = 300 differ between one and two OpenBLAS threads.  The
+        # matrix is formed here, once: a product formed in each child would differ
+        # by setting too.  Also returns a cache base where nothing is cached.
+        path = tmp_path / "m.npy"
+        np.save(path, random_psd(np.random.default_rng(0), 300, 300))
         blocked = tmp_path / "blocked"
         blocked.mkdir()
         (blocked / "volcur").write_text("a regular file: no cache\n")
+        return path, blocked
 
-        def digest(threads, base):
-            proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                                  env={**os.environ, "OPENBLAS_NUM_THREADS": threads,
-                                       "XDG_CACHE_HOME": str(base)})
-            assert (proc.returncode, proc.stderr) == (0, "")
-            return proc.stdout
+    def test_each_thread_setting_hits_its_own_bits(self, cache, entries, m300):
+        # an entry stored under one setting must not answer the other
+        path, blocked = m300
         for threads in ("1", "2"):
-            want = digest(threads, blocked)
-            assert [digest(threads, cache.parent) for _ in range(2)] == [want, want]
+            want = self.eigen_digest(path, blocked, threads)
+            assert [self.eigen_digest(path, cache.parent, threads) for _ in range(2)] == [want] * 2
         assert entries() == (0, 2)
+
+    @pytest.mark.parametrize("first, stored", [("numpy", 0), ("volcur", 1)])
+    def test_a_setting_made_after_numpy_loaded_is_not_the_key(self, first, stored, cache,
+                                                              entries, m300):
+        # OpenBLAS reads its thread count once, as numpy loads: a process that sets
+        # it later runs with the old one.  Where volcur loaded numpy, the entry is
+        # keyed by the setting numpy loaded with; where numpy came first, that is
+        # unknown, and nothing is stored.  A later process that starts with the
+        # late setting gets its own bits either way.
+        path, blocked = m300
+        late = f"import os, {first}; os.environ['OPENBLAS_NUM_THREADS'] = '1'"
+        assert (self.eigen_digest(path, cache.parent, prelude=late)
+                == self.eigen_digest(path, blocked))
+        assert entries() == (0, stored)
+        want = self.eigen_digest(path, blocked, "1")
+        assert [self.eigen_digest(path, cache.parent, "1") for _ in range(2)] == [want] * 2
+        assert entries() == (0, stored + 1)
+
+    @pytest.mark.parametrize("unknown", [
+        lambda patch: patch.setattr(volcur.psd, "_BLAS_SETTING", None),
+        lambda patch: patch.setitem(sys.modules, "threadpoolctl", types.ModuleType("threadpoolctl")),
+    ], ids=["numpy-loaded-first", "threadpoolctl-loaded"])
+    def test_no_entry_where_the_blas_setting_is_unknown(self, unknown, cache, monkeypatch):
+        unknown(monkeypatch)
+        PsdMatrix(random_psd(np.random.default_rng(11), EIGH_FLOOR, EIGH_FLOOR))
+        assert not cache.exists()
 
     @pytest.mark.parametrize("damage", [
         lambda entry, n: entry.write_bytes(entry.read_bytes()[:-8]),

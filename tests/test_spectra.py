@@ -671,8 +671,13 @@ class TestParseCache:
         assert entries[1] not in kept and {entries[0], entries[2]} <= kept
         assert len(kept) == 3 and sum(e.stat().st_size for e in kept) <= 3 * size
 
-    def test_a_store_in_flight_is_not_evicted(self, tmp_path, cache, monkeypatch):
-        # another process's temp file, older than every entry and past the cap alone
+    @pytest.mark.parametrize("age, kept", [(0, True), (2 * 3600, False)],
+                             ids=["in-flight", "dead"])
+    def test_a_temp_file_goes_only_once_its_store_is_dead(self, tmp_path, cache, monkeypatch,
+                                                          age, kept):
+        # another process's temp file, past the cap alone: one written just now is
+        # a store in flight, and one two hours older than every entry a store that
+        # died; the dead one goes first, and then nothing else need go
         paths = [tmp_path / f"m{i}.txt" for i in range(2)]
         for i, p in enumerate(paths):
             p.write_text(f"{i} 1\n1 {i}\n")
@@ -680,11 +685,24 @@ class TestParseCache:
         [entry] = cache.glob("*.npy")
         temp = cache / f"{'0' * 64}.99999.tmp"
         temp.write_bytes(b"\0" * 4 * entry.stat().st_size)
-        os.utime(temp, ns=(10**9, 10**9))
+        written = entry.stat().st_mtime_ns - age * 10**9
+        os.utime(temp, ns=(written, written))
         monkeypatch.setattr(volcur.spectra, "_CACHE_CAP", 2 * entry.stat().st_size)
         _read_table(paths[1], "matrix")
-        assert temp.exists() and entry.exists()
+        assert temp.exists() == kept and entry.exists()
         assert len(list(cache.glob("*.npy"))) == 2
+
+    def test_an_interrupted_store_leaves_no_file(self, tmp_path, cache, monkeypatch):
+        p = tmp_path / "m.txt"
+        p.write_text("2 1\n1 2\n")
+
+        def interrupted(out, table):
+            out.write(b"\x93NUMPY")
+            raise KeyboardInterrupt
+        monkeypatch.setattr(np, "save", interrupted)
+        with pytest.raises(KeyboardInterrupt):
+            _read_table(p, "matrix")
+        assert list(cache.iterdir()) == []
 
     def test_a_parse_past_the_cap_is_not_stored(self, tmp_path, cache, monkeypatch):
         small, large = tmp_path / "small.txt", tmp_path / "large.txt"

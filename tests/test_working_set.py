@@ -133,21 +133,17 @@ def test_a_cached_read_holds_the_array_alone(spd1000, cache):
     assert traced_peak(lambda: read_array(spd1000)) <= 1.05 * 8 * 1000**2
 
 
-def test_psd_matrix_holds_three_matrices_above_its_input():
-    # its copy of the input (the entries), eigh's eigenvectors and the kept ones
+@pytest.mark.parametrize("cached", [False, True], ids=["no-cache", "cache-miss-then-hit"])
+def test_psd_matrix_holds_three_matrices_above_its_input(cached, request):
+    # its copy of the input (the entries), eigh's eigenvectors and the kept ones;
+    # on a cache miss, eigh's pair stacked into one (n+1) x n array, stored and
+    # held in place of eigh's own; on a hit, that array, loaded
     n = 500
     a = random_psd(np.random.default_rng(5), n, n)
-    assert traced_peak(lambda: PsdMatrix(a)) <= 3.1 * a.nbytes
-
-
-def test_psd_matrix_holds_three_matrices_on_a_cache_miss_and_hit(entries):
-    # a miss: eigh's pair stacked into one (n+1) x n array, stored and held in
-    # place of eigh's own; a hit: that array, loaded
-    n = 500
-    a = random_psd(np.random.default_rng(5), n, n)
-    for _ in range(2):
+    entries = request.getfixturevalue("entries") if cached else None
+    for _ in range(2 if cached else 1):
         assert traced_peak(lambda: PsdMatrix(a)) <= 3.1 * a.nbytes
-        assert entries() == (0, 1)
+        assert not cached or entries() == (0, 1)
 
 
 def test_rbf_kernel_matrix_holds_three_matrices():
