@@ -21,13 +21,13 @@ of j x j principal minors.  This package provides
 When volcur is the first code to import numpy, numpy's bundled OpenBLAS
 loads with OPENBLAS_THREAD_TIMEOUT=20 unless the user set it, so idle BLAS
 workers sleep within a millisecond instead of spinning for 0.1 s;
-os.environ is left as it was.  Only then does psd cache eigensolves.
+os.environ is left as it was.  Only then does the volcur command cache inputs.
 """
 import os as _os
 import sys as _sys
 
 # What numpy's BLAS reads once, as it loads, to set its threads and kernels, and
-# the CPUs it may use: psd._eigh's key.  Unknown (None) where numpy came first.
+# the CPUs it may use: part of _cache's key.  Unknown (None) where numpy came first.
 _BLAS_SETTING = None if "numpy" in _sys.modules else (
     sorted(item for item in _os.environ.items()
            if item[0].startswith(("OPENBLAS_", "GOTO_", "OMP_", "MKL_", "BLIS_", "VECLIB_"))),

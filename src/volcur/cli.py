@@ -2,7 +2,8 @@
 
 Exit codes: 0 success, 1 validation error, 2 numerical failure,
 3 cap exceeded.  Output is byte-identical for identical inputs and seed;
-floats are written with 17 significant digits.
+floats are written with 17 significant digits.  An input file read again
+loads the one cache entry it left (_cache); the library writes no file.
 """
 from __future__ import annotations
 
@@ -15,28 +16,15 @@ from pathlib import Path
 
 import numpy as np
 
+from ._cache import _read
 from .bounds import bound_reports, figure_rows
 from .errors import NumericalError, ValidationError, VolcurError, checked_int
 from .esp import _ratios, _scaled_coeffs, esp_all, esp_ratios
-from .psd import (
-    RANK_TOL,
-    PsdMatrix,
-    cur_approximation,
-    cur_error_nuclear,
-    gram_matrix,
-    load_matrix,
-    optimal_error,
-    rbf_kernel_matrix,
-    read_array,
-)
+from .psd import (RANK_TOL, PsdMatrix, _gram, _rbf_kernel, _Solved, cur_approximation,
+                  cur_error_nuclear, optimal_error)
 from .sampling import (_enumeration_count, _within_rank, enumerate_distribution,
                        expected_error_exact, sample_subsets)
-from .spectra import (
-    PiecewiseDyadicSpectrum,
-    Spectrum,
-    load_spectrum,
-    parse_generator_spec,
-)
+from .spectra import PiecewiseDyadicSpectrum, Spectrum, _table_spectrum, parse_generator_spec
 
 VERIFY_TOL = 1e-9
 
@@ -86,7 +74,7 @@ def _resolve_spectrum(args) -> Spectrum:
         raise ValidationError("provide exactly one of --input or --spectrum")
     if args.spectrum is not None:
         return parse_generator_spec(args.spectrum)
-    return load_spectrum(args.input)
+    return _read(args.input, "spectrum", "", lambda arrays: _table_spectrum(arrays[0], args.input))
 
 
 def _dyadic_mu(text: str) -> PiecewiseDyadicSpectrum:
@@ -101,13 +89,19 @@ def _resolve_matrix(args) -> PsdMatrix:
         raise ValidationError("this command requires --input <matrix file>")
     if args.kernel is not None and args.gram:
         raise ValidationError("--gram and --kernel are mutually exclusive")
+    form, transform = (lambda table: table), ""
     if args.kernel is not None:
         if args.sigma is None:
             raise ValidationError("--kernel rbf requires --sigma")
-        return rbf_kernel_matrix(read_array(args.input), args.sigma)
-    if args.gram:
-        return gram_matrix(read_array(args.input))
-    return load_matrix(args.input)
+        form, transform = (lambda table: _rbf_kernel(table, args.sigma)), f"rbf {args.sigma.hex()}"
+    elif args.gram:
+        form, transform = _gram, "gram"
+
+    def build(arrays: list) -> PsdMatrix:
+        if len(arrays) == 1:        # a miss: the entries are formed from the parse
+            arrays[0] = form(arrays[0])
+        return PsdMatrix(_Solved(arrays))
+    return _read(args.input, "matrix", transform, build)
 
 
 def _emit(args, lines: list[str], matrix: np.ndarray | None = None) -> None:

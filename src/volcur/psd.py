@@ -3,10 +3,9 @@
 A PsdMatrix is eigendecomposed once, on construction, and carries its
 eigenpairs: the one eigensolve serves the PSD check, the sampler and the
 expected-error formula.  It owns one n x n buffer from parse (or
-formation) through eigensolve.  That eigensolve is cached by the bytes it
-reads and the BLAS setting it runs under (_eigh), so a matrix formed or read
-again, in any process that loaded numpy through volcur, loads eigh's pair
-instead of computing it; every check then runs on the pair.
+formation) through eigensolve.  The library computes every eigensolve and
+writes no file; the volcur command, which caches its inputs, hands a stored
+eigenpair back through _Solved, and every check that follows eigh runs on it.
 
 A subset S of columns/rows induces the blocks A = M[S,S], B = M[~S,S],
 C = M[~S,~S]; the CUR (skeleton) approximation keeps A and B exactly and
@@ -24,17 +23,14 @@ from __future__ import annotations
 
 import itertools
 import math
-import os
-import sys
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 import numpy as np
 
-from . import _BLAS_SETTING
 from .errors import NumericalError, ValidationError, checked_int
-from .spectra import Spectrum, _Owned, _cache_dir, _cache_load, _cache_store, _read_table
+from .spectra import Spectrum, _Owned, _read_table
 
 __all__ = [
     "PsdMatrix",
@@ -52,9 +48,14 @@ SYM_TOL = 1e-10          # relative asymmetry accepted before symmetrizing
 RANK_TOL = 1e-12         # relative eigenvalue cutoff defining rank
 PIVOT_REL_TOL = 1e-14    # Cholesky pivot breakdown, relative to scale
 _BLOCK = 128             # side of the block pairs symmetrized in place
-# n below which eigh runs uncached, by timing: at n = 32 eigh takes 0.09 ms, as a
-# cache hit does; at 64, 0.35 ms against a 0.10-0.17 ms hit and a 0.8 ms miss
-_EIGH_FLOOR = 64
+
+
+class _Solved(NamedTuple):
+    """PsdMatrix's input where the caller keeps eigh's pair: arrays is [a], a library-built
+    array that PsdMatrix checks and symmetrizes in place, then extends with eigh's (w, v),
+    or [a, w, v] as such a run left it, from which only the checks after eigh run."""
+
+    arrays: list
 
 
 @dataclass(frozen=True, eq=False)
@@ -65,9 +66,8 @@ class PsdMatrix:
     the overall scale and rejects anything worse; it rejects matrices whose
     smallest eigenvalue is below -PSD_TOL * lambda_max (no projection), and
     refuses with NumericalError ("overflow") a matrix whose eigenvalues
-    leave double range.  The one eigensolve that check needs (_eigh: a
-    cached one, where these bytes were solved before under the same BLAS
-    setting) is kept as the rank-r eigenpairs: `eigenvalues`, the r
+    leave double range.  The one eigensolve that check needs (np.linalg.eigh,
+    on every construction) is kept as the rank-r eigenpairs: `eigenvalues`, the r
     largest, a Spectrum (an eigenvalue at or below RANK_TOL * lambda_max
     counts as zero and is dropped), and `vectors`, eigh's orthonormal
     columns for them, n x r, C-ordered and read-only.  The caller's array
@@ -83,28 +83,15 @@ class PsdMatrix:
 
     def __post_init__(self) -> None:
         a = self.entries
-        a = a.array if isinstance(a, _Owned) else np.array(a, dtype=np.float64, order="C")
-        if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] == 0:
-            raise ValidationError("matrix must be square and nonempty")
-        top, bottom = float(np.max(a)), float(np.min(a))   # not finite if an entry is not
-        if not (math.isfinite(top) and math.isfinite(bottom)):
-            raise ValidationError("matrix entries must be finite")
-        asymmetry = 0.0
-        with np.errstate(over="ignore"):       # a block whose sum overflows is halved first
-            for i, j in itertools.combinations_with_replacement(range(0, a.shape[0], _BLOCK), 2):
-                x, y = a[i : i + _BLOCK, j : j + _BLOCK], a[j : j + _BLOCK, i : i + _BLOCK]
-                d = np.subtract(x, y.T)
-                asymmetry = max(asymmetry, float(np.max(np.abs(d, out=d))))
-                np.add(x, y.T, out=d)
-                x[...] = np.divide(d, 2.0, out=d) if np.isfinite(d).all() else x / 2.0 + y.T / 2.0
-                y[...] = x.T
-        if asymmetry > SYM_TOL * max(top, -bottom, 1e-300):
-            raise ValidationError(
-                f"matrix is not symmetric (max asymmetry {asymmetry:.3g})")
-        try:
-            w, v = _eigh(a)
-        except np.linalg.LinAlgError as exc:
-            raise NumericalError(f"eigensolver did not converge: {exc}") from exc
+        arrays = a.arrays if isinstance(a, _Solved) else [
+            a.array if isinstance(a, _Owned) else np.array(a, dtype=np.float64, order="C")]
+        if len(arrays) == 1:
+            _symmetrize(a := arrays[0])
+            try:
+                arrays += np.linalg.eigh(a)
+            except np.linalg.LinAlgError as exc:
+                raise NumericalError(f"eigensolver did not converge: {exc}") from exc
+        a, w, v = arrays
         if not np.isfinite(w).all():
             raise NumericalError("matrix eigenvalues overflow double precision")
         lam_max = max(float(w[-1]), 0.0)
@@ -114,7 +101,7 @@ class PsdMatrix:
                 f"below -{PSD_TOL:g} * lambda_max")
         w = w[::-1]
         r = int(np.count_nonzero(w > RANK_TOL * lam_max)) if lam_max > 0.0 else 0
-        v = v[:, ::-1][:, :r].copy()   # contiguous; frees eigh's n x n vectors
+        v = v[:, ::-1][:, :r].copy()   # contiguous; eigh's n x n vectors are not kept
         a.flags.writeable = v.flags.writeable = False
         object.__setattr__(self, "entries", a)
         object.__setattr__(self, "vectors", v)
@@ -135,32 +122,24 @@ class PsdMatrix:
         return self.eigenvalues._entry(0)
 
 
-def _eigh(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """np.linalg.eigh(a): w, and v as rows 1..n of one (n+1) x n array whose row 0 is w.
-
-    From n = _EIGH_FLOOR on, that array is a cache entry (spectra._cache_store)
-    named by the SHA-256 of numpy's version, install and BLAS build, the BLAS
-    setting it loaded with (volcur._BLAS_SETTING), the host, n and a's bytes,
-    all that eigh's bits depend on.  Where that setting is unknown, or may
-    have changed (threadpoolctl is loaded), nothing is cached.  A damaged
-    entry is a miss, and the miss replaces it.
-    """
-    n, entry = a.shape[0], None
-    if (n >= _EIGH_FLOOR and _BLAS_SETTING is not None and "threadpoolctl" not in sys.modules
-            and (directory := _cache_dir()) is not None):
-        import hashlib      # only a matrix past the floor pays for it
-        build = getattr(np.__config__, "CONFIG", {}).get("Build Dependencies")
-        host = os.uname().nodename if hasattr(os, "uname") else os.environ.get("COMPUTERNAME")
-        digest = hashlib.sha256(f"eigh2\0{np.__version__}\0{np.__file__}\0{build}\0"
-                                f"{_BLAS_SETTING}\0{host}\0{n}\0".encode())
-        digest.update(np.ascontiguousarray(a))
-        entry = directory / f"{digest.hexdigest()}.eigh.npy"
-    pair = _cache_load(entry) if entry else None
-    if pair is None or pair.shape != (n + 1, n):
-        pair = np.vstack(np.linalg.eigh(a))
-        if entry:
-            _cache_store(entry, pair)
-    return pair[0].copy(), pair[1:]     # w alone: the kept spectrum must not hold pair
+def _symmetrize(a: np.ndarray) -> None:
+    """Refuse a unless finite, square, nonempty and symmetric within SYM_TOL; symmetrize it."""
+    if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] == 0:
+        raise ValidationError("matrix must be square and nonempty")
+    top, bottom = float(np.max(a)), float(np.min(a))   # not finite if an entry is not
+    if not (math.isfinite(top) and math.isfinite(bottom)):
+        raise ValidationError("matrix entries must be finite")
+    asymmetry = 0.0
+    with np.errstate(over="ignore"):       # a block whose sum overflows is halved first
+        for i, j in itertools.combinations_with_replacement(range(0, a.shape[0], _BLOCK), 2):
+            x, y = a[i : i + _BLOCK, j : j + _BLOCK], a[j : j + _BLOCK, i : i + _BLOCK]
+            d = np.subtract(x, y.T)
+            asymmetry = max(asymmetry, float(np.max(np.abs(d, out=d))))
+            np.add(x, y.T, out=d)
+            x[...] = np.divide(d, 2.0, out=d) if np.isfinite(d).all() else x / 2.0 + y.T / 2.0
+            y[...] = x.T
+    if asymmetry > SYM_TOL * max(top, -bottom, 1e-300):
+        raise ValidationError(f"matrix is not symmetric (max asymmetry {asymmetry:.3g})")
 
 
 # Unexported: perfbench/tracer.py, which binds it with getattr, is its only user.
@@ -263,12 +242,17 @@ def _data_array(data: np.ndarray) -> np.ndarray:
 
 def gram_matrix(data: np.ndarray) -> PsdMatrix:
     """M = X^T X for sample rows; NumericalError, not a numpy warning, if it overflows."""
+    return PsdMatrix(_Owned(_gram(data)))
+
+
+def _gram(data: np.ndarray) -> np.ndarray:
+    """gram_matrix's entries, before PsdMatrix checks them."""
     x = _data_array(data)
     with np.errstate(over="ignore", invalid="ignore"):   # refused below, not warned of
         m = x.T @ x
     if not np.isfinite(m).all():
         raise NumericalError("X^T X overflows double precision")
-    return PsdMatrix(_Owned(m))
+    return m
 
 
 def rbf_kernel_matrix(data: np.ndarray, sigma: float) -> PsdMatrix:
@@ -281,6 +265,11 @@ def rbf_kernel_matrix(data: np.ndarray, sigma: float) -> PsdMatrix:
     ValidationError where 2 s^2 and the squared distance of two distinct
     rows both underflow to 0.
     """
+    return PsdMatrix(_Owned(_rbf_kernel(data, sigma)))
+
+
+def _rbf_kernel(data: np.ndarray, sigma: float) -> np.ndarray:
+    """rbf_kernel_matrix's entries, before PsdMatrix checks them."""
     if not sigma > 0.0:
         raise ValidationError("sigma must be positive")
     x = _data_array(data)
@@ -301,7 +290,7 @@ def rbf_kernel_matrix(data: np.ndarray, sigma: float) -> PsdMatrix:
     # a quotient past range is -inf, whose exp 0 is the kernel's limit
     with np.errstate(over="ignore", divide="ignore"):
         np.divide(k, -2.0 * s * s, out=k, where=k > 0.0)
-    return PsdMatrix(_Owned(np.exp(k, out=k)))
+    return np.exp(k, out=k)
 
 
 def read_array(path: str | Path) -> np.ndarray:

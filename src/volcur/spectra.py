@@ -15,11 +15,10 @@ from __future__ import annotations
 
 import bisect
 import itertools
-import os
+from contextlib import nullcontext
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
-from stat import S_ISDIR, S_ISREG
 from typing import Callable, Iterable, Iterator, NamedTuple, TextIO
 
 import numpy as np
@@ -262,42 +261,43 @@ def load_spectrum(path: str | Path) -> Spectrum:
     """Read a spectrum from text: one line of values, or one value per line, in a
     matrix file's grammar (_read_table), or from an .npy file of one row or column.
     A table of 2+ rows and columns is refused."""
-    table = _read_table(path, "spectrum")
+    return _table_spectrum(_read_table(path, "spectrum"), path)
+
+
+def _table_spectrum(table: np.ndarray, path: str | Path) -> Spectrum:
+    """load_spectrum's spectrum of the table read from path."""
     if min(table.shape) > 1:
         raise ValidationError(f"spectrum file {path} holds a {table.shape[0]} x {table.shape[1]} "
                               "table; give one line of values, or one value per line")
     return make_spectrum(table)
 
 
-def _read_table(path: str | Path, what: str) -> np.ndarray:
+def _read_table(path: str | Path, what: str, file: TextIO | None = None) -> np.ndarray:
     """A 2-D array from a text file: one row per line, whitespace- or comma-separated;
-    from a file named *.npy, the float64 array it holds (_npy_array).
+    from a file named *.npy, the 2-D float64 array it holds, read as np.load reads one,
+    with no unpickling, C-ordered and writable.
 
     Blank lines are skipped; there is no comment syntax.  A malformed file is
     reported at its first bad token or ragged row, by 1-based line, and named
     a `what` file.  Fed to numpy's reader 64 Ki characters at a time, the parse
     holds the array, not the text (0.2 MB beside a 1000 x 1000 matrix's 8 MB).
     The file is opened once, a pipe too: numpy's reader converts each line
-    before it takes the next, so a fault lies on the last line it took.  A
-    regular file is first hashed through the same handle and rewound: a parse
-    of the same bytes cached earlier (_cache_key) is loaded instead, and a new
-    one is stored.
+    before it takes the next, so a fault lies on the last line it took.  A caller
+    that opened path already, as text, passes that file: read from its start, left open.
     """
     at = [0, [], iter(())]      # lines before the block in hand, its lines, their iterator
     head = None                 # a text file's first row
     try:
-        if Path(path).suffix == ".npy":
-            return _npy_array(path)
-        with open(path) as file:
-            key = _cache_key(file)
-            if key and (table := _cache_load(key[0])) is not None:
-                return table
+        with open(path) if file is None else nullcontext(file) as file:
+            if Path(path).suffix == ".npy":
+                table = np.lib.format.read_array(file.buffer, allow_pickle=False)
+                if table.ndim != 2 or table.dtype != np.float64:
+                    raise ValueError(f"it holds a {table.ndim}-D {table.dtype} array, "
+                                     "not a 2-D float64 one")
+                return np.ascontiguousarray(table)
             lines = _lines(file, at)
             if (head := next((line for line in lines if line.strip()), None)) is not None:
-                table = np.loadtxt(itertools.chain([head], lines), ndmin=2, comments=None)
-                if key and _stamp(file) == key[1]:      # unchanged while it was parsed
-                    _cache_store(key[0], table)
-                return table
+                return np.loadtxt(itertools.chain([head], lines), ndmin=2, comments=None)
     except (OSError, UnicodeError) as exc:
         raise ValidationError(f"cannot read {what} file {path}: {exc}") from exc
     except ValueError as exc:
@@ -305,118 +305,6 @@ def _read_table(path: str | Path, what: str) -> np.ndarray:
         where = head and _fault(at[0] + taken, at[1][taken - 1], len(head.split())) or exc
         raise ValidationError(f"malformed {what} file {path}: {where}") from exc
     raise ValidationError(f"{what} file {path} is empty")
-
-
-def _npy_array(path: str | Path) -> np.ndarray:
-    """The array an .npy file holds, C-ordered and writable, read as np.load reads
-    one, with no unpickling; ValueError unless it is a 2-D float64 array."""
-    with Path(path).open("rb") as file:
-        table = np.lib.format.read_array(file, allow_pickle=False)
-    if table.ndim != 2 or table.dtype != np.float64:
-        raise ValueError(f"it holds a {table.ndim}-D {table.dtype} array, not a 2-D float64 one")
-    return np.ascontiguousarray(table)
-
-
-# The text grammar's version, part of every cache key: bump it whenever
-# _read_table parses some text differently, so no parse cached before is used.
-_GRAMMAR = "1"
-_CACHE_CAP = 1 << 30        # bytes of cache files kept; the least recently used go first
-_STALE = 3600 * 10**9       # ns: a *.tmp file this much older than the newest file is a dead store's
-
-
-def _cache_key(file: TextIO) -> tuple[Path, tuple[int, int, int]] | None:
-    """The cache entry for an open text file's parse, and the file's (size, mtime,
-    ctime) before it was hashed; None for a pipe or another file that is not
-    regular, and where there is no cache directory to use (_cache_dir).
-
-    The entry is named by the SHA-256 of the grammar version, numpy's version,
-    the file's text encoding and its bytes, read through its own handle, which
-    is then rewound.
-    """
-    if not S_ISREG(os.fstat(file.fileno()).st_mode) or (directory := _cache_dir()) is None:
-        return None
-    stamp = _stamp(file)
-    import hashlib          # loads OpenSSL: only a command that reads a text file pays for it
-    digest = hashlib.sha256(f"{_GRAMMAR}\0{np.__version__}\0{file.encoding}\0".encode())
-    while block := file.buffer.read(1 << 20):
-        digest.update(block)
-    file.seek(0)
-    return directory / f"{digest.hexdigest()}.npy", stamp
-
-
-def _stamp(file: TextIO) -> tuple[int, int, int]:
-    """An open file's (size, mtime, ctime), in nanoseconds."""
-    stat = os.fstat(file.fileno())
-    return stat.st_size, stat.st_mtime_ns, stat.st_ctime_ns
-
-
-def _cache_dir() -> Path | None:
-    """$XDG_CACHE_HOME/volcur, or ~/.cache/volcur where that variable is unset or not
-    an absolute path; None where that path exists but is not _private, as anyone
-    else who may write there could plant the parse of a file whose bytes they know."""
-    base = os.environ.get("XDG_CACHE_HOME", "")
-    base = base if os.path.isabs(base) else os.path.expanduser("~/.cache")
-    directory = Path(base, "volcur")
-    if not directory.is_absolute():
-        return None
-    try:
-        return directory if _private(directory) else None
-    except FileNotFoundError:
-        return directory        # _cache_store makes it, and checks it again
-    except OSError:
-        return None
-
-
-def _private(directory: Path) -> bool:
-    """Whether directory is one of this user's that no one else may write to."""
-    stat = os.stat(directory)
-    return S_ISDIR(stat.st_mode) and stat.st_uid == os.getuid() and not stat.st_mode & 0o022
-
-
-def _cache_load(entry: Path) -> np.ndarray | None:
-    """The array cached as entry, marked as just used; None where there is none to read."""
-    try:
-        table = _npy_array(entry)
-        os.utime(entry)
-    except (OSError, ValueError):
-        return None
-    return table
-
-
-def _cache_store(entry: Path, table: np.ndarray) -> None:
-    """Store table as entry, unless it alone is past _CACHE_CAP, then evict the least
-    recently used files past the cap.  A store cut short, by an error or an
-    interrupt, removes its *.tmp file.  One _STALE older than the newest file,
-    left by a process that died, counts and goes as an entry does; a younger
-    one is a store in flight, and neither counts nor goes."""
-    if table.nbytes > _CACHE_CAP:
-        return
-    temp = entry.with_name(f"{entry.stem}.{os.getpid()}.tmp")
-    try:
-        entry.parent.mkdir(mode=0o700, parents=True, exist_ok=True)
-        if not _private(entry.parent):
-            return
-        with open(temp, "wb") as out:
-            np.save(out, table)
-        os.replace(temp, entry)
-        with os.scandir(entry.parent) as scan:
-            files = sorted((s.st_mtime_ns, s.st_size, e.path)
-                           for e in scan if e.is_file() for s in [e.stat()])
-        fresh = files[-1][0] - _STALE
-        files = [f for f in files if f[0] <= fresh or not f[2].endswith(".tmp")]
-        total = sum(size for _, size, _ in files)
-        for _, size, name in files:
-            if total <= _CACHE_CAP:
-                break
-            os.unlink(name)
-            total -= size
-    except (OSError, ValueError):
-        pass
-    finally:
-        try:
-            os.unlink(temp)     # there is none once it became the entry
-        except OSError:
-            pass
 
 
 def _lines(file: TextIO, at: list) -> Iterator[str]:

@@ -1,4 +1,4 @@
-import volcur   # first, so it loads numpy: psd then caches eigensolves, as in the CLI
+import volcur   # first, so it loads numpy and the volcur command's cache knows its BLAS setting
 import numpy as np
 import pytest
 
@@ -6,13 +6,14 @@ import _acceptance_log
 
 
 @pytest.fixture(scope="session", autouse=True)
-def no_parse_cache(tmp_path_factory):
-    """No parse cache for the run, in place of the user's: XDG_CACHE_HOME is a new
-    directory that holds a regular file where volcur would keep its own, so every
-    read parses, whatever the tests before it read.  A child process inherits
-    this through the environment; a test of the cache asks for `cache`."""
+def no_input_cache(tmp_path_factory):
+    """No input cache for the run, in place of the user's: XDG_CACHE_HOME is a new
+    directory that holds a regular file where the volcur command would keep its own,
+    so every command parses and eigensolves its input, whatever the tests before it
+    read.  A child process inherits this through the environment; a test of the
+    cache asks for `cache`."""
     base = tmp_path_factory.mktemp("xdg-cache")
-    (base / "volcur").write_text("not a directory: no parse cache\n")
+    (base / "volcur").write_text("not a directory: no input cache\n")
     with pytest.MonkeyPatch.context() as patch:
         patch.setenv("XDG_CACHE_HOME", str(base))
         yield
@@ -20,18 +21,15 @@ def no_parse_cache(tmp_path_factory):
 
 @pytest.fixture()
 def cache(tmp_path, monkeypatch):
-    """A test's own empty parse cache: the directory volcur keeps its entries in."""
+    """A test's own empty input cache: the directory the volcur command keeps its entries in."""
     monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "xdg"))
     return tmp_path / "xdg" / "volcur"
 
 
 @pytest.fixture()
 def entries(cache):
-    """A count of `cache`'s entries by kind: (parses, eigensolves), the *.eigh.npy files."""
-    def count():
-        eigensolves = len(list(cache.glob("*.eigh.npy")))
-        return len(list(cache.glob("*.npy"))) - eigensolves, eigensolves
-    return count
+    """A count of `cache`'s entries, one *.npy file per input."""
+    return lambda: len(list(cache.glob("*.npy")))
 
 
 @pytest.fixture(scope="session")

@@ -13,6 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import volcur._cache
 import volcur.cli
 import volcur.esp
 import volcur.sampling
@@ -1199,9 +1200,44 @@ class TestModuleEntryPoint:
         assert callable(getattr(volcur.cli, name))
 
 
-class TestParseCache:
-    """A text matrix file read again is loaded from the parse cached by its content
-    hash; what a command prints never depends on whether it was."""
+def no_solve(patch):
+    """From here on, a read of the input file or an eigensolve fails the test: only the
+    cache may answer."""
+    patch.setattr(volcur._cache, "_read_table", lambda *args: pytest.fail("read"))
+    patch.setattr(np.linalg, "eigh", lambda *args: pytest.fail("eigensolved"))
+
+
+def entry_arrays(entry, count):
+    with open(entry, "rb") as file:
+        return [np.load(file) for _ in range(count)]
+
+
+def save_entry(entry, arrays):
+    with open(entry, "wb") as file:
+        for x in arrays:
+            np.save(file, x)
+
+
+def read_cached(path):
+    """_cache._read of path as a spectrum file, returning the table it reads: the parse on
+    a miss, the entry on a hit."""
+    return volcur._cache._read(path, "spectrum", "", lambda arrays: arrays[0])
+
+
+# ways to damage a cache entry, given its path and the arrays it holds
+DAMAGE = {
+    "truncated": lambda entry, arrays: entry.write_bytes(entry.read_bytes()[:-8]),
+    "empty": lambda entry, arrays: entry.write_bytes(b""),
+    "wrong-shape": lambda entry, arrays: save_entry(entry, [x[..., :-1] for x in arrays]),
+    "1d": lambda entry, arrays: save_entry(entry, [x.ravel() for x in arrays]),
+    "int": lambda entry, arrays: save_entry(entry, [x.astype(np.int64) for x in arrays]),
+}
+
+
+class TestInputCache:
+    """The volcur command's one cache entry per input file, named by the file's bytes,
+    how it is read and transformed, and all that eigh's bits depend on: a hit is
+    what a miss computes, so what a command prints never depends on the cache."""
 
     @pytest.mark.parametrize("argv", [
         ["sample", "--k", "50", "--draws", "40", "--seed", "3"],
@@ -1212,16 +1248,50 @@ class TestParseCache:
         npy = tmp_path / "spd1000.npy"
         np.save(npy, np.loadtxt(spd1000))
         runs = []
-        for i, source in enumerate((spd1000, spd1000, npy)):    # a miss, a hit, the binary file
+        for i, source in enumerate((spd1000, spd1000, npy, npy)):   # each file's miss, then hit
             out = tmp_path / f"cur{i}.txt"
             command = [argv[0], "--input", str(source), *(a.format(out=out) for a in argv[1:])]
-            runs.append((run_cli(command, capsys), out.read_bytes() if out.exists() else None))
-            assert entries() == (1, 1)      # one parse, one eigensolve
-            monkeypatch.setattr(volcur.spectra, "_lines", lambda *args: pytest.fail("parsed"))
-            monkeypatch.setattr(np.linalg, "eigh", lambda *args: pytest.fail("eigensolved"))
+            with monkeypatch.context() as patch:
+                if i % 2:
+                    no_solve(patch)
+                runs.append((run_cli(command, capsys), out.read_bytes() if out.exists() else None))
+            assert entries() == 1 + i // 2      # the .npy twin's bytes are another input
         code, stdout, stderr = runs[0][0]
         assert (code, stderr) == (0, "") and stdout
-        assert runs[1] == runs[0] and runs[2] == runs[0]
+        assert runs[1:] == [runs[0]] * 3
+
+    def test_each_transform_of_a_file_is_its_own_entry(self, entries, tmp_path, capsys,
+                                                       monkeypatch):
+        # a plain read, --gram, and --kernel rbf at sigma 2 and one ulp above
+        path = tmp_path / "m.txt"
+        np.savetxt(path, random_psd(np.random.default_rng(12), 12, 12), fmt="%.17g")
+        sigmas = ["2", repr(math.nextafter(2.0, 3.0))]
+        forms = [[], ["--gram"], *(["--kernel", "rbf", "--sigma", s] for s in sigmas)]
+        argvs = [["approx", "--input", str(path), "--k", "2", *form] for form in forms]
+        runs = []
+        for i, argv in enumerate(argvs):
+            runs.append(run_cli(argv, capsys))
+            assert runs[-1][0] == 0
+            assert entries() == i + 1
+        no_solve(monkeypatch)
+        assert [run_cli(argv, capsys) for argv in argvs] == runs
+        assert entries() == 4
+
+    def test_a_plain_entry_never_answers_gram(self, cache, entries, tmp_path, capsys,
+                                              monkeypatch):
+        path = tmp_path / "m.txt"
+        np.savetxt(path, random_psd(np.random.default_rng(13), 6, 6), fmt="%.17g")
+        plain = ["approx", "--input", str(path), "--k", "1"]
+        with monkeypatch.context() as patch:
+            patch.setattr(volcur._cache, "_cache_dir", lambda: None)
+            want = run_cli([*plain, "--gram"], capsys)
+        stored = run_cli(plain, capsys)
+        [entry] = cache.iterdir()
+        a, w, v = entry_arrays(entry, 3)
+        save_entry(entry, [2.0 * a, 2.0 * w, v])     # a planted matrix under the plain key
+        assert run_cli([*plain, "--gram"], capsys) == want
+        assert entries() == 2
+        assert run_cli(plain, capsys) != stored     # the plant answers the plain read
 
     def test_a_cache_that_cannot_be_made_changes_nothing(self, psd_file, tmp_path):
         argv = ["sample", "--input", psd_file, "--k", "1", "--draws", "5", "--seed", "2"]
@@ -1240,26 +1310,15 @@ class TestParseCache:
         assert not cache.exists()
         assert piped.stdout == python_dash_m([*argv[:2], psd_file, *argv[3:]]).stdout
 
-
-EIGH_FLOOR = volcur.psd._EIGH_FLOOR
-
-
-def no_eigh(monkeypatch):
-    """From here on, an eigensolve fails the test: only the cache may answer."""
-    monkeypatch.setattr(np.linalg, "eigh", lambda *args: pytest.fail("eigensolved"))
-
-
-class TestEigenCache:
-    """PsdMatrix's eigensolve, cached by the bytes eigh reads and the BLAS setting
-    it runs under: a hit is what eigh returns here, and every check runs on it."""
-
     @staticmethod
     def eigen_digest(path, base, threads=None, prelude="import volcur"):
-        """A digest of PsdMatrix(np.load(path))'s eigenpairs in a fresh process that
-        runs prelude first, with XDG_CACHE_HOME=base and OPENBLAS_NUM_THREADS=threads
+        """A digest of the eigenpairs the volcur command reads from path, in a fresh process
+        that runs prelude first, with XDG_CACHE_HOME=base and OPENBLAS_NUM_THREADS=threads
         (unset for None)."""
-        code = (f"{prelude}\nimport hashlib, numpy as np; from volcur import PsdMatrix\n"
-                f"m = PsdMatrix(np.load({str(path)!r}))\n"
+        code = (f"{prelude}\nimport hashlib, volcur.cli as cli\n"
+                f"args = cli.build_parser().parse_args(['sample', '--input', {str(path)!r}, "
+                "'--k', '1'])\n"
+                "m = cli._resolve_matrix(args)\n"
                 "print(hashlib.sha256(m.eigenvalues.values.tobytes() "
                 "+ m.vectors.tobytes()).hexdigest())")
         env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
@@ -1289,7 +1348,7 @@ class TestEigenCache:
         for threads in ("1", "2"):
             want = self.eigen_digest(path, blocked, threads)
             assert [self.eigen_digest(path, cache.parent, threads) for _ in range(2)] == [want] * 2
-        assert entries() == (0, 2)
+        assert entries() == 2
 
     @pytest.mark.parametrize("first, stored", [("numpy", 0), ("volcur", 1)])
     def test_a_setting_made_after_numpy_loaded_is_not_the_key(self, first, stored, cache,
@@ -1303,56 +1362,63 @@ class TestEigenCache:
         late = f"import os, {first}; os.environ['OPENBLAS_NUM_THREADS'] = '1'"
         assert (self.eigen_digest(path, cache.parent, prelude=late)
                 == self.eigen_digest(path, blocked))
-        assert entries() == (0, stored)
+        assert entries() == stored
         want = self.eigen_digest(path, blocked, "1")
         assert [self.eigen_digest(path, cache.parent, "1") for _ in range(2)] == [want] * 2
-        assert entries() == (0, stored + 1)
+        assert entries() == stored + 1
 
     @pytest.mark.parametrize("unknown", [
-        lambda patch: patch.setattr(volcur.psd, "_BLAS_SETTING", None),
+        lambda patch: patch.setattr(volcur._cache, "_BLAS_SETTING", None),
         lambda patch: patch.setitem(sys.modules, "threadpoolctl", types.ModuleType("threadpoolctl")),
     ], ids=["numpy-loaded-first", "threadpoolctl-loaded"])
-    def test_no_entry_where_the_blas_setting_is_unknown(self, unknown, cache, monkeypatch):
+    def test_no_entry_where_the_blas_setting_is_unknown(self, unknown, cache, psd_file, capsys,
+                                                        monkeypatch):
         unknown(monkeypatch)
-        PsdMatrix(random_psd(np.random.default_rng(11), EIGH_FLOOR, EIGH_FLOOR))
+        assert run_cli(["sample", "--input", psd_file, "--k", "1"], capsys)[0] == 0
         assert not cache.exists()
 
-    @pytest.mark.parametrize("damage", [
-        lambda entry, n: entry.write_bytes(entry.read_bytes()[:-8]),
-        lambda entry, n: np.save(entry, np.zeros((n, n))),
-        lambda entry, n: np.save(entry, np.arange(4.0)),
-        lambda entry, n: np.save(entry, np.zeros((n + 1, n), dtype=np.int64)),
-    ], ids=["truncated", "wrong-shape", "1d", "int"])
-    def test_a_damaged_entry_is_a_miss_and_is_replaced(self, cache, damage):
-        a = random_psd(np.random.default_rng(7), EIGH_FLOOR, EIGH_FLOOR)
-        want = PsdMatrix(a)
+    @staticmethod
+    def small_input(kind, tmp_path):
+        """A small input's command, and the number of arrays in its entry."""
+        if kind == "spectrum":
+            (tmp_path / "s.txt").write_text("3 1 2 0.5\n")
+            return ["ratio", "--input", str(tmp_path / "s.txt"), "--k", "1..3"], 1
+        np.savetxt(tmp_path / "m.txt", random_psd(np.random.default_rng(7), 5, 5), fmt="%.17g")
+        return ["approx", "--input", str(tmp_path / "m.txt"), "--k", "2"], 3
+
+    # any 2-D table is a spectrum file's parse, so no shape is wrong for one
+    @pytest.mark.parametrize("kind, damage", [
+        (kind, damage) for kind in ("matrix", "spectrum") for damage in DAMAGE
+        if (kind, damage) != ("spectrum", "wrong-shape")])
+    def test_a_damaged_entry_is_a_miss_and_is_replaced(self, kind, damage, cache, tmp_path,
+                                                       capsys):
+        argv, count = self.small_input(kind, tmp_path)
+        want = run_cli(argv, capsys)
         [entry] = cache.iterdir()
         stored = entry.read_bytes()
-        damage(entry, EIGH_FLOOR)
-        got = PsdMatrix(a)
-        assert np.array_equal(got.eigenvalues.values, want.eigenvalues.values)
-        assert np.array_equal(got.vectors, want.vectors)
+        DAMAGE[damage](entry, entry_arrays(entry, count))
+        assert run_cli(argv, capsys) == want
         assert entry.read_bytes() == stored
         assert list(cache.iterdir()) == [entry]
 
-    @pytest.mark.parametrize("mode, other_uid", [(0o770, 0), (0o700, 1)],
-                             ids=["group-writable", "another-users"])
+    @pytest.mark.parametrize("mode, other_uid", [(0o770, 0), (0o702, 0), (0o700, 1)],
+                             ids=["group-writable", "world-writable", "another-users"])
     def test_a_directory_others_may_write_is_no_cache(self, cache, monkeypatch, mode, other_uid,
                                                      tmp_path, capsys):
-        a = random_psd(np.random.default_rng(8), EIGH_FLOOR, EIGH_FLOOR)
-        path = tmp_path / "m.npy"
-        np.save(path, a)
-        argv = ["approx", "--input", str(path), "--k", "3"]
+        rng = np.random.default_rng(8)
+        paths = [tmp_path / "m.txt", tmp_path / "n.txt"]
+        for path in paths:
+            np.savetxt(path, random_psd(rng, 5, 5), fmt="%.17g")
+        argv = ["approx", "--input", str(paths[0]), "--k", "3"]
         want = run_cli(argv, capsys)
         [entry] = cache.iterdir()
-        pair = np.load(entry)
-        pair[0] *= 2.0                              # planted eigenvalues
-        np.save(entry, pair)
+        a, w, v = entry_arrays(entry, 3)
+        save_entry(entry, [2.0 * a, 2.0 * w, v])     # a planted matrix under m.txt's name
         cache.chmod(mode)
         with monkeypatch.context() as patch:
             patch.setattr(os, "getuid", lambda: cache.stat().st_uid + other_uid)
             assert run_cli(argv, capsys) == want
-            PsdMatrix(a + np.eye(EIGH_FLOOR))
+            assert run_cli(["approx", "--input", str(paths[1]), "--k", "3"], capsys)[0] == 0
         assert list(cache.iterdir()) == [entry]     # nothing stored
         cache.chmod(0o700)
         assert run_cli(argv, capsys) != want        # the plant, where it may be trusted
@@ -1362,43 +1428,153 @@ class TestEigenCache:
                                "-1e-10 * lambda_max"),
         (lambda g: np.full_like(g, 8.9e307), 2, "matrix eigenvalues overflow double precision"),
     ], ids=["not-psd", "overflow"])
-    def test_a_refusal_is_the_same_on_a_hit(self, matrix, code, message, cache, entries,
-                                            tmp_path, capsys, monkeypatch):
+    def test_a_refusal_is_the_same_on_a_hit(self, matrix, code, message, entries, tmp_path,
+                                            capsys, monkeypatch):
         path = tmp_path / "m.npy"
         np.save(path, matrix(np.random.default_rng(1).standard_normal((64, 64))))
         argv = ["sample", "--input", str(path), "--k", "1"]
         for _ in range(2):
             assert run_cli(argv, capsys) == (code, "", f"error: {message}\n")
-            assert entries() == (0, 1)
-            no_eigh(monkeypatch)
+            assert entries() == 1
+            no_solve(monkeypatch)
 
-    @pytest.mark.parametrize("first, then", [
-        (["--input", "{txt}"], ["--input", "{npy}"]),
-        (["--input", "{data}", "--gram"], ["--input", "{data}", "--gram"]),
-        (["--input", "{data}", "--kernel", "rbf", "--sigma", "2"],
-         ["--input", "{data}", "--kernel", "rbf", "--sigma", "2"]),
-    ], ids=["npy-twin", "gram", "rbf"])
-    def test_every_matrix_source_hits(self, first, then, entries, tmp_path, capsys, monkeypatch):
-        rng = np.random.default_rng(9)
-        files = {"txt": tmp_path / "m.txt", "npy": tmp_path / "m.npy", "data": tmp_path / "x.txt"}
-        np.savetxt(files["txt"], random_psd(rng, EIGH_FLOOR, EIGH_FLOOR), fmt="%.17g")
-        np.save(files["npy"], np.loadtxt(files["txt"]))
-        np.savetxt(files["data"], rng.standard_normal((EIGH_FLOOR + 6, EIGH_FLOOR)), fmt="%.17g")
-        runs = []
-        for args in (first, then):
-            argv = ["approx", *(a.format(**files) for a in args), "--k", "3", "--seed", "4"]
-            runs.append(run_cli(argv, capsys))
-            assert entries() == (1, 1)      # the text file's parse, one eigensolve
-            no_eigh(monkeypatch)
-        assert runs[0][0] == 0 and runs[0][1]
-        assert runs[1] == runs[0]
-
-    def test_nothing_is_stored_below_the_floor(self, cache, entries):
-        rng = np.random.default_rng(10)
-        PsdMatrix(random_psd(rng, EIGH_FLOOR - 1, EIGH_FLOOR - 1))
+    @pytest.mark.parametrize("data, message", [
+        (b"1 2\n3 x\n", "malformed matrix file {p}: line 2, column 2: "
+                        "could not convert string 'x' to float64"),
+        (b"1 2\n3\n", "malformed matrix file {p}: line 2: the number of columns changed "
+                      "from 2 to 1"),
+        (b"\n \n", "matrix file {p} is empty"),
+        (b"1 \xff\n", "cannot read matrix file {p}: 'utf-8' codec can't decode byte 0xff "
+                      "in position 2: invalid start byte"),
+        (b"2 1\n0 2\n", "matrix is not symmetric (max asymmetry 1)"),
+    ], ids=["bad_token", "ragged", "empty", "undecodable", "asymmetric"])
+    def test_a_refusal_before_eigh_stores_nothing(self, tmp_path, cache, data, message, capsys):
+        p = tmp_path / "bad.txt"
+        p.write_bytes(data)
+        for _ in range(2):
+            assert run_cli(["sample", "--input", str(p), "--k", "1"], capsys) == (
+                1, "", f"error: {message.format(p=p)}\n")
         assert not cache.exists()
-        PsdMatrix(random_psd(rng, EIGH_FLOOR, EIGH_FLOOR))
-        assert entries() == (0, 1)
+
+    def test_a_hit_is_the_parse_bit_for_bit(self, tmp_path, entries, monkeypatch):
+        odd = tmp_path / "odd.txt"
+        odd.write_text("-0.0 nan 5e-324\n-inf 1.7976931348623157e308 0.1\n")
+        want = read_cached(odd)
+        assert entries() == 1
+        no_solve(monkeypatch)
+        got = read_cached(odd)
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+        assert got.dtype == np.float64 and got.flags.c_contiguous and got.flags.writeable
+
+    def test_a_rewrite_of_the_same_size_and_time_is_a_miss(self, tmp_path, entries):
+        p = tmp_path / "m.txt"
+        p.write_text("2 1\n1 2\n")
+        assert read_cached(p).tolist() == [[2, 1], [1, 2]]
+        before = p.stat()
+        p.write_text("3 1\n1 3\n")
+        os.utime(p, ns=(before.st_atime_ns, before.st_mtime_ns))
+        assert (p.stat().st_size, p.stat().st_mtime_ns) == (before.st_size, before.st_mtime_ns)
+        assert read_cached(p).tolist() == [[3, 1], [1, 3]]
+        assert entries() == 2
+
+    def test_a_file_changed_while_it_is_read_is_not_stored(self, tmp_path, cache, monkeypatch):
+        p = tmp_path / "m.txt"
+        p.write_text("2 1\n1 2\n")
+        read = volcur._cache._read_table
+
+        def rewritten(path, what, file):
+            table = read(path, what, file)
+            p.write_text("30 1\n1 30\n")
+            return table
+        monkeypatch.setattr(volcur._cache, "_read_table", rewritten)
+        assert read_cached(p).tolist() == [[2, 1], [1, 2]]
+        assert not cache.exists()
+
+    def test_the_least_recently_used_entries_go_past_the_cap(self, tmp_path, cache,
+                                                              monkeypatch):
+        paths, stored = [tmp_path / f"m{i}.txt" for i in range(4)], []
+        for i, p in enumerate(paths):
+            p.write_text(f"{i} 1\n1 {i}\n")
+        for p in paths[:3]:
+            known = set(cache.glob("*.npy"))
+            read_cached(p)
+            [entry] = set(cache.glob("*.npy")) - known
+            stored.append(entry)
+        for i, entry in enumerate(stored, 1):      # stored in order, long ago
+            os.utime(entry, ns=(i * 10**9, i * 10**9))
+        size = stored[0].stat().st_size
+        monkeypatch.setattr(volcur._cache, "_CACHE_CAP", 3 * size)
+        read_cached(paths[0])           # a hit: m0 is now the most recently used
+        read_cached(paths[3])           # the fourth entry evicts m1's
+        kept = set(cache.iterdir())
+        assert stored[1] not in kept and {stored[0], stored[2]} <= kept
+        assert len(kept) == 3 and sum(e.stat().st_size for e in kept) <= 3 * size
+
+    @pytest.mark.parametrize("age, kept", [(0, True), (2 * 3600, False)],
+                             ids=["in-flight", "dead"])
+    def test_a_temp_file_goes_only_once_its_store_is_dead(self, tmp_path, cache, entries,
+                                                          monkeypatch, age, kept):
+        # another process's temp file, past the cap alone: one written just now is
+        # a store in flight, and one two hours older than every entry a store that
+        # died; the dead one goes first, and then nothing else need go
+        paths = [tmp_path / f"m{i}.txt" for i in range(2)]
+        for i, p in enumerate(paths):
+            p.write_text(f"{i} 1\n1 {i}\n")
+        read_cached(paths[0])
+        [entry] = cache.glob("*.npy")
+        temp = cache / f"{'0' * 64}.99999.tmp"
+        temp.write_bytes(b"\0" * 4 * entry.stat().st_size)
+        written = entry.stat().st_mtime_ns - age * 10**9
+        os.utime(temp, ns=(written, written))
+        monkeypatch.setattr(volcur._cache, "_CACHE_CAP", 2 * entry.stat().st_size)
+        read_cached(paths[1])
+        assert temp.exists() == kept and entry.exists()
+        assert entries() == 2
+
+    def test_an_interrupted_store_leaves_no_file(self, tmp_path, cache, monkeypatch):
+        p = tmp_path / "m.txt"
+        p.write_text("2 1\n1 2\n")
+
+        def interrupted(out, table):
+            out.write(b"\x93NUMPY")
+            raise KeyboardInterrupt
+        monkeypatch.setattr(np, "save", interrupted)
+        with pytest.raises(KeyboardInterrupt):
+            read_cached(p)
+        assert list(cache.iterdir()) == []
+
+    def test_an_input_past_the_cap_is_not_stored(self, tmp_path, cache, monkeypatch):
+        small, large = tmp_path / "small.txt", tmp_path / "large.txt"
+        small.write_text("2 1\n1 2\n")
+        large.write_text("1 0 0\n0 1 0\n0 0 1\n")
+        read_cached(small)
+        [entry] = cache.glob("*.npy")
+        monkeypatch.setattr(volcur._cache, "_CACHE_CAP", 9 * 8 - 1)
+        assert read_cached(large).tolist() == np.eye(3).tolist()
+        assert sorted(cache.iterdir()) == [entry]
+
+    def test_the_library_writes_nothing(self, cache, tmp_path):
+        # every library call that reads or forms a matrix or spectrum, in a fresh
+        # process where volcur loaded numpy, as the command does
+        g = np.random.default_rng(14).standard_normal((100, 100))
+        np.savetxt(tmp_path / "m.txt", g @ g.T, fmt="%.17g")
+        np.save(tmp_path / "m.npy", g @ g.T)
+        (tmp_path / "s.txt").write_text("3 1 2 0.5\n")
+        np.save(tmp_path / "s.npy", np.array([[3.0, 1.0, 2.0, 0.5]]))
+        # numpy.random loads hashlib: the child reads g from a file
+        np.save(tmp_path / "g.npy", g)
+        code = (f"import volcur\nimport sys, numpy as np\nbase = {str(tmp_path)!r}\n"
+                "g = np.load(f'{base}/g.npy')\n"
+                "volcur.PsdMatrix(g @ g.T)\n"
+                "for name in ('m.txt', 'm.npy'):\n"
+                "    volcur.read_array(f'{base}/{name}'), volcur.load_matrix(f'{base}/{name}')\n"
+                "for name in ('s.txt', 's.npy'):\n"
+                "    volcur.load_spectrum(f'{base}/{name}')\n"
+                "volcur.gram_matrix(g), volcur.rbf_kernel_matrix(g, 2.0)\n"
+                "print('hashlib' in sys.modules, 'volcur._cache' in sys.modules)")
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, "False False\n", "")
+        assert not cache.exists()
 
 
 class TestUnreachedRefusals:

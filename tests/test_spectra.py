@@ -585,149 +585,3 @@ class TestNpyFiles:
         p.mkdir()
         with pytest.raises(ValidationError, match=f"^cannot read matrix file {p}: "):
             _read_table(p, "matrix")
-
-
-class TestParseCache:
-    """_read_table's cache of parsed text files, keyed by their content."""
-
-    @staticmethod
-    def parse_fails(monkeypatch):
-        """From here on, a text parse fails the test: only the cache may answer."""
-        monkeypatch.setattr(volcur.spectra, "_lines", lambda *args: pytest.fail("parsed"))
-
-    def test_a_hit_is_the_parse_bit_for_bit(self, tmp_path, spd1000, cache, monkeypatch):
-        odd = tmp_path / "odd.txt"
-        odd.write_text("-0.0 nan 5e-324\n-inf 1.7976931348623157e308 0.1\n")
-        parsed = [_read_table(p, "matrix") for p in (spd1000, odd)]
-        assert len(list(cache.glob("*.npy"))) == 2
-        self.parse_fails(monkeypatch)
-        for p, want in zip((spd1000, odd), parsed):
-            got = _read_table(p, "matrix")
-            assert np.array_equal(got.view(np.int64), want.view(np.int64))
-            assert got.dtype == np.float64 and got.flags.c_contiguous and got.flags.writeable
-
-    def test_a_rewrite_of_the_same_size_and_time_is_a_miss(self, tmp_path, cache):
-        p = tmp_path / "m.txt"
-        p.write_text("2 1\n1 2\n")
-        assert _read_table(p, "matrix").tolist() == [[2, 1], [1, 2]]
-        before = p.stat()
-        p.write_text("3 1\n1 3\n")
-        os.utime(p, ns=(before.st_atime_ns, before.st_mtime_ns))
-        assert (p.stat().st_size, p.stat().st_mtime_ns) == (before.st_size, before.st_mtime_ns)
-        assert _read_table(p, "matrix").tolist() == [[3, 1], [1, 3]]
-        assert len(list(cache.glob("*.npy"))) == 2
-
-    @pytest.mark.parametrize("data, message", [
-        (b"1 2\n3 x\n", "malformed matrix file {p}: line 2, column 2: "
-                        "could not convert string 'x' to float64"),
-        (b"1 2\n3\n", "malformed matrix file {p}: line 2: the number of columns changed "
-                      "from 2 to 1"),
-        (b"\n \n", "matrix file {p} is empty"),
-        (b"1 \xff\n", "cannot read matrix file {p}: 'utf-8' codec can't decode byte 0xff "
-                      "in position 2: invalid start byte"),
-    ], ids=["bad_token", "ragged", "empty", "undecodable"])
-    def test_a_malformed_file_stores_nothing(self, tmp_path, cache, data, message):
-        p = tmp_path / "bad.txt"
-        p.write_bytes(data)
-        for _ in range(2):
-            with pytest.raises(ValidationError) as info:
-                _read_table(p, "matrix")
-            assert str(info.value) == message.format(p=p)
-        assert not cache.exists()
-
-    @pytest.mark.parametrize("damage", [
-        lambda entry: entry.write_bytes(entry.read_bytes()[:-8]),
-        lambda entry: entry.write_bytes(b""),
-        lambda entry: np.save(entry, np.arange(4.0)),
-    ], ids=["truncated", "empty", "1d"])
-    def test_a_damaged_entry_is_a_miss_and_is_replaced(self, tmp_path, cache, damage):
-        p = tmp_path / "m.txt"
-        p.write_text("2 1\n1 2\n")
-        want = _read_table(p, "matrix")
-        [entry] = cache.glob("*.npy")
-        stored = entry.read_bytes()
-        damage(entry)
-        assert np.array_equal(_read_table(p, "matrix"), want)
-        assert entry.read_bytes() == stored
-        assert sorted(cache.iterdir()) == [entry]
-
-    def test_the_least_recently_used_entries_go_past_the_cap(self, tmp_path, cache,
-                                                              monkeypatch):
-        paths, entries = [tmp_path / f"m{i}.txt" for i in range(4)], []
-        for i, p in enumerate(paths):
-            p.write_text(f"{i} 1\n1 {i}\n")
-        for p in paths[:3]:
-            known = set(cache.glob("*.npy"))
-            _read_table(p, "matrix")
-            [entry] = set(cache.glob("*.npy")) - known
-            entries.append(entry)
-        for i, entry in enumerate(entries, 1):     # stored in order, long ago
-            os.utime(entry, ns=(i * 10**9, i * 10**9))
-        size = entries[0].stat().st_size
-        monkeypatch.setattr(volcur.spectra, "_CACHE_CAP", 3 * size)
-        _read_table(paths[0], "matrix")            # a hit: m0 is now the most recently used
-        _read_table(paths[3], "matrix")            # the fourth entry evicts m1's
-        kept = set(cache.iterdir())
-        assert entries[1] not in kept and {entries[0], entries[2]} <= kept
-        assert len(kept) == 3 and sum(e.stat().st_size for e in kept) <= 3 * size
-
-    @pytest.mark.parametrize("age, kept", [(0, True), (2 * 3600, False)],
-                             ids=["in-flight", "dead"])
-    def test_a_temp_file_goes_only_once_its_store_is_dead(self, tmp_path, cache, monkeypatch,
-                                                          age, kept):
-        # another process's temp file, past the cap alone: one written just now is
-        # a store in flight, and one two hours older than every entry a store that
-        # died; the dead one goes first, and then nothing else need go
-        paths = [tmp_path / f"m{i}.txt" for i in range(2)]
-        for i, p in enumerate(paths):
-            p.write_text(f"{i} 1\n1 {i}\n")
-        _read_table(paths[0], "matrix")
-        [entry] = cache.glob("*.npy")
-        temp = cache / f"{'0' * 64}.99999.tmp"
-        temp.write_bytes(b"\0" * 4 * entry.stat().st_size)
-        written = entry.stat().st_mtime_ns - age * 10**9
-        os.utime(temp, ns=(written, written))
-        monkeypatch.setattr(volcur.spectra, "_CACHE_CAP", 2 * entry.stat().st_size)
-        _read_table(paths[1], "matrix")
-        assert temp.exists() == kept and entry.exists()
-        assert len(list(cache.glob("*.npy"))) == 2
-
-    def test_an_interrupted_store_leaves_no_file(self, tmp_path, cache, monkeypatch):
-        p = tmp_path / "m.txt"
-        p.write_text("2 1\n1 2\n")
-
-        def interrupted(out, table):
-            out.write(b"\x93NUMPY")
-            raise KeyboardInterrupt
-        monkeypatch.setattr(np, "save", interrupted)
-        with pytest.raises(KeyboardInterrupt):
-            _read_table(p, "matrix")
-        assert list(cache.iterdir()) == []
-
-    def test_a_parse_past_the_cap_is_not_stored(self, tmp_path, cache, monkeypatch):
-        small, large = tmp_path / "small.txt", tmp_path / "large.txt"
-        small.write_text("2 1\n1 2\n")
-        large.write_text("1 0 0\n0 1 0\n0 0 1\n")
-        _read_table(small, "matrix")
-        [entry] = cache.glob("*.npy")
-        monkeypatch.setattr(volcur.spectra, "_CACHE_CAP", 9 * 8 - 1)
-        assert _read_table(large, "matrix").tolist() == np.eye(3).tolist()
-        assert sorted(cache.iterdir()) == [entry]
-
-    @pytest.mark.parametrize("mode, other_uid", [(0o770, 0), (0o702, 0), (0o700, 1)],
-                             ids=["group-writable", "world-writable", "another-users"])
-    def test_a_directory_others_may_write_is_no_cache(self, tmp_path, cache, mode, other_uid):
-        p, q = tmp_path / "m.txt", tmp_path / "n.txt"
-        p.write_text("2 1\n1 2\n")
-        q.write_text("3 1\n1 3\n")
-        _read_table(p, "matrix")
-        [entry] = cache.glob("*.npy")
-        np.save(entry, np.eye(2))                   # a planted parse under p's name
-        cache.chmod(mode)
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(os, "getuid", lambda: cache.stat().st_uid + other_uid)
-            assert _read_table(p, "matrix").tolist() == [[2, 1], [1, 2]]
-            assert _read_table(q, "matrix").tolist() == [[3, 1], [1, 3]]
-        assert sorted(cache.iterdir()) == [entry]   # nothing stored
-        cache.chmod(0o700)
-        assert _read_table(p, "matrix").tolist() == np.eye(2).tolist()

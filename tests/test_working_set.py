@@ -7,7 +7,6 @@ generated spectrum is computed one chunk at a time, so their budgets are
 constants in bytes, checked at two sizes.  The peaks repeat exactly from
 run to run.  LAPACK's own workspace inside eigh is not traced.
 """
-import shutil
 import tracemalloc
 
 import numpy as np
@@ -27,7 +26,8 @@ from volcur import (
     read_array,
     split_head_tail,
 )
-from volcur import esp
+import volcur.cli
+from volcur import esp, sample_subsets
 from volcur.cli import main
 from volcur.esp import _CHUNK
 
@@ -122,28 +122,38 @@ def test_spectral_command_holds_no_generated_spectrum(argv, lmax, capsys):
     assert capsys.readouterr().out.count("\n") == 1 + int(argv[-1].partition("..")[2])
 
 
-def test_read_array_holds_the_array_not_the_text(spd1000, entries):
-    # a miss: the file is hashed, parsed and its parse stored
+def test_read_array_holds_the_array_not_the_text(spd1000):
     assert traced_peak(lambda: read_array(spd1000)) <= 1.3 * 8 * 1000**2
-    assert entries() == (1, 0)
 
 
-def test_a_cached_read_holds_the_array_alone(spd1000, cache):
-    read_array(spd1000)
-    assert traced_peak(lambda: read_array(spd1000)) <= 1.05 * 8 * 1000**2
+def test_a_sample_hit_holds_three_matrices(spd1000, entries, monkeypatch, capsys):
+    # a hit loads the entries and eigh's pair and copies the kept vectors out of the
+    # pair, which is gone by the time the sampler starts: from there on, the
+    # entries and the kept vectors are held, and the sampler's own working set
+    # (1.5 n x n more at k = 50, 40 draws) sits above them
+    argv = ["sample", "--input", str(spd1000), "--k", "50", "--draws", "40", "--seed", "1"]
+    codes = [main(argv)]
+    assert entries() == 1
+    at_sampler = []
+
+    def sampler(*args):
+        at_sampler.append(tracemalloc.get_traced_memory())     # (held, peak so far)
+        return sample_subsets(*args)
+    monkeypatch.setattr(volcur.cli, "sample_subsets", sampler)
+    traced_peak(lambda: codes.append(main(argv)))
+    [(held, peak)] = at_sampler
+    assert peak <= 3.1 * 8 * 1000**2
+    assert held <= 2.05 * 8 * 1000**2
+    assert codes == [0, 0]
+    out = capsys.readouterr().out.splitlines()
+    assert len(out) == 80 and out[:40] == out[40:]
 
 
-@pytest.mark.parametrize("cached", [False, True], ids=["no-cache", "cache-miss-then-hit"])
-def test_psd_matrix_holds_three_matrices_above_its_input(cached, request):
-    # its copy of the input (the entries), eigh's eigenvectors and the kept ones;
-    # on a cache miss, eigh's pair stacked into one (n+1) x n array, stored and
-    # held in place of eigh's own; on a hit, that array, loaded
+def test_psd_matrix_holds_three_matrices_above_its_input():
+    # its copy of the input (the entries), eigh's eigenvectors and the kept ones
     n = 500
     a = random_psd(np.random.default_rng(5), n, n)
-    entries = request.getfixturevalue("entries") if cached else None
-    for _ in range(2 if cached else 1):
-        assert traced_peak(lambda: PsdMatrix(a)) <= 3.1 * a.nbytes
-        assert not cached or entries() == (0, 1)
+    assert traced_peak(lambda: PsdMatrix(a)) <= 3.1 * a.nbytes
 
 
 def test_rbf_kernel_matrix_holds_three_matrices():
@@ -153,13 +163,10 @@ def test_rbf_kernel_matrix_holds_three_matrices():
     assert traced_peak(lambda: rbf_kernel_matrix(x, 1.3)) <= 3.1 * 8 * n * n
 
 
-def test_load_matrix_keeps_the_parsed_array(spd1000, cache, entries):
-    # the parsed array becomes the entries: one n x n below parse-then-copy,
-    # each read a miss that stores its parse and its eigensolve
+def test_load_matrix_keeps_the_parsed_array(spd1000):
+    # the parsed array becomes the entries: one n x n below parse-then-copy
     size = 8 * 1000**2
     owning = traced_peak(lambda: load_matrix(spd1000))
-    shutil.rmtree(cache)
     copying = traced_peak(lambda: PsdMatrix(read_array(spd1000)))
-    assert entries() == (1, 1)
     assert owning <= 3.1 * size
     assert owning <= copying - 0.95 * size
